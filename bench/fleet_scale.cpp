@@ -4,37 +4,40 @@
 // aggregated statistics must be bit-identical at every thread count.
 //
 //   ./build/bench/fleet_scale [--users N] [--slots N] [--threads a,b,c]
-//                             [--batch N] [--json out.json]
+//                             [--json out.json]
 //
-// Defaults: 64 users, 600-slot streams, threads 1,2,4,8, batch 0 (off).
-// `--batch N` turns on in-shard batching: each shard classifies N
-// consecutive stream windows per (sensor, net) in one im2row+GEMM call
-// (FleetRunnerConfig::batch_slots); results stay bit-identical — the
-// determinism check below runs with whatever batch setting is active.
-// Note the speedup column measures what the host gives us: on a
-// single-core container it stays ~1x by construction; on an 8-core host
-// the 8-thread row is the ROADMAP scale-out datum.
-#include <algorithm>
-#include <cstring>
+// Defaults: 64 users, 600-slot streams, threads 1,2,4,8. An unknown flag
+// prints usage and exits 2. Note the speedup column measures what the
+// host gives us: on a single-core container it stays ~1x by construction;
+// on an 8-core host the 8-thread row is the ROADMAP scale-out datum.
+#include <stdexcept>
 #include <string>
 
 #include "bench_common.hpp"
 #include "data/stream_cursor.hpp"
 #include "fleet/fleet_runner.hpp"
 #include "fleet/thread_pool.hpp"
+#include "util/args.hpp"
 
 using namespace origin;
 
 namespace {
 
-std::vector<unsigned> parse_threads(const char* arg) {
+/// "1,2,8" -> {1, 2, 8}; throws std::invalid_argument on an empty list or
+/// a token that is not a positive integer.
+std::vector<unsigned> parse_threads(const std::string& s) {
   std::vector<unsigned> out;
-  std::string s(arg);
   std::size_t pos = 0;
-  while (pos < s.size()) {
+  while (true) {
     const std::size_t comma = s.find(',', pos);
     const std::string tok = s.substr(pos, comma - pos);
-    out.push_back(static_cast<unsigned>(std::stoul(tok)));
+    const bool digits =
+        !tok.empty() && tok.find_first_not_of("0123456789") == std::string::npos;
+    const unsigned long n = digits ? std::stoul(tok) : 0;
+    if (n == 0) {
+      throw std::invalid_argument("bad value for --threads: '" + s + "'");
+    }
+    out.push_back(static_cast<unsigned>(n));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -44,25 +47,30 @@ std::vector<unsigned> parse_threads(const char* arg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t users = 64;
+  std::uint64_t users = 64;
   int slots = 600;
-  int batch = 0;
-  std::vector<unsigned> thread_counts = {1, 2, 4, 8};
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (!std::strcmp(argv[i], "--users")) {
-      users = std::stoul(argv[i + 1]);
-    } else if (!std::strcmp(argv[i], "--slots")) {
-      slots = std::stoi(argv[i + 1]);
-    } else if (!std::strcmp(argv[i], "--threads")) {
-      thread_counts = parse_threads(argv[i + 1]);
-    } else if (!std::strcmp(argv[i], "--batch")) {
-      batch = std::stoi(argv[i + 1]);
-    }
+  std::string threads_arg = "1,2,4,8";
+  std::string json_path;
+  std::vector<unsigned> thread_counts;
+
+  util::ArgParser args("fleet_scale",
+                       "fleet users/sec across thread counts, with the "
+                       "bit-identity check of the aggregates");
+  args.add("users", &users, "users in the population");
+  args.add("slots", &slots, "stream length per user, in slots");
+  args.add("threads", &threads_arg, "comma-separated thread counts");
+  args.add("json", &json_path, "write a run manifest JSON here");
+  try {
+    if (!args.parse(argc, argv)) return 0;
+    thread_counts = parse_threads(threads_arg);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fleet_scale: %s\n%s", e.what(), args.usage().c_str());
+    return 2;
   }
+
   bench::JsonReport report(argc, argv, "fleet_scale");
-  report.manifest().set("users", std::uint64_t{users});
+  report.manifest().set("users", users);
   report.manifest().set("slots", slots);
-  report.manifest().set("batch", batch);
 
   auto config = bench::default_config(data::DatasetKind::MHealthLike);
   config.stream_slots = slots;
@@ -72,9 +80,10 @@ int main(int argc, char** argv) {
 
   fleet::PopulationConfig pop;
   pop.users = users;
-  std::printf("\n=== fleet_scale: %zu users x %d slots, Origin RR12, "
-              "batch %d (host reports %u hardware threads) ===\n",
-              users, slots, batch, fleet::ThreadPool::hardware_threads());
+  std::printf("\n=== fleet_scale: %llu users x %d slots, Origin RR12 "
+              "(host reports %u hardware threads) ===\n",
+              static_cast<unsigned long long>(users), slots,
+              fleet::ThreadPool::hardware_threads());
   const auto jobs = fleet::make_population(pop);
   // Simulated slots per fleet run — the per-slot and windows/s columns
   // normalize wall time by the work actually done.
@@ -90,7 +99,6 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     fleet::FleetRunnerConfig runner_config;
     runner_config.threads = thread_counts[i];
-    runner_config.batch_slots = batch;
     const auto r = fleet::FleetRunner(experiment, runner_config).run(jobs);
     if (i == 0) {
       base_seconds = r.wall_seconds;
@@ -126,14 +134,13 @@ int main(int argc, char** argv) {
               identical ? "yes" : "NO — determinism bug");
   // Per-job stream working set: a materialized Stream holds every slot's
   // three windows for the whole run; the pooled cursor holds only its
-  // recycled ring (sized for the batching block).
+  // recycled ring.
   const auto& spec = experiment.system().spec;
   const double slot_kib =
       static_cast<double>(data::kNumSensors) * sizeof(float) *
       static_cast<double>(spec.channels) *
       static_cast<double>(spec.window_len) / 1024.0;
-  const int ring =
-      std::max(data::StreamCursor::kDefaultRingCapacity, batch);
+  const int ring = data::StreamCursor::kDefaultRingCapacity;
   const double materialized_kib = static_cast<double>(slots) * slot_kib;
   const double ring_kib = static_cast<double>(ring) * slot_kib;
   std::printf("per-job stream memory: %.0f KiB materialized -> %.0f KiB "

@@ -70,8 +70,6 @@ int main(int argc, char** argv) {
   args.add("policy", &policy_name, "naive|rr|aas|aasr|origin");
   args.add("rr", &serve_config.rr_cycle, "round-robin depth");
   args.add("severity", &serve_config.severity, "user deviation severity");
-  args.add("batch-slots", &serve_config.batch_slots,
-           "in-shard inference batching (0 = off)");
   args.add("serve-batch", &serve_config.serve_batch,
            "cross-session batched inference: 1 = on, 0 = off, -1 = auto "
            "(ORIGIN_SERVE_BATCH, default on)");
@@ -81,8 +79,7 @@ int main(int argc, char** argv) {
   args.add("bits", &serve_config.bits,
            "inference word width: 32 (float) or 2..8 (int8 serving path)");
   args.add_switch("fine-tune", &serve_config.personalize.enabled,
-                  "bounded per-user fine-tuning (requires --bits 32 and "
-                  "--batch-slots 0)");
+                  "bounded per-user fine-tuning (requires --bits 32)");
   args.add("ft-budget", &serve_config.personalize.step_budget,
            "fine-tune optimizer-step budget per sensor net");
   args.add("ft-cadence", &serve_config.personalize.cadence_slots,
@@ -142,7 +139,6 @@ int main(int argc, char** argv) {
   manifest.set("severity", serve_config.severity);
   manifest.set("threads", static_cast<int>(serve_config.threads));
   manifest.set("shards", std::uint64_t{serve_config.shards});
-  manifest.set("batch_slots", serve_config.batch_slots);
   manifest.set("serve_batch", loop.serve_batch());
   manifest.set("kernel_backend",
                std::string(nn::kernels::active_backend().name));

@@ -10,7 +10,7 @@
 #             accuracy number is unchanged.
 #   kernels — inference kernels + fleet concurrency suites (labels nn,
 #             fleet, obs-fleet) in Release and Release+ASan, plus the
-#             simulator's batching bit-identity cases.
+#             simulator's split-phase bit-identity cases.
 #   train   — the training-path suite (label `nn`, which includes
 #             test_train_kernels: backward kernels vs the naive oracle,
 #             batched fit vs fit_reference, parallel train_system byte
@@ -112,10 +112,11 @@ verify_kernels_config() {
   # `-L 'nn|fleet'` is a regex OR (labels nn, fleet, obs-fleet); repeating
   # -L would intersect.
   ctest --test-dir "$dir" -L 'nn|fleet' --output-on-failure -j "$jobs"
-  # The simulator's batching bit-identity cases are in the unlabeled
-  # simulator suite; run that binary directly in both gates too.
+  # The simulator's split-phase bit-identity cases (step_begin + external
+  # classification + step_finish == step) are in the unlabeled simulator
+  # suite; run that binary directly in both gates too.
   "$dir/tests/test_simulator" \
-      --gtest_filter='*Batched*' --gtest_brief=1
+      --gtest_filter='*SplitPhase*' --gtest_brief=1
 }
 
 verify_kernels() {

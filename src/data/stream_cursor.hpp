@@ -2,8 +2,8 @@
 // pooled ring of buffers instead of a fully materialized data::Stream.
 //
 // A 4000-slot stream holds 4000 x 3 x [6 x 64] float windows (~18 MB);
-// the simulator only ever looks at the current batching block, so a fleet
-// job's working set is really O(block), not O(slots). StreamCursor keeps
+// the simulator only ever looks at the current slot, so a fleet job's
+// working set is really O(ring), not O(slots). StreamCursor keeps
 // the make_stream state machine (Markov segments, style anchors,
 // ambiguous-episode process) and synthesizes each slot exactly when it is
 // first requested, recycling ring slots whose tensors are reshaped in
@@ -52,9 +52,9 @@ class StreamSlotSource final : public SlotSource {
 /// On-demand generator of the make_stream slot sequence.
 class StreamCursor final : public SlotSource {
  public:
-  /// Ring default: covers the largest batch block the benches use with
-  /// headroom, while keeping the working set ~100x smaller than a
-  /// default-length materialized stream.
+  /// Ring default: ample lookback for consumers that re-read recent slots
+  /// (the serve tier re-requests the slot just stepped), while keeping the
+  /// working set ~100x smaller than a default-length materialized stream.
   static constexpr int kDefaultRingCapacity = 40;
 
   /// Two-phase form for pooling: allocates the ring, binds no user yet.

@@ -105,8 +105,6 @@ FleetResult FleetRunner::run(const std::vector<FleetJob>& jobs) const {
   std::mutex progress_mutex;
   std::size_t shards_done = 0;
   ScratchPool scratch_pool;
-  const int ring_capacity =
-      std::max(data::StreamCursor::kDefaultRingCapacity, config_.batch_slots);
 
   const auto run_start = Clock::now();
 
@@ -129,8 +127,8 @@ FleetResult FleetRunner::run(const std::vector<FleetJob>& jobs) const {
       if (scratch->cursor) {
         experiment_->rebind_cursor(*scratch->cursor, job.user, job.seed_offset);
       } else {
-        scratch->cursor.emplace(experiment_->make_cursor(
-            job.user, job.seed_offset, std::nullopt, ring_capacity));
+        scratch->cursor.emplace(
+            experiment_->make_cursor(job.user, job.seed_offset));
       }
       data::StreamCursor& cursor = *scratch->cursor;
       sim::SimResult sim_result;
@@ -142,8 +140,8 @@ FleetResult FleetRunner::run(const std::vector<FleetJob>& jobs) const {
                 : ensure_models(scratch->bl2, [&] {
                     return experiment_->system().bl2_copy();
                   });
-        sim_result = experiment_->run_fully_powered(*job.baseline, models,
-                                                    cursor, config_.batch_slots);
+        sim_result =
+            experiment_->run_fully_powered(*job.baseline, models, cursor);
       } else {
         auto policy = experiment_->make_policy(job.policy, job.rr_cycle, job.set);
         auto& models =
@@ -156,8 +154,7 @@ FleetResult FleetRunner::run(const std::vector<FleetJob>& jobs) const {
         // Slot-level tracing of job 0 only — the exemplar run; tracing
         // every job would just wrap the ring buffer.
         sim_result = experiment_->run_policy(
-            *policy, models, cursor, j == 0 ? config_.trace : nullptr,
-            config_.batch_slots);
+            *policy, models, cursor, j == 0 ? config_.trace : nullptr);
       }
       const double job_seconds = seconds_since(job_t0);
       result.jobs[j].accuracy = sim_result.accuracy.overall();

@@ -65,12 +65,6 @@ struct FleetRunnerConfig {
   /// time relative to run start) and, to keep trace volume bounded, the
   /// full slot-level simulator trace of job 0 only.
   obs::TraceRecorder* trace = nullptr;
-  /// In-shard batching: each shard classifies blocks of this many
-  /// consecutive stream windows per (sensor, net) in one batched forward
-  /// (SimulatorConfig::batch_slots). Per-job results and all deterministic
-  /// metrics stay bit-identical to the unbatched run at any thread count.
-  /// 0 or 1 disables batching.
-  int batch_slots = 0;
 };
 
 struct FleetResult {

@@ -68,7 +68,7 @@ bool SensorNode::can_infer() const {
 }
 
 SensorNode::AttemptProbe SensorNode::probe_wait_compute(
-    const nn::Tensor& window, const Classification* precomputed) {
+    const nn::Tensor& window) {
   ++counters_.attempts;
   AttemptProbe probe;
   if (failed_) {
@@ -82,17 +82,12 @@ SensorNode::AttemptProbe SensorNode::probe_wait_compute(
   counters_.consumed_j += total_cost_j_;
   ++counters_.completions;
   probe.completed = true;
-  if (precomputed) {
-    probe.ready = *precomputed;
-  } else {
-    probe.classify = &window;
-  }
+  probe.classify = &window;
   return probe;
 }
 
 SensorNode::AttemptProbe SensorNode::probe_eager(
-    const nn::Tensor& window, double start_threshold_frac,
-    const Classification* precomputed) {
+    const nn::Tensor& window, double start_threshold_frac) {
   ++counters_.attempts;
   AttemptProbe probe;
   if (failed_) {
@@ -108,11 +103,6 @@ SensorNode::AttemptProbe SensorNode::probe_eager(
     }
     nvp_.begin_task(total_cost_j_);
     pending_window_ = window;
-    // Capture the begin-slot result here: a later resume call passes the
-    // *current* slot's precomputed value, which does not classify the
-    // pending window.
-    pending_result_ =
-        precomputed ? std::optional<Classification>(*precomputed) : std::nullopt;
   }
   const double allowance = capacitor_.stored_j();
   const auto advance = nvp_.advance(allowance);
@@ -125,29 +115,22 @@ SensorNode::AttemptProbe SensorNode::probe_eager(
       if (!nvp_.config().enabled) {
         nvp_.abort_task();
         pending_window_.reset();
-        pending_result_.reset();
       }
     }
     return probe;
   }
   ++counters_.completions;
   probe.completed = true;
-  if (pending_result_) {
-    probe.ready = *pending_result_;
-  } else {
-    // A resumed task finishes on its *original* window, which may be stale
-    // by now — as on hardware. Park it somewhere that outlives the probe.
-    completed_window_ = pending_window_ ? std::move(*pending_window_) : window;
-    probe.classify = &completed_window_;
-  }
+  // A resumed task finishes on its *original* window, which may be stale
+  // by now — as on hardware. Park it somewhere that outlives the probe.
+  completed_window_ = pending_window_ ? std::move(*pending_window_) : window;
+  probe.classify = &completed_window_;
   pending_window_.reset();
-  pending_result_.reset();
   return probe;
 }
 
 SensorNode::AttemptProbe SensorNode::probe_deadline(
-    const nn::Tensor& window, double start_threshold_frac,
-    const Classification* precomputed) {
+    const nn::Tensor& window, double start_threshold_frac) {
   ++counters_.attempts;
   AttemptProbe probe;
   if (failed_) {
@@ -162,11 +145,7 @@ SensorNode::AttemptProbe SensorNode::probe_deadline(
     counters_.consumed_j += total_cost_j_;
     ++counters_.completions;
     probe.completed = true;
-    if (precomputed) {
-      probe.ready = *precomputed;
-    } else {
-      probe.classify = &window;
-    }
+    probe.classify = &window;
     return probe;
   }
   // Started but cannot make the deadline: everything stored burns on
@@ -178,25 +157,7 @@ SensorNode::AttemptProbe SensorNode::probe_deadline(
 
 std::optional<Classification> SensorNode::resolve(const AttemptProbe& probe) {
   if (!probe.completed) return std::nullopt;
-  if (probe.ready) return *probe.ready;
   return make_classification(model_->predict_proba(*probe.classify));
-}
-
-std::optional<Classification> SensorNode::attempt_wait_compute(
-    const nn::Tensor& window, const Classification* precomputed) {
-  return resolve(probe_wait_compute(window, precomputed));
-}
-
-std::optional<Classification> SensorNode::attempt_eager(
-    const nn::Tensor& window, double start_threshold_frac,
-    const Classification* precomputed) {
-  return resolve(probe_eager(window, start_threshold_frac, precomputed));
-}
-
-std::optional<Classification> SensorNode::attempt_deadline(
-    const nn::Tensor& window, double start_threshold_frac,
-    const Classification* precomputed) {
-  return resolve(probe_deadline(window, start_threshold_frac, precomputed));
 }
 
 Classification SensorNode::classify(const nn::Tensor& window) {
@@ -210,7 +171,6 @@ SensorNodeState SensorNode::snapshot_state() const {
   state.counters = counters_;
   state.nvp = nvp_.state();
   state.pending_window = pending_window_;
-  state.pending_result = pending_result_;
   return state;
 }
 
@@ -220,7 +180,6 @@ void SensorNode::restore_state(const SensorNodeState& state) {
   counters_ = state.counters;
   nvp_.restore(state.nvp);
   pending_window_ = state.pending_window;
-  pending_result_ = state.pending_result;
 }
 
 }  // namespace origin::net

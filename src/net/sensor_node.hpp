@@ -54,10 +54,8 @@ struct SensorNodeState {
   bool failed = false;
   NodeCounters counters;
   energy::NvpState nvp;
-  /// In-flight eager task: the window it was started on and (when the
-  /// caller ran batched inference) its precomputed classification.
+  /// Window the in-flight eager task was started on.
   std::optional<nn::Tensor> pending_window;
-  std::optional<Classification> pending_result;
 };
 
 class SensorNode {
@@ -96,67 +94,40 @@ class SensorNode {
   double capacity_j() const { return capacitor_.capacity_j(); }
 
   /// Outcome of the bookkeeping half of an attempt (probe_*): whether the
-  /// inference completed this call, and — when it did — either the ready
-  /// classification (precomputed / captured at task begin) or the window
-  /// the caller must classify with this node's model. `classify` stays
-  /// valid until the node's next probe/attempt; classification is a pure
-  /// function of (model, window), so deferring it never changes energy
-  /// state, counters, or the result itself.
+  /// inference completed this call, and — when it did — the window the
+  /// caller must classify with this node's model. `classify` stays valid
+  /// until the node's next probe; classification is a pure function of
+  /// (model, window), so deferring it never changes energy state, counters,
+  /// or the result itself.
   struct AttemptProbe {
     bool completed = false;
     const nn::Tensor* classify = nullptr;
-    std::optional<Classification> ready;
   };
 
-  /// Wait-compute attempt: runs the inference only if the full energy is
-  /// available; otherwise records a skip and returns nullopt.
+  /// The three attempt flavors. Each does the energy / NVP / counter
+  /// bookkeeping of one attempt and leaves the model forward pass to the
+  /// caller (resolve() runs it on this node; the serve tier batches it
+  /// across sessions).
   ///
-  /// `precomputed`, when non-null, is the classification of `window` by
-  /// this node's model (from a batched predict_proba_batch pass over a
-  /// block of the stream). Classification is a pure function of (model,
-  /// window) and the energy bookkeeping is analytic, so supplying it
-  /// changes which call computes the result, never the result itself —
-  /// all counters and outputs stay bit-identical.
-  std::optional<Classification> attempt_wait_compute(
-      const nn::Tensor& window, const Classification* precomputed = nullptr);
-
-  /// Bookkeeping halves of the three attempt flavors: identical energy /
-  /// NVP / counter effects to the fused attempt_* calls, but the model
-  /// forward pass is left to the caller (the serve tier batches it across
-  /// sessions). attempt_X(w, ...) == resolve(probe_X(w, ...)) by
-  /// construction.
-  AttemptProbe probe_wait_compute(const nn::Tensor& window,
-                                  const Classification* precomputed = nullptr);
+  /// Wait-compute: runs the inference only if the full energy is
+  /// available; otherwise records a skip.
+  AttemptProbe probe_wait_compute(const nn::Tensor& window);
+  /// Eager: starts/continues regardless of the stored energy (above a
+  /// small start threshold), drawing what is there. A volatile core loses
+  /// partial progress; an NVP core checkpoints it and resumes on the
+  /// *original* window at the next attempt.
   AttemptProbe probe_eager(const nn::Tensor& window,
-                           double start_threshold_frac = 0.1,
-                           const Classification* precomputed = nullptr);
+                           double start_threshold_frac = 0.1);
+  /// Deadline (the conventional ensemble of Fig. 1a): the inference must
+  /// finish within this slot. If the stored energy is below the start
+  /// threshold it "cannot start"; if it starts but the charge runs out the
+  /// partial work is discarded — stale results are worthless to a per-slot
+  /// ensemble, NVP or not.
   AttemptProbe probe_deadline(const nn::Tensor& window,
-                              double start_threshold_frac = 0.1,
-                              const Classification* precomputed = nullptr);
-  /// Completes a probe in-place: classifies probe.classify on this node's
-  /// model when no ready result was captured.
+                              double start_threshold_frac = 0.1);
+  /// Completes a probe in place: classifies probe.classify on this node's
+  /// model when the attempt completed.
   std::optional<Classification> resolve(const AttemptProbe& probe);
-
-  /// Eager attempt: starts/continues regardless of the stored energy
-  /// (above a small start threshold), drawing what is there. A volatile
-  /// core loses partial progress; an NVP core checkpoints it and resumes
-  /// on the *original* window at the next attempt. Returns the
-  /// classification when the inference completes this call.
-  /// `precomputed` must classify `window`; it is captured alongside the
-  /// window when a task begins, so a resumed task completes with its
-  /// *original* window's result.
-  std::optional<Classification> attempt_eager(
-      const nn::Tensor& window, double start_threshold_frac = 0.1,
-      const Classification* precomputed = nullptr);
-
-  /// Deadline attempt (the conventional ensemble of Fig. 1a): the
-  /// inference must finish within this slot. If the stored energy is below
-  /// the start threshold it "cannot start"; if it starts but the charge
-  /// runs out the partial work is discarded — stale results are worthless
-  /// to a per-slot ensemble, NVP or not.
-  std::optional<Classification> attempt_deadline(
-      const nn::Tensor& window, double start_threshold_frac = 0.1,
-      const Classification* precomputed = nullptr);
 
   /// Inference on a fully-powered bench supply (baselines); no energy
   /// bookkeeping.
@@ -197,9 +168,6 @@ class SensorNode {
   /// Window the in-flight eager task was started on (NVP resumes finish
   /// the *original* input, which may be stale by then — as on hardware).
   std::optional<nn::Tensor> pending_window_;
-  /// Precomputed classification of pending_window_, captured at task
-  /// begin when the caller runs batched inference ahead of the attempts.
-  std::optional<Classification> pending_result_;
   /// Stable home for the window an eager completion must classify (the
   /// pending window is consumed by the probe; AttemptProbe::classify
   /// points here until the next probe).

@@ -40,24 +40,13 @@ ServeLoop::ServeLoop(const sim::Experiment& experiment, ServeConfig config)
   if (config_.shards == 0) {
     throw std::invalid_argument("ServeLoop: shards == 0");
   }
-  if (config_.batch_slots > config_.ring_capacity) {
-    throw std::invalid_argument(
-        "ServeLoop: batch_slots exceeds ring_capacity");
-  }
   if (config_.bits != 32 && (config_.bits < 2 || config_.bits > 8)) {
     throw std::invalid_argument("ServeLoop: bits must be 32 or in [2, 8]");
   }
-  if (config_.personalize.enabled) {
-    if (config_.bits != 32) {
-      throw std::invalid_argument(
-          "ServeLoop: personalize requires bits == 32 — fine-tuning trains "
-          "float weights, which int8 model copies would not serve");
-    }
-    if (config_.batch_slots != 0) {
-      throw std::invalid_argument(
-          "ServeLoop: personalize requires batch_slots == 0 — block "
-          "classification caches would serve pre-fine-tune outputs");
-    }
+  if (config_.personalize.enabled && config_.bits != 32) {
+    throw std::invalid_argument(
+        "ServeLoop: personalize requires bits == 32 — fine-tuning trains "
+        "float weights, which int8 model copies would not serve");
   }
 
   admitted_id_ = registry_.add_counter("serve.sessions.admitted");
@@ -71,11 +60,11 @@ ServeLoop::ServeLoop(const sim::Experiment& experiment, ServeConfig config)
   fine_tune_steps_id_ = registry_.add_counter("serve.fine_tune_steps");
   // Cross-session batching stats. Thread-invariant (panel composition is
   // a pure function of the virtual timeline) but NOT deterministic in the
-  // registry sense: they depend on the serve_batch and batch_slots
-  // execution knobs, which the bit-identity contract ranges over — two
-  // runs of one workload must compare equal on deterministic metrics even
-  // when one batched and the other did not. Snapshots still persist them
-  // (v4) so /status stays continuous across a restore.
+  // registry sense: they depend on the serve_batch execution knob, which
+  // the bit-identity contract ranges over — two runs of one workload must
+  // compare equal on deterministic metrics even when one batched and the
+  // other did not. Snapshots still persist them (since v4) so /status
+  // stays continuous across a restore.
   batch_panels_id_ =
       registry_.add_counter("serve.batch_panels", /*deterministic=*/false);
   batch_windows_id_ =
@@ -141,7 +130,7 @@ Session& ServeLoop::admit_session(std::uint64_t id) {
   SessionShard& shard = *shards_[id % config_.shards];
   shard.admit(std::make_unique<Session>(*experiment_, make_spec(id),
                                         shard.models(), config_.ring_capacity,
-                                        config_.batch_slots, config_.trace));
+                                        config_.trace));
   const Session& session = *shard.active().back();
   // Admission is serial (id order), so these events are deterministic; a
   // snapshot restore re-fires them — the flight ring is process-local

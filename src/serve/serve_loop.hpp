@@ -57,24 +57,20 @@ struct ServeConfig {
   /// publish fold order), unlike threads.
   std::size_t shards = 8;
   int ring_capacity = data::StreamCursor::kDefaultRingCapacity;
-  /// In-shard batching (SimulatorConfig::batch_slots); must stay within
-  /// ring_capacity. Bit-identical either way.
-  int batch_slots = 0;
   /// Cross-session batched classification (DESIGN.md §15): each shard
   /// gathers the windows ready across its sessions at a tick and runs one
   /// GEMM panel per (delta-group, sensor) instead of one matvec per
   /// window. Non-speculative and bit-identical either way (the fused-FMA
   /// batch kernels compute each row exactly as the single-sample path),
-  /// so — like threads and batch_slots — it is excluded from the snapshot
-  /// fingerprint. -1 resolves from the ORIGIN_SERVE_BATCH environment
+  /// so — like threads — it is excluded from the snapshot fingerprint.
+  /// -1 resolves from the ORIGIN_SERVE_BATCH environment
   /// variable ("0" disables; anything else — or unset — enables); 0 and 1
   /// pin it explicitly.
   int serve_batch = -1;
   /// In-shard bounded per-user fine-tuning (serve/personalize.hpp).
   /// Changes results, so every field is part of the snapshot fingerprint.
   /// Requires bits == 32 (fine-tuning trains float weights; int8 copies
-  /// would serve stale quantized weights) and batch_slots == 0 (block
-  /// classification caches would serve pre-fine-tune outputs).
+  /// would serve stale quantized weights).
   PersonalizeConfig personalize;
   /// Recent-results ring exposed on /results (older records are dropped;
   /// seq numbers keep the stream gap-free for consumers that care).

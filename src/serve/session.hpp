@@ -40,8 +40,17 @@ class Session {
   /// (obs::TraceRecorder is).
   Session(const sim::Experiment& experiment, SessionSpec spec,
           std::array<nn::Sequential, data::kNumSensors>* models,
-          int ring_capacity, int batch_slots,
-          obs::TraceRecorder* trace = nullptr);
+          int ring_capacity, obs::TraceRecorder* trace = nullptr);
+
+  /// Compatibility overload for the repository benchmark's serve replica
+  /// (benchmark/serve_replica.hpp), which still passes a retired
+  /// in-shard block size of 0 through std::make_unique — once forwarded
+  /// that literal is an int and cannot bind to the trace pointer. Throws
+  /// std::invalid_argument unless `batch_slots` is 0. Goes away with the
+  /// next change to the benchmark.
+  Session(const sim::Experiment& experiment, SessionSpec spec,
+          std::array<nn::Sequential, data::kNumSensors>* models,
+          int ring_capacity, int batch_slots);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;

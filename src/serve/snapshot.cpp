@@ -64,8 +64,6 @@ void write_node(SnapshotWriter& w, const net::SensorNodeState& state) {
   w.u64(state.nvp.restores);
   w.u8(state.pending_window ? 1 : 0);
   if (state.pending_window) write_tensor(w, *state.pending_window);
-  w.u8(state.pending_result ? 1 : 0);
-  if (state.pending_result) write_classification(w, *state.pending_result);
 }
 
 net::SensorNodeState read_node(SnapshotReader& r) {
@@ -84,7 +82,6 @@ net::SensorNodeState read_node(SnapshotReader& r) {
   state.nvp.checkpoints = r.u64();
   state.nvp.restores = r.u64();
   if (r.u8()) state.pending_window = read_tensor(r);
-  if (r.u8()) state.pending_result = read_classification(r);
   return state;
 }
 
@@ -140,8 +137,8 @@ void ServeLoop::save(const std::string& path) const {
   w.raw(kSnapshotMagic, sizeof kSnapshotMagic);
   w.u32(kSnapshotVersion);
 
-  // Workload fingerprint: everything results depend on. Threads,
-  // batch_slots and the results-ring capacity are deliberately absent.
+  // Workload fingerprint: everything results depend on. Threads and the
+  // results-ring capacity are deliberately absent.
   w.u64(config_.users);
   w.f64(config_.arrival_rate_hz);
   w.u64(config_.arrival_seed);

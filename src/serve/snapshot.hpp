@@ -32,7 +32,9 @@ inline constexpr char kSnapshotMagic[8] = {'O', 'R', 'G', 'N',
 /// — unlike the deterministic metrics, they cannot be replayed from the
 /// completed log. The serve_batch mode itself stays out of the
 /// fingerprint (it never affects results).
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+/// Version 5 dropped the per-node precomputed-result record: an in-flight
+/// NVP task carries only the window it began on.
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// Append-only little-endian byte buffer.
 class SnapshotWriter {

@@ -129,52 +129,46 @@ std::unique_ptr<core::Policy> Experiment::make_policy(PolicyKind kind,
 
 SimResult Experiment::run_policy(core::Policy& policy,
                                  const data::Stream& stream, ModelSet set,
-                                 obs::TraceRecorder* trace,
-                                 int batch_slots) const {
+                                 obs::TraceRecorder* trace) const {
   data::StreamSlotSource source(stream);
-  return run_policy(policy, source, set, trace, batch_slots);
+  return run_policy(policy, source, set, trace);
 }
 
 SimResult Experiment::run_policy(core::Policy& policy,
                                  data::SlotSource& source, ModelSet set,
-                                 obs::TraceRecorder* trace,
-                                 int batch_slots) const {
+                                 obs::TraceRecorder* trace) const {
   auto models = set == ModelSet::Relaxed ? system_.relaxed_copy()
                                          : system_.bl2_copy();
-  return run_policy(policy, models, source, trace, batch_slots);
+  return run_policy(policy, models, source, trace);
 }
 
 SimResult Experiment::run_policy(
     core::Policy& policy,
     std::array<nn::Sequential, data::kNumSensors>& models,
-    data::SlotSource& source, obs::TraceRecorder* trace,
-    int batch_slots) const {
+    data::SlotSource& source, obs::TraceRecorder* trace) const {
   SimulatorConfig config = sim_config_;
   config.trace = trace;
-  config.batch_slots = batch_slots;
   Simulator simulator(system_.spec, &models, &trace_, &policy, config);
   return simulator.run(source);
 }
 
 SimResult Experiment::run_fully_powered(core::BaselineKind kind,
-                                        const data::Stream& stream,
-                                        int batch_slots) const {
+                                        const data::Stream& stream) const {
   data::StreamSlotSource source(stream);
-  return run_fully_powered(kind, source, batch_slots);
+  return run_fully_powered(kind, source);
 }
 
 SimResult Experiment::run_fully_powered(core::BaselineKind kind,
-                                        data::SlotSource& source,
-                                        int batch_slots) const {
+                                        data::SlotSource& source) const {
   auto models = kind == core::BaselineKind::BL1 ? system_.bl1_copy()
                                                 : system_.bl2_copy();
-  return run_fully_powered(kind, models, source, batch_slots);
+  return run_fully_powered(kind, models, source);
 }
 
 SimResult Experiment::run_fully_powered(
     core::BaselineKind kind,
     std::array<nn::Sequential, data::kNumSensors>& models,
-    data::SlotSource& source, int batch_slots) const {
+    data::SlotSource& source) const {
   // Baseline-1: the original (unpruned) networks on an unconstrained
   // steady supply — every sensor classifies every window.
   //
@@ -190,55 +184,7 @@ SimResult Experiment::run_fully_powered(
   SimResult result;
   result.accuracy = AccuracyTracker(system_.spec.num_classes());
 
-  // Batched classification: one predict_proba_batch call per (sensor,
-  // block of consecutive windows). Bit-identical to per-slot
-  // predict_proba, so the vote sequence below is unchanged.
-  const std::size_t block = batch_slots > 1
-                                ? static_cast<std::size_t>(batch_slots)
-                                : 0;
-  if (block > source.lookback()) {
-    throw std::invalid_argument(
-        "run_fully_powered: batch_slots exceeds the source's lookback window");
-  }
-
   if (kind == core::BaselineKind::BL1) {
-    if (block > 0) {
-      std::vector<const nn::Tensor*> ptrs;
-      std::array<std::vector<std::vector<float>>, data::kNumSensors> probas;
-      for (std::size_t b0 = 0; b0 < source.size(); b0 += block) {
-        const std::size_t b1 = std::min(b0 + block, source.size());
-        for (int s = 0; s < data::kNumSensors; ++s) {
-          const auto si = static_cast<std::size_t>(s);
-          ptrs.clear();
-          for (std::size_t i = b0; i < b1; ++i) {
-            ptrs.push_back(&source.slot(i).windows[si]);
-          }
-          probas[si] = models[si].predict_proba_batch(ptrs.data(), ptrs.size());
-        }
-        for (std::size_t i = b0; i < b1; ++i) {
-          // Same ballot construction as FullyPoweredBaseline::classify_slot:
-          // every sensor votes with weight 1.0, ties broken by sensor order.
-          std::vector<core::Ballot> ballots;
-          ballots.reserve(data::kNumSensors);
-          for (int s = 0; s < data::kNumSensors; ++s) {
-            const auto cls = net::make_classification(
-                probas[static_cast<std::size_t>(s)][i - b0]);
-            ballots.push_back(
-                {cls.predicted_class, 1.0, static_cast<double>(s)});
-          }
-          const int predicted =
-              core::majority_vote(ballots, system_.spec.num_classes()).value();
-          result.outputs.push_back(predicted);
-          result.accuracy.record(source.slot(i).label, predicted);
-          ++result.completion.slots;
-          result.completion.attempts += data::kNumSensors;
-          result.completion.completions += data::kNumSensors;
-          ++result.completion.slots_all_completed;
-          ++result.completion.slots_some_completed;
-        }
-      }
-      return result;
-    }
     for (std::size_t i = 0; i < source.size(); ++i) {
       const data::SlotSample& slot = source.slot(i);
       const int predicted = baseline.classify_slot(slot.windows);
@@ -256,44 +202,15 @@ SimResult Experiment::run_fully_powered(
   const int period = std::max(1, static_cast<int>(std::lround(config_.energy_ratio)));
   const int stagger =
       config_.bl2_staggered ? std::max(1, period / data::kNumSensors) : 0;
-  // Per-sensor block cache for the duty-cycled BL-2 path: classify only
-  // the sensor's scheduled slots within each block, in one batched call.
-  std::array<std::vector<std::vector<float>>, data::kNumSensors> bl2_cache;
-  std::array<std::vector<std::size_t>, data::kNumSensors> bl2_cache_slots;
-  std::size_t cache_b0 = 0, cache_b1 = 0;
   std::array<net::Classification, data::kNumSensors> votes;
   for (std::size_t i = 0; i < source.size(); ++i) {
     const data::SlotSample& slot = source.slot(i);
     ++result.completion.slots;
-    if (block > 0 && i >= cache_b1) {
-      cache_b0 = i;
-      cache_b1 = std::min(i + block, source.size());
-      std::vector<const nn::Tensor*> ptrs;
-      for (int s = 0; s < data::kNumSensors; ++s) {
-        const auto si = static_cast<std::size_t>(s);
-        ptrs.clear();
-        bl2_cache_slots[si].clear();
-        for (std::size_t j = cache_b0; j < cache_b1; ++j) {
-          if (static_cast<int>(j) % period == (s * stagger) % period) {
-            bl2_cache_slots[si].push_back(j);
-            ptrs.push_back(&source.slot(j).windows[si]);
-          }
-        }
-        bl2_cache[si] = models[si].predict_proba_batch(ptrs.data(), ptrs.size());
-      }
-    }
     for (int s = 0; s < data::kNumSensors; ++s) {
       const auto si = static_cast<std::size_t>(s);
       if (static_cast<int>(i) % period == (s * stagger) % period) {
-        if (block > 0) {
-          const auto& slots = bl2_cache_slots[si];
-          const std::size_t pos = static_cast<std::size_t>(
-              std::lower_bound(slots.begin(), slots.end(), i) - slots.begin());
-          votes[si] = net::make_classification(bl2_cache[si][pos]);
-        } else {
-          votes[si] = net::make_classification(
-              models[si].predict_proba(slot.windows[si]));
-        }
+        votes[si] = net::make_classification(
+            models[si].predict_proba(slot.windows[si]));
         ++result.completion.attempts;
         ++result.completion.completions;
         ++result.scheduled[si];

@@ -78,8 +78,7 @@ class Experiment {
 
   /// Streaming counterpart of make_stream: a cursor yielding the same
   /// slots bit for bit from a pooled ring (working set O(ring), not
-  /// O(slots)). `ring_capacity` must cover the batch block it will be
-  /// consumed with.
+  /// O(slots)).
   data::StreamCursor make_cursor(
       const data::UserProfile& user, std::uint64_t seed_offset = 0,
       std::optional<double> snr_db = std::nullopt,
@@ -96,20 +95,16 @@ class Experiment {
   /// Runs `policy` over `stream` on harvested energy with the given model
   /// set (the default matches §IV-C: Origin deploys the BL-2 networks).
   /// `trace`, when given, records the slot-level event stream of the run
-  /// (see obs::TraceRecorder). `batch_slots` > 1 turns on in-shard
-  /// batching (SimulatorConfig::batch_slots); results are bit-identical
-  /// either way.
+  /// (see obs::TraceRecorder).
   SimResult run_policy(core::Policy& policy, const data::Stream& stream,
                        ModelSet set = ModelSet::BL2,
-                       obs::TraceRecorder* trace = nullptr,
-                       int batch_slots = 0) const;
+                       obs::TraceRecorder* trace = nullptr) const;
 
   /// Streaming variant: consumes any SlotSource (e.g. a cursor from
   /// make_cursor). Bit-identical to the Stream overload.
   SimResult run_policy(core::Policy& policy, data::SlotSource& source,
                        ModelSet set = ModelSet::BL2,
-                       obs::TraceRecorder* trace = nullptr,
-                       int batch_slots = 0) const;
+                       obs::TraceRecorder* trace = nullptr) const;
 
   /// Pooled variant: runs on caller-owned deployed networks instead of
   /// copying the system's per call. `models` must match the intended
@@ -118,28 +113,22 @@ class Experiment {
   SimResult run_policy(core::Policy& policy,
                        std::array<nn::Sequential, data::kNumSensors>& models,
                        data::SlotSource& source,
-                       obs::TraceRecorder* trace = nullptr,
-                       int batch_slots = 0) const;
+                       obs::TraceRecorder* trace = nullptr) const;
 
   /// Fully-powered baseline (steady supply, majority voting every slot).
-  /// `batch_slots` > 1 classifies blocks of consecutive windows per sensor
-  /// in one batched call; outputs are bit-identical to the slot-by-slot
-  /// path.
   SimResult run_fully_powered(core::BaselineKind kind,
-                              const data::Stream& stream,
-                              int batch_slots = 0) const;
+                              const data::Stream& stream) const;
 
   /// Streaming variant of the baseline runner.
   SimResult run_fully_powered(core::BaselineKind kind,
-                              data::SlotSource& source,
-                              int batch_slots = 0) const;
+                              data::SlotSource& source) const;
 
   /// Pooled variant: `models` are the deployed networks for `kind`
   /// (bl1_copy()/bl2_copy()), reused across calls by the caller.
   SimResult run_fully_powered(
       core::BaselineKind kind,
       std::array<nn::Sequential, data::kNumSensors>& models,
-      data::SlotSource& source, int batch_slots = 0) const;
+      data::SlotSource& source) const;
 
  private:
   ExperimentConfig config_;

@@ -35,16 +35,6 @@ struct SimulatorConfig {
   /// decisions + fallback hops, per-node energy, attempt outcomes with
   /// their failure cause, votes/weights and the fused output per slot.
   obs::TraceRecorder* trace = nullptr;
-  /// In-shard batching: classify blocks of this many consecutive stream
-  /// windows per sensor in one predict_proba_batch call (im2row + GEMM
-  /// over the whole block), lazily on the first attempt that touches a
-  /// block. Classification is a pure function of (model, window) and the
-  /// energy accounting is analytic, so every counter, vote and metric is
-  /// bit-identical to the unbatched run. 0 or 1 disables batching.
-  /// Trade-off: under sparse schedules a block may classify windows no
-  /// attempt ever completes on, so total model executions can exceed
-  /// completed inferences — which is why this is opt-in.
-  int batch_slots = 0;
 };
 
 class Simulator {
@@ -71,9 +61,7 @@ class Simulator {
 
   /// Streaming form: consumes any SlotSource (e.g. a data::StreamCursor,
   /// whose working set is the ring, not the whole stream). Forward-only
-  /// access; requires source.lookback() >= batch_slots so a batching
-  /// block is never recycled while in use. Bit-identical to running over
-  /// the materialized stream.
+  /// access. Bit-identical to running over the materialized stream.
   SimResult run(data::SlotSource& source);
 
   /// Per-inference energy of each deployed node (compute + TX).

@@ -1,6 +1,5 @@
 #include "sim/slot_stepper.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -25,11 +24,6 @@ SlotStepper::SlotStepper(const data::DatasetSpec& spec,
   if (source_->spec().num_classes() != spec_.num_classes()) {
     throw std::invalid_argument("SlotStepper: stream/spec class mismatch");
   }
-  if (config_.batch_slots > 1 &&
-      static_cast<std::size_t>(config_.batch_slots) > source_->lookback()) {
-    throw std::invalid_argument(
-        "SlotStepper: batch_slots exceeds the source's lookback window");
-  }
 
   // Fresh nodes, borrowing the deployed networks (the networks carry no
   // cross-run state the simulator observes — attempts only run forward
@@ -50,32 +44,6 @@ SlotStepper::SlotStepper(const data::DatasetSpec& spec,
   last_success_s_.fill(-std::numeric_limits<double>::infinity());
   result_.accuracy = AccuracyTracker(spec_.num_classes());
   slot_s_ = spec_.slot_seconds();
-  block_ = config_.batch_slots > 1
-               ? static_cast<std::size_t>(config_.batch_slots)
-               : 0;
-}
-
-const net::Classification* SlotStepper::precomputed_for(std::size_t sensor,
-                                                        std::size_t slot_idx) {
-  if (block_ == 0) return nullptr;
-  BlockCache& cache = block_cache_[sensor];
-  if (slot_idx < cache.begin || slot_idx >= cache.end) {
-    cache.begin = (slot_idx / block_) * block_;
-    cache.end = std::min(cache.begin + block_, source_->size());
-    block_windows_.clear();
-    for (std::size_t j = cache.begin; j < cache.end; ++j) {
-      // May synthesize forward (a cursor source); the whole block stays
-      // within the source's lookback window, so earlier pointers hold.
-      block_windows_.push_back(&source_->slot(j).windows[sensor]);
-    }
-    const auto probas = nodes_[sensor].model().predict_proba_batch(
-        block_windows_.data(), block_windows_.size());
-    cache.results.clear();
-    for (const auto& p : probas) {
-      cache.results.push_back(net::make_classification(p));
-    }
-  }
-  return &cache.results[slot_idx - cache.begin];
 }
 
 std::size_t SlotStepper::step_begin(std::vector<ClassifyRequest>& out) {
@@ -123,17 +91,16 @@ std::size_t SlotStepper::step_begin(std::vector<ClassifyRequest>& out) {
     pending.sensor = s;
     pending.stored_before = nodes_[si].stored_j();
     const net::NodeCounters counters_before = nodes_[si].counters();
-    const net::Classification* precomputed = precomputed_for(si, i);
     net::SensorNode::AttemptProbe probe;
     switch (policy_->execution()) {
       case core::ExecutionModel::WaitCompute:
-        probe = nodes_[si].probe_wait_compute(window, precomputed);
+        probe = nodes_[si].probe_wait_compute(window);
         break;
       case core::ExecutionModel::EagerNvp:
-        probe = nodes_[si].probe_eager(window, 0.1, precomputed);
+        probe = nodes_[si].probe_eager(window);
         break;
       case core::ExecutionModel::Deadline:
-        probe = nodes_[si].probe_deadline(window, 0.1, precomputed);
+        probe = nodes_[si].probe_deadline(window);
         break;
     }
     // Completion/failure cause, derived from the node's own counters so
@@ -150,14 +117,10 @@ std::size_t SlotStepper::step_begin(std::vector<ClassifyRequest>& out) {
       pending.cause = obs::AttemptOutcome::InProgress;
     }
     if (probe.completed) {
-      if (probe.ready) {
-        pending.ready = std::move(probe.ready);
-      } else {
-        pending.request = pending_requests_++;
-        out.push_back(ClassifyRequest{s, probe.classify});
-      }
+      pending.request = pending_requests_++;
+      out.push_back(ClassifyRequest{s, probe.classify});
     }
-    pending_attempts_.push_back(std::move(pending));
+    pending_attempts_.push_back(pending);
   }
   pending_label_ = slot.label;
   phase_open_ = true;
@@ -202,7 +165,7 @@ SlotStepper::StepOutcome SlotStepper::step_finish(
     const auto si = static_cast<std::size_t>(s);
     std::optional<net::Classification> outcome;
     if (pending.completed) {
-      outcome = pending.ready ? *pending.ready : results[pending.request];
+      outcome = results[pending.request];
     }
 #if ORIGIN_TRACE_ENABLED
     if (config_.trace) {
@@ -284,12 +247,6 @@ void SlotStepper::restore_progress(
   last_success_s_ = last_success_s;
   previous_output_ = previous_output;
   phase_open_ = false;  // a half-open slot never survives a restore
-  // Drop any batching cache: it indexes the previous process's source
-  // positions and refills lazily on the next attempt.
-  for (auto& cache : block_cache_) {
-    cache.begin = cache.end = 0;
-    cache.results.clear();
-  }
 }
 
 }  // namespace origin::sim

@@ -35,8 +35,7 @@ class SlotStepper {
   /// Everything is borrowed and must outlive the stepper: `models[i]` is
   /// deployed to sensor i, `power` feeds the harvesters, `policy` is
   /// reset() on construction (fresh-run semantics), `source` yields the
-  /// slots. Requires source->size() > 0, matching class counts, and
-  /// config.batch_slots <= source->lookback().
+  /// slots. Requires source->size() > 0 and matching class counts.
   SlotStepper(const data::DatasetSpec& spec,
               std::array<nn::Sequential, data::kNumSensors>* models,
               const energy::PowerTrace* power, core::Policy* policy,
@@ -62,8 +61,7 @@ class SlotStepper {
   /// serving. step_begin() runs everything up to the classification
   /// point — harvest accounting, vote aging, the policy plan, and every
   /// attempt's energy/NVP bookkeeping (probe_*) — and appends one
-  /// ClassifyRequest per completed attempt whose result is not already in
-  /// hand. The caller classifies the requests any way it likes (typically
+  /// ClassifyRequest per completed attempt. The caller classifies the requests any way it likes (typically
   /// one predict_proba_batch panel per sensor across many sessions) and
   /// hands the results back to step_finish(), which replays the trace
   /// events in fused-step order, feeds the results to the host/policy,
@@ -113,9 +111,6 @@ class SlotStepper {
                         int previous_output);
 
  private:
-  const net::Classification* precomputed_for(std::size_t sensor,
-                                             std::size_t slot_idx);
-
   data::DatasetSpec spec_;
   std::array<nn::Sequential, data::kNumSensors>* models_;
   core::Policy* policy_;
@@ -130,18 +125,6 @@ class SlotStepper {
   int previous_output_ = -1;
   std::size_t next_slot_ = 0;
 
-  // In-shard batching state: per-sensor cache of classifications for one
-  // block of consecutive slots, filled lazily by a single batched forward
-  // the first time an attempt lands in the block (see SimulatorConfig).
-  std::size_t block_ = 0;
-  struct BlockCache {
-    std::size_t begin = 0;
-    std::size_t end = 0;  // cache covers slots [begin, end); empty if ==
-    std::vector<net::Classification> results;
-  };
-  std::array<BlockCache, data::kNumSensors> block_cache_;
-  std::vector<const nn::Tensor*> block_windows_;
-
   // Split-phase state, valid between step_begin and step_finish. The
   // trace stream is emitted entirely in step_finish (in fused-step event
   // order), so interleaving many sessions' begin phases cannot reorder a
@@ -149,7 +132,6 @@ class SlotStepper {
   struct PendingAttempt {
     int sensor = -1;
     bool completed = false;
-    std::optional<net::Classification> ready;  // result already in hand
     std::size_t request = 0;  // index into this step's request range
     obs::AttemptOutcome cause = obs::AttemptOutcome::InProgress;
     double stored_before = 0.0;

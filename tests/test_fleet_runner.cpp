@@ -159,34 +159,11 @@ TEST_F(FleetRunnerTest, BaselineJobsRunFullyPowered) {
   EXPECT_EQ(r.aggregate.success_rate.mean(), 100.0);
 }
 
-TEST_F(FleetRunnerTest, BatchedInferenceBitIdenticalAcrossThreads) {
-  // In-shard batching (batch_slots) must leave every per-job result and
-  // every deterministic metric bit-identical to the unbatched run, at any
-  // thread count — the fleet determinism contract with the fast path on.
-  const auto run_cfg = [&](unsigned threads, int batch_slots) {
-    FleetRunnerConfig cfg;
-    cfg.threads = threads;
-    cfg.batch_slots = batch_slots;
-    return FleetRunner(*experiment_, cfg).run(small_population());
-  };
-  const auto base = run_cfg(1, 0);
-  for (unsigned threads : {1u, 2u, 8u}) {
-    const auto batched = run_cfg(threads, 16);
-    SCOPED_TRACE(threads);
-    ASSERT_EQ(batched.jobs.size(), base.jobs.size());
-    for (std::size_t j = 0; j < base.jobs.size(); ++j) {
-      EXPECT_EQ(batched.jobs[j].accuracy, base.jobs[j].accuracy);
-      EXPECT_EQ(batched.jobs[j].success_rate, base.jobs[j].success_rate);
-    }
-    EXPECT_EQ(batched.aggregate.attempts, base.aggregate.attempts);
-    EXPECT_EQ(batched.aggregate.completions, base.aggregate.completions);
-    EXPECT_EQ(batched.aggregate.accuracy.mean(), base.aggregate.accuracy.mean());
-    EXPECT_TRUE(
-        obs::MetricsSnapshot::deterministic_equal(batched.metrics, base.metrics));
-  }
-}
-
-TEST_F(FleetRunnerTest, BatchedBaselinesBitIdentical) {
+TEST_F(FleetRunnerTest, BaselinesMatchExperimentOracle) {
+  // The runner's baseline jobs run on pooled model copies and a cursor
+  // rebound from job to job; the oracle runs each job on a fresh cursor
+  // and the system's own model copies. Two threads over four one-job
+  // shards guarantee at least one rebound cursor.
   std::vector<FleetJob> jobs(4);
   jobs[0].baseline = core::BaselineKind::BL1;
   jobs[1].baseline = core::BaselineKind::BL2;
@@ -194,24 +171,20 @@ TEST_F(FleetRunnerTest, BatchedBaselinesBitIdentical) {
   jobs[2].seed_offset = 5;
   jobs[3].baseline = core::BaselineKind::BL2;
   jobs[3].seed_offset = 5;
-  const auto run_cfg = [&](int batch_slots) {
-    FleetRunnerConfig cfg;
-    cfg.threads = 2;
-    cfg.keep_sim_results = true;
-    cfg.batch_slots = batch_slots;
-    return FleetRunner(*experiment_, cfg).run(jobs);
-  };
-  const auto base = run_cfg(0);
-  const auto batched = run_cfg(25);  // does not divide the 120-slot stream
-  ASSERT_EQ(batched.sim_results.size(), base.sim_results.size());
-  for (std::size_t j = 0; j < base.sim_results.size(); ++j) {
+  FleetRunnerConfig cfg;
+  cfg.threads = 2;
+  cfg.keep_sim_results = true;
+  const auto r = FleetRunner(*experiment_, cfg).run(jobs);
+  ASSERT_EQ(r.sim_results.size(), jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
     SCOPED_TRACE(j);
-    EXPECT_EQ(batched.sim_results[j].outputs, base.sim_results[j].outputs);
-    EXPECT_EQ(batched.sim_results[j].completion.attempts,
-              base.sim_results[j].completion.attempts);
-    EXPECT_EQ(batched.sim_results[j].completion.completions,
-              base.sim_results[j].completion.completions);
-    EXPECT_EQ(batched.jobs[j].accuracy, base.jobs[j].accuracy);
+    auto cursor = experiment_->make_cursor(jobs[j].user, jobs[j].seed_offset);
+    const auto oracle = experiment_->run_fully_powered(*jobs[j].baseline, cursor);
+    EXPECT_EQ(r.sim_results[j].outputs, oracle.outputs);
+    EXPECT_EQ(r.sim_results[j].completion.attempts, oracle.completion.attempts);
+    EXPECT_EQ(r.sim_results[j].completion.completions,
+              oracle.completion.completions);
+    EXPECT_EQ(r.jobs[j].accuracy, oracle.accuracy.overall());
   }
 }
 

@@ -480,10 +480,6 @@ TEST_F(PersonalizeTest, PersonalizeConstraintsValidated) {
   EXPECT_THROW(ServeLoop(*experiment_, cfg), std::invalid_argument);
 
   cfg = tuned_config();
-  cfg.batch_slots = 4;
-  EXPECT_THROW(ServeLoop(*experiment_, cfg), std::invalid_argument);
-
-  cfg = tuned_config();
   cfg.personalize.step_budget = 0;
   EXPECT_THROW(ServeLoop(*experiment_, cfg), std::invalid_argument);
   cfg = tuned_config();

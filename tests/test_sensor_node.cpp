@@ -66,7 +66,7 @@ TEST_F(SensorNodeTest, WaitComputeSucceedsWhenCharged) {
   cfg.initial_charge = 1.0;  // full
   auto node = make_node(cfg);
   ASSERT_TRUE(node.can_infer());
-  const auto result = node.attempt_wait_compute(window_);
+  const auto result = node.resolve(node.probe_wait_compute(window_));
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->valid());
   EXPECT_EQ(node.counters().completions, 1u);
@@ -78,7 +78,7 @@ TEST_F(SensorNodeTest, WaitComputeSkipsWhenEmptyWithoutSpending) {
   cfg.initial_charge = 0.05;
   auto node = make_node(cfg);
   const double before = node.stored_j();
-  const auto result = node.attempt_wait_compute(window_);
+  const auto result = node.resolve(node.probe_wait_compute(window_));
   EXPECT_FALSE(result.has_value());
   EXPECT_DOUBLE_EQ(node.stored_j(), before);  // wait-compute never wastes
   EXPECT_EQ(node.counters().skipped_no_energy, 1u);
@@ -91,14 +91,14 @@ TEST_F(SensorNodeTest, EagerAccumulatesProgressAcrossAttempts) {
   cfg.nvp.enabled = true;
   auto node = make_node(cfg);
   // First eager attempt: spends the charge, checkpoints, no result.
-  auto r1 = node.attempt_eager(window_);
+  auto r1 = node.resolve(node.probe_eager(window_));
   EXPECT_FALSE(r1.has_value());
   EXPECT_EQ(node.counters().died_midway, 1u);
   // Recharge enough to finish (progress persisted).
   while (node.stored_j() < 0.8 * node.inference_energy_j()) {
     node.accumulate(0.0, 4.0);
   }
-  auto r2 = node.attempt_eager(window_);
+  auto r2 = node.resolve(node.probe_eager(window_));
   ASSERT_TRUE(r2.has_value());
   EXPECT_EQ(node.counters().completions, 1u);
   EXPECT_GT(node.nvp().checkpoints(), 0u);
@@ -108,7 +108,7 @@ TEST_F(SensorNodeTest, EagerBelowStartThresholdSkips) {
   SensorNodeConfig cfg;
   cfg.initial_charge = 0.0;
   auto node = make_node(cfg);
-  const auto result = node.attempt_eager(window_, 0.1);
+  const auto result = node.resolve(node.probe_eager(window_, 0.1));
   EXPECT_FALSE(result.has_value());
   EXPECT_EQ(node.counters().skipped_no_energy, 1u);
 }
@@ -119,7 +119,7 @@ TEST_F(SensorNodeTest, VolatileEagerLosesProgress) {
   cfg.initial_charge = 0.25;
   cfg.nvp.enabled = false;
   auto node = make_node(cfg);
-  node.attempt_eager(window_);
+  node.probe_eager(window_);
   EXPECT_FALSE(node.nvp().task_active());  // work discarded
 }
 
@@ -127,7 +127,7 @@ TEST_F(SensorNodeTest, DeadlineCompletesOnlyWithFullCharge) {
   SensorNodeConfig cfg;
   cfg.initial_charge = 1.0;
   auto node = make_node(cfg);
-  EXPECT_TRUE(node.attempt_deadline(window_).has_value());
+  EXPECT_TRUE(node.resolve(node.probe_deadline(window_)).has_value());
 
   SensorNodeConfig half;
   half.capacitor_headroom = 2.0;
@@ -135,7 +135,7 @@ TEST_F(SensorNodeTest, DeadlineCompletesOnlyWithFullCharge) {
   auto starved = make_node(half);
   const double before = starved.stored_j();
   EXPECT_GT(before, 0.0);
-  EXPECT_FALSE(starved.attempt_deadline(window_).has_value());
+  EXPECT_FALSE(starved.resolve(starved.probe_deadline(window_)).has_value());
   // Partial work burns the stored charge (deadline semantics).
   EXPECT_DOUBLE_EQ(starved.stored_j(), 0.0);
   EXPECT_EQ(starved.counters().died_midway, 1u);
@@ -146,7 +146,7 @@ TEST_F(SensorNodeTest, DeadlineCannotStartWhenNearlyEmpty) {
   cfg.initial_charge = 0.001;
   auto node = make_node(cfg);
   const double before = node.stored_j();
-  EXPECT_FALSE(node.attempt_deadline(window_).has_value());
+  EXPECT_FALSE(node.resolve(node.probe_deadline(window_)).has_value());
   EXPECT_DOUBLE_EQ(node.stored_j(), before);  // never booted
   EXPECT_EQ(node.counters().skipped_no_energy, 1u);
 }
@@ -164,31 +164,31 @@ TEST_F(SensorNodeTest, ConsumedTracksDraws) {
   SensorNodeConfig cfg;
   cfg.initial_charge = 1.0;
   auto node = make_node(cfg);
-  node.attempt_wait_compute(window_);
+  node.probe_wait_compute(window_);
   EXPECT_NEAR(node.counters().consumed_j, node.inference_energy_j(), 1e-15);
 }
 
 TEST_F(SensorNodeTest, ProbeAndResolveMatchFusedAttempt) {
-  // probe_* + resolve is attempt_* with the classification deferred — the
-  // seam cross-session batched serving runs the forward pass through.
-  // Same counters, same joules, same classification.
+  // A probe does the attempt's bookkeeping and hands back the window; the
+  // classification is deferred to whoever runs the forward pass (resolve
+  // here, a cross-session panel in the serve tier). The result equals the
+  // node's model classifying the window directly, and the bookkeeping is
+  // exactly one full draw.
   SensorNodeConfig cfg;
   cfg.initial_charge = 1.0;
-  auto fused = make_node(cfg);
-  auto split = make_node(cfg);
-  const auto direct = fused.attempt_wait_compute(window_);
-  const auto probe = split.probe_wait_compute(window_);
+  auto node = make_node(cfg);
+  const Classification direct = make_node(cfg).classify(window_);
+  const double before = node.stored_j();
+  const auto probe = node.probe_wait_compute(window_);
   ASSERT_TRUE(probe.completed);
   ASSERT_EQ(probe.classify, &window_);
-  EXPECT_FALSE(probe.ready.has_value());
-  const auto resolved = split.resolve(probe);
-  ASSERT_TRUE(direct.has_value());
+  const auto resolved = node.resolve(probe);
   ASSERT_TRUE(resolved.has_value());
-  EXPECT_EQ(resolved->predicted_class, direct->predicted_class);
-  EXPECT_EQ(resolved->probs, direct->probs);
-  EXPECT_EQ(split.counters().attempts, fused.counters().attempts);
-  EXPECT_EQ(split.counters().completions, fused.counters().completions);
-  EXPECT_DOUBLE_EQ(split.stored_j(), fused.stored_j());
+  EXPECT_EQ(resolved->predicted_class, direct.predicted_class);
+  EXPECT_EQ(resolved->probs, direct.probs);
+  EXPECT_EQ(node.counters().attempts, 1u);
+  EXPECT_EQ(node.counters().completions, 1u);
+  EXPECT_DOUBLE_EQ(node.stored_j(), before - node.inference_energy_j());
 }
 
 TEST_F(SensorNodeTest, IncompleteProbeResolvesToNothing) {
@@ -202,20 +202,6 @@ TEST_F(SensorNodeTest, IncompleteProbeResolvesToNothing) {
   EXPECT_EQ(node.counters().skipped_no_energy, 1u);
 }
 
-TEST_F(SensorNodeTest, PrecomputedProbeCarriesResultWithoutClassify) {
-  SensorNodeConfig cfg;
-  cfg.initial_charge = 1.0;
-  auto node = make_node(cfg);
-  const Classification canned = node.classify(window_);
-  const auto probe = node.probe_deadline(window_, 0.1, &canned);
-  ASSERT_TRUE(probe.completed);
-  EXPECT_EQ(probe.classify, nullptr);  // nothing left to compute
-  ASSERT_TRUE(probe.ready.has_value());
-  const auto resolved = node.resolve(probe);
-  ASSERT_TRUE(resolved.has_value());
-  EXPECT_EQ(resolved->probs, canned.probs);
-}
-
 TEST_F(SensorNodeTest, EagerProbeCompletionPinsTheOriginalWindow) {
   // A resumed eager task classifies the window it was begun on; the probe
   // must keep that window alive past the begin-slot state reset.
@@ -223,27 +209,21 @@ TEST_F(SensorNodeTest, EagerProbeCompletionPinsTheOriginalWindow) {
   cfg.capacitor_headroom = 2.0;
   cfg.initial_charge = 0.25;
   cfg.nvp.enabled = true;
-  auto fused = make_node(cfg);
-  auto split = make_node(cfg);
-  EXPECT_FALSE(fused.attempt_eager(window_).has_value());
-  EXPECT_FALSE(split.probe_eager(window_).completed);
-  while (fused.stored_j() < 0.8 * fused.inference_energy_j()) {
-    fused.accumulate(0.0, 4.0);
-    split.accumulate(0.0, 4.0);
+  auto node = make_node(cfg);
+  EXPECT_FALSE(node.probe_eager(window_).completed);
+  while (node.stored_j() < 0.8 * node.inference_energy_j()) {
+    node.accumulate(0.0, 4.0);
   }
-  ASSERT_DOUBLE_EQ(split.stored_j(), fused.stored_j());
   const nn::Tensor stale_slot{std::vector<int>{2, 4},
                               std::vector<float>{8, 7, 6, 5, 4, 3, 2, 1}};
-  const auto direct = fused.attempt_eager(stale_slot);
-  const auto probe = split.probe_eager(stale_slot);
+  const auto probe = node.probe_eager(stale_slot);
   ASSERT_TRUE(probe.completed);
   ASSERT_NE(probe.classify, nullptr);
   EXPECT_EQ(probe.classify->vec(), window_.vec());  // original, not current
-  const auto resolved = split.resolve(probe);
-  ASSERT_TRUE(direct.has_value());
+  const auto resolved = node.resolve(probe);
   ASSERT_TRUE(resolved.has_value());
-  EXPECT_EQ(resolved->probs, direct->probs);
-  EXPECT_EQ(split.counters().completions, fused.counters().completions);
+  EXPECT_EQ(resolved->probs, node.classify(window_).probs);
+  EXPECT_EQ(node.counters().completions, 1u);
 }
 
 }  // namespace

@@ -105,7 +105,7 @@ TEST_F(ServeTest, InterleavedSessionsMatchSequentialRuns) {
     spec.rr_cycle = cfg.rr_cycle;
     spec.set = cfg.set;
     auto session = std::make_unique<Session>(*experiment_, spec, shard.models(),
-                                             cfg.ring_capacity, 0);
+                                             cfg.ring_capacity);
     std::vector<int> outputs;
     while (!session->done()) outputs.push_back(session->stepper().step().predicted);
     return outputs;
@@ -127,7 +127,7 @@ TEST_F(ServeTest, InterleavedSessionsMatchSequentialRuns) {
     spec.rr_cycle = cfg.rr_cycle;
     spec.set = cfg.set;
     sessions[id] = std::make_unique<Session>(*experiment_, spec, shard.models(),
-                                             cfg.ring_capacity, 0);
+                                             cfg.ring_capacity);
   }
   std::array<std::vector<int>, 2> interleaved;
   while (!sessions[0]->done() || !sessions[1]->done()) {
@@ -139,6 +139,20 @@ TEST_F(ServeTest, InterleavedSessionsMatchSequentialRuns) {
   }
   EXPECT_EQ(interleaved[0], alone0);
   EXPECT_EQ(interleaved[1], alone1);
+}
+
+TEST_F(ServeTest, SessionIntOverloadAcceptsOnlyZero) {
+  // The five-int Session constructor survives only for an older caller
+  // that forwards a literal 0; any other value names the retired in-shard
+  // block size and must be refused.
+  ServeConfig cfg = small_config();
+  SessionShard shard(*experiment_, cfg.set);
+  EXPECT_NO_THROW(std::make_unique<Session>(*experiment_, SessionSpec{},
+                                            shard.models(), cfg.ring_capacity,
+                                            0));
+  EXPECT_THROW(std::make_unique<Session>(*experiment_, SessionSpec{},
+                                         shard.models(), cfg.ring_capacity, 4),
+               std::invalid_argument);
 }
 
 TEST_F(ServeTest, CompletedSessionsMatchBatchFleetRun) {
@@ -174,22 +188,19 @@ TEST_F(ServeTest, CompletedSessionsMatchBatchFleetRun) {
   }
 }
 
-TEST_F(ServeTest, BitIdenticalAcrossThreadCountsAndBatching) {
-  const auto run = [&](unsigned threads, int batch_slots) {
+TEST_F(ServeTest, BitIdenticalAcrossThreadCounts) {
+  const auto run = [&](unsigned threads) {
     ServeConfig cfg = small_config();
     cfg.threads = threads;
-    cfg.batch_slots = batch_slots;
     ServeLoop loop(*experiment_, cfg);
     loop.drain(/*chunk=*/7);
     return std::pair(loop.completed_sessions(), loop.metrics());
   };
-  const auto [base_log, base_metrics] = run(1, 0);
+  const auto [base_log, base_metrics] = run(1);
   ASSERT_EQ(base_log.size(), small_config().users);
-  for (const auto& [threads, batch] :
-       std::vector<std::pair<unsigned, int>>{{2, 0}, {8, 0}, {2, 16}}) {
+  for (unsigned threads : {2u, 8u}) {
     SCOPED_TRACE(threads);
-    SCOPED_TRACE(batch);
-    const auto [log, metrics] = run(threads, batch);
+    const auto [log, metrics] = run(threads);
     ASSERT_EQ(log.size(), base_log.size());
     for (std::size_t i = 0; i < log.size(); ++i) {
       EXPECT_EQ(log[i].id, base_log[i].id);

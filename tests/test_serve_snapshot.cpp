@@ -240,11 +240,13 @@ TEST_F(ServeSnapshotTest, CorruptAndTruncatedFilesRejected) {
     EXPECT_THROW(loop.restore(path), std::runtime_error);
   }
 
-  // Unsupported version.
-  bad = good;
-  bad[8] = static_cast<char>(kSnapshotVersion + 1);
-  write_file_atomic(path, bad);
-  {
+  // Unsupported versions: a future one, and the previous one (whose node
+  // records carry a field this version no longer reads).
+  for (std::uint32_t version : {kSnapshotVersion + 1, kSnapshotVersion - 1}) {
+    SCOPED_TRACE(version);
+    bad = good;
+    bad[8] = static_cast<char>(version);
+    write_file_atomic(path, bad);
     ServeLoop loop(*experiment_, cfg);
     EXPECT_THROW(loop.restore(path), std::runtime_error);
   }

@@ -177,44 +177,6 @@ void expect_same_result(const SimResult& a, const SimResult& b) {
   }
 }
 
-TEST_F(SimulatorTest, BatchedClassificationBitIdentical) {
-  // In-shard batching must not change a single output, counter or joule,
-  // under any execution model (eager NVP, deadline, wait-compute) or any
-  // block size — including blocks that do not divide the stream length.
-  const auto cfg = scaled_config(6);
-  const auto run_with = [&](auto make_policy, int batch_slots) {
-    auto policy = make_policy();
-    SimulatorConfig c = cfg;
-    c.batch_slots = batch_slots;
-    return Simulator(spec_, tiny_models(spec_), &trace_, &policy, c)
-        .run(stream_);
-  };
-  const auto eager = [&] {
-    return core::PlainRRPolicy{core::ExtendedRoundRobin(6)};
-  };
-  const auto deadline = [&] {
-    return core::NaiveAllPolicy(spec_.num_classes());
-  };
-  const auto wait = [&] {
-    return core::AASPolicy(core::ExtendedRoundRobin(6),
-                           core::RankTable(spec_.num_classes()));
-  };
-  for (int batch : {4, 32, 7}) {
-    {
-      SCOPED_TRACE("eager batch=" + std::to_string(batch));
-      expect_same_result(run_with(eager, 0), run_with(eager, batch));
-    }
-    {
-      SCOPED_TRACE("deadline batch=" + std::to_string(batch));
-      expect_same_result(run_with(deadline, 0), run_with(deadline, batch));
-    }
-    {
-      SCOPED_TRACE("wait-compute batch=" + std::to_string(batch));
-      expect_same_result(run_with(wait, 0), run_with(wait, batch));
-    }
-  }
-}
-
 TEST_F(SimulatorTest, SplitPhaseStepMatchesFusedForEveryExecutionModel) {
   // step() == step_begin + per-request predict_proba + step_finish, under
   // every attempt discipline — the substrate cross-session batched

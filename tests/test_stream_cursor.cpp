@@ -133,7 +133,7 @@ class CursorSimulationTest : public ::testing::Test {
       : spec_(dataset_spec(DatasetKind::MHealthLike)),
         trace_(energy::PowerTrace::generate_wifi_office({}, 11)) {}
 
-  sim::SimulatorConfig scaled_config(int batch_slots) {
+  sim::SimulatorConfig scaled_config() {
     sim::SimulatorConfig cfg;
     auto models = tiny_models(spec_);
     const auto cost = nn::estimate_cost(
@@ -143,7 +143,6 @@ class CursorSimulationTest : public ::testing::Test {
     const double scale = sim::calibrate_harvest_scale(
         total, trace_, cfg.harvester_efficiency, spec_.slot_seconds(), 6.0);
     for (auto& s : cfg.harvest_scale) s *= scale;
-    cfg.batch_slots = batch_slots;
     return cfg;
   }
 
@@ -166,50 +165,40 @@ class CursorSimulationTest : public ::testing::Test {
 
 TEST_F(CursorSimulationTest, CursorRunMatchesStreamRun) {
   const Stream stream = make_stream(spec_, 90, reference_user(), 12);
-  for (int batch : {0, 16}) {
-    core::PlainRRPolicy policy_a{core::ExtendedRoundRobin(6)};
-    sim::Simulator sim_a(spec_, tiny_models(spec_), &trace_, &policy_a,
-                         scaled_config(batch));
-    const auto from_stream = sim_a.run(stream);
+  core::PlainRRPolicy policy_a{core::ExtendedRoundRobin(6)};
+  sim::Simulator sim_a(spec_, tiny_models(spec_), &trace_, &policy_a,
+                       scaled_config());
+  const auto from_stream = sim_a.run(stream);
 
-    StreamCursor cursor(spec_, 90, reference_user(), 12, {},
-                        /*ring_capacity=*/16);
-    core::PlainRRPolicy policy_b{core::ExtendedRoundRobin(6)};
-    sim::Simulator sim_b(spec_, tiny_models(spec_), &trace_, &policy_b,
-                         scaled_config(batch));
-    const auto from_cursor = sim_b.run(cursor);
-    expect_same_results(from_stream, from_cursor);
-  }
+  StreamCursor cursor(spec_, 90, reference_user(), 12, {},
+                      /*ring_capacity=*/16);
+  core::PlainRRPolicy policy_b{core::ExtendedRoundRobin(6)};
+  sim::Simulator sim_b(spec_, tiny_models(spec_), &trace_, &policy_b,
+                       scaled_config());
+  const auto from_cursor = sim_b.run(cursor);
+  expect_same_results(from_stream, from_cursor);
 }
 
 TEST_F(CursorSimulationTest, BorrowedModelsMatchOwnedModels) {
   const Stream stream = make_stream(spec_, 60, reference_user(), 21);
   core::PlainRRPolicy policy_a{core::ExtendedRoundRobin(3)};
   sim::Simulator owned(spec_, tiny_models(spec_), &trace_, &policy_a,
-                       scaled_config(0));
+                       scaled_config());
   const auto a = owned.run(stream);
 
   auto shared_models = tiny_models(spec_);
   core::PlainRRPolicy policy_b{core::ExtendedRoundRobin(3)};
   sim::Simulator borrowed(spec_, &shared_models, &trace_, &policy_b,
-                          scaled_config(0));
+                          scaled_config());
   const auto b = borrowed.run(stream);
   // ...and a second run on the same borrowed instances stays identical
   // (no cross-run state accumulates in the networks).
   core::PlainRRPolicy policy_c{core::ExtendedRoundRobin(3)};
   sim::Simulator again(spec_, &shared_models, &trace_, &policy_c,
-                       scaled_config(0));
+                       scaled_config());
   const auto c = again.run(stream);
   expect_same_results(a, b);
   expect_same_results(a, c);
-}
-
-TEST_F(CursorSimulationTest, BatchLargerThanLookbackIsRejected) {
-  StreamCursor cursor(spec_, 40, reference_user(), 5, {}, /*ring_capacity=*/8);
-  core::PlainRRPolicy policy{core::ExtendedRoundRobin(3)};
-  sim::Simulator sim(spec_, tiny_models(spec_), &trace_, &policy,
-                     scaled_config(/*batch_slots=*/16));
-  EXPECT_THROW(sim.run(cursor), std::invalid_argument);
 }
 
 }  // namespace
