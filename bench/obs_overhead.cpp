@@ -13,17 +13,17 @@
 // observation must never perturb the observed system.
 //
 // Flags: --users N, --slots N, --arrival-rate R, --shards N,
-//        --repeat N, --tolerance PCT, --json PATH.
+//        --repeat N, --tolerance PCT, --json PATH. An unknown flag, or a
+//        flag with no value, prints usage and exits 2.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "serve/serve_loop.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 
 using namespace origin;
@@ -83,25 +83,34 @@ bool same_completed(const std::vector<serve::CompletedSession>& a,
 
 int main(int argc, char** argv) {
   serve::ServeConfig base;
-  base.users = 16;
+  std::uint64_t users = 16;
+  std::uint64_t shards = base.shards;
   int slots = 400;
   int repeat = 3;
   double tolerance_pct = 5.0;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (!std::strcmp(argv[i], "--users")) {
-      base.users = std::strtoul(argv[i + 1], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--slots")) {
-      slots = std::atoi(argv[i + 1]);
-    } else if (!std::strcmp(argv[i], "--arrival-rate")) {
-      base.arrival_rate_hz = std::atof(argv[i + 1]);
-    } else if (!std::strcmp(argv[i], "--shards")) {
-      base.shards = std::strtoul(argv[i + 1], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--repeat")) {
-      repeat = std::atoi(argv[i + 1]);
-    } else if (!std::strcmp(argv[i], "--tolerance")) {
-      tolerance_pct = std::atof(argv[i + 1]);
-    }
+  std::string json_path;  // parsed again by JsonReport below
+
+  util::ArgParser args("obs_overhead",
+                       "flight-recorder cost on a serving drain, gated");
+  args.add("users", &users, "sessions admitted over the run");
+  args.add("slots", &slots, "stream length per session, in slots");
+  args.add("arrival-rate", &base.arrival_rate_hz,
+           "open-loop arrivals per virtual second");
+  args.add("shards", &shards, "session-table shards");
+  args.add("repeat", &repeat,
+           "drains per configuration; wall time is the fastest");
+  args.add("tolerance", &tolerance_pct,
+           "maximum recorder overhead, percent of wall time");
+  args.add("json", &json_path, "write a run manifest JSON here");
+  try {
+    if (!args.parse(argc, argv)) return 0;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "obs_overhead: %s\n%s", e.what(),
+                 args.usage().c_str());
+    return 2;
   }
+  base.users = users;
+  base.shards = shards;
   if (repeat < 1) repeat = 1;
 
   bench::JsonReport report(argc, argv, "obs_overhead");

@@ -70,9 +70,6 @@ int main(int argc, char** argv) {
   args.add("policy", &policy_name, "naive|rr|aas|aasr|origin");
   args.add("rr", &serve_config.rr_cycle, "round-robin depth");
   args.add("severity", &serve_config.severity, "user deviation severity");
-  args.add("serve-batch", &serve_config.serve_batch,
-           "cross-session batched inference: 1 = on, 0 = off, -1 = auto "
-           "(ORIGIN_SERVE_BATCH, default on)");
   args.add("backend", &backend,
            "kernel backend: reference|avx2|neon|auto (auto = best available; "
            "default keeps ORIGIN_BACKEND or reference)");
@@ -139,7 +136,6 @@ int main(int argc, char** argv) {
   manifest.set("severity", serve_config.severity);
   manifest.set("threads", static_cast<int>(serve_config.threads));
   manifest.set("shards", std::uint64_t{serve_config.shards});
-  manifest.set("serve_batch", loop.serve_batch());
   manifest.set("kernel_backend",
                std::string(nn::kernels::active_backend().name));
   manifest.set("simd", nn::kernels::simd_features());
@@ -196,13 +192,11 @@ int main(int argc, char** argv) {
       {obs::kSloQuantiles.begin(), obs::kSloQuantiles.end()});
   std::printf("per-slot latency: p50 %.1f us, p95 %.1f us, p99 %.1f us\n",
               1e6 * step_q[0], 1e6 * step_q[1], 1e6 * step_q[2]);
-  if (status.serve_batch) {
-    std::printf("cross-session batching: %llu panels, %llu windows, "
-                "mean occupancy %.2f\n",
-                static_cast<unsigned long long>(status.batch_panels),
-                static_cast<unsigned long long>(status.batch_windows),
-                status.batch_mean_occupancy);
-  }
+  std::printf("cross-session batching: %llu panels, %llu windows, "
+              "mean occupancy %.2f\n",
+              static_cast<unsigned long long>(status.batch_panels),
+              static_cast<unsigned long long>(status.batch_windows),
+              status.batch_mean_occupancy);
 
   if (linger_s > 0) {
     std::printf("lingering %.1f s for queries...\n", linger_s);

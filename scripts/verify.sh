@@ -25,11 +25,9 @@
 #             Prometheus exposition and flight-recorder routes
 #             (/metrics?format=prom, /trace/recent).
 #   serve   — the serving-subsystem suite (label `serve`: bit-identity
-#             across thread counts and snapshot/restore splits, the HTTP
-#             endpoint) in Release and Release+ASan, each run twice —
-#             under ORIGIN_SERVE_BATCH=0 (sequential per-session
-#             stepping) and =1 (cross-session batched inference,
-#             DESIGN.md §15) — plus an end-to-end smoke: boot
+#             across thread counts and snapshot/restore splits, the
+#             cross-session panel ledger, the HTTP endpoint) in Release
+#             and Release+ASan, plus an end-to-end smoke: boot
 #             examples/fleet_serve on an ephemeral port and curl the
 #             JSON/JSONL routes.
 #   backends — the kernel-backend dispatch suite (label `backends`:
@@ -230,16 +228,7 @@ verify_serve_config() {
   cmake -B "$dir" -S "$repo" -DORIGIN_SANITIZE="$sanitizer" "$@" >/dev/null
   cmake --build "$dir" -j "$jobs" --target \
       test_serve test_serve_snapshot
-  # Run the suite under both cross-session batching defaults: tests that
-  # pin an explicit serve_batch are unaffected, while everything that
-  # leaves it on auto exercises the batched and the sequential serving
-  # path in turn (DESIGN.md §15).
-  local mode
-  for mode in 0 1; do
-    echo "--- serve suite with ORIGIN_SERVE_BATCH=${mode} ---"
-    ORIGIN_SERVE_BATCH="$mode" \
-        ctest --test-dir "$dir" -L serve --output-on-failure -j "$jobs"
-  done
+  ctest --test-dir "$dir" -L serve --output-on-failure -j "$jobs"
 }
 
 verify_serve() {

@@ -77,8 +77,8 @@ struct PersonalizeState {
 
 /// Shard-owned fine-tuning engine: keeps the pristine base copies of the
 /// deployed nets, their fingerprints, the trainable-tail masks and the
-/// per-fit energy price. One per shard; sessions of the shard share it
-/// one at a time (the shard serves sessions sequentially).
+/// per-fit energy price. One per shard; the shard's sessions share it,
+/// one load() or fit at a time.
 class Personalizer {
  public:
   Personalizer(const sim::Experiment& experiment,
@@ -89,23 +89,23 @@ class Personalizer {
 
   /// Loads session `id`'s personalized weights into the shard scratch
   /// (base + dequantized delta), skipping the copy when the scratch
-  /// already holds them. Call before serving a session's ticks.
+  /// already holds them. Call before a panel or fit on those weights.
   void load(const PersonalizeState& state, std::uint64_t id,
             std::array<nn::Sequential, data::kNumSensors>& models);
 
   /// Restores the pristine base weights into the shard scratch (no-op
-  /// when it is already clean). The cross-session batched path serves
-  /// every clean (empty-delta) session from one shared base panel, so it
-  /// loads base once per tick instead of once per session.
+  /// when it is already clean). The shard serves every clean
+  /// (empty-delta) session from one shared base panel, so it loads base
+  /// once per tick instead of once per session.
   void load_base(std::array<nn::Sequential, data::kNumSensors>& models);
 
   /// Post-step hook: buffers the slot's windows when the fused output
   /// matched ground truth, and runs a budgeted micro-fit on the cadence.
   /// `models` must currently hold this session's weights (see load()).
   /// Returns the optimizer steps consumed (0 when no fit ran).
-  /// Equivalent to buffer_step + (fit_due ? run_fit : 0) — the batched
-  /// serve path calls the pieces so it can defer the (possibly redundant)
-  /// load() until a fit is actually due.
+  /// Equivalent to buffer_step + (fit_due ? run_fit : 0) — the shard
+  /// calls the pieces so it can defer the (possibly redundant) load()
+  /// until a fit is actually due.
   std::uint64_t after_step(PersonalizeState& state, std::uint64_t seed_offset,
                            const sim::SlotStepper::StepOutcome& outcome,
                            data::SlotSource& source,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "data/user_profile.hpp"
@@ -16,13 +15,6 @@ double seconds_since(std::chrono::steady_clock::time_point begin) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        begin)
       .count();
-}
-
-bool resolve_serve_batch(int configured) {
-  if (configured >= 0) return configured != 0;
-  const char* env = std::getenv("ORIGIN_SERVE_BATCH");
-  if (env != nullptr && env[0] == '0' && env[1] == '\0') return false;
-  return true;  // default on
 }
 }  // namespace
 
@@ -58,20 +50,15 @@ ServeLoop::ServeLoop(const sim::Experiment& experiment, ServeConfig config)
       "serve.success_rate_pct", obs::MetricsRegistry::linear_bounds(5, 5, 20));
   fine_tunes_id_ = registry_.add_counter("serve.fine_tunes");
   fine_tune_steps_id_ = registry_.add_counter("serve.fine_tune_steps");
-  // Cross-session batching stats. Thread-invariant (panel composition is
-  // a pure function of the virtual timeline) but NOT deterministic in the
-  // registry sense: they depend on the serve_batch execution knob, which
-  // the bit-identity contract ranges over — two runs of one workload must
-  // compare equal on deterministic metrics even when one batched and the
-  // other did not. Snapshots still persist them (since v4) so /status
-  // stays continuous across a restore.
-  batch_panels_id_ =
-      registry_.add_counter("serve.batch_panels", /*deterministic=*/false);
-  batch_windows_id_ =
-      registry_.add_counter("serve.batch_windows", /*deterministic=*/false);
+  // Cross-session batching stats: panel composition is a pure function
+  // of the workload's virtual timeline and the fingerprinted shard count,
+  // so they are deterministic (equal at any thread count). Snapshots carry
+  // them wholesale (since v4) — they cannot be replayed from the
+  // completed log — so they also stay equal across a restore split.
+  batch_panels_id_ = registry_.add_counter("serve.batch_panels");
+  batch_windows_id_ = registry_.add_counter("serve.batch_windows");
   batch_occupancy_id_ = registry_.add_histogram(
-      "serve.batch_occupancy", obs::MetricsRegistry::linear_bounds(1, 1, 16),
-      /*deterministic=*/false);
+      "serve.batch_occupancy", obs::MetricsRegistry::linear_bounds(1, 1, 16));
   step_seconds_id_ = registry_.add_histogram(
       "serve.step_seconds",
       obs::MetricsRegistry::exponential_bounds(1e-6, 2.0, 20),
@@ -83,12 +70,10 @@ ServeLoop::ServeLoop(const sim::Experiment& experiment, ServeConfig config)
   det_metrics_ = registry_.make_shard();
   loop_wall_metrics_ = registry_.make_shard();
 
-  serve_batch_ = resolve_serve_batch(config_.serve_batch);
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     shards_.push_back(std::make_unique<SessionShard>(
-        experiment, config_.set, config_.bits, config_.personalize,
-        serve_batch_));
+        experiment, config_.set, config_.bits, config_.personalize));
     shards_.back()->set_wall_metrics(registry_.make_shard());
   }
   if (obs::kTraceEnabled && config_.flight_capacity > 0) {
@@ -273,7 +258,6 @@ void ServeLoop::rebuild_published_locked() {
   status_.active = active;
   status_.completed = static_cast<std::uint64_t>(completed_.size());
   status_.slots_served = det_metrics_.counter(slots_id_);
-  status_.serve_batch = serve_batch_;
   status_.batch_panels = det_metrics_.counter(batch_panels_id_);
   status_.batch_windows = det_metrics_.counter(batch_windows_id_);
   status_.batch_mean_occupancy =

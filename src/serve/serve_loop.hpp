@@ -57,16 +57,6 @@ struct ServeConfig {
   /// publish fold order), unlike threads.
   std::size_t shards = 8;
   int ring_capacity = data::StreamCursor::kDefaultRingCapacity;
-  /// Cross-session batched classification (DESIGN.md §15): each shard
-  /// gathers the windows ready across its sessions at a tick and runs one
-  /// GEMM panel per (delta-group, sensor) instead of one matvec per
-  /// window. Non-speculative and bit-identical either way (the fused-FMA
-  /// batch kernels compute each row exactly as the single-sample path),
-  /// so — like threads — it is excluded from the snapshot fingerprint.
-  /// -1 resolves from the ORIGIN_SERVE_BATCH environment
-  /// variable ("0" disables; anything else — or unset — enables); 0 and 1
-  /// pin it explicitly.
-  int serve_batch = -1;
   /// In-shard bounded per-user fine-tuning (serve/personalize.hpp).
   /// Changes results, so every field is part of the snapshot fingerprint.
   /// Requires bits == 32 (fine-tuning trains float weights; int8 copies
@@ -109,19 +99,19 @@ class ServeLoop {
     std::uint64_t active = 0;
     std::uint64_t completed = 0;
     std::uint64_t slots_served = 0;
-    /// Cross-session batching: whether it is on, the GEMM panels run so
-    /// far, the windows classified through them, and the mean windows per
-    /// panel (0 while no panel has run).
-    bool serve_batch = false;
+    /// Cross-session batching: the GEMM panels run so far, the windows
+    /// classified through them, and the mean windows per panel (0 while
+    /// no panel has run).
     std::uint64_t batch_panels = 0;
     std::uint64_t batch_windows = 0;
     double batch_mean_occupancy = 0.0;
   };
   Status status() const;
 
-  /// The resolved cross-session batching mode (config.serve_batch with -1
-  /// resolved against ORIGIN_SERVE_BATCH at construction).
-  bool serve_batch() const { return serve_batch_; }
+  /// Always true: every tick is served through cross-session panels.
+  /// Kept only for the repository benchmark's report (it records this
+  /// value); goes away with the next change to that benchmark.
+  bool serve_batch() const { return true; }
 
   /// SLO summary derived from the published metrics: slot-step and tick
   /// latency quantiles (wall clock — nondeterministic), admission backlog
@@ -160,9 +150,9 @@ class ServeLoop {
   void save(const std::string& path) const;
   /// Restores a snapshot into this freshly constructed loop (nothing
   /// admitted yet). The snapshot's config fingerprint must match this
-  /// loop's workload config (threads and batching may differ — they never
-  /// affect results). Throws std::runtime_error on a corrupt or
-  /// mismatched snapshot.
+  /// loop's workload config (threads may differ — they never affect
+  /// results). Throws std::runtime_error on a corrupt or mismatched
+  /// snapshot.
   void restore(const std::string& path);
 
   const ServeConfig& config() const { return config_; }
@@ -210,7 +200,6 @@ class ServeLoop {
   std::uint64_t now_ = 0;
   std::uint64_t next_admit_ = 0;
   std::uint64_t results_seq_ = 0;
-  bool serve_batch_ = false;  // config_.serve_batch, resolved
 
   mutable std::mutex publish_mutex_;
   /// Driver-thread tick-latency digest (wall clock), read by slo().

@@ -40,26 +40,14 @@
 #include "sim/experiment.hpp"
 #include "util/rng.hpp"
 
+#include "backend_scope.hpp"
+
 namespace origin {
 namespace {
 
 namespace k = nn::kernels;
 
-/// Switches the process-global backend for one test and restores the
-/// previous one on scope exit, so test order never matters.
-class BackendScope {
- public:
-  explicit BackendScope(const char* name)
-      : prev_(k::active_backend().name) {
-    EXPECT_TRUE(k::set_backend(name)) << "backend unavailable: " << name;
-  }
-  ~BackendScope() { k::set_backend(prev_); }
-  BackendScope(const BackendScope&) = delete;
-  BackendScope& operator=(const BackendScope&) = delete;
-
- private:
-  std::string prev_;
-};
+using test_support::BackendScope;
 
 std::uint64_t fnv1a_f32(const float* p, std::size_t n) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -198,25 +186,32 @@ TEST(BackendGoldens, PerBackendChecksumsExact) {
 }
 
 TEST(BackendGoldens, BatchMatchesSinglePerBackend) {
+  // The serve tier classifies every window through a cross-session panel,
+  // so batch == single must hold for the float and the int8 (--bits 8)
+  // serving paths alike.
   const auto spec = data::dataset_spec(data::DatasetKind::MHealthLike);
   for (const k::Backend* b : k::available_backends()) {
     BackendScope scope(b->name);
-    auto net = core::make_bl1_architecture(spec, 77);
-    util::Rng rng(7);
-    std::vector<nn::Tensor> windows;
-    std::vector<const nn::Tensor*> ptrs;
-    for (int i = 0; i < 9; ++i) {
-      windows.push_back(
-          nn::Tensor::randn({spec.channels, spec.window_len}, rng, 1.0f));
-    }
-    for (const auto& w : windows) ptrs.push_back(&w);
-    const auto batched = net.predict_proba_batch(ptrs.data(), ptrs.size());
-    for (std::size_t i = 0; i < windows.size(); ++i) {
-      const auto single = net.predict_proba(windows[i]);
-      ASSERT_EQ(batched[i].size(), single.size()) << b->name;
-      for (std::size_t c = 0; c < single.size(); ++c) {
-        EXPECT_EQ(batched[i][c], single[c])
-            << b->name << " window " << i << " class " << c;
+    for (int bits : {32, 8}) {
+      SCOPED_TRACE(bits);
+      auto net = core::make_bl1_architecture(spec, 77);
+      if (bits != 32) net.set_inference_bits(bits);
+      util::Rng rng(7);
+      std::vector<nn::Tensor> windows;
+      std::vector<const nn::Tensor*> ptrs;
+      for (int i = 0; i < 9; ++i) {
+        windows.push_back(
+            nn::Tensor::randn({spec.channels, spec.window_len}, rng, 1.0f));
+      }
+      for (const auto& w : windows) ptrs.push_back(&w);
+      const auto batched = net.predict_proba_batch(ptrs.data(), ptrs.size());
+      for (std::size_t i = 0; i < windows.size(); ++i) {
+        const auto single = net.predict_proba(windows[i]);
+        ASSERT_EQ(batched[i].size(), single.size()) << b->name;
+        for (std::size_t c = 0; c < single.size(); ++c) {
+          EXPECT_EQ(batched[i][c], single[c])
+              << b->name << " window " << i << " class " << c;
+        }
       }
     }
   }

@@ -2,9 +2,9 @@
 // property (apply ∘ encode is idempotent, so stored and live weights
 // never diverge), parallel pipeline calibration bit-identical to the
 // serial oracle at any thread count, and in-shard bounded fine-tuning
-// bit-identical across thread counts and a mid-flight snapshot/restore
-// split, with the optimizer-step budget and the delta-vs-full-file size
-// advantage pinned.
+// equal to a single-session oracle and bit-identical across thread counts
+// and a mid-flight snapshot/restore split, with the optimizer-step budget
+// and the delta-vs-full-file size advantage pinned.
 #include "serve/personalize.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <stdexcept>
 
 #include "core/pipeline.hpp"
+#include "fleet/fleet_runner.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/dense.hpp"
@@ -389,34 +390,65 @@ TEST_F(PersonalizeTest, FineTuneBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(PersonalizeTest, FineTuneBitIdenticalWithCrossSessionBatching) {
-  // Personalized sessions carry non-identity weight deltas, so the
-  // batched gather must split them out of the shared base panel (or
-  // serve them one-by-one under their own weights). Either way the
-  // served bits — outputs, fine-tune counts, delta bytes, joules — must
-  // match the sequential path exactly.
+TEST_F(PersonalizeTest, FineTuneMatchesSingleSessionOracle) {
+  // The shard classifies personalized sessions in cross-session panels:
+  // sessions still on the base weights share one panel, and a session
+  // carrying a non-identity delta gets its own panel under its own
+  // weights. Each completed session must equal stepping that session
+  // alone — a single-session SlotStepper on a private copy of the
+  // deployed nets, driven by its own Personalizer — in outputs, fine-tune
+  // counts, delta bytes and joules. One shard and a short cadence make
+  // all six sessions share one model scratch and fit often, so fits land
+  // while another session's delta is loaded.
   ServeConfig cfg = tuned_config();
-  cfg.serve_batch = 0;
-  ServeLoop sequential(*experiment_, cfg);
-  sequential.drain(/*chunk=*/5);
-  const auto ref_log = sequential.completed_sessions();
-  const auto ref_metrics = sequential.metrics();
-  std::uint64_t total_tunes = 0;
-  for (const auto& c : ref_log) total_tunes += c.fine_tunes;
-  ASSERT_GT(total_tunes, 0u);  // the run must actually fine-tune
+  cfg.shards = 1;
+  cfg.personalize.cadence_slots = 5;
+  ServeLoop loop(*experiment_, cfg);
+  loop.drain(/*chunk=*/5);
+  const auto log = loop.completed_sessions();
+  ASSERT_EQ(log.size(), cfg.users);
+  EXPECT_GT(loop.status().batch_panels, 0u);
 
-  for (unsigned threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE(threads);
-    ServeConfig b_cfg = cfg;
-    b_cfg.serve_batch = 1;
-    b_cfg.threads = threads;
-    ServeLoop loop(*experiment_, b_cfg);
-    loop.drain(/*chunk=*/5);
-    EXPECT_GT(loop.status().batch_panels, 0u);
-    expect_same_completed(loop.completed_sessions(), ref_log);
-    EXPECT_TRUE(obs::MetricsSnapshot::deterministic_equal(loop.metrics(),
-                                                          ref_metrics));
+  // ServeLoop derives each session's user and stream exactly as
+  // make_population does.
+  fleet::PopulationConfig pop;
+  pop.users = cfg.users;
+  pop.root_seed = cfg.population_seed;
+  pop.severity = cfg.severity;
+  pop.policy = cfg.policy;
+  pop.rr_cycle = cfg.rr_cycle;
+  pop.set = cfg.set;
+  const auto population = fleet::make_population(pop);
+
+  const sim::Experiment& e = *experiment_;
+  std::uint64_t total_tunes = 0;
+  for (const CompletedSession& served : log) {
+    SCOPED_TRACE(served.id);
+    const fleet::FleetJob& job = population.at(served.id);
+    auto policy = e.make_policy(cfg.policy, cfg.rr_cycle, cfg.set);
+    data::StreamCursor cursor = e.make_cursor(job.user, job.seed_offset);
+    auto models = e.system().bl2_copy();
+    Personalizer personalizer(e, models, cfg.personalize);
+    PersonalizeState state;
+    sim::SlotStepper stepper(e.spec(), &models, &e.trace(), policy.get(),
+                             &cursor, e.sim_config());
+    while (!stepper.done()) {
+      personalizer.load(state, served.id, models);
+      const auto outcome = stepper.step();
+      personalizer.after_step(state, job.seed_offset, outcome, cursor,
+                              models);
+    }
+    const sim::SimResult oracle = stepper.take_result();
+    EXPECT_EQ(served.outputs, oracle.outputs);
+    EXPECT_EQ(served.accuracy, oracle.accuracy.overall());
+    EXPECT_EQ(served.success_rate, oracle.completion.attempt_success_rate());
+    EXPECT_EQ(served.fine_tunes, state.fine_tunes);
+    EXPECT_EQ(served.fine_tune_steps, state.steps_used);
+    EXPECT_EQ(served.delta_bytes, state.delta_bytes);
+    EXPECT_EQ(served.personalize_j, state.energy_j);
+    total_tunes += served.fine_tunes;
   }
+  EXPECT_GT(total_tunes, 0u);  // the run must actually fine-tune
 }
 
 TEST_F(PersonalizeTest, FineTuneSplitRunBitIdenticalToUninterrupted) {

@@ -189,38 +189,12 @@ TEST_F(ServeTest, CompletedSessionsMatchBatchFleetRun) {
 }
 
 TEST_F(ServeTest, BitIdenticalAcrossThreadCounts) {
-  const auto run = [&](unsigned threads) {
+  // Threads decide when a shard runs, never what it computes, and the
+  // flight recorder observes without perturbing: every (threads, flight
+  // capacity) cell publishes the same log and deterministic metrics —
+  // the cross-session panel stats included — as the threads=1 baseline.
+  const auto run = [&](unsigned threads, std::size_t flight_capacity) {
     ServeConfig cfg = small_config();
-    cfg.threads = threads;
-    ServeLoop loop(*experiment_, cfg);
-    loop.drain(/*chunk=*/7);
-    return std::pair(loop.completed_sessions(), loop.metrics());
-  };
-  const auto [base_log, base_metrics] = run(1);
-  ASSERT_EQ(base_log.size(), small_config().users);
-  for (unsigned threads : {2u, 8u}) {
-    SCOPED_TRACE(threads);
-    const auto [log, metrics] = run(threads);
-    ASSERT_EQ(log.size(), base_log.size());
-    for (std::size_t i = 0; i < log.size(); ++i) {
-      EXPECT_EQ(log[i].id, base_log[i].id);
-      EXPECT_EQ(log[i].completed_tick, base_log[i].completed_tick);
-      EXPECT_EQ(log[i].outputs, base_log[i].outputs);
-      EXPECT_EQ(log[i].accuracy, base_log[i].accuracy);
-    }
-    EXPECT_TRUE(obs::MetricsSnapshot::deterministic_equal(base_metrics, metrics));
-  }
-}
-
-TEST_F(ServeTest, CrossSessionBatchingBitIdentical) {
-  // The tentpole contract: gathering the windows of many sessions into
-  // per-sensor GEMM panels must not change one published byte. Compare a
-  // sequential (serve_batch=0) baseline against the batched path at
-  // threads 1/2/8, with the flight recorder on and off.
-  const auto run = [&](int serve_batch, unsigned threads,
-                       std::size_t flight_capacity) {
-    ServeConfig cfg = small_config();
-    cfg.serve_batch = serve_batch;
     cfg.threads = threads;
     cfg.flight_capacity = flight_capacity;
     ServeLoop loop(*experiment_, cfg);
@@ -228,18 +202,30 @@ TEST_F(ServeTest, CrossSessionBatchingBitIdentical) {
     return std::tuple(loop.completed_sessions(), loop.metrics(),
                       loop.status());
   };
-  const auto [base_log, base_metrics, base_status] = run(0, 1, 1 << 12);
+  // The occupancy histogram is the panel ledger: one observation per
+  // panel, summing to the windows served through them.
+  const auto expect_panel_ledger = [](const obs::MetricsSnapshot& metrics,
+                                      const ServeLoop::Status& status) {
+    EXPECT_GT(status.batch_panels, 0u);
+    EXPECT_GE(status.batch_windows, status.batch_panels);
+    const auto& occupancy = metrics.histogram_value("serve.batch_occupancy");
+    EXPECT_EQ(occupancy.count, status.batch_panels);
+    EXPECT_EQ(occupancy.sum, static_cast<double>(status.batch_windows));
+    EXPECT_EQ(metrics.counter_value("serve.batch_panels"),
+              status.batch_panels);
+    EXPECT_EQ(metrics.counter_value("serve.batch_windows"),
+              status.batch_windows);
+  };
+  constexpr std::size_t kFlight = 4096;
+  const auto [base_log, base_metrics, base_status] = run(1, kFlight);
   ASSERT_EQ(base_log.size(), small_config().users);
-  EXPECT_FALSE(base_status.serve_batch);
-  EXPECT_EQ(base_status.batch_panels, 0u);  // sequential path: no panels
+  expect_panel_ledger(base_metrics, base_status);
   for (unsigned threads : {1u, 2u, 8u}) {
-    for (std::size_t flight_capacity : {std::size_t{0}, std::size_t{1} << 12}) {
+    for (std::size_t flight_capacity : {std::size_t{0}, kFlight}) {
+      if (threads == 1 && flight_capacity == kFlight) continue;  // baseline
       SCOPED_TRACE(threads);
       SCOPED_TRACE(flight_capacity);
-      const auto [log, metrics, status] = run(1, threads, flight_capacity);
-      EXPECT_TRUE(status.serve_batch);
-      EXPECT_GT(status.batch_panels, 0u);
-      EXPECT_GE(status.batch_windows, status.batch_panels);
+      const auto [log, metrics, status] = run(threads, flight_capacity);
       ASSERT_EQ(log.size(), base_log.size());
       for (std::size_t i = 0; i < log.size(); ++i) {
         SCOPED_TRACE(i);
@@ -254,15 +240,7 @@ TEST_F(ServeTest, CrossSessionBatchingBitIdentical) {
       }
       EXPECT_TRUE(
           obs::MetricsSnapshot::deterministic_equal(base_metrics, metrics));
-      // The occupancy histogram is the panel ledger: one observation per
-      // panel, summing to the windows served through them.
-      const auto& occupancy = metrics.histogram_value("serve.batch_occupancy");
-      EXPECT_EQ(occupancy.count, status.batch_panels);
-      EXPECT_EQ(occupancy.sum, static_cast<double>(status.batch_windows));
-      EXPECT_EQ(metrics.counter_value("serve.batch_panels"),
-                status.batch_panels);
-      EXPECT_EQ(metrics.counter_value("serve.batch_windows"),
-                status.batch_windows);
+      expect_panel_ledger(metrics, status);
     }
   }
 }

@@ -3,7 +3,9 @@
 // trainer, and the parallel train_system stage must all reproduce the
 // per-sample reference loops exactly — not approximately — because the
 // pipeline's model cache keys and the fleet determinism guarantees rest
-// on trained weights being a pure function of the config seed.
+// on trained weights being a pure function of the config seed. Kernel vs
+// scalar-oracle cases pin the reference backend; batched vs per-sample
+// cases compare within whichever backend is active.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -25,8 +27,12 @@
 #include "nn/trainer.hpp"
 #include "util/rng.hpp"
 
+#include "backend_scope.hpp"
+
 namespace origin::nn {
 namespace {
+
+using test_support::BackendScope;
 
 void expect_bit_identical(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
@@ -69,6 +75,7 @@ const ConvCase kConvCases[] = {
 };
 
 TEST(TrainKernels, ConvBackwardMatchesReferenceAcrossShapes) {
+  BackendScope scope("reference");  // the oracle is the scalar loop
   std::uint64_t seed = 5000;
   for (const auto& c : kConvCases) {
     util::Rng rng_a(seed);
@@ -124,7 +131,7 @@ TEST(TrainKernels, ConvBackwardBatchMatchesSequentialSamples) {
       for (std::size_t b = 0; b < count; ++b) {
         const Tensor y = serial.forward(xs[b], /*train=*/true);
         expect_bit_identical(ys[b], y);
-        expect_bit_identical(gxs[b], serial.backward_reference(gys[b]));
+        expect_bit_identical(gxs[b], serial.backward(gys[b]));
       }
       expect_same_grads(batched, serial);
       seed += 10;
@@ -135,6 +142,7 @@ TEST(TrainKernels, ConvBackwardBatchMatchesSequentialSamples) {
 // --- Dense backward kernels vs reference loops ------------------------
 
 TEST(TrainKernels, DenseBackwardMatchesReferenceAcrossShapes) {
+  BackendScope scope("reference");  // the oracle is the scalar loop
   const std::pair<int, int> cases[] = {
       {1, 1}, {4, 8}, {13, 7}, {64, 5}, {320, 64}, {9, 33}};
   std::uint64_t seed = 7000;
@@ -184,7 +192,7 @@ TEST(TrainKernels, DenseBackwardBatchMatchesSequentialSamples) {
 
     for (std::size_t b = 0; b < count; ++b) {
       expect_bit_identical(ys[b], serial.forward(xs[b], true));
-      expect_bit_identical(gxs[b], serial.backward_reference(gys[b]));
+      expect_bit_identical(gxs[b], serial.backward(gys[b]));
     }
     expect_same_grads(batched, serial);
     seed += 10;
