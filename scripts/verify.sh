@@ -8,28 +8,22 @@
 #             Release+ASan. Guards the tentpole contract: fast synthesis
 #             must be bit-identical to the reference, so every downstream
 #             accuracy number is unchanged.
-#   kernels — inference kernels + fleet concurrency suites (labels nn,
-#             fleet, obs-fleet) in Release and Release+ASan, plus the
-#             simulator's split-phase bit-identity cases.
-#   train   — the training-path suite (label `nn`, which includes
-#             test_train_kernels: backward kernels vs the naive oracle,
-#             batched fit vs fit_reference, parallel train_system byte
-#             identity) in Release and Release+ASan, plus a cold-cache
-#             serial-vs-parallel pipeline determinism diff.
+#   kernels — inference and training kernels, the model-file parser and
+#             the fleet concurrency suites (labels nn, fleet, obs-fleet;
+#             nn includes test_train_kernels: backward kernels vs the
+#             naive oracle, batched fit vs fit_reference, parallel
+#             train_system byte identity) in Release and Release+ASan,
+#             plus the simulator's split-phase bit-identity cases.
 #   trace   — the -DORIGIN_TRACE=ON/OFF build switch: both configurations
 #             build, pass the obs suite, and produce valid (event-free
 #             when OFF) trace files; the OFF tree also proves the serve
 #             flight recorder compiles out (bench/obs_overhead).
-#   obs     — the observability suites (labels obs-fleet + serve) in
-#             Release and Release+ASan, plus an HTTP smoke of the
-#             Prometheus exposition and flight-recorder routes
-#             (/metrics?format=prom, /trace/recent).
-#   serve   — the serving-subsystem suite (label `serve`: bit-identity
-#             across thread counts and snapshot/restore splits, the
-#             cross-session panel ledger, the HTTP endpoint) in Release
-#             and Release+ASan, plus an end-to-end smoke: boot
-#             examples/fleet_serve on an ephemeral port and curl the
-#             JSON/JSONL routes.
+#   obs     — the observability and serving suites (labels obs-fleet +
+#             serve: bit-identity across thread counts and snapshot/restore
+#             splits, the cross-session panel ledger, the HTTP endpoint) in
+#             Release and Release+ASan, plus one HTTP smoke: boot
+#             examples/fleet_serve on an ephemeral port and curl the JSON,
+#             JSONL, Prometheus and flight-recorder routes.
 #   backends — the kernel-backend dispatch suite (label `backends`:
 #             per-backend golden checksums, cross-backend tolerance grid,
 #             int8-vs-float accuracy gate, serve bit-identity per backend)
@@ -44,8 +38,8 @@
 #             ORIGIN_CACHE_DIR.
 #   all     — everything above (default).
 #
-# Usage: scripts/verify.sh [data|kernels|train|trace|obs|serve|backends|personalize|all] [generator-args...]
-# The data/kernels/train/obs/serve gates share the
+# Usage: scripts/verify.sh [data|kernels|trace|obs|backends|personalize|all] [generator-args...]
+# The data/kernels/obs/backends/personalize gates share the
 # build-kernels-{release,asan}/ trees so a full `all` run configures each
 # tree once; the trace gate owns build-trace-{on,off}/.
 set -euo pipefail
@@ -106,7 +100,8 @@ verify_kernels_config() {
   echo "=== kernels: sanitizer='${sanitizer:-none}' (${dir}) ==="
   cmake -B "$dir" -S "$repo" -DORIGIN_SANITIZE="$sanitizer" "$@" >/dev/null
   cmake --build "$dir" -j "$jobs" --target \
-      test_kernels test_simulator test_fleet test_fleet_runner test_obs
+      test_kernels test_train_kernels test_serialize test_simulator \
+      test_fleet test_fleet_runner test_obs
   # `-L 'nn|fleet'` is a regex OR (labels nn, fleet, obs-fleet); repeating
   # -L would intersect.
   ctest --test-dir "$dir" -L 'nn|fleet' --output-on-failure -j "$jobs"
@@ -121,26 +116,6 @@ verify_kernels() {
   verify_kernels_config ""        "build-kernels-release" "$@"
   verify_kernels_config "address" "build-kernels-asan"    "$@"
   echo "=== inference kernels verified (Release + ASan) ==="
-}
-
-verify_train_config() {
-  local sanitizer="$1" dir="$2"
-  shift 2
-  echo "=== train: sanitizer='${sanitizer:-none}' (${dir}) ==="
-  cmake -B "$dir" -S "$repo" -DORIGIN_SANITIZE="$sanitizer" "$@" >/dev/null
-  cmake --build "$dir" -j "$jobs" --target test_kernels test_train_kernels
-  ctest --test-dir "$dir" -L nn --output-on-failure -j "$jobs"
-}
-
-verify_train() {
-  verify_train_config ""        "build-kernels-release" "$@"
-  verify_train_config "address" "build-kernels-asan"    "$@"
-  # Cold-cache determinism: the parallel pipeline must write byte-identical
-  # model files to a serial run (also covered by TrainSystemParallel.*;
-  # repeated here against the Release tree as a standalone gate).
-  ctest --test-dir "build-kernels-release" \
-      -R "TrainSystemParallel" --output-on-failure
-  echo "=== training path verified (Release + ASan + parallel determinism) ==="
 }
 
 verify_trace_config() {
@@ -202,10 +177,17 @@ verify_obs_config() {
 verify_obs() {
   verify_obs_config ""        "build-kernels-release" "$@"
   verify_obs_config "address" "build-kernels-asan"    "$@"
-  # HTTP smoke of the observability surface: the Prometheus exposition
-  # must carry typed series, and the flight-recorder routes must answer.
+  # HTTP smoke of the serving and observability surface: the JSON/JSONL
+  # routes answer, the Prometheus exposition carries typed series, and
+  # the flight-recorder routes answer.
   local smoke_pid smoke_port
   serve_smoke_boot
+  curl -fsS --max-time 10 "http://127.0.0.1:${smoke_port}/healthz" \
+      | grep -q '"status":"ok"'
+  curl -fsS --max-time 10 "http://127.0.0.1:${smoke_port}/status" \
+      | grep -q '"slots_served"'
+  curl -fsS --max-time 10 "http://127.0.0.1:${smoke_port}/results?tail=3" \
+      | grep -q '"predicted"'
   curl -fsS --max-time 10 \
       "http://127.0.0.1:${smoke_port}/metrics?format=prom" \
       | grep -q '^# TYPE serve_slots_served_total counter$'
@@ -218,35 +200,7 @@ verify_obs() {
   curl -fsS --max-time 10 "http://127.0.0.1:${smoke_port}/status" \
       | grep -q '"slo"'
   wait "$smoke_pid"
-  echo "=== observability verified (Release + ASan + prom/trace smoke on port ${smoke_port}) ==="
-}
-
-verify_serve_config() {
-  local sanitizer="$1" dir="$2"
-  shift 2
-  echo "=== serve: sanitizer='${sanitizer:-none}' (${dir}) ==="
-  cmake -B "$dir" -S "$repo" -DORIGIN_SANITIZE="$sanitizer" "$@" >/dev/null
-  cmake --build "$dir" -j "$jobs" --target \
-      test_serve test_serve_snapshot
-  ctest --test-dir "$dir" -L serve --output-on-failure -j "$jobs"
-}
-
-verify_serve() {
-  verify_serve_config ""        "build-kernels-release" "$@"
-  verify_serve_config "address" "build-kernels-asan"    "$@"
-  # End-to-end smoke: boot the serving example on a kernel-assigned
-  # ephemeral port (no fixed port to collide with), then curl the JSON
-  # and JSONL routes while it lingers.
-  local smoke_pid smoke_port
-  serve_smoke_boot
-  curl -fsS --max-time 10 "http://127.0.0.1:${smoke_port}/healthz" \
-      | grep -q '"status":"ok"'
-  curl -fsS --max-time 10 "http://127.0.0.1:${smoke_port}/status" \
-      | grep -q '"slots_served"'
-  curl -fsS --max-time 10 "http://127.0.0.1:${smoke_port}/results?tail=3" \
-      | grep -q '"predicted"'
-  wait "$smoke_pid"
-  echo "=== serve verified (Release + ASan + HTTP smoke on port ${smoke_port}) ==="
+  echo "=== serving + observability verified (Release + ASan + HTTP smoke on port ${smoke_port}) ==="
 }
 
 verify_backends_config() {
@@ -298,25 +252,21 @@ verify_personalize() {
 case "$gate" in
   data)    verify_data "$@" ;;
   kernels) verify_kernels "$@" ;;
-  train)   verify_train "$@" ;;
   trace)   verify_trace "$@" ;;
   obs)     verify_obs "$@" ;;
-  serve)   verify_serve "$@" ;;
   backends) verify_backends "$@" ;;
   personalize) verify_personalize "$@" ;;
   all)
     verify_data "$@"
     verify_kernels "$@"
-    verify_train "$@"
     verify_trace "$@"
     verify_obs "$@"
-    verify_serve "$@"
     verify_backends "$@"
     verify_personalize "$@"
     echo "=== all verification gates passed ==="
     ;;
   *)
-    echo "usage: scripts/verify.sh [data|kernels|train|trace|obs|serve|backends|personalize|all] [generator-args...]" >&2
+    echo "usage: scripts/verify.sh [data|kernels|trace|obs|backends|personalize|all] [generator-args...]" >&2
     exit 2
     ;;
 esac

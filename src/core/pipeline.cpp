@@ -300,10 +300,9 @@ void train_system(TrainedSystem& system, const PipelineConfig& config) {
       if (!ec) {
         for (std::size_t k = 0; k < pending.size(); ++k) {
           const auto si = static_cast<std::size_t>(pending[k]);
-          nn::save_model_atomic(system.sensors[si].bl1, paths[si].bl1.string());
-          nn::save_model_atomic(system.sensors[si].bl2, paths[si].bl2.string());
-          nn::save_model_atomic(system.sensors[si].relaxed,
-                                paths[si].rlx.string());
+          nn::save_model(system.sensors[si].bl1, paths[si].bl1.string());
+          nn::save_model(system.sensors[si].bl2, paths[si].bl2.string());
+          nn::save_model(system.sensors[si].relaxed, paths[si].rlx.string());
         }
       }
     }

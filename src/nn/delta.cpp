@@ -5,6 +5,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "util/bytes.hpp"
 #include "util/fileio.hpp"
 
 namespace origin::nn {
@@ -28,52 +29,6 @@ float pow2_scale(float max_abs) {
   std::frexp(max_abs / 32767.0f, &exp);  // max_abs/32767 = m * 2^exp, m<1
   return std::ldexp(1.0f, exp);
 }
-
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int b = 0; b < 4; ++b) out.push_back(static_cast<char>(v >> (8 * b)));
-}
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) out.push_back(static_cast<char>(v >> (8 * b)));
-}
-void append_f32(std::string& out, float v) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  append_u32(out, bits);
-}
-
-class Cursor {
- public:
-  explicit Cursor(const std::string& blob) : blob_(blob) {}
-  const char* take(std::size_t n) {
-    if (pos_ + n > blob_.size()) throw std::runtime_error("delta: truncated");
-    const char* p = blob_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-  std::uint32_t u32() {
-    const auto* p = reinterpret_cast<const unsigned char*>(take(4));
-    std::uint32_t v = 0;
-    for (int b = 0; b < 4; ++b) v |= static_cast<std::uint32_t>(p[b]) << (8 * b);
-    return v;
-  }
-  std::uint64_t u64() {
-    const auto* p = reinterpret_cast<const unsigned char*>(take(8));
-    std::uint64_t v = 0;
-    for (int b = 0; b < 8; ++b) v |= static_cast<std::uint64_t>(p[b]) << (8 * b);
-    return v;
-  }
-  float f32() {
-    const std::uint32_t bits = u32();
-    float v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  bool exhausted() const { return pos_ == blob_.size(); }
-
- private:
-  const std::string& blob_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -174,65 +129,53 @@ void delta_apply_with_fingerprint(const Sequential& base,
 }
 
 std::string delta_to_string(const ModelDelta& delta) {
-  std::string out;
-  out.append(kMagic, sizeof kMagic);
-  append_u32(out, kVersion);
-  append_u64(out, delta.base_fingerprint);
-  append_u32(out, delta.base_param_tensors);
-  append_u32(out, static_cast<std::uint32_t>(delta.entries.size()));
+  util::ByteWriter w;
+  w.raw(kMagic, sizeof kMagic);
+  w.u32(kVersion);
+  w.u64(delta.base_fingerprint);
+  w.u32(delta.base_param_tensors);
+  w.u32(static_cast<std::uint32_t>(delta.entries.size()));
   for (const TensorDelta& entry : delta.entries) {
-    append_u32(out, entry.param_index);
-    append_f32(out, entry.scale);
-    append_u64(out, entry.q.size());
-    for (std::int16_t q : entry.q) {
-      out.push_back(static_cast<char>(q & 0xFF));
-      out.push_back(static_cast<char>((q >> 8) & 0xFF));
-    }
+    w.u32(entry.param_index);
+    w.f32(entry.scale);
+    w.u64(entry.q.size());
+    for (std::int16_t q : entry.q) w.i16(q);
   }
-  return out;
+  return w.bytes();
 }
 
 ModelDelta delta_from_string(const std::string& blob) {
-  Cursor c(blob);
-  if (std::memcmp(c.take(sizeof kMagic), kMagic, sizeof kMagic) != 0) {
+  util::ByteReader r(blob, "delta");
+  if (std::memcmp(r.take(sizeof kMagic), kMagic, sizeof kMagic) != 0) {
     throw std::runtime_error("delta: bad magic (not a model delta)");
   }
-  const std::uint32_t version = c.u32();
+  const std::uint32_t version = r.u32();
   if (version != kVersion) {
     throw std::runtime_error("delta: unsupported version " +
                              std::to_string(version));
   }
   ModelDelta delta;
-  delta.base_fingerprint = c.u64();
-  delta.base_param_tensors = c.u32();
-  const std::uint32_t entries = c.u32();
+  delta.base_fingerprint = r.u64();
+  delta.base_param_tensors = r.u32();
+  const std::uint32_t entries = r.u32();
   if (entries > delta.base_param_tensors) {
     throw std::runtime_error("delta: implausible entry count");
   }
   std::uint32_t previous_index = 0;
   for (std::uint32_t e = 0; e < entries; ++e) {
     TensorDelta entry;
-    entry.param_index = c.u32();
+    entry.param_index = r.u32();
     if (entry.param_index >= delta.base_param_tensors ||
         (e > 0 && entry.param_index <= previous_index)) {
       throw std::runtime_error("delta: entries out of order");
     }
     previous_index = entry.param_index;
-    entry.scale = c.f32();
-    const std::uint64_t count = c.u64();
-    if (count > (1ULL << 28)) {
-      throw std::runtime_error("delta: implausible tensor size");
-    }
-    entry.q.resize(count);
-    const auto* p = reinterpret_cast<const unsigned char*>(c.take(count * 2));
-    for (std::uint64_t k = 0; k < count; ++k) {
-      entry.q[k] = static_cast<std::int16_t>(
-          static_cast<std::uint16_t>(p[2 * k]) |
-          (static_cast<std::uint16_t>(p[2 * k + 1]) << 8));
-    }
+    entry.scale = r.f32();
+    entry.q.resize(r.length(r.u64(), sizeof(std::int16_t)));
+    for (std::int16_t& q : entry.q) q = r.i16();
     delta.entries.push_back(std::move(entry));
   }
-  if (!c.exhausted()) throw std::runtime_error("delta: trailing bytes");
+  if (!r.exhausted()) throw std::runtime_error("delta: trailing bytes");
   return delta;
 }
 

@@ -76,7 +76,7 @@ std::string delta_to_string(const ModelDelta& delta);
 ModelDelta delta_from_string(const std::string& blob);
 
 /// Atomic save via util::write_file_atomic (tmp + rename, cleanup on
-/// every error path) — same contract as save_model_atomic.
+/// every error path) — same contract as save_model.
 void save_delta_atomic(const ModelDelta& delta, const std::string& path);
 ModelDelta load_delta(const std::string& path);
 

@@ -1,8 +1,7 @@
 #include "nn/serialize.hpp"
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <initializer_list>
 #include <stdexcept>
 
 #include "nn/activations.hpp"
@@ -12,6 +11,7 @@
 #include "nn/layernorm.hpp"
 #include "nn/pooling.hpp"
 #include "nn/softmax.hpp"
+#include "util/bytes.hpp"
 #include "util/fileio.hpp"
 
 namespace origin::nn {
@@ -21,94 +21,59 @@ namespace {
 constexpr char kMagic[4] = {'O', 'R', 'G', 'N'};
 constexpr std::uint32_t kVersion = 1;
 
-void write_u32(std::ostream& out, std::uint32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void write_u64(std::ostream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void write_i32(std::ostream& out, std::int32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void write_f32(std::ostream& out, float v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void write_string(std::ostream& out, const std::string& s) {
-  write_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-void write_tensor(std::ostream& out, const Tensor& t) {
-  write_u64(out, t.size());
-  out.write(reinterpret_cast<const char*>(t.data()),
-            static_cast<std::streamsize>(t.size() * sizeof(float)));
+void write_tensor(util::ByteWriter& w, const Tensor& t) {
+  w.u64(t.size());
+  w.f32s(t.data(), t.size());
 }
 
-std::uint32_t read_u32(std::istream& in) {
-  std::uint32_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!in) throw std::runtime_error("load_model: truncated stream (u32)");
-  return v;
-}
-std::uint64_t read_u64(std::istream& in) {
-  std::uint64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!in) throw std::runtime_error("load_model: truncated stream (u64)");
-  return v;
-}
-std::int32_t read_i32(std::istream& in) {
-  std::int32_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!in) throw std::runtime_error("load_model: truncated stream (i32)");
-  return v;
-}
-float read_f32(std::istream& in) {
-  float v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!in) throw std::runtime_error("load_model: truncated stream (f32)");
-  return v;
-}
-std::string read_string(std::istream& in) {
-  const std::uint32_t n = read_u32(in);
-  if (n > (1u << 20)) throw std::runtime_error("load_model: implausible string");
-  std::string s(n, '\0');
-  in.read(s.data(), n);
-  if (!in) throw std::runtime_error("load_model: truncated stream (string)");
-  return s;
-}
-void read_tensor_into(std::istream& in, Tensor& t) {
-  const std::uint64_t n = read_u64(in);
-  if (n != t.size()) {
+void read_tensor_into(util::ByteReader& r, Tensor& t) {
+  if (r.u64() != t.size()) {
     throw std::runtime_error("load_model: tensor size mismatch");
   }
-  in.read(reinterpret_cast<char*>(t.data()),
-          static_cast<std::streamsize>(n * sizeof(float)));
-  if (!in) throw std::runtime_error("load_model: truncated tensor data");
+  r.f32s(t.data(), t.size());
 }
 
-void write_layer(std::ostream& out, const Layer& layer) {
-  write_string(out, layer.kind());
+/// Refuses layer dimensions whose largest parameter tensor (the product
+/// of `dims` floats) could not fit in the bytes left — checked before the
+/// layer allocates it, so a corrupt dimension cannot drive a huge
+/// allocation.
+void check_param_dims(const util::ByteReader& r,
+                      std::initializer_list<int> dims) {
+  std::uint64_t floats = 1;
+  for (int d : dims) {
+    if (d <= 0) throw std::runtime_error("load_model: non-positive dimension");
+    if (floats > r.remaining() / static_cast<std::uint64_t>(d)) {
+      throw std::runtime_error("load_model: layer larger than its input");
+    }
+    floats *= static_cast<std::uint64_t>(d);
+  }
+  r.length(floats, sizeof(float));
+}
+
+void write_layer(util::ByteWriter& w, const Layer& layer) {
+  w.str(layer.kind());
   if (const auto* d = dynamic_cast<const Dense*>(&layer)) {
-    write_i32(out, d->in_features());
-    write_i32(out, d->out_features());
-    write_tensor(out, d->weight());
-    write_tensor(out, d->bias());
+    w.i32(d->in_features());
+    w.i32(d->out_features());
+    write_tensor(w, d->weight());
+    write_tensor(w, d->bias());
   } else if (const auto* c = dynamic_cast<const Conv1D*>(&layer)) {
-    write_i32(out, c->in_channels());
-    write_i32(out, c->out_channels());
-    write_i32(out, c->kernel());
-    write_i32(out, c->stride());
-    write_tensor(out, c->weight());
-    write_tensor(out, c->bias());
+    w.i32(c->in_channels());
+    w.i32(c->out_channels());
+    w.i32(c->kernel());
+    w.i32(c->stride());
+    write_tensor(w, c->weight());
+    write_tensor(w, c->bias());
   } else if (const auto* p = dynamic_cast<const MaxPool1D*>(&layer)) {
-    write_i32(out, p->pool());
-    write_i32(out, p->stride());
+    w.i32(p->pool());
+    w.i32(p->stride());
   } else if (const auto* dr = dynamic_cast<const Dropout*>(&layer)) {
-    write_f32(out, dr->rate());
+    w.f32(dr->rate());
   } else if (const auto* ln = dynamic_cast<const LayerNorm*>(&layer)) {
-    write_i32(out, ln->size());
-    write_f32(out, ln->epsilon());
-    write_tensor(out, ln->gamma());
-    write_tensor(out, ln->beta());
+    w.i32(ln->size());
+    w.f32(ln->epsilon());
+    write_tensor(w, ln->gamma());
+    write_tensor(w, ln->beta());
   } else if (layer.kind() == "relu" || layer.kind() == "flatten" ||
              layer.kind() == "softmax") {
     // no config
@@ -117,40 +82,43 @@ void write_layer(std::ostream& out, const Layer& layer) {
   }
 }
 
-LayerPtr read_layer(std::istream& in) {
-  const std::string kind = read_string(in);
+LayerPtr read_layer(util::ByteReader& r) {
+  const std::string kind = r.str();
   if (kind == "dense") {
-    const int in_f = read_i32(in);
-    const int out_f = read_i32(in);
+    const int in_f = r.i32();
+    const int out_f = r.i32();
+    check_param_dims(r, {in_f, out_f});
     auto d = std::make_unique<Dense>(in_f, out_f);
-    read_tensor_into(in, d->weight());
-    read_tensor_into(in, d->bias());
+    read_tensor_into(r, d->weight());
+    read_tensor_into(r, d->bias());
     return d;
   }
   if (kind == "conv1d") {
-    const int cin = read_i32(in);
-    const int cout = read_i32(in);
-    const int k = read_i32(in);
-    const int stride = read_i32(in);
+    const int cin = r.i32();
+    const int cout = r.i32();
+    const int k = r.i32();
+    const int stride = r.i32();
+    check_param_dims(r, {cout, cin, k});
     auto c = std::make_unique<Conv1D>(cin, cout, k, stride);
-    read_tensor_into(in, c->weight());
-    read_tensor_into(in, c->bias());
+    read_tensor_into(r, c->weight());
+    read_tensor_into(r, c->bias());
     return c;
   }
   if (kind == "maxpool1d") {
-    const int pool = read_i32(in);
-    const int stride = read_i32(in);
+    const int pool = r.i32();
+    const int stride = r.i32();
     return std::make_unique<MaxPool1D>(pool, stride);
   }
   if (kind == "dropout") {
-    return std::make_unique<Dropout>(read_f32(in));
+    return std::make_unique<Dropout>(r.f32());
   }
   if (kind == "layernorm") {
-    const int size = read_i32(in);
-    const float epsilon = read_f32(in);
+    const int size = r.i32();
+    const float epsilon = r.f32();
+    check_param_dims(r, {size});
     auto ln = std::make_unique<LayerNorm>(size, epsilon);
-    read_tensor_into(in, ln->gamma());
-    read_tensor_into(in, ln->beta());
+    read_tensor_into(r, ln->gamma());
+    read_tensor_into(r, ln->beta());
     return ln;
   }
   if (kind == "relu") return std::make_unique<ReLU>();
@@ -161,61 +129,42 @@ LayerPtr read_layer(std::istream& in) {
 
 }  // namespace
 
-void save_model(const Sequential& model, std::ostream& out) {
-  out.write(kMagic, sizeof kMagic);
-  write_u32(out, kVersion);
-  write_u32(out, static_cast<std::uint32_t>(model.layer_count()));
+std::string model_to_string(const Sequential& model) {
+  util::ByteWriter w;
+  w.raw(kMagic, sizeof kMagic);
+  w.u32(kVersion);
+  w.u32(static_cast<std::uint32_t>(model.layer_count()));
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    write_layer(out, model.layer(i));
+    write_layer(w, model.layer(i));
   }
-  if (!out) throw std::runtime_error("save_model: write failure");
+  return w.bytes();
 }
 
-void save_model(const Sequential& model, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("save_model: cannot open " + path);
-  save_model(model, out);
-}
-
-void save_model_atomic(const Sequential& model, const std::string& path) {
-  util::write_file_atomic(path, model_to_string(model));
-}
-
-Sequential load_model(std::istream& in) {
-  char magic[4] = {};
-  in.read(magic, sizeof magic);
-  if (!in || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
+Sequential model_from_string(const std::string& blob) {
+  util::ByteReader r(blob, "load_model");
+  if (std::memcmp(r.take(sizeof kMagic), kMagic, sizeof kMagic) != 0) {
     throw std::runtime_error("load_model: bad magic");
   }
-  const std::uint32_t version = read_u32(in);
+  const std::uint32_t version = r.u32();
   if (version != kVersion) {
     throw std::runtime_error("load_model: unsupported version " +
                              std::to_string(version));
   }
-  const std::uint32_t count = read_u32(in);
+  const std::uint32_t count = r.u32();
   if (count > 10000) throw std::runtime_error("load_model: implausible layer count");
   Sequential model;
   for (std::uint32_t i = 0; i < count; ++i) {
-    model.add(read_layer(in));
+    model.add(read_layer(r));
   }
   return model;
 }
 
+void save_model(const Sequential& model, const std::string& path) {
+  util::write_file_atomic(path, model_to_string(model));
+}
+
 Sequential load_model(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("load_model: cannot open " + path);
-  return load_model(in);
-}
-
-std::string model_to_string(const Sequential& model) {
-  std::ostringstream os(std::ios::binary);
-  save_model(model, os);
-  return os.str();
-}
-
-Sequential model_from_string(const std::string& blob) {
-  std::istringstream is(blob, std::ios::binary);
-  return load_model(is);
+  return model_from_string(util::read_file(path));
 }
 
 }  // namespace origin::nn

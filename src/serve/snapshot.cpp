@@ -9,170 +9,288 @@
 // metrics are bit-identical to one that never stopped.
 #include "serve/snapshot.hpp"
 
+#include <cstring>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <variant>
+#include <vector>
+
 #include "nn/delta.hpp"
 #include "nn/kernels/backend.hpp"
 #include "serve/serve_loop.hpp"
+#include "util/bytes.hpp"
+#include "util/fileio.hpp"
 
 namespace origin::serve {
 
 namespace {
 
-void write_tensor(SnapshotWriter& w, const nn::Tensor& t) {
-  w.u32(static_cast<std::uint32_t>(t.shape().size()));
-  for (int d : t.shape()) w.i32(d);
-  w.u64(t.size());
-  for (std::size_t i = 0; i < t.size(); ++i) w.f32(t.data()[i]);
+using util::ByteReader;
+using util::ByteWriter;
+
+// Each record has ONE field list: a `field(IO&, Rec<IO, T>)` template that
+// save() instantiates with the writer and restore() with the reader, so
+// the two directions cannot drift apart. Only the leaves below (scalars,
+// sequences, optionals, deltas) come in writer/reader overload pairs.
+
+/// A record as each direction sees it: read-only to the writer, filled
+/// in by the reader.
+template <class IO, class T>
+using Rec = std::conditional_t<std::is_same_v<IO, ByteWriter>, const T&, T&>;
+
+void field(ByteWriter& w, bool v) { w.u8(v ? 1 : 0); }
+void field(ByteReader& r, bool& v) { v = r.u8() != 0; }
+void field(ByteWriter& w, std::int32_t v) { w.i32(v); }
+void field(ByteReader& r, std::int32_t& v) { v = r.i32(); }
+void field(ByteWriter& w, std::uint32_t v) { w.u32(v); }
+void field(ByteReader& r, std::uint32_t& v) { v = r.u32(); }
+void field(ByteWriter& w, std::uint64_t v) { w.u64(v); }
+void field(ByteReader& r, std::uint64_t& v) { v = r.u64(); }
+void field(ByteWriter& w, float v) { w.f32(v); }
+void field(ByteReader& r, float& v) { v = r.f32(); }
+void field(ByteWriter& w, double v) { w.f64(v); }
+void field(ByteReader& r, double& v) { v = r.f64(); }
+void field(ByteWriter& w, const std::string& v) { w.str(v); }
+void field(ByteReader& r, std::string& v) { v = r.str(); }
+
+/// Scalar sequence: a `Len` count, then the elements.
+template <class Len = std::uint64_t, class T>
+void seq(ByteWriter& w, const std::vector<T>& v) {
+  field(w, static_cast<Len>(v.size()));
+  for (T x : v) field(w, x);
+}
+template <class Len = std::uint64_t, class T>
+void seq(ByteReader& r, std::vector<T>& v) {
+  static_assert(std::is_arithmetic_v<T>, "elements are scalars on the wire");
+  Len n{};
+  field(r, n);
+  v.resize(r.length(n, sizeof(T)));
+  for (T& x : v) field(r, x);
 }
 
-nn::Tensor read_tensor(SnapshotReader& r) {
-  std::vector<int> shape(r.u32());
-  for (auto& d : shape) d = r.i32();
-  std::vector<float> data(r.u64());
-  for (auto& v : data) v = r.f32();
-  return nn::Tensor(std::move(shape), std::move(data));
+/// A delta rides as its own codec's blob (u64 length + bytes), which
+/// validates the entry ordering and the base layout on read.
+void field(ByteWriter& w, const nn::ModelDelta& d) {
+  const std::string bytes = nn::delta_to_string(d);
+  w.u64(bytes.size());
+  w.raw(bytes.data(), bytes.size());
+}
+void field(ByteReader& r, nn::ModelDelta& d) {
+  const std::size_t n = r.length(r.u64());
+  d = nn::delta_from_string(std::string(r.take(n), n));
 }
 
-void write_classification(SnapshotWriter& w, const net::Classification& c) {
-  w.i32(c.predicted_class);
-  w.u64(c.probs.size());
-  for (float p : c.probs) w.f32(p);
-  w.f64(c.confidence);
-}
-
-net::Classification read_classification(SnapshotReader& r) {
-  net::Classification c;
-  c.predicted_class = r.i32();
-  c.probs.resize(r.u64());
-  for (auto& p : c.probs) p = r.f32();
-  c.confidence = r.f64();
-  return c;
-}
-
-void write_node(SnapshotWriter& w, const net::SensorNodeState& state) {
-  w.f64(state.stored_j);
-  w.u8(state.failed ? 1 : 0);
-  w.u64(state.counters.attempts);
-  w.u64(state.counters.completions);
-  w.u64(state.counters.skipped_no_energy);
-  w.u64(state.counters.died_midway);
-  w.f64(state.counters.harvested_j);
-  w.f64(state.counters.consumed_j);
-  w.u8(state.nvp.active ? 1 : 0);
-  w.f64(state.nvp.total_j);
-  w.f64(state.nvp.progress_j);
-  w.u64(state.nvp.checkpoints);
-  w.u64(state.nvp.restores);
-  w.u8(state.pending_window ? 1 : 0);
-  if (state.pending_window) write_tensor(w, *state.pending_window);
-}
-
-net::SensorNodeState read_node(SnapshotReader& r) {
-  net::SensorNodeState state;
-  state.stored_j = r.f64();
-  state.failed = r.u8() != 0;
-  state.counters.attempts = r.u64();
-  state.counters.completions = r.u64();
-  state.counters.skipped_no_energy = r.u64();
-  state.counters.died_midway = r.u64();
-  state.counters.harvested_j = r.f64();
-  state.counters.consumed_j = r.f64();
-  state.nvp.active = r.u8() != 0;
-  state.nvp.total_j = r.f64();
-  state.nvp.progress_j = r.f64();
-  state.nvp.checkpoints = r.u64();
-  state.nvp.restores = r.u64();
-  if (r.u8()) state.pending_window = read_tensor(r);
-  return state;
-}
-
-void write_completed(SnapshotWriter& w, const CompletedSession& c) {
-  w.u64(c.id);
-  w.u64(c.arrival_tick);
-  w.u64(c.completed_tick);
-  w.u64(c.slots);
-  w.f64(c.accuracy);
-  w.f64(c.success_rate);
-  w.f64(c.harvested_j);
-  w.f64(c.consumed_j);
-  w.u64(c.outputs_fnv1a);
-  w.u64(c.outputs.size());
-  for (int v : c.outputs) w.i32(v);
-  w.u64(c.fine_tunes);
-  w.u64(c.fine_tune_steps);
-  w.u64(c.delta_bytes);
-  w.f64(c.personalize_j);
-}
-
-CompletedSession read_completed(SnapshotReader& r) {
-  CompletedSession c;
-  c.id = r.u64();
-  c.arrival_tick = r.u64();
-  c.completed_tick = r.u64();
-  c.slots = r.u64();
-  c.accuracy = r.f64();
-  c.success_rate = r.f64();
-  c.harvested_j = r.f64();
-  c.consumed_j = r.f64();
-  c.outputs_fnv1a = r.u64();
-  c.outputs.resize(r.u64());
-  for (auto& v : c.outputs) v = r.i32();
-  c.fine_tunes = r.u64();
-  c.fine_tune_steps = r.u64();
-  c.delta_bytes = r.u64();
-  c.personalize_j = r.f64();
-  return c;
-}
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    throw std::runtime_error(std::string("snapshot config mismatch: ") + what);
+// Tensor: u32 rank, i32 dims, u64 count, f32 values.
+template <class IO>
+void field(IO& io, Rec<IO, nn::Tensor> t) {
+  std::vector<int> shape = t.shape();
+  std::vector<float> values(t.data(), t.data() + t.size());
+  seq<std::uint32_t>(io, shape);
+  seq(io, values);
+  if constexpr (std::is_same_v<IO, ByteReader>) {
+    try {
+      t = nn::Tensor(std::move(shape), std::move(values));
+    } catch (const std::invalid_argument&) {
+      throw std::runtime_error("snapshot: tensor shape does not match data");
+    }
   }
+}
+
+template <class IO>
+void field(IO& io, Rec<IO, net::Classification> c) {
+  field(io, c.predicted_class);
+  seq(io, c.probs);
+  field(io, c.confidence);
+}
+
+template <class IO>
+void field(IO& io, Rec<IO, net::RecalledVote> v) {
+  field(io, v.classification);
+  field(io, v.timestamp_s);
+  field(io, v.fresh);
+}
+
+/// Optional: a u8 presence flag, then the value when present.
+template <class T>
+void field(ByteWriter& w, const std::optional<T>& v) {
+  field(w, v.has_value());
+  if (v) field(w, *v);
+}
+template <class T>
+void field(ByteReader& r, std::optional<T>& v) {
+  bool present = false;
+  field(r, present);
+  v.reset();
+  if (present) field(r, v.emplace());
+}
+
+template <class IO>
+void field(IO& io, Rec<IO, net::NodeCounters> c) {
+  field(io, c.attempts);
+  field(io, c.completions);
+  field(io, c.skipped_no_energy);
+  field(io, c.died_midway);
+  field(io, c.harvested_j);
+  field(io, c.consumed_j);
+}
+
+template <class IO>
+void field(IO& io, Rec<IO, energy::NvpState> nvp) {
+  field(io, nvp.active);
+  field(io, nvp.total_j);
+  field(io, nvp.progress_j);
+  field(io, nvp.checkpoints);
+  field(io, nvp.restores);
+}
+
+template <class IO>
+void field(IO& io, Rec<IO, net::SensorNodeState> s) {
+  field(io, s.stored_j);
+  field(io, s.failed);
+  field(io, s.counters);
+  field(io, s.nvp);
+  field(io, s.pending_window);
+}
+
+template <class IO>
+void field(IO& io, Rec<IO, CompletedSession> c) {
+  field(io, c.id);
+  field(io, c.arrival_tick);
+  field(io, c.completed_tick);
+  field(io, c.slots);
+  field(io, c.accuracy);
+  field(io, c.success_rate);
+  field(io, c.harvested_j);
+  field(io, c.consumed_j);
+  field(io, c.outputs_fnv1a);
+  seq(io, c.outputs);
+  field(io, c.fine_tunes);
+  field(io, c.fine_tune_steps);
+  field(io, c.delta_bytes);
+  field(io, c.personalize_j);
+}
+
+template <class IO>
+void field(IO& io, Rec<IO, obs::HistogramCell> h) {
+  seq(io, h.buckets);
+  field(io, h.count);
+  field(io, h.sum);
+  field(io, h.min);
+  field(io, h.max);
+}
+
+template <class IO>
+void field(IO& io, Rec<IO, sim::CompletionStats> c) {
+  field(io, c.slots);
+  field(io, c.slots_all_completed);
+  field(io, c.slots_some_completed);
+  field(io, c.slots_none_completed);
+  field(io, c.attempts);
+  field(io, c.completions);
+}
+
+/// A session's per-slot tallies (its confusion matrix is sized by the
+/// caller; its node counters ride in the node records).
+template <class IO>
+void tallies(IO& io, Rec<IO, sim::SimResult> result) {
+  field(io, result.completion);
+  for (auto& scheduled : result.scheduled) field(io, scheduled);
+  field(io, result.output_transitions);
+  seq(io, result.outputs);
+}
+
+template <class IO>
+void field(IO& io, Rec<IO, PersonalizeState::BufferedSample> s) {
+  field(io, s.label);
+  for (auto& window : s.windows) field(io, window);
+}
+
+/// Record sequence: u64 count, then the records, read one at a time —
+/// every record spans at least one byte, so a corrupt count runs out of
+/// input before it can run out of memory.
+template <class C>
+void records(ByteWriter& w, const C& c) {
+  w.u64(c.size());
+  for (const auto& x : c) field(w, x);
+}
+template <class C>
+void records(ByteReader& r, C& c) {
+  c.clear();
+  for (std::size_t n = r.length(r.u64()); n > 0; --n) {
+    field(r, c.emplace_back());
+  }
+}
+
+template <class IO>
+void field(IO& io, Rec<IO, PersonalizeState> st) {
+  field(io, st.fine_tunes);
+  field(io, st.steps_used);
+  field(io, st.delta_bytes);
+  field(io, st.energy_j);
+  records(io, st.buffer);
+  for (auto& delta : st.delta) field(io, delta);
+}
+
+using FingerprintValue = std::variant<bool, std::int32_t, std::uint32_t,
+                                      std::uint64_t, double, std::string>;
+
+struct FingerprintEntry {
+  const char* name;
+  FingerprintValue value;
+};
+
+/// The workload fingerprint, in file order: everything results depend
+/// on. save() writes each value; restore() reads each back and names the
+/// first field that differs. Threads and the results/flight ring
+/// capacities never affect results, so they are deliberately absent.
+std::vector<FingerprintEntry> fingerprint(const ServeConfig& config,
+                                          const sim::Experiment& experiment) {
+  const PersonalizeConfig& p = config.personalize;
+  return {
+      {"users", std::uint64_t{config.users}},
+      {"arrival_rate_hz", config.arrival_rate_hz},
+      {"arrival_seed", config.arrival_seed},
+      {"population_seed", config.population_seed},
+      {"severity", config.severity},
+      {"policy", static_cast<std::uint32_t>(config.policy)},
+      {"rr_cycle", config.rr_cycle},
+      {"set", static_cast<std::uint32_t>(config.set)},
+      {"shards", std::uint64_t{config.shards}},
+      {"bits", config.bits},
+      // The kernel backend changes the served bits (fused SIMD vs
+      // unfused scalar float paths round differently). The int8 path is
+      // backend-invariant, but pinning the name keeps the contract simple
+      // and the failure mode loud.
+      {"backend", std::string(nn::kernels::active_backend().name)},
+      {"stream_slots", experiment.config().stream_slots},
+      {"stream_seed", experiment.config().stream_seed},
+      {"num_classes", experiment.spec().num_classes()},
+      // Personalization knobs all change the served outputs, so every
+      // field fingerprints.
+      {"personalize.enabled", p.enabled},
+      {"personalize.step_budget", p.step_budget},
+      {"personalize.cadence_slots", p.cadence_slots},
+      {"personalize.min_samples", p.min_samples},
+      {"personalize.max_samples", p.max_samples},
+      {"personalize.batch_size", p.batch_size},
+      {"personalize.learning_rate", p.learning_rate},
+      {"personalize.epochs", p.epochs},
+      {"personalize.tune_tail_layers", p.tune_tail_layers},
+  };
 }
 
 }  // namespace
 
 void ServeLoop::save(const std::string& path) const {
   std::lock_guard<std::mutex> lock(publish_mutex_);
-  SnapshotWriter w;
+  ByteWriter w;
   w.raw(kSnapshotMagic, sizeof kSnapshotMagic);
   w.u32(kSnapshotVersion);
-
-  // Workload fingerprint: everything results depend on. Threads and the
-  // results-ring capacity are deliberately absent.
-  w.u64(config_.users);
-  w.f64(config_.arrival_rate_hz);
-  w.u64(config_.arrival_seed);
-  w.u64(config_.population_seed);
-  w.f64(config_.severity);
-  w.u32(static_cast<std::uint32_t>(config_.policy));
-  w.i32(config_.rr_cycle);
-  w.u32(static_cast<std::uint32_t>(config_.set));
-  w.u64(config_.shards);
-  w.i32(config_.bits);
-  {
-    // The kernel backend changes the served bits (fused SIMD vs unfused
-    // scalar float paths round differently), so it fingerprints like any
-    // other workload knob. The int8 path is backend-invariant, but pinning
-    // the name keeps the contract simple and the failure mode loud.
-    const std::string backend = nn::kernels::active_backend().name;
-    w.u32(static_cast<std::uint32_t>(backend.size()));
-    w.raw(backend.data(), backend.size());
+  for (const auto& entry : fingerprint(config_, *experiment_)) {
+    std::visit([&](const auto& value) { field(w, value); }, entry.value);
   }
-  w.i32(experiment_->config().stream_slots);
-  w.u64(experiment_->config().stream_seed);
-  w.i32(experiment_->spec().num_classes());
-  // Personalization knobs all change the served outputs, so every field
-  // fingerprints — a snapshot taken with fine-tuning off (or differently
-  // tuned) refuses to load under another config.
-  w.u8(config_.personalize.enabled ? 1 : 0);
-  w.i32(config_.personalize.step_budget);
-  w.i32(config_.personalize.cadence_slots);
-  w.i32(config_.personalize.min_samples);
-  w.i32(config_.personalize.max_samples);
-  w.i32(config_.personalize.batch_size);
-  w.f64(config_.personalize.learning_rate);
-  w.i32(config_.personalize.epochs);
-  w.i32(config_.personalize.tune_tail_layers);
 
   w.u64(now_);
   w.u64(next_admit_);
@@ -181,21 +299,11 @@ void ServeLoop::save(const std::string& path) const {
   // Cross-session batching stats (v4): carried wholesale — the panel
   // composition of already-served ticks is not recoverable from the
   // completed log, unlike every other deterministic metric.
-  {
-    const obs::HistogramCell& occupancy =
-        det_metrics_.histogram(batch_occupancy_id_);
-    w.u64(det_metrics_.counter(batch_panels_id_));
-    w.u64(det_metrics_.counter(batch_windows_id_));
-    w.u64(occupancy.buckets.size());
-    for (std::uint64_t bucket : occupancy.buckets) w.u64(bucket);
-    w.u64(occupancy.count);
-    w.f64(occupancy.sum);
-    w.f64(occupancy.min);
-    w.f64(occupancy.max);
-  }
+  w.u64(det_metrics_.counter(batch_panels_id_));
+  w.u64(det_metrics_.counter(batch_windows_id_));
+  field(w, det_metrics_.histogram(batch_occupancy_id_));
 
-  w.u64(completed_.size());
-  for (const auto& record : completed_) write_completed(w, record);
+  records(w, completed_);
 
   std::uint64_t active = 0;
   for (const auto& shard : shards_) active += shard->active().size();
@@ -209,17 +317,10 @@ void ServeLoop::save(const std::string& path) const {
       for (double t : stepper.last_success_s()) w.f64(t);
       w.i32(stepper.previous_output());
       for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-        write_node(w, stepper.node(s).snapshot_state());
+        field(w, stepper.node(s).snapshot_state());
       }
       for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-        const auto& vote =
-            stepper.host().vote(static_cast<data::SensorLocation>(s));
-        w.u8(vote ? 1 : 0);
-        if (vote) {
-          write_classification(w, vote->classification);
-          w.f64(vote->timestamp_s);
-          w.u8(vote->fresh ? 1 : 0);
-        }
+        field(w, stepper.host().vote(static_cast<data::SensorLocation>(s)));
       }
       const core::Policy& policy = stepper.policy();
       w.i32(policy.last_result_class());
@@ -240,40 +341,15 @@ void ServeLoop::save(const std::string& path) const {
       for (const auto& row : result.accuracy.confusion()) {
         for (std::uint64_t cell : row) w.u64(cell);
       }
-      w.u64(result.completion.slots);
-      w.u64(result.completion.slots_all_completed);
-      w.u64(result.completion.slots_some_completed);
-      w.u64(result.completion.slots_none_completed);
-      w.u64(result.completion.attempts);
-      w.u64(result.completion.completions);
-      for (std::uint64_t s : result.scheduled) w.u64(s);
-      w.u64(result.output_transitions);
-      w.u64(result.outputs.size());
-      for (int v : result.outputs) w.i32(v);
-      if (config_.personalize.enabled) {
-        const PersonalizeState& st = *session->personalize();
-        w.u64(st.fine_tunes);
-        w.u64(st.steps_used);
-        w.u64(st.delta_bytes);
-        w.f64(st.energy_j);
-        w.u64(st.buffer.size());
-        for (const auto& sample : st.buffer) {
-          w.i32(sample.label);
-          for (const auto& window : sample.windows) write_tensor(w, window);
-        }
-        // The deltas round-trip through their own codec: a restored
-        // session's in-memory weights (base + dequantized delta) are the
-        // bytes the fit realized, so serving resumes bit-identically.
-        for (const auto& delta : st.delta) {
-          const std::string bytes = nn::delta_to_string(delta);
-          w.u64(bytes.size());
-          w.raw(bytes.data(), bytes.size());
-        }
-      }
+      tallies(w, result);
+      // The deltas inside round-trip through their own codec: a restored
+      // session's in-memory weights (base + dequantized delta) are the
+      // bytes the fit realized, so serving resumes bit-identically.
+      if (config_.personalize.enabled) field(w, *session->personalize());
     }
   }
 
-  write_file_atomic(path, w.bytes());
+  util::write_file_atomic(path, w.bytes());
 }
 
 void ServeLoop::restore(const std::string& path) {
@@ -282,11 +358,11 @@ void ServeLoop::restore(const std::string& path) {
         "ServeLoop::restore: loop already served ticks — restore into a "
         "freshly constructed loop");
   }
-  SnapshotReader r(read_file(path));
+  const std::string bytes = util::read_file(path);
+  ByteReader r(bytes, "snapshot");
 
-  char magic[sizeof kSnapshotMagic];
-  std::memcpy(magic, r.take(sizeof magic), sizeof magic);
-  if (std::memcmp(magic, kSnapshotMagic, sizeof magic) != 0) {
+  if (std::memcmp(r.take(sizeof kSnapshotMagic), kSnapshotMagic,
+                  sizeof kSnapshotMagic) != 0) {
     throw std::runtime_error("snapshot: bad magic (not a serve snapshot)");
   }
   const std::uint32_t version = r.u32();
@@ -294,38 +370,18 @@ void ServeLoop::restore(const std::string& path) {
     throw std::runtime_error("snapshot: unsupported version " +
                              std::to_string(version));
   }
-
-  check(r.u64() == config_.users, "users");
-  check(r.f64() == config_.arrival_rate_hz, "arrival_rate_hz");
-  check(r.u64() == config_.arrival_seed, "arrival_seed");
-  check(r.u64() == config_.population_seed, "population_seed");
-  check(r.f64() == config_.severity, "severity");
-  check(r.u32() == static_cast<std::uint32_t>(config_.policy), "policy");
-  check(r.i32() == config_.rr_cycle, "rr_cycle");
-  check(r.u32() == static_cast<std::uint32_t>(config_.set), "model set");
-  check(r.u64() == config_.shards, "shards");
-  check(r.i32() == config_.bits, "bits");
-  {
-    std::string backend(r.u32(), '\0');
-    std::memcpy(backend.data(), r.take(backend.size()), backend.size());
-    check(backend == nn::kernels::active_backend().name, "kernel backend");
+  for (const auto& entry : fingerprint(config_, *experiment_)) {
+    std::visit(
+        [&](const auto& expected) {
+          std::decay_t<decltype(expected)> saved{};
+          field(r, saved);
+          if (saved != expected) {
+            throw std::runtime_error(
+                std::string("snapshot config mismatch: ") + entry.name);
+          }
+        },
+        entry.value);
   }
-  check(r.i32() == experiment_->config().stream_slots, "stream_slots");
-  check(r.u64() == experiment_->config().stream_seed, "stream_seed");
-  const int num_classes = experiment_->spec().num_classes();
-  check(r.i32() == num_classes, "num_classes");
-  check((r.u8() != 0) == config_.personalize.enabled, "personalize.enabled");
-  check(r.i32() == config_.personalize.step_budget, "personalize.step_budget");
-  check(r.i32() == config_.personalize.cadence_slots,
-        "personalize.cadence_slots");
-  check(r.i32() == config_.personalize.min_samples, "personalize.min_samples");
-  check(r.i32() == config_.personalize.max_samples, "personalize.max_samples");
-  check(r.i32() == config_.personalize.batch_size, "personalize.batch_size");
-  check(r.f64() == config_.personalize.learning_rate,
-        "personalize.learning_rate");
-  check(r.i32() == config_.personalize.epochs, "personalize.epochs");
-  check(r.i32() == config_.personalize.tune_tail_layers,
-        "personalize.tune_tail_layers");
 
   const std::uint64_t saved_now = r.u64();
   const std::uint64_t saved_next_admit = r.u64();
@@ -336,21 +392,17 @@ void ServeLoop::restore(const std::string& path) {
     const std::uint64_t batch_panels = r.u64();
     const std::uint64_t batch_windows = r.u64();
     obs::HistogramCell occupancy;
-    occupancy.buckets.resize(r.u64());
-    for (auto& bucket : occupancy.buckets) bucket = r.u64();
-    occupancy.count = r.u64();
-    occupancy.sum = r.f64();
-    occupancy.min = r.f64();
-    occupancy.max = r.f64();
+    field(r, occupancy);
+    if (occupancy.buckets.size() !=
+        det_metrics_.histogram(batch_occupancy_id_).buckets.size()) {
+      throw std::runtime_error(
+          "snapshot: serve.batch_occupancy bucket count mismatch");
+    }
     det_metrics_.inc(batch_panels_id_, batch_panels);
     det_metrics_.inc(batch_windows_id_, batch_windows);
     det_metrics_.restore_histogram(batch_occupancy_id_, occupancy);
   }
-  completed_.clear();
-  const std::uint64_t completed_count = r.u64();
-  for (std::uint64_t i = 0; i < completed_count; ++i) {
-    completed_.push_back(read_completed(r));
-  }
+  records(r, completed_);
   // Replay the deterministic metrics in publish order — commutative sums
   // recorded in the same sequence give bit-identical values to a process
   // that never stopped.
@@ -362,6 +414,7 @@ void ServeLoop::restore(const std::string& path) {
     det_metrics_.inc(fine_tune_steps_id_, record.fine_tune_steps);
   }
 
+  const int num_classes = experiment_->spec().num_classes();
   const std::uint64_t active_count = r.u64();
   for (std::uint64_t i = 0; i < active_count; ++i) {
     const std::uint64_t id = r.u64();
@@ -379,17 +432,13 @@ void ServeLoop::restore(const std::string& path) {
     det_metrics_.inc(slots_id_, next_slot);
 
     for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-      stepper.node(s).restore_state(read_node(r));
+      net::SensorNodeState state;
+      field(r, state);
+      stepper.node(s).restore_state(state);
     }
     for (std::size_t s = 0; s < data::kNumSensors; ++s) {
       std::optional<net::RecalledVote> vote;
-      if (r.u8()) {
-        net::RecalledVote v;
-        v.classification = read_classification(r);
-        v.timestamp_s = r.f64();
-        v.fresh = r.u8() != 0;
-        vote = std::move(v);
-      }
+      field(r, vote);
       stepper.host().restore_vote(static_cast<data::SensorLocation>(s), vote);
     }
 
@@ -418,35 +467,10 @@ void ServeLoop::restore(const std::string& path) {
       for (auto& cell : row) cell = r.u64();
     }
     result.accuracy.restore(std::move(confusion));
-    result.completion.slots = r.u64();
-    result.completion.slots_all_completed = r.u64();
-    result.completion.slots_some_completed = r.u64();
-    result.completion.slots_none_completed = r.u64();
-    result.completion.attempts = r.u64();
-    result.completion.completions = r.u64();
-    for (auto& s : result.scheduled) s = r.u64();
-    result.output_transitions = r.u64();
-    result.outputs.resize(r.u64());
-    for (auto& v : result.outputs) v = r.i32();
+    tallies(r, result);
     if (config_.personalize.enabled) {
       PersonalizeState& st = *session.personalize();
-      st.fine_tunes = r.u64();
-      st.steps_used = r.u64();
-      st.delta_bytes = r.u64();
-      st.energy_j = r.f64();
-      st.buffer.clear();
-      const std::uint64_t buffered = r.u64();
-      for (std::uint64_t b = 0; b < buffered; ++b) {
-        PersonalizeState::BufferedSample sample;
-        sample.label = r.i32();
-        for (auto& window : sample.windows) window = read_tensor(r);
-        st.buffer.push_back(std::move(sample));
-      }
-      for (auto& delta : st.delta) {
-        std::string bytes(r.u64(), '\0');
-        std::memcpy(bytes.data(), r.take(bytes.size()), bytes.size());
-        delta = nn::delta_from_string(bytes);
-      }
+      field(r, st);
       // The weights themselves are re-derived lazily: Personalizer::load
       // re-applies base + delta before the session's next served tick.
       det_metrics_.inc(fine_tunes_id_, st.fine_tunes);

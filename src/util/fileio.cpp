@@ -38,11 +38,17 @@ void write_file_atomic(const std::string& path, const std::string& bytes) {
 }
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  // One sized read: the model cache loads every cached net at startup,
+  // and a per-character copy would dominate decoding them.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw std::runtime_error("read_file: cannot read " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) throw std::runtime_error("read_file: I/O error on " + path);
+  const std::streamoff size = in.tellg();
+  if (size < 0) throw std::runtime_error("read_file: cannot size " + path);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(bytes.data(), static_cast<std::streamsize>(size))) {
+    throw std::runtime_error("read_file: I/O error on " + path);
+  }
   return bytes;
 }
 

@@ -1,5 +1,5 @@
 // Atomic whole-file I/O shared by everything that persists state: the
-// model cache (nn::save_model_atomic), per-user personalization deltas
+// model cache (nn::save_model), per-user personalization deltas
 // (nn/delta.hpp) and serve snapshots (serve/snapshot.hpp). Writes go to
 // `<path>.tmp.<pid>` and are renamed over `path` only after the stream
 // flushed and closed cleanly — rename(2) within one directory is atomic

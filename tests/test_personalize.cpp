@@ -141,6 +141,18 @@ TEST(DeltaCodec, StringRoundTripAndCorruptionRejected) {
   EXPECT_THROW(nn::delta_from_string(blob.substr(0, blob.size() - 3)),
                std::runtime_error);
   EXPECT_THROW(nn::delta_from_string(blob + "zz"), std::runtime_error);
+  // Corrupt element count of the first entry (after the 28-byte header and
+  // the entry's u32 index + f32 scale): more int16s than the blob holds
+  // must fail as a parse error, not as an allocation.
+  for (std::uint64_t count : {delta.entries[0].q.size() + 1,
+                              std::size_t{1} << 40, std::size_t{1} << 62}) {
+    SCOPED_TRACE(count);
+    bad = blob;
+    for (int b = 0; b < 8; ++b) {
+      bad[36 + b] = static_cast<char>(count >> (8 * b));
+    }
+    EXPECT_THROW(nn::delta_from_string(bad), std::runtime_error);
+  }
 
   // The identity delta round-trips too (snapshot v3 stores one per
   // never-tuned session).
@@ -148,6 +160,22 @@ TEST(DeltaCodec, StringRoundTripAndCorruptionRejected) {
       nn::delta_from_string(nn::delta_to_string(nn::ModelDelta{}));
   EXPECT_TRUE(identity.empty());
   EXPECT_EQ(identity.base_param_tensors, 0u);
+}
+
+TEST(DeltaCodec, BytesPinned) {
+  // Golden bytes of the delta format (per-user state on disk and inside
+  // every personalized snapshot).
+  nn::ModelDelta delta;
+  delta.base_fingerprint = 0x0123456789ABCDEFULL;
+  delta.base_param_tensors = 6;
+  delta.entries.push_back({1, 0x1p-10f, {-32767, -256, -1, 0, 1, 255, 32767}});
+  delta.entries.push_back({4, 0.5f, {7, -7, 1024}});
+  const std::string blob = nn::delta_to_string(delta);
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
+  for (unsigned char c : blob) h = (h ^ c) * 1099511628211ULL;
+  EXPECT_EQ(blob.size(), 80u);
+  EXPECT_EQ(h, 0x2003f8a12bdfc82aULL);
+  EXPECT_EQ(nn::delta_to_string(nn::delta_from_string(blob)), blob);
 }
 
 TEST(DeltaCodec, FileRoundTrip) {
@@ -491,15 +519,34 @@ TEST_F(PersonalizeTest, SnapshotFingerprintCoversPersonalizeConfig) {
   const std::string path = testing::TempDir() + "/personalize_fp.snap";
   first.save(path);
 
-  ServeConfig off = cfg;
-  off.personalize.enabled = false;
-  ServeLoop disabled(*experiment_, off);
-  EXPECT_THROW(disabled.restore(path), std::runtime_error);
-
-  ServeConfig other = cfg;
-  other.personalize.step_budget += 1;
-  ServeLoop budget(*experiment_, other);
-  EXPECT_THROW(budget.restore(path), std::runtime_error);
+  // Every PersonalizeConfig field refuses the restore and is named in the
+  // error.
+  using Mutation = void (*)(PersonalizeConfig&);
+  const std::vector<std::pair<std::string, Mutation>> fields = {
+      {"enabled", [](PersonalizeConfig& p) { p.enabled = false; }},
+      {"step_budget", [](PersonalizeConfig& p) { p.step_budget += 1; }},
+      {"cadence_slots", [](PersonalizeConfig& p) { p.cadence_slots += 1; }},
+      {"min_samples", [](PersonalizeConfig& p) { p.min_samples += 1; }},
+      {"max_samples", [](PersonalizeConfig& p) { p.max_samples += 1; }},
+      {"batch_size", [](PersonalizeConfig& p) { p.batch_size += 1; }},
+      {"learning_rate", [](PersonalizeConfig& p) { p.learning_rate *= 2; }},
+      {"epochs", [](PersonalizeConfig& p) { p.epochs += 1; }},
+      {"tune_tail_layers",
+       [](PersonalizeConfig& p) { p.tune_tail_layers += 1; }},
+  };
+  for (const auto& [name, mutate] : fields) {
+    SCOPED_TRACE(name);
+    ServeConfig other = cfg;
+    mutate(other.personalize);
+    ServeLoop loop(*experiment_, other);
+    try {
+      loop.restore(path);
+      ADD_FAILURE() << "restored under a different personalize." << name;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "snapshot config mismatch: personalize." + name);
+    }
+  }
 
   ServeLoop same(*experiment_, cfg);
   EXPECT_NO_THROW(same.restore(path));

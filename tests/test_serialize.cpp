@@ -10,6 +10,7 @@
 #include "nn/conv1d.hpp"
 #include "nn/dense.hpp"
 #include "nn/dropout.hpp"
+#include "nn/layernorm.hpp"
 #include "nn/pooling.hpp"
 #include "nn/softmax.hpp"
 #include "util/rng.hpp"
@@ -45,6 +46,44 @@ void expect_same_outputs(Sequential& a, Sequential& b,
       ASSERT_FLOAT_EQ(ya[i], yb[i]);
     }
   }
+}
+
+// One layer of every kind the serializer knows, with parameters set from
+// an exact arithmetic pattern (no RNG, no libm), so its bytes are fixed.
+Sequential every_kind_model() {
+  Sequential m;
+  m.emplace<Conv1D>(3, 5, 4, 2)
+      .emplace<ReLU>()
+      .emplace<MaxPool1D>(2, 1)
+      .emplace<Flatten>()
+      .emplace<Dense>(5 * 8, 6)
+      .emplace<LayerNorm>(6, 1e-5f)
+      .emplace<Dropout>(0.25f)
+      .emplace<Dense>(6, 4)
+      .emplace<Softmax>();
+  const auto params = m.params();
+  for (std::size_t t = 0; t < params.size(); ++t) {
+    for (std::size_t i = 0; i < params[t]->size(); ++i) {
+      params[t]->data()[i] =
+          static_cast<float>((i * 37 + t * 11) % 101) / 64.0f - 0.75f;
+    }
+  }
+  return m;
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : bytes) h = (h ^ c) * 1099511628211ULL;
+  return h;
+}
+
+TEST(Serialize, ModelBytesPinned) {
+  // Golden bytes of the model-cache format: a codec change that alters a
+  // single byte would silently invalidate every cached model.
+  const std::string blob = model_to_string(every_kind_model());
+  EXPECT_EQ(blob.size(), 1627u);
+  EXPECT_EQ(fnv1a(blob), 0xe6642c7474d00037ULL);
+  EXPECT_EQ(model_to_string(model_from_string(blob)), blob);
 }
 
 TEST(Serialize, StringRoundtripPreservesBehaviour) {
@@ -98,6 +137,37 @@ TEST(Serialize, TruncationThrows) {
   }
 }
 
+TEST(Serialize, CorruptDimensionsThrow) {
+  // A Dense(4, 3) blob: magic, version and layer count (12 bytes), the
+  // kind string (u32 length + "dense"), then in/out features at bytes 21
+  // and 25. Dimensions whose parameters cannot fit in the input must fail
+  // as a parse error before the layer allocates them.
+  Sequential m;
+  m.emplace<Dense>(4, 3);
+  const std::string blob = model_to_string(m);
+  ASSERT_EQ(blob.substr(16, 5), "dense");
+  const auto with_dims = [&](std::int32_t in_f, std::int32_t out_f) {
+    std::string bad = blob;
+    const auto in_bits = static_cast<std::uint32_t>(in_f);
+    const auto out_bits = static_cast<std::uint32_t>(out_f);
+    for (int b = 0; b < 4; ++b) {
+      bad[21 + b] = static_cast<char>(in_bits >> (8 * b));
+      bad[25 + b] = static_cast<char>(out_bits >> (8 * b));
+    }
+    return bad;
+  };
+  EXPECT_NO_THROW(model_from_string(with_dims(4, 3)));
+  for (const auto& [in_f, out_f] : std::vector<std::pair<int, int>>{
+           {1 << 30, 1 << 30}, {0x7FFFFFFF, 0x7FFFFFFF}, {-1, 3}, {4, 0}}) {
+    SCOPED_TRACE(std::to_string(in_f) + "x" + std::to_string(out_f));
+    EXPECT_THROW(model_from_string(with_dims(in_f, out_f)), std::runtime_error);
+  }
+  // A kind-string length far beyond the input.
+  std::string bad = blob;
+  for (int b = 0; b < 4; ++b) bad[12 + b] = static_cast<char>(0xFF);
+  EXPECT_THROW(model_from_string(bad), std::runtime_error);
+}
+
 TEST(Serialize, MissingFileThrows) {
   EXPECT_THROW(load_model("/no/such/model.bin"), std::runtime_error);
 }
@@ -134,7 +204,7 @@ TEST(Serialize, FailedAtomicSaveLeavesNoTempFile) {
   ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &tiny), 0);
 
   Sequential m = representative_model(8);
-  EXPECT_THROW(save_model_atomic(m, path), std::runtime_error);
+  EXPECT_THROW(save_model(m, path), std::runtime_error);
 
   ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &old_limit), 0);
   ASSERT_EQ(sigaction(SIGXFSZ, &old_action, nullptr), 0);
@@ -145,7 +215,7 @@ TEST(Serialize, FailedAtomicSaveLeavesNoTempFile) {
   }
 
   // With the limit lifted the same call succeeds and stages nothing.
-  save_model_atomic(m, path);
+  save_model(m, path);
   Sequential loaded = load_model(path);
   expect_same_outputs(m, loaded, {3, 20});
   std::size_t files = 0;

@@ -8,10 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 
+#include "nn/kernels/backend.hpp"
 #include "serve/serve_loop.hpp"
+#include "util/bytes.hpp"
+#include "util/fileio.hpp"
 
 namespace origin::serve {
 namespace {
@@ -78,40 +82,57 @@ class ServeSnapshotTest : public ::testing::Test {
 sim::Experiment* ServeSnapshotTest::experiment_ = nullptr;
 
 TEST(SnapshotCodec, RoundTripsEveryType) {
-  SnapshotWriter w;
+  util::ByteWriter w;
   w.u8(0xAB);
+  w.i16(-2);
   w.u32(0xDEADBEEFu);
   w.u64(0x0123456789ABCDEFull);
   w.i32(-42);
   w.f32(1.5f);
   w.f64(-0.1);
   w.f64(std::numeric_limits<double>::infinity());
+  w.str("backend");
+  const float floats[3] = {0.25f, -3.0f, 1e-30f};
+  w.f32s(floats, 3);
   w.raw("xy", 2);
 
-  SnapshotReader r(w.bytes());
+  util::ByteReader r(w.bytes(), "test");
   EXPECT_EQ(r.u8(), 0xAB);
+  EXPECT_EQ(r.i16(), -2);
   EXPECT_EQ(r.u32(), 0xDEADBEEFu);
   EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
   EXPECT_EQ(r.i32(), -42);
   EXPECT_EQ(r.f32(), 1.5f);
   EXPECT_EQ(r.f64(), -0.1);  // bitwise round-trip, not approximate
   EXPECT_EQ(r.f64(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(r.str(), "backend");
+  float back[3] = {};
+  r.f32s(back, 3);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(back[i], floats[i]);
+  // A length prefix is only accepted when its elements fit in the bytes
+  // left (2 here); a larger one throws before a caller could allocate.
+  EXPECT_EQ(r.length(2), 2u);
+  EXPECT_EQ(r.length(1, 2), 1u);
+  EXPECT_THROW(r.length(3), std::runtime_error);
+  EXPECT_THROW(r.length(1ULL << 62, 8), std::runtime_error);
+  EXPECT_THROW(r.length(~0ULL, 1), std::runtime_error);
   const char* p = r.take(2);
   EXPECT_EQ(p[0], 'x');
   EXPECT_EQ(p[1], 'y');
   EXPECT_TRUE(r.exhausted());
   EXPECT_THROW(r.u8(), std::runtime_error);
+  EXPECT_THROW(r.take(~std::size_t{0}), std::runtime_error);
 }
 
 TEST(SnapshotCodec, AtomicWriteAndRead) {
   const std::string path = testing::TempDir() + "/codec_file.bin";
-  write_file_atomic(path, "hello snapshot");
-  EXPECT_EQ(read_file(path), "hello snapshot");
-  write_file_atomic(path, "v2");  // replaces atomically
-  EXPECT_EQ(read_file(path), "v2");
+  util::write_file_atomic(path, "hello snapshot");
+  EXPECT_EQ(util::read_file(path), "hello snapshot");
+  util::write_file_atomic(path, "v2");  // replaces atomically
+  EXPECT_EQ(util::read_file(path), "v2");
   std::remove(path.c_str());
-  EXPECT_THROW(read_file(path), std::runtime_error);
-  EXPECT_THROW(write_file_atomic("/no/such/dir/x.bin", "z"),
+  EXPECT_THROW(util::read_file(path), std::runtime_error);
+  EXPECT_THROW(util::write_file_atomic("/no/such/dir/x.bin", "z"),
                std::runtime_error);
 }
 
@@ -206,26 +227,46 @@ TEST_F(ServeSnapshotTest, ConfigFingerprintMismatchRejected) {
   const std::string path = temp_path("fingerprint.snap");
   first.save(path);
 
-  ServeConfig other = cfg;
-  other.users = cfg.users + 1;
-  ServeLoop wrong_users(*experiment_, other);
-  EXPECT_THROW(wrong_users.restore(path), std::runtime_error);
+  // Every fingerprinted field refuses the restore and is named in the
+  // error.
+  const std::vector<std::pair<std::string, std::function<void(ServeConfig&)>>>
+      fingerprinted = {
+          {"users", [](ServeConfig& c) { c.users += 1; }},
+          {"arrival_rate_hz", [](ServeConfig& c) { c.arrival_rate_hz *= 2; }},
+          {"arrival_seed", [](ServeConfig& c) { c.arrival_seed += 1; }},
+          {"population_seed", [](ServeConfig& c) { c.population_seed += 1; }},
+          {"severity", [](ServeConfig& c) { c.severity = 0.25; }},
+          {"policy", [](ServeConfig& c) { c.policy = sim::PolicyKind::AASR; }},
+          {"rr_cycle", [](ServeConfig& c) { c.rr_cycle = 3; }},
+          {"set", [](ServeConfig& c) { c.set = sim::ModelSet::Relaxed; }},
+          {"shards", [](ServeConfig& c) { c.shards += 1; }},
+          {"bits", [](ServeConfig& c) { c.bits = 8; }},
+      };
+  for (const auto& [name, mutate] : fingerprinted) {
+    SCOPED_TRACE(name);
+    ServeConfig other = cfg;
+    mutate(other);
+    ServeLoop loop(*experiment_, other);
+    try {
+      loop.restore(path);
+      ADD_FAILURE() << "restored under a different " << name;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "snapshot config mismatch: " + name);
+    }
+  }
 
-  other = cfg;
-  other.policy = sim::PolicyKind::AASR;
-  ServeLoop wrong_policy(*experiment_, other);
-  EXPECT_THROW(wrong_policy.restore(path), std::runtime_error);
-
-  other = cfg;
-  other.shards = cfg.shards + 1;
-  ServeLoop wrong_shards(*experiment_, other);
-  EXPECT_THROW(wrong_shards.restore(path), std::runtime_error);
-
-  // Threads are NOT part of the fingerprint.
-  other = cfg;
-  other.threads = 4;
-  ServeLoop more_threads(*experiment_, other);
-  EXPECT_NO_THROW(more_threads.restore(path));
+  // Threads and the ring capacities are NOT part of the fingerprint.
+  const std::vector<std::function<void(ServeConfig&)>> free_fields = {
+      [](ServeConfig& c) { c.threads = 4; },
+      [](ServeConfig& c) { c.results_capacity = 16; },
+      [](ServeConfig& c) { c.flight_capacity = 0; },
+  };
+  for (const auto& mutate : free_fields) {
+    ServeConfig other = cfg;
+    mutate(other);
+    ServeLoop loop(*experiment_, other);
+    EXPECT_NO_THROW(loop.restore(path));
+  }
   std::remove(path.c_str());
 }
 
@@ -235,12 +276,12 @@ TEST_F(ServeSnapshotTest, CorruptAndTruncatedFilesRejected) {
   first.tick(4);
   const std::string path = temp_path("corrupt.snap");
   first.save(path);
-  const std::string good = read_file(path);
+  const std::string good = util::read_file(path);
 
   // Bad magic.
   std::string bad = good;
   bad[0] = 'X';
-  write_file_atomic(path, bad);
+  util::write_file_atomic(path, bad);
   {
     ServeLoop loop(*experiment_, cfg);
     EXPECT_THROW(loop.restore(path), std::runtime_error);
@@ -252,21 +293,44 @@ TEST_F(ServeSnapshotTest, CorruptAndTruncatedFilesRejected) {
     SCOPED_TRACE(version);
     bad = good;
     bad[8] = static_cast<char>(version);
-    write_file_atomic(path, bad);
+    util::write_file_atomic(path, bad);
     ServeLoop loop(*experiment_, cfg);
     EXPECT_THROW(loop.restore(path), std::runtime_error);
   }
 
   // Truncation.
-  write_file_atomic(path, good.substr(0, good.size() / 2));
+  util::write_file_atomic(path, good.substr(0, good.size() / 2));
   {
     ServeLoop loop(*experiment_, cfg);
     EXPECT_THROW(loop.restore(path), std::runtime_error);
   }
 
   // Trailing garbage.
-  write_file_atomic(path, good + "extra");
+  util::write_file_atomic(path, good + "extra");
   {
+    ServeLoop loop(*experiment_, cfg);
+    EXPECT_THROW(loop.restore(path), std::runtime_error);
+  }
+
+  // Corrupt length prefix: the serve.batch_occupancy bucket count (17
+  // buckets) sits after the fixed-width fingerprint, whose only
+  // variable-length field is the backend name, and the three clock words
+  // and two batch counters. A count the file cannot hold must fail as a
+  // parse error, not as a huge allocation; a small wrong count must not
+  // reach the metrics registry.
+  const std::size_t bucket_count_at =
+      173 + std::string(nn::kernels::active_backend().name).size();
+  ASSERT_EQ(util::ByteReader(std::string_view(good).substr(bucket_count_at),
+                             "test")
+                .u64(),
+            17u);
+  for (std::uint64_t count : {1ULL << 44, 1ULL << 62, 2ULL}) {
+    SCOPED_TRACE(count);
+    bad = good;
+    for (int b = 0; b < 8; ++b) {
+      bad[bucket_count_at + b] = static_cast<char>(count >> (8 * b));
+    }
+    util::write_file_atomic(path, bad);
     ServeLoop loop(*experiment_, cfg);
     EXPECT_THROW(loop.restore(path), std::runtime_error);
   }
