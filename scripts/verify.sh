@@ -101,7 +101,7 @@ verify_kernels_config() {
   cmake -B "$dir" -S "$repo" -DORIGIN_SANITIZE="$sanitizer" "$@" >/dev/null
   cmake --build "$dir" -j "$jobs" --target \
       test_kernels test_train_kernels test_serialize test_simulator \
-      test_fleet test_fleet_runner test_obs
+      test_fleet test_fleet_runner test_fleet_baselines test_obs
   # `-L 'nn|fleet'` is a regex OR (labels nn, fleet, obs-fleet); repeating
   # -L would intersect.
   ctest --test-dir "$dir" -L 'nn|fleet' --output-on-failure -j "$jobs"

@@ -1,7 +1,5 @@
 #include "core/baseline.hpp"
 
-#include <stdexcept>
-
 namespace origin::core {
 
 const char* to_string(BaselineKind k) {
@@ -10,33 +8,6 @@ const char* to_string(BaselineKind k) {
     case BaselineKind::BL2: return "Baseline-2";
   }
   return "?";
-}
-
-FullyPoweredBaseline::FullyPoweredBaseline(
-    std::array<nn::Sequential*, data::kNumSensors> models, int num_classes,
-    std::string name)
-    : models_(models), num_classes_(num_classes), name_(std::move(name)) {
-  for (auto* m : models_) {
-    if (!m) throw std::invalid_argument("FullyPoweredBaseline: null model");
-  }
-  if (num_classes <= 0) {
-    throw std::invalid_argument("FullyPoweredBaseline: num_classes <= 0");
-  }
-}
-
-int FullyPoweredBaseline::classify_slot(
-    const std::array<nn::Tensor, data::kNumSensors>& windows) {
-  std::vector<Ballot> ballots;
-  ballots.reserve(data::kNumSensors);
-  for (int s = 0; s < data::kNumSensors; ++s) {
-    const auto si = static_cast<std::size_t>(s);
-    last_votes_[si] = net::make_classification(
-        models_[si]->predict_proba(windows[si]));
-    ballots.push_back({last_votes_[si].predicted_class, 1.0,
-                       static_cast<double>(s)});
-  }
-  const auto winner = majority_vote(ballots, num_classes_);
-  return winner.value();  // three ballots always yield a winner
 }
 
 }  // namespace origin::core

@@ -1,46 +1,14 @@
 // The paper's comparison points (§IV-C): Baseline-1 (original per-sensor
 // DNNs, no pruning) and Baseline-2 (the same DNNs pruned to the harvested
 // power budget). Both run on a fully-powered steady supply and aggregate
-// with plain majority voting every slot.
+// with plain majority voting every slot; sim::Experiment::run_fully_powered
+// runs them.
 #pragma once
-
-#include <array>
-#include <string>
-
-#include "core/ensemble.hpp"
-#include "data/activity.hpp"
-#include "net/message.hpp"
-#include "nn/model.hpp"
 
 namespace origin::core {
 
 enum class BaselineKind { BL1 = 1, BL2 = 2 };
 
 const char* to_string(BaselineKind k);
-
-class FullyPoweredBaseline {
- public:
-  /// `models` are borrowed and must outlive the baseline.
-  FullyPoweredBaseline(std::array<nn::Sequential*, data::kNumSensors> models,
-                       int num_classes, std::string name);
-
-  /// Fresh inference on every sensor + unweighted majority vote
-  /// (tie-break: fixed sensor priority — chest, ankle, wrist index order).
-  int classify_slot(const std::array<nn::Tensor, data::kNumSensors>& windows);
-
-  /// The per-sensor classifications of the most recent classify_slot().
-  const std::array<net::Classification, data::kNumSensors>& last_votes() const {
-    return last_votes_;
-  }
-
-  const std::string& name() const { return name_; }
-  int num_classes() const { return num_classes_; }
-
- private:
-  std::array<nn::Sequential*, data::kNumSensors> models_;
-  std::array<net::Classification, data::kNumSensors> last_votes_;
-  int num_classes_;
-  std::string name_;
-};
 
 }  // namespace origin::core

@@ -5,6 +5,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/ensemble.hpp"
+#include "net/message.hpp"
+
 namespace origin::sim {
 
 const char* to_string(ModelSet m) {
@@ -177,60 +180,98 @@ SimResult Experiment::run_fully_powered(
   // the pruned networks on a steady supply equal to the average harvested
   // power, which sustains one inference per `energy_ratio` slots per
   // sensor. Sensors run on a fixed staggered duty cycle; the host keeps
-  // each sensor's most recent result and majority-votes naively.
-  core::FullyPoweredBaseline baseline(
-      {&models[0], &models[1], &models[2]}, system_.spec.num_classes(),
-      to_string(kind));
+  // each sensor's most recent result and majority-votes naively
+  // (tie-break: fixed sensor priority — chest, ankle, wrist index order).
+  //
+  // BL-1 is the duty cycle with period 1. Neither schedule depends on a
+  // result, so the runner gathers a block of slots, classifies each
+  // sensor's due windows as one panel (row b of a panel is bit-identical
+  // to a single-sample predict_proba) and then votes slot by slot. A
+  // block never exceeds the source's lookback, so every gathered window
+  // is still live when its panel runs.
+  const bool bl1 = kind == core::BaselineKind::BL1;
+  const int period =
+      bl1 ? 1 : std::max(1, static_cast<int>(std::lround(config_.energy_ratio)));
+  const int stagger = !bl1 && config_.bl2_staggered
+                          ? std::max(1, period / data::kNumSensors)
+                          : 0;
+  const auto due = [&](std::size_t i, int s) {
+    return static_cast<int>(i) % period == (s * stagger) % period;
+  };
+  constexpr std::size_t kMaxBlock = 32;
+  const std::size_t block =
+      std::max<std::size_t>(1, std::min(kMaxBlock, source.lookback()));
+  const int num_classes = system_.spec.num_classes();
+
   SimResult result;
-  result.accuracy = AccuracyTracker(system_.spec.num_classes());
-
-  if (kind == core::BaselineKind::BL1) {
-    for (std::size_t i = 0; i < source.size(); ++i) {
-      const data::SlotSample& slot = source.slot(i);
-      const int predicted = baseline.classify_slot(slot.windows);
-      result.outputs.push_back(predicted);
-      result.accuracy.record(slot.label, predicted);
-      ++result.completion.slots;
-      result.completion.attempts += data::kNumSensors;
-      result.completion.completions += data::kNumSensors;
-      ++result.completion.slots_all_completed;
-      ++result.completion.slots_some_completed;
-    }
-    return result;
-  }
-
-  const int period = std::max(1, static_cast<int>(std::lround(config_.energy_ratio)));
-  const int stagger =
-      config_.bl2_staggered ? std::max(1, period / data::kNumSensors) : 0;
+  result.accuracy = AccuracyTracker(num_classes);
+  std::array<std::vector<const nn::Tensor*>, data::kNumSensors> panels;
+  std::array<std::vector<float>, data::kNumSensors> probs;
+  std::array<std::size_t, data::kNumSensors> row_width{};
+  std::vector<int> labels;
+  std::vector<core::Ballot> ballots;
   std::array<net::Classification, data::kNumSensors> votes;
-  for (std::size_t i = 0; i < source.size(); ++i) {
-    const data::SlotSample& slot = source.slot(i);
-    ++result.completion.slots;
-    for (int s = 0; s < data::kNumSensors; ++s) {
-      const auto si = static_cast<std::size_t>(s);
-      if (static_cast<int>(i) % period == (s * stagger) % period) {
+  int previous_output = -1;
+  for (std::size_t begin = 0; begin < source.size(); begin += block) {
+    const std::size_t end = std::min(source.size(), begin + block);
+    labels.clear();
+    for (auto& panel : panels) panel.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      const data::SlotSample& slot = source.slot(i);
+      labels.push_back(slot.label);
+      for (int s = 0; s < data::kNumSensors; ++s) {
+        if (due(i, s)) {
+          panels[static_cast<std::size_t>(s)].push_back(
+              &slot.windows[static_cast<std::size_t>(s)]);
+        }
+      }
+    }
+    for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+      row_width[s] = models[s].predict_proba_batch_into(
+          panels[s].data(), panels[s].size(), probs[s]);
+    }
+    std::array<std::size_t, data::kNumSensors> next_row{};
+    for (std::size_t i = begin; i < end; ++i) {
+      std::size_t attempted = 0;
+      for (int s = 0; s < data::kNumSensors; ++s) {
+        const auto si = static_cast<std::size_t>(s);
+        if (!due(i, s)) continue;
+        const float* row = probs[si].data() + next_row[si]++ * row_width[si];
         votes[si] = net::make_classification(
-            models[si].predict_proba(slot.windows[si]));
-        ++result.completion.attempts;
-        ++result.completion.completions;
+            std::vector<float>(row, row + row_width[si]));
         ++result.scheduled[si];
+        ++attempted;
       }
-    }
-    std::vector<core::Ballot> ballots;
-    for (int s = 0; s < data::kNumSensors; ++s) {
-      const auto si = static_cast<std::size_t>(s);
-      if (votes[si].valid()) {
-        ballots.push_back({votes[si].predicted_class, 1.0,
-                           static_cast<double>(s)});
+      // A fully powered sensor completes every attempt.
+      ++result.completion.slots;
+      result.completion.attempts += attempted;
+      result.completion.completions += attempted;
+      if (attempted > 0) {
+        ++result.completion.slots_all_completed;
+        ++result.completion.slots_some_completed;
       }
+      ballots.clear();
+      for (int s = 0; s < data::kNumSensors; ++s) {
+        const auto si = static_cast<std::size_t>(s);
+        if (votes[si].valid()) {
+          ballots.push_back({votes[si].predicted_class, 1.0,
+                             static_cast<double>(s)});
+        }
+      }
+      const int predicted =
+          ballots.empty() ? -1
+                          : core::majority_vote(ballots, num_classes).value();
+      result.outputs.push_back(predicted);
+      result.accuracy.record(labels[i - begin], predicted);
+      // Same stability rule as SlotStepper::step_finish.
+      if (predicted != previous_output && predicted >= 0 &&
+          previous_output >= 0) {
+        ++result.output_transitions;
+      }
+      if (predicted >= 0) previous_output = predicted;
     }
-    const int predicted =
-        ballots.empty()
-            ? -1
-            : core::majority_vote(ballots, system_.spec.num_classes()).value();
-    result.outputs.push_back(predicted);
-    result.accuracy.record(slot.label, predicted);
   }
+  result.validate(source.size());
   return result;
 }
 

@@ -184,6 +184,8 @@ TEST_F(FleetRunnerTest, BaselinesMatchExperimentOracle) {
     EXPECT_EQ(r.sim_results[j].completion.attempts, oracle.completion.attempts);
     EXPECT_EQ(r.sim_results[j].completion.completions,
               oracle.completion.completions);
+    EXPECT_EQ(r.sim_results[j].output_transitions, oracle.output_transitions);
+    EXPECT_EQ(r.sim_results[j].scheduled, oracle.scheduled);
     EXPECT_EQ(r.jobs[j].accuracy, oracle.accuracy.overall());
   }
 }
