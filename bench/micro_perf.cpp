@@ -306,6 +306,20 @@ void BM_WindowSynthesis(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowSynthesis);
 
+/// Stepping over one window's draws without synthesizing it: what the
+/// stream cursor pays for a window nobody reads. Track it against
+/// BM_WindowSynthesis; the ratio is the saving per unread window.
+void BM_WindowSkip(benchmark::State& state) {
+  const auto spec = data::dataset_spec(data::DatasetKind::MHealthLike);
+  const data::SignalModel model(spec, data::reference_user());
+  util::Rng rng(3);
+  for (auto _ : state) {
+    model.skip_window(rng);
+    benchmark::DoNotOptimize(rng);
+  }
+}
+BENCHMARK(BM_WindowSkip);
+
 /// The preserved oracle loop — the before/after pair for the synthesis
 /// kernel (see EXPERIMENTS.md; the two are bit-identical by test).
 void BM_WindowSynthesisReference(benchmark::State& state) {
@@ -319,27 +333,29 @@ void BM_WindowSynthesisReference(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowSynthesisReference);
 
-/// N slots (3 windows each) synthesized into pooled buffers — the stream
-/// generator's steady state: zero allocation after warm-up. items/s =
-/// windows/s.
+/// A stream cursor's steady state with Arg windows read per slot, lower
+/// sensors first; the others are skipped. Arg 3 is a baseline that reads
+/// every sensor, Arg 1 a scheduler that samples one sensor per slot.
+/// Pooled ring buffers, so zero allocation after warm-up; the rewind every
+/// 120 slots redraws no windows. items/s = slots/s.
 void BM_WindowSynthesisBatch(benchmark::State& state) {
   const auto spec = data::dataset_spec(data::DatasetKind::MHealthLike);
-  const data::SignalModel model(spec, data::reference_user());
-  util::Rng rng(3);
-  std::array<nn::Tensor, data::kNumSensors> slot;
-  const int slots = static_cast<int>(state.range(0));
+  data::StreamCursor cursor(spec, 120, data::reference_user(), 3);
+  const auto reads = static_cast<std::size_t>(state.range(0));
+  std::size_t i = 0;
   for (auto _ : state) {
-    for (int i = 0; i < slots; ++i) {
-      const auto style =
-          data::draw_shared_style(spec, data::Activity::Running, rng, 0.33);
-      model.synthesize_slot(slot, data::Activity::Running, 0.5 * i, rng,
-                            style);
-      benchmark::DoNotOptimize(slot[0].data());
+    if (i == cursor.size()) {
+      cursor.reset();
+      i = 0;
+    }
+    const data::SlotSample& slot = cursor.slot(i++);
+    for (std::size_t s = 0; s < reads; ++s) {
+      benchmark::DoNotOptimize(slot.window(s).data());
     }
   }
-  state.SetItemsProcessed(state.iterations() * slots * data::kNumSensors);
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_WindowSynthesisBatch)->Arg(8)->Arg(32);
+BENCHMARK(BM_WindowSynthesisBatch)->Arg(1)->Arg(3);
 
 /// Materializing a full stream up front — what every job paid pre-cursor.
 void BM_StreamMaterialize(benchmark::State& state) {
@@ -363,7 +379,10 @@ void BM_StreamCursorDrain(benchmark::State& state) {
   for (auto _ : state) {
     cursor.rebind(data::reference_user(), seed++);
     for (std::size_t i = 0; i < cursor.size(); ++i) {
-      benchmark::DoNotOptimize(cursor.slot(i));
+      const data::SlotSample& slot = cursor.slot(i);
+      for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+        benchmark::DoNotOptimize(slot.window(s).data());
+      }
     }
   }
   state.SetItemsProcessed(state.iterations() * 120 * data::kNumSensors);
@@ -469,7 +488,7 @@ void register_backend_variants() {
           BackendScope scope(b->name);
           BM_WindowSynthesisBatch(state);
         })
-        ->Arg(32);
+        ->Arg(3);
   }
 }
 

@@ -7,6 +7,22 @@
 
 namespace origin::data {
 
+SlotSample::SlotSample(const SlotSample& other) { *this = other; }
+
+SlotSample& SlotSample::operator=(const SlotSample& other) {
+  if (this == &other) return *this;
+  // Materialize the source in sensor order (a lazy source synthesizes its
+  // unread windows now), then copy plain values.
+  for (std::size_t s = 0; s < windows_.size(); ++s) windows_[s] = other.window(s);
+  label = other.label;
+  activity = other.activity;
+  t0_s = other.t0_s;
+  ambiguous = other.ambiguous;
+  state_.fill(WindowState::Ready);
+  cursor_ = nullptr;
+  return *this;
+}
+
 nn::Samples make_training_set(const DatasetSpec& spec, SensorLocation loc,
                               int per_class, const UserProfile& user,
                               std::uint64_t seed) {

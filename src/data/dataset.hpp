@@ -1,9 +1,12 @@
 // Dataset builders: i.i.d. labeled windows for training/calibration, and
 // time-continuous multi-sensor streams (Markov activity sequence) for the
-// scheduling/ensemble simulations.
+// scheduling/ensemble simulations. A slot served by a StreamCursor
+// synthesizes each window on its first read (see SlotSample); a
+// materialized Stream holds every window.
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -15,8 +18,19 @@
 
 namespace origin::data {
 
+namespace detail {
+class CursorState;
+}
+
 /// One scheduler slot of the synchronized body-area network stream: the
 /// ground-truth activity and the window each sensor would sample.
+///
+/// A slot served by a StreamCursor is lazy: its windows' randomness has
+/// been drawn (or is next in the stream), but a window is synthesized only
+/// on its first window() read, so a sensor that never samples never costs
+/// a synthesis. Copying a slot materializes it: the copy holds all three
+/// windows and no hook into the cursor. (A move is a copy, so a cursor's
+/// ring entry can never be moved out from under it.)
 struct SlotSample {
   int label = 0;
   Activity activity = Activity::Walking;
@@ -24,7 +38,35 @@ struct SlotSample {
   /// True when this instant was a whole-body ambiguous moment (analysis
   /// only; policies never see it).
   bool ambiguous = false;
-  std::array<nn::Tensor, kNumSensors> windows;
+
+  SlotSample() = default;
+  SlotSample(const SlotSample& other);
+  SlotSample& operator=(const SlotSample& other);
+
+  /// Sensor `s`'s window, synthesized on the first read. The reference
+  /// stays valid as long as the slot does.
+  const nn::Tensor& window(std::size_t s) const {
+    return state_[s] == WindowState::Ready ? windows_[s] : read_lazy(s);
+  }
+
+ private:
+  friend class detail::CursorState;
+
+  enum class WindowState : std::uint8_t {
+    Ready,     // windows_[s] holds the window
+    Draws,     // its draws are still ahead of the cursor's stream RNG
+    Snapshot,  // snapshots_[s] is the stream RNG where its draws begin
+  };
+
+  const nn::Tensor& read_lazy(std::size_t s) const;
+
+  std::array<nn::Tensor, kNumSensors> windows_;
+  std::array<WindowState, kNumSensors> state_{};
+  /// Lazy slots only: the owning cursor's synthesis state, the style all
+  /// three windows share, and the RNG snapshots of skipped windows.
+  detail::CursorState* cursor_ = nullptr;
+  SharedStyle style_;
+  std::array<util::Rng, kNumSensors> snapshots_;
 };
 
 struct Stream {

@@ -257,13 +257,12 @@ nn::Tensor SignalModel::window(Activity a, SensorLocation loc, double t0_s,
   return out;
 }
 
-void SignalModel::synthesize_slot(std::array<nn::Tensor, kNumSensors>& out,
-                                  Activity a, double t0_s, util::Rng& rng,
-                                  const SharedStyle& style) const {
-  for (int s = 0; s < kNumSensors; ++s) {
-    synthesize_window(out[static_cast<std::size_t>(s)], a,
-                      static_cast<SensorLocation>(s), t0_s, rng, style);
-  }
+void SignalModel::skip_window(util::Rng& rng) const {
+  // synthesize_window's draws under a supplied style: the window phase,
+  // the wobble, then channels x window_len noise samples.
+  rng.uniform();
+  rng.skip_gauss(1 + static_cast<std::size_t>(spec_.channels) *
+                         static_cast<std::size_t>(spec_.window_len));
 }
 
 void SignalModel::synthesize_window(nn::Tensor& out, Activity a,

@@ -107,12 +107,12 @@ class SignalModel {
                          double t0_s, util::Rng& rng,
                          std::optional<SharedStyle> style = std::nullopt) const;
 
-  /// All three sensors of one slot under one shared style, filling the
-  /// caller's buffers. RNG draw order is sensor 0, 1, 2 — exactly the
-  /// stream generator's loop.
-  void synthesize_slot(std::array<nn::Tensor, kNumSensors>& out, Activity a,
-                       double t0_s, util::Rng& rng,
-                       const SharedStyle& style) const;
+  /// Advances `rng` past exactly the draws synthesize_window makes when a
+  /// style is supplied (the window phase, the amplitude wobble, then one
+  /// noise draw per sample) without synthesizing anything. The stream
+  /// cursor uses it to step over windows nobody reads; the two functions
+  /// sit side by side so the draw order is defined in one file.
+  void skip_window(util::Rng& rng) const;
 
   /// The original implementation, preserved as the bit-identity oracle
   /// for the kernel path (and benchmarked as the pre-kernel baseline).

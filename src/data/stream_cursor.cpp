@@ -7,13 +7,111 @@
 
 namespace origin::data {
 
+namespace detail {
+
+constexpr std::size_t kSensors = static_cast<std::size_t>(kNumSensors);
+
+/// What a cursor's lazy slots synthesize from. It lives on the heap so the
+/// ring entries' pointers to it survive moves of the cursor.
+///
+/// The frontier is the newest slot and the first of its sensors whose
+/// draws are still ahead of `rng`. Older slots and lower sensors have had
+/// their draws used: each of their windows is Ready or holds a Snapshot.
+class CursorState {
+ public:
+  CursorState(std::optional<double> snr_db, std::size_t ring_capacity)
+      : snr_db_(snr_db), ring_(ring_capacity) {
+    for (auto& slot : ring_) slot.cursor_ = this;
+  }
+
+  std::optional<SignalModel> model;
+  util::Rng rng{0};
+  std::uint64_t windows_synthesized = 0;
+
+  std::size_t capacity() const { return ring_.size(); }
+  const SlotSample& at(std::size_t i) const { return ring_[i % ring_.size()]; }
+
+  /// Uses up the draws of the frontier's unread windows, which come before
+  /// the next slot's draws in the stream.
+  void close_frontier() {
+    if (!frontier_) return;
+    while (frontier_next_ < kSensors) pass(*frontier_, frontier_next_++);
+    frontier_ = nullptr;
+  }
+
+  /// Forgets the frontier without using its draws (reset, rebind).
+  void drop_frontier() { frontier_ = nullptr; }
+
+  /// Recycles slot i's ring entry as the new frontier, all three windows'
+  /// draws still ahead. The caller fills in the public fields.
+  SlotSample& open_slot(std::size_t i, const SharedStyle& style) {
+    SlotSample& slot = ring_[i % ring_.size()];
+    slot.style_ = style;
+    slot.state_.fill(SlotSample::WindowState::Draws);
+    frontier_ = &slot;
+    frontier_next_ = 0;
+    return slot;
+  }
+
+  const nn::Tensor& read(const SlotSample& lazy, std::size_t s) {
+    SlotSample& slot = ring_[static_cast<std::size_t>(&lazy - ring_.data())];
+    if (slot.state_[s] == SlotSample::WindowState::Snapshot) {
+      util::Rng replay = slot.snapshots_[s];
+      synthesize(slot, s, replay);
+    } else {
+      if (&slot != frontier_) {
+        throw std::logic_error("SlotSample::window: slot is no longer live");
+      }
+      while (frontier_next_ < s) pass(slot, frontier_next_++);
+      synthesize(slot, s, rng);
+      frontier_next_ = s + 1;
+    }
+    return slot.windows_[s];
+  }
+
+ private:
+  void synthesize(SlotSample& slot, std::size_t s, util::Rng& from) {
+    nn::Tensor& w = slot.windows_[s];
+    model->synthesize_window(w, slot.activity, static_cast<SensorLocation>(s),
+                             slot.t0_s, from, slot.style_);
+    if (snr_db_) add_gaussian_noise_snr(w, *snr_db_, from);
+    slot.state_[s] = SlotSample::WindowState::Ready;
+    ++windows_synthesized;
+  }
+
+  /// Uses up an unread window's draws: remember where they begin and step
+  /// over them. SNR noise draws a number of values that depends on the
+  /// window's power, so under snr_db the window is synthesized instead.
+  void pass(SlotSample& slot, std::size_t s) {
+    if (snr_db_) {
+      synthesize(slot, s, rng);
+      return;
+    }
+    slot.snapshots_[s] = rng;
+    model->skip_window(rng);
+    slot.state_[s] = SlotSample::WindowState::Snapshot;
+  }
+
+  std::optional<double> snr_db_;
+  std::vector<SlotSample> ring_;  // slot i lives at ring_[i % capacity]
+  SlotSample* frontier_ = nullptr;
+  std::size_t frontier_next_ = kSensors;
+};
+
+}  // namespace detail
+
+const nn::Tensor& SlotSample::read_lazy(std::size_t s) const {
+  return cursor_->read(*this, s);
+}
+
 StreamCursor::StreamCursor(DatasetSpec spec, int num_slots,
                            StreamConfig config, int ring_capacity)
     : spec_(std::move(spec)), config_(config), num_slots_(num_slots) {
   if (num_slots_ <= 0) {
     throw std::invalid_argument("StreamCursor: num_slots <= 0");
   }
-  ring_.resize(static_cast<std::size_t>(std::max(1, ring_capacity)));
+  state_ = std::make_unique<detail::CursorState>(
+      config_.snr_db, static_cast<std::size_t>(std::max(1, ring_capacity)));
 }
 
 StreamCursor::StreamCursor(DatasetSpec spec, int num_slots,
@@ -23,33 +121,47 @@ StreamCursor::StreamCursor(DatasetSpec spec, int num_slots,
   rebind(user, seed);
 }
 
+StreamCursor::StreamCursor(StreamCursor&&) noexcept = default;
+StreamCursor& StreamCursor::operator=(StreamCursor&&) noexcept = default;
+StreamCursor::~StreamCursor() = default;
+
+std::size_t StreamCursor::lookback() const { return state_->capacity(); }
+
+std::uint64_t StreamCursor::windows_synthesized() const {
+  return state_->windows_synthesized;
+}
+
 void StreamCursor::rebind(const UserProfile& user, std::uint64_t seed) {
   user_ = user;
   seed_ = seed;
-  model_.emplace(spec_, user_);
-  rng_ = util::Rng(seed_);
+  detail::CursorState& st = *state_;
+  st.model.emplace(spec_, user_);
+  st.rng = util::Rng(seed_);
 
   // Same draw sequence as make_stream: the Markov activity segments come
   // out of the stream RNG first, then everything per-slot.
   const double total_s = static_cast<double>(num_slots_) * spec_.slot_seconds() +
                          spec_.window_seconds();
   const ActivityMarkov markov(spec_, config_.markov);
-  segments_ = markov.generate(total_s, rng_);
-  rng_checkpoint_ = rng_;
+  segments_ = markov.generate(total_s, st.rng);
+  rng_checkpoint_ = st.rng;
   reset();
 }
 
 void StreamCursor::reset() {
-  if (!model_) {
+  detail::CursorState& st = *state_;
+  if (!st.model) {
     throw std::logic_error("StreamCursor::reset: no stream bound");
   }
-  rng_ = rng_checkpoint_;
+  st.drop_frontier();
+  st.rng = rng_checkpoint_;
+  st.windows_synthesized = 0;
   next_ = 0;
   anchor_gap_ = std::max(1, config_.style_anchor_slots);
-  u_prev_ = rng_.uniform(0.8, 2.4);
-  u_next_ = rng_.uniform(0.8, 2.4);
-  g_prev_ = rng_.gauss();
-  g_next_ = rng_.gauss();
+  u_prev_ = st.rng.uniform(0.8, 2.4);
+  u_next_ = st.rng.uniform(0.8, 2.4);
+  g_prev_ = st.rng.gauss();
+  g_next_ = st.rng.gauss();
   amb_active_ = false;
   episode_ = SharedStyle{};
   episode_activity_ = Activity::Walking;
@@ -59,48 +171,50 @@ const SlotSample& StreamCursor::slot(std::size_t i) {
   if (i >= size()) {
     throw std::out_of_range("StreamCursor::slot: index past end of stream");
   }
-  if (!model_) {
+  if (!state_->model) {
     throw std::logic_error("StreamCursor::slot: rebind() a stream first");
   }
-  if (i + ring_.size() < next_) {
+  if (i + state_->capacity() < next_) {
     throw std::logic_error(
         "StreamCursor::slot: slot recycled (increase ring_capacity)");
   }
   while (next_ <= i) advance();
-  return ring_[i % ring_.size()];
+  return state_->at(i);
 }
 
 void StreamCursor::advance() {
-  // One iteration of the make_stream slot loop, drawing from rng_ in the
-  // exact same order; see dataset.cpp for the rationale of each step.
+  // One iteration of the make_stream slot loop, drawing from the stream
+  // RNG in the exact same order; see dataset.cpp for the rationale of
+  // each step. The previous slot's unread windows go first.
+  detail::CursorState& st = *state_;
+  st.close_frontier();
+  util::Rng& rng = st.rng;
   const int i = static_cast<int>(next_);
   const double slot_s = spec_.slot_seconds();
-  SlotSample& slot = ring_[next_ % ring_.size()];
-  slot.t0_s = static_cast<double>(i) * slot_s;
-  slot.activity =
-      activity_at(segments_, slot.t0_s + 0.5 * spec_.window_seconds());
-  slot.label = spec_.class_of(slot.activity);
+  const double t0_s = static_cast<double>(i) * slot_s;
+  const Activity activity =
+      activity_at(segments_, t0_s + 0.5 * spec_.window_seconds());
 
   if (i % anchor_gap_ == 0 && i > 0) {
     u_prev_ = u_next_;
     g_prev_ = g_next_;
-    u_next_ = rng_.uniform(0.8, 2.4);
-    g_next_ = rng_.gauss();
+    u_next_ = rng.uniform(0.8, 2.4);
+    g_next_ = rng.gauss();
   }
   const double frac = static_cast<double>(i % anchor_gap_) / anchor_gap_;
 
   if (amb_active_ &&
-      (episode_activity_ != slot.activity ||
-       rng_.bernoulli(std::min(1.0, slot_s / config_.ambiguous_len_s)))) {
+      (episode_activity_ != activity ||
+       rng.bernoulli(std::min(1.0, slot_s / config_.ambiguous_len_s)))) {
     amb_active_ = false;
   }
   if (!amb_active_ &&
-      rng_.bernoulli(std::min(1.0, slot_s / config_.ambiguous_gap_s))) {
-    SharedStyle fresh = draw_shared_style(spec_, slot.activity, rng_, 1.0);
+      rng.bernoulli(std::min(1.0, slot_s / config_.ambiguous_gap_s))) {
+    SharedStyle fresh = draw_shared_style(spec_, activity, rng, 1.0);
     if (fresh.ambiguous_with) {
       amb_active_ = true;
       episode_ = fresh;
-      episode_activity_ = slot.activity;
+      episode_activity_ = activity;
     }
   }
 
@@ -111,14 +225,12 @@ void StreamCursor::advance() {
     style.ambiguous_with = episode_.ambiguous_with;
     style.ambiguity_mix = episode_.ambiguity_mix;
   }
-  slot.ambiguous = style.ambiguous_with.has_value();
 
-  for (int s = 0; s < kNumSensors; ++s) {
-    const auto loc = static_cast<SensorLocation>(s);
-    nn::Tensor& w = slot.windows[static_cast<std::size_t>(s)];
-    model_->synthesize_window(w, slot.activity, loc, slot.t0_s, rng_, style);
-    if (config_.snr_db) add_gaussian_noise_snr(w, *config_.snr_db, rng_);
-  }
+  SlotSample& slot = st.open_slot(next_, style);
+  slot.t0_s = t0_s;
+  slot.activity = activity;
+  slot.label = spec_.class_of(activity);
+  slot.ambiguous = style.ambiguous_with.has_value();
   ++next_;
 }
 

@@ -5,14 +5,27 @@
 // the simulator only ever looks at the current slot, so a fleet job's
 // working set is really O(ring), not O(slots). StreamCursor keeps
 // the make_stream state machine (Markov segments, style anchors,
-// ambiguous-episode process) and synthesizes each slot exactly when it is
+// ambiguous-episode process) and advances it exactly when a slot is
 // first requested, recycling ring slots whose tensors are reshaped in
 // place — zero steady-state allocation. make_stream itself drains a
 // cursor, so the two can never diverge: cursor slots are bit-identical to
 // the materialized stream by construction.
+//
+// Windows are lazy. Every slot draws all three windows' randomness from
+// the one stream RNG in make_stream's order, but a window is synthesized
+// only when SlotSample::window() reads it. A read of the newest slot in
+// sensor order synthesizes straight from the stream RNG. A window whose
+// draws are passed unread (a lower sensor read first, or the cursor moving
+// on) keeps a copy of the RNG where its draws begin and is stepped over
+// with SignalModel::skip_window, about a sixth of a synthesis; a later
+// read replays that copy. Only under StreamConfig::snr_db, whose noise
+// draw count depends on the window's power, is a passed window
+// synthesized on the spot. A scheduled run therefore synthesizes only the
+// windows its nodes sample, with the same bits as make_stream.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -67,47 +80,54 @@ class StreamCursor final : public SlotSource {
                std::uint64_t seed, StreamConfig config = {},
                int ring_capacity = kDefaultRingCapacity);
 
+  /// Moves keep every served slot live: ring entries point at synthesis
+  /// state on the heap, not at the cursor object.
+  StreamCursor(StreamCursor&&) noexcept;
+  StreamCursor& operator=(StreamCursor&&) noexcept;
+  ~StreamCursor() override;
+
   /// Re-targets the cursor at another (user, seed) stream, reusing the
   /// ring buffers and segment storage. This is the fleet runner's per-job
   /// reset: after the first job a worker's cursor never allocates again.
   void rebind(const UserProfile& user, std::uint64_t seed);
 
   /// Rewinds to slot 0 of the current stream (same seed, same bits).
+  /// Slots served before the rewind are no longer live.
   void reset();
 
   const DatasetSpec& spec() const override { return spec_; }
   std::size_t size() const override {
     return static_cast<std::size_t>(num_slots_);
   }
-  /// Synthesizes forward as needed. Throws std::logic_error when asked
-  /// for a slot that has already been recycled (i + lookback() behind).
+  /// Advances forward as needed. Throws std::logic_error when asked for a
+  /// slot that has already been recycled (i + lookback() behind). The
+  /// slot's windows are synthesized on their first window() read.
   const SlotSample& slot(std::size_t i) override;
-  std::size_t lookback() const override {
-    return ring_.size();
-  }
+  std::size_t lookback() const override;
 
   const UserProfile& user() const { return user_; }
   const std::vector<ActivitySegment>& segments() const { return segments_; }
-  /// Slots synthesized so far (the exclusive upper end of the window).
+  /// Slots advanced so far (the exclusive upper end of the window).
   std::size_t generated() const { return next_; }
+  /// Windows synthesized since the last rebind() or reset(): one per
+  /// window read, whatever the read order.
+  std::uint64_t windows_synthesized() const;
 
  private:
-  void advance();  // synthesize slot next_ into the ring
+  void advance();  // draw slot next_'s per-slot state into the ring
 
   DatasetSpec spec_;
   StreamConfig config_;
   int num_slots_ = 0;
   UserProfile user_;
   std::uint64_t seed_ = 0;
-  std::optional<SignalModel> model_;
   std::vector<ActivitySegment> segments_;
-  util::Rng rng_{0};
-  /// RNG state right after segment generation; reset() rewinds to it so a
-  /// replay draws the exact same per-slot sequence.
+  /// Stream RNG state right after segment generation; reset() rewinds to
+  /// it so a replay draws the exact same per-slot sequence.
   util::Rng rng_checkpoint_{0};
-
-  std::vector<SlotSample> ring_;  // slot i lives at ring_[i % capacity]
-  std::size_t next_ = 0;          // slots generated so far
+  /// Signal model, stream RNG, ring and frontier.
+  std::unique_ptr<detail::CursorState> state_;
+  std::size_t next_ = 0;  // slots advanced so far
 
   // make_stream's per-stream state machine.
   int anchor_gap_ = 1;

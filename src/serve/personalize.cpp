@@ -130,7 +130,7 @@ void Personalizer::buffer_step(PersonalizeState& state,
     PersonalizeState::BufferedSample sample;
     sample.label = slot.label;
     for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-      sample.windows[s] = slot.windows[s];
+      sample.windows[s] = slot.window(s);
     }
     state.buffer.push_back(std::move(sample));
     while (state.buffer.size() >

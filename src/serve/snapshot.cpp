@@ -4,7 +4,9 @@
 // active session (energy, NVP task, recall buffer, policy adaptation,
 // accumulated result); the stream cursors themselves are NOT stored —
 // synthesis is deterministic, so a restored session's cursor re-derives
-// its position lazily on the next step. Deterministic metrics are
+// its position lazily on the next step. That replay draws every earlier
+// slot's randomness but synthesizes no window nobody reads, so it mostly
+// steps over windows (SignalModel::skip_window). Deterministic metrics are
 // replayed from the logs in publish order, so a restored process's
 // metrics are bit-identical to one that never stopped.
 #include "serve/snapshot.hpp"

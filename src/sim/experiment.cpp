@@ -222,7 +222,7 @@ SimResult Experiment::run_fully_powered(
       for (int s = 0; s < data::kNumSensors; ++s) {
         if (due(i, s)) {
           panels[static_cast<std::size_t>(s)].push_back(
-              &slot.windows[static_cast<std::size_t>(s)]);
+              &slot.window(static_cast<std::size_t>(s)));
         }
       }
     }

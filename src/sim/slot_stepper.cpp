@@ -86,7 +86,7 @@ std::size_t SlotStepper::step_begin(std::vector<ClassifyRequest>& out) {
     }
     const auto si = static_cast<std::size_t>(s);
     ++result_.scheduled[si];
-    const nn::Tensor& window = slot.windows[si];
+    const nn::Tensor& window = slot.window(si);
     PendingAttempt pending;
     pending.sensor = s;
     pending.stored_before = nodes_[si].stored_j();

@@ -3,8 +3,9 @@
 // experiments are reproducible bit-for-bit across runs and platforms.
 #pragma once
 
-#include <cstdint>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace origin::util {
@@ -73,16 +74,28 @@ class Rng {
       has_gauss_ = false;
       return cached_gauss_;
     }
-    double u, v, s;
-    do {
-      u = uniform(-1.0, 1.0);
-      v = uniform(-1.0, 1.0);
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
+    double u, v;
+    const double s = polar_point(u, v);
     const double m = std::sqrt(-2.0 * std::log(s) / s);
     cached_gauss_ = v * m;
     has_gauss_ = true;
     return u * m;
+  }
+
+  /// Advances the state exactly as `n` gauss() calls would, without
+  /// computing the values. How many uniforms a polar pair consumes depends
+  /// only on the rejection test, so whole pairs skip the log/sqrt; only a
+  /// pair whose second value stays cached is computed in full.
+  void skip_gauss(std::size_t n) {
+    if (n > 0 && has_gauss_) {
+      has_gauss_ = false;
+      --n;
+    }
+    for (; n >= 2; n -= 2) {
+      double u, v;
+      polar_point(u, v);
+    }
+    if (n == 1) gauss();
   }
 
   double gauss(double mean, double stddev) { return mean + stddev * gauss(); }
@@ -124,6 +137,19 @@ class Rng {
   }
 
  private:
+  /// Draws uniform pairs until one lies strictly inside the unit circle;
+  /// returns its squared radius. gauss() and skip_gauss() share it, so both
+  /// take the same rejection decisions on the same draws.
+  double polar_point(double& u, double& v) {
+    double s;
+    do {
+      u = uniform(-1.0, 1.0);
+      v = uniform(-1.0, 1.0);
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+    return s;
+  }
+
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

@@ -122,27 +122,42 @@ TEST_F(DataGoldenTest, DrawnStylePathMatchesReference) {
   }
 }
 
-TEST_F(DataGoldenTest, SlotSynthesisMatchesPerWindowLoop) {
-  util::Rng style_rng(5);
-  const auto style = draw_shared_style(spec_, Activity::Jogging, style_rng,
-                                       1.0);
-  util::Rng rng_loop(314);
-  util::Rng rng_slot(314);
-  std::array<nn::Tensor, kNumSensors> want;
-  for (int s = 0; s < kNumSensors; ++s) {
-    model_.synthesize_window(want[static_cast<std::size_t>(s)],
-                             Activity::Jogging,
-                             static_cast<SensorLocation>(s), 2.0, rng_loop,
-                             style);
+TEST_F(DataGoldenTest, SkipWindowConsumesSynthesisDraws) {
+  // The stream cursor steps over unread windows with skip_window; it must
+  // leave the RNG exactly where synthesize_window would, for every pair
+  // and both with a plain and an ambiguous shared style.
+  util::Rng style_rng(6);
+  for (int a = 0; a < kNumActivityKinds; ++a) {
+    const auto act = static_cast<Activity>(a);
+    SharedStyle ambiguous;
+    do {
+      ambiguous = draw_shared_style(spec_, act, style_rng, 1.0);
+    } while (!ambiguous.ambiguous_with);
+    const SharedStyle plain = draw_shared_style(spec_, act, style_rng, 0.0);
+    ASSERT_FALSE(plain.ambiguous_with);
+    for (int s = 0; s < kNumSensors; ++s) {
+      for (const SharedStyle& style : {plain, ambiguous}) {
+        // With and without a cached gauss value in the RNG.
+        for (int cached = 0; cached < 2; ++cached) {
+          const std::uint64_t seed =
+              7000 + static_cast<std::uint64_t>(a * 10 + s);
+          util::Rng synthesized(seed), skipped(seed);
+          if (cached) {
+            synthesized.gauss();
+            skipped.gauss();
+          }
+          nn::Tensor w;
+          model_.synthesize_window(w, act, static_cast<SensorLocation>(s),
+                                   1.0, synthesized, style);
+          model_.skip_window(skipped);
+          ASSERT_EQ(skipped.gauss(), synthesized.gauss())
+              << "activity " << a << " sensor " << s << " cached " << cached;
+          ASSERT_EQ(skipped.next_u64(), synthesized.next_u64())
+              << "activity " << a << " sensor " << s << " cached " << cached;
+        }
+      }
+    }
   }
-  std::array<nn::Tensor, kNumSensors> got;
-  model_.synthesize_slot(got, Activity::Jogging, 2.0, rng_slot, style);
-  for (int s = 0; s < kNumSensors; ++s) {
-    EXPECT_TRUE(same_bits(got[static_cast<std::size_t>(s)],
-                          want[static_cast<std::size_t>(s)]))
-        << "sensor " << s;
-  }
-  EXPECT_EQ(rng_slot.next_u64(), rng_loop.next_u64());
 }
 
 // Golden values generated from the reference user on the MHealthLike spec
@@ -185,7 +200,9 @@ TEST_F(DataGoldenTest, StreamChecksumPinned) {
   for (const auto& slot : stream.slots) {
     h = fnv1a_mix(h, static_cast<std::uint64_t>(slot.label));
     h = fnv1a_mix(h, slot.ambiguous ? 1u : 0u);
-    for (const auto& w : slot.windows) h = fnv1a_mix(h, fnv1a(w));
+    for (std::size_t s = 0; s < kNumSensors; ++s) {
+      h = fnv1a_mix(h, fnv1a(slot.window(s)));
+    }
   }
   EXPECT_EQ(h, 0x765b89f29aebdae6ULL);
 }

@@ -60,8 +60,8 @@ TEST_F(DatasetTest, StreamBasics) {
   for (const auto& slot : stream.slots) {
     ASSERT_GE(slot.label, 0);
     ASSERT_LT(slot.label, spec.num_classes());
-    for (const auto& w : slot.windows) {
-      ASSERT_EQ(w.shape(), (std::vector<int>{6, 64}));
+    for (std::size_t s = 0; s < kNumSensors; ++s) {
+      ASSERT_EQ(slot.window(s).shape(), (std::vector<int>{6, 64}));
     }
   }
 }
@@ -130,8 +130,8 @@ TEST_F(DatasetTest, SnrConfigAddsNoise) {
   // Same seed, same labels; windows must differ substantially.
   double diff = 0.0;
   for (std::size_t i = 0; i < clean.slots.size(); ++i) {
-    for (std::size_t j = 0; j < clean.slots[i].windows[0].size(); ++j) {
-      diff += std::fabs(clean.slots[i].windows[0][j] - loud.slots[i].windows[0][j]);
+    for (std::size_t j = 0; j < clean.slots[i].window(0).size(); ++j) {
+      diff += std::fabs(clean.slots[i].window(0)[j] - loud.slots[i].window(0)[j]);
     }
   }
   EXPECT_GT(diff, 10.0);

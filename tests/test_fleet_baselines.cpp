@@ -103,7 +103,7 @@ SimResult single_sample_oracle(const Experiment& e, core::BaselineKind kind,
       const auto si = static_cast<std::size_t>(s);
       if (!cycle.due(i, s)) continue;
       votes[si] = net::make_classification(
-          models[si].predict_proba(slot.windows[si]));
+          models[si].predict_proba(slot.window(si)));
       ++result.completion.attempts;
       ++result.completion.completions;
       ++result.scheduled[si];

@@ -186,5 +186,27 @@ TEST(Rng, GaussCacheDoesNotBreakDeterminism) {
   }
 }
 
+TEST(Rng, SkipGaussAdvancesLikeGaussCalls) {
+  // Both cache states: an even number of earlier gauss() calls leaves no
+  // cached value, an odd number leaves one.
+  for (int earlier = 0; earlier < 2; ++earlier) {
+    for (std::size_t n = 0; n < 10; ++n) {
+      Rng called(2000 + n), skipped(2000 + n);
+      for (int k = 0; k < earlier; ++k) {
+        called.gauss();
+        skipped.gauss();
+      }
+      for (std::size_t k = 0; k < n; ++k) called.gauss();
+      skipped.skip_gauss(n);
+      for (int k = 0; k < 16; ++k) {
+        ASSERT_EQ(skipped.gauss(), called.gauss())
+            << "n " << n << " earlier " << earlier << " draw " << k;
+        ASSERT_EQ(skipped.next_u64(), called.next_u64())
+            << "n " << n << " earlier " << earlier << " draw " << k;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace origin::util

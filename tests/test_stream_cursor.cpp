@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <optional>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/conv1d.hpp"
@@ -27,8 +30,8 @@ void expect_slot_equal(const SlotSample& got, const SlotSample& want,
   EXPECT_EQ(got.t0_s, want.t0_s) << "slot " << i;
   EXPECT_EQ(got.ambiguous, want.ambiguous) << "slot " << i;
   for (int s = 0; s < kNumSensors; ++s) {
-    EXPECT_TRUE(same_bits(got.windows[static_cast<std::size_t>(s)],
-                          want.windows[static_cast<std::size_t>(s)]))
+    EXPECT_TRUE(same_bits(got.window(static_cast<std::size_t>(s)),
+                          want.window(static_cast<std::size_t>(s))))
         << "slot " << i << " sensor " << s;
   }
 }
@@ -110,6 +113,144 @@ TEST_F(StreamCursorTest, ValidatesConstruction) {
   EXPECT_THROW(unbound.reset(), std::logic_error);
   unbound.rebind(user(6), 9);
   EXPECT_NO_THROW(unbound.slot(0));
+}
+
+// --- lazy windows: out-of-order reads ---------------------------------------
+
+/// One planned window read: sensor `sensor` of slot `slot`.
+struct Read {
+  std::size_t slot;
+  std::size_t sensor;
+};
+
+/// Drives `cursor` through a seeded random read plan and checks every read
+/// against the materialized stream. Each slot reads a random sensor subset
+/// in shuffled order; some of the rest are deferred and read only after the
+/// cursor has moved past their slot (still within lookback). Returns the
+/// number of distinct windows read. Slots [from, to) are requested.
+std::size_t run_read_plan(StreamCursor& cursor, const Stream& want,
+                          util::Rng& plan, std::size_t from = 0,
+                          std::size_t to = ~std::size_t{0}) {
+  std::vector<Read> deferred;
+  std::size_t reads = 0;
+  const auto check = [&](const Read& r) {
+    const SlotSample& slot = cursor.slot(r.slot);
+    ASSERT_TRUE(same_bits(slot.window(r.sensor),
+                          want.slots[r.slot].window(r.sensor)))
+        << "slot " << r.slot << " sensor " << r.sensor;
+    ++reads;
+  };
+  for (std::size_t i = from; i < std::min(to, cursor.size()); ++i) {
+    const SlotSample& slot = cursor.slot(i);
+    EXPECT_EQ(slot.label, want.slots[i].label) << "slot " << i;
+    std::vector<std::size_t> sensors = {0, 1, 2};
+    plan.shuffle(sensors);
+    for (std::size_t s : sensors) {
+      const double u = plan.uniform();
+      if (u < 0.4) {
+        check({i, s});
+      } else if (u < 0.6) {
+        deferred.push_back({i, s});
+      }
+    }
+    // Deferred reads come due at random, but always before their slot
+    // leaves the ring.
+    std::vector<Read> keep;
+    for (const Read& r : deferred) {
+      const bool last_chance = r.slot + cursor.lookback() <= i + 1;
+      if (last_chance || plan.bernoulli(0.3)) {
+        check(r);
+      } else {
+        keep.push_back(r);
+      }
+    }
+    deferred.swap(keep);
+  }
+  for (const Read& r : deferred) check(r);
+  return reads;
+}
+
+TEST_F(StreamCursorTest, RandomReadPlanMatchesStream) {
+  const auto u = user(7);
+  const Stream stream = make_stream(spec_, 80, u, 4242);
+  for (int ring : {1, 3, 8}) {
+    StreamCursor cursor(spec_, 80, u, 4242, {}, ring);
+    util::Rng plan(100 + static_cast<std::uint64_t>(ring));
+    const std::size_t reads = run_read_plan(cursor, stream, plan);
+    // One synthesis per window read, in whatever order it was read.
+    EXPECT_EQ(cursor.windows_synthesized(), reads) << "ring " << ring;
+    EXPECT_LT(reads, 3 * cursor.size());
+  }
+}
+
+TEST_F(StreamCursorTest, RandomReadPlanMatchesStreamWithSnrNoise) {
+  // Under snr_db a passed window is synthesized on the spot, so the count
+  // is every window whose draws were used, not only those read.
+  StreamConfig config;
+  config.snr_db = 4.0;
+  const auto u = user(8);
+  const Stream stream = make_stream(spec_, 60, u, 515, config);
+  StreamCursor cursor(spec_, 60, u, 515, config, /*ring_capacity=*/6);
+  util::Rng plan(9);
+  run_read_plan(cursor, stream, plan);
+  EXPECT_GE(cursor.windows_synthesized(), 3 * (cursor.size() - 1));
+}
+
+TEST_F(StreamCursorTest, MovedCursorKeepsServedSlotsLive) {
+  const auto u = user(9);
+  const Stream stream = make_stream(spec_, 50, u, 31);
+  StreamCursor cursor(spec_, 50, u, 31, {}, /*ring_capacity=*/8);
+  util::Rng plan(77);
+  run_read_plan(cursor, stream, plan, 0, 20);
+  // Slot 19 is the frontier; slot 18's unread windows hold snapshots.
+  const SlotSample& frontier = cursor.slot(19);
+  const SlotSample& older = cursor.slot(18);
+
+  StreamCursor moved = std::move(cursor);
+  std::optional<StreamCursor> pooled;
+  pooled.emplace(std::move(moved));
+  EXPECT_TRUE(same_bits(frontier.window(2), stream.slots[19].window(2)));
+  EXPECT_TRUE(same_bits(older.window(1), stream.slots[18].window(1)));
+  run_read_plan(*pooled, stream, plan, 19);
+}
+
+TEST_F(StreamCursorTest, ResetAndRebindDropPendingWindows) {
+  const auto u = user(10);
+  const Stream stream = make_stream(spec_, 40, u, 66);
+  StreamCursor cursor(spec_, 40, u, 66, {}, /*ring_capacity=*/5);
+  util::Rng plan(5);
+  // Leave the frontier with unread windows, then rewind.
+  run_read_plan(cursor, stream, plan, 0, 13);
+  const SlotSample& stale = cursor.slot(13);
+  stale.window(1);
+  cursor.reset();
+  EXPECT_EQ(cursor.windows_synthesized(), 0u);
+  // Sensor 2's draws were still ahead of the stream; after the rewind
+  // they never come, so the old slot refuses to synthesize it.
+  EXPECT_THROW(stale.window(2), std::logic_error);
+  run_read_plan(cursor, stream, plan);
+
+  // Same again, re-targeted mid-stream at another user's stream.
+  const auto other = user(11);
+  const Stream other_stream = make_stream(spec_, 40, other, 67);
+  cursor.reset();
+  run_read_plan(cursor, stream, plan, 0, 22);
+  cursor.slot(22).window(0);
+  cursor.rebind(other, 67);
+  run_read_plan(cursor, other_stream, plan);
+}
+
+TEST_F(StreamCursorTest, CopiedSlotIsMaterialized) {
+  const auto u = user(12);
+  const Stream stream = make_stream(spec_, 10, u, 8);
+  StreamCursor cursor(spec_, 10, u, 8, {}, /*ring_capacity=*/2);
+  cursor.slot(3).window(2);
+  const SlotSample copy = cursor.slot(3);  // reads sensors 0 and 1 too
+  EXPECT_EQ(cursor.windows_synthesized(), 3u);
+  for (std::size_t i = 4; i < cursor.size(); ++i) cursor.slot(i);
+  // The source slot is recycled; the copy still holds every window.
+  EXPECT_THROW(cursor.slot(3), std::logic_error);
+  expect_slot_equal(copy, stream.slots[3], 3);
 }
 
 // --- simulator consumption -------------------------------------------------
@@ -199,6 +340,73 @@ TEST_F(CursorSimulationTest, BorrowedModelsMatchOwnedModels) {
   const auto c = again.run(stream);
   expect_same_results(a, b);
   expect_same_results(a, c);
+}
+
+// --- what the lazy cursor synthesizes ---------------------------------------
+
+class CursorCountTest : public ::testing::Test {
+ protected:
+  static constexpr int kSlots = 240;
+
+  static void SetUpTestSuite() {
+    sim::ExperimentConfig cfg;
+    cfg.pipeline.train_per_class = 12;
+    cfg.pipeline.calib_per_class = 6;
+    cfg.pipeline.test_per_class = 6;
+    cfg.pipeline.train.epochs = 2;
+    cfg.pipeline.use_cache = false;
+    cfg.pipeline.seed = 4242;
+    cfg.stream_slots = kSlots;
+    experiment_ = new sim::Experiment(cfg);
+  }
+  static void TearDownTestSuite() {
+    delete experiment_;
+    experiment_ = nullptr;
+  }
+
+  static std::uint64_t sum(const std::array<std::uint64_t, kNumSensors>& a) {
+    return a[0] + a[1] + a[2];
+  }
+
+  static sim::Experiment* experiment_;
+};
+
+sim::Experiment* CursorCountTest::experiment_ = nullptr;
+
+TEST_F(CursorCountTest, Rr12OriginSynthesizesOnlyScheduledWindows) {
+  const sim::Experiment& e = *experiment_;
+  auto lazy_policy = e.make_policy(sim::PolicyKind::Origin, 12);
+  StreamCursor cursor = e.make_cursor(reference_user(), 5);
+  const sim::SimResult lazy = e.run_policy(*lazy_policy, cursor);
+
+  auto eager_policy = e.make_policy(sim::PolicyKind::Origin, 12);
+  const sim::SimResult eager =
+      e.run_policy(*eager_policy, e.make_stream(reference_user(), 5));
+  EXPECT_EQ(lazy.outputs, eager.outputs);
+  EXPECT_EQ(lazy.scheduled, eager.scheduled);
+  EXPECT_EQ(cursor.windows_synthesized(), sum(lazy.scheduled));
+  EXPECT_LT(cursor.windows_synthesized(), static_cast<std::uint64_t>(kSlots));
+}
+
+TEST_F(CursorCountTest, Bl1SynthesizesEveryWindow) {
+  const sim::Experiment& e = *experiment_;
+  StreamCursor cursor = e.make_cursor(reference_user(), 6);
+  e.run_fully_powered(core::BaselineKind::BL1, cursor);
+  EXPECT_EQ(cursor.windows_synthesized(),
+            static_cast<std::uint64_t>(3 * kSlots));
+}
+
+TEST_F(CursorCountTest, Bl2OutputsMatchMaterializedStream) {
+  // BL-2 reads only its due sensors; the others are stepped over.
+  const sim::Experiment& e = *experiment_;
+  StreamCursor cursor = e.make_cursor(reference_user(), 7);
+  const sim::SimResult lazy =
+      e.run_fully_powered(core::BaselineKind::BL2, cursor);
+  const sim::SimResult eager = e.run_fully_powered(
+      core::BaselineKind::BL2, e.make_stream(reference_user(), 7));
+  EXPECT_EQ(lazy.outputs, eager.outputs);
+  EXPECT_EQ(lazy.accuracy.confusion(), eager.accuracy.confusion());
+  EXPECT_EQ(cursor.windows_synthesized(), sum(lazy.scheduled));
 }
 
 }  // namespace
