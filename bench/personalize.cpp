@@ -6,8 +6,9 @@
 //      --threads 1/2/8, bit-identical rank tables, per-class calibration
 //      accuracies and confidence matrices at every thread count.
 //   2. In-shard bounded fine-tuning — per-slot serving overhead with
-//      personalization on vs off, and bit-identity of the fine-tuned
-//      completed logs across thread counts.
+//      personalization on vs off, per-user served accuracy frozen vs
+//      fine-tuned, and bit-identity of the fine-tuned completed logs
+//      across thread counts.
 //   3. Delta-encoded per-user storage — mean serialized delta bytes per
 //      tuned user vs the full three-model file size.
 //
@@ -146,7 +147,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(users), slots);
   util::AsciiTable serve_table(
       {"fine-tune", "wall s", "us/slot", "fine-tunes", "steps"});
-  std::vector<serve::CompletedSession> tuned_log;
+  std::vector<serve::CompletedSession> frozen_log, tuned_log;
   double frozen_us_per_slot = 0.0, tuned_us_per_slot = 0.0;
   for (bool personalize : {false, true}) {
     serve::ServeConfig cfg = base;
@@ -171,6 +172,7 @@ int main(int argc, char** argv) {
       tuned_log = loop.completed_sessions();
       tuned_us_per_slot = us_per_slot;
     } else {
+      frozen_log = loop.completed_sessions();
       frozen_us_per_slot = us_per_slot;
     }
   }
@@ -180,6 +182,34 @@ int main(int argc, char** argv) {
               100.0 * (tuned_us_per_slot - frozen_us_per_slot) /
                   frozen_us_per_slot);
   report.add_table("serving", serve_table);
+
+  // Per-user served accuracy, frozen vs fine-tuned: same users, streams
+  // and arrivals, so a user's two runs differ only by its fine-tunes.
+  std::printf("\nper-user served accuracy, personalization off vs on:\n");
+  util::AsciiTable accuracy_table(
+      {"user", "frozen %", "tuned %", "change pts", "fine-tunes"});
+  double frozen_sum = 0.0, tuned_sum = 0.0;
+  for (const auto& tuned : tuned_log) {
+    for (const auto& frozen : frozen_log) {
+      if (frozen.id != tuned.id) continue;
+      const double frozen_pct = 100.0 * frozen.accuracy;
+      const double tuned_pct = 100.0 * tuned.accuracy;
+      frozen_sum += frozen_pct;
+      tuned_sum += tuned_pct;
+      accuracy_table.add_row(
+          {std::to_string(tuned.id), util::AsciiTable::format(frozen_pct, 2),
+           util::AsciiTable::format(tuned_pct, 2),
+           util::AsciiTable::format(tuned_pct - frozen_pct, 2),
+           std::to_string(tuned.fine_tunes)});
+    }
+  }
+  const double n = static_cast<double>(tuned_log.size());
+  accuracy_table.add_row(
+      {"mean", util::AsciiTable::format(frozen_sum / n, 2),
+       util::AsciiTable::format(tuned_sum / n, 2),
+       util::AsciiTable::format((tuned_sum - frozen_sum) / n, 2), ""});
+  accuracy_table.print();
+  report.add_table("accuracy", accuracy_table);
 
   // Bit-identity of the fine-tuned serve across thread counts.
   for (unsigned threads : {2u, 8u}) {

@@ -3,11 +3,28 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <stdexcept>
 
 namespace origin::serve {
+
+namespace {
+
+/// A client has this long, from accept, to deliver its request head;
+/// past it the server answers 408 and closes. The cap is on the whole
+/// request, so a client trickling one byte at a time cannot hold the
+/// (single-client) server longer than a silent one.
+constexpr std::chrono::milliseconds kRequestDeadline{2000};
+/// Each recv is preceded by a poll of at most this long, so stop() is
+/// honored promptly even while a client holds the connection.
+constexpr std::chrono::milliseconds kPollSlice{50};
+
+}  // namespace
 
 std::string status_reason(int status) {
   switch (status) {
@@ -19,6 +36,8 @@ std::string status_reason(int status) {
       return "Not Found";
     case 405:
       return "Method Not Allowed";
+    case 408:
+      return "Request Timeout";
     default:
       return "Internal Server Error";
   }
@@ -103,10 +122,33 @@ void HttpServer::run() {
 }
 
 void HttpServer::serve_client(int fd) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + kRequestDeadline;
+  // The response send is bounded too: a client that never reads cannot
+  // block the server on a full socket buffer.
+  const timeval send_timeout{
+      static_cast<time_t>(kRequestDeadline.count() / 1000),
+      static_cast<suseconds_t>((kRequestDeadline.count() % 1000) * 1000)};
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+               sizeof send_timeout);
+
   std::string request_bytes;
   char buf[2048];
+  bool timed_out = false;
   while (request_bytes.find("\r\n\r\n") == std::string::npos &&
          request_bytes.size() < 16384) {
+    if (stop_.load(std::memory_order_relaxed)) return;
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) {
+      timed_out = true;
+      break;
+    }
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready =
+        ::poll(&pfd, 1, static_cast<int>(std::min(left, kPollSlice).count()));
+    if (ready == 0 || (ready < 0 && errno == EINTR)) continue;
+    if (ready < 0) break;
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
     if (n <= 0) break;
     request_bytes.append(buf, static_cast<std::size_t>(n));
@@ -119,7 +161,9 @@ void HttpServer::serve_client(int fd) {
   const std::size_t sp1 = line.find(' ');
   const std::size_t sp2 =
       sp1 == std::string::npos ? std::string::npos : line.find(' ', sp1 + 1);
-  if (sp2 == std::string::npos) {
+  if (timed_out) {
+    response = {408, "application/json", "{\"error\":\"request timeout\"}\n"};
+  } else if (sp2 == std::string::npos) {
     response = {400, "application/json", "{\"error\":\"malformed request\"}\n"};
   } else {
     HttpRequest request;

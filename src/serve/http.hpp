@@ -1,9 +1,12 @@
 // Minimal HTTP/1.0 server for the serving process's query surface. One
-// background acceptor thread, blocking per-connection handling (requests
-// are tiny GETs and handlers only copy published state, so concurrency
-// buys nothing), `Connection: close` on every response. Binds loopback
-// only; port 0 asks the kernel for an ephemeral port (`port()` reports
-// the choice), which is what the tests and the CI smoke use.
+// background acceptor thread, one connection at a time (requests are tiny
+// GETs and handlers only copy published state, so concurrency buys
+// nothing), `Connection: close` on every response. Each connection gets a
+// fixed deadline to deliver its request head (408 past it), so a silent
+// or trickling client can neither starve later requests nor hang stop().
+// Binds loopback only; port 0 asks the kernel for an ephemeral port
+// (`port()` reports the choice), which is what the tests and the CI smoke
+// use.
 #pragma once
 
 #include <atomic>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "fleet/shard.hpp"
 #include "nn/dropout.hpp"
@@ -22,29 +23,17 @@ constexpr std::uint64_t kShuffleSalt = 0xD1CEULL;
 
 }  // namespace
 
-std::vector<std::uint8_t> tail_trainable_mask(nn::Sequential& model,
-                                              int tail_layers) {
+std::size_t tail_split(const nn::Sequential& model, int tail_layers) {
   if (tail_layers < 1) {
-    throw std::invalid_argument("tail_trainable_mask: tail_layers < 1");
+    throw std::invalid_argument("tail_split: tail_layers < 1");
   }
-  // Per-layer parameter counts in params() order.
-  std::vector<std::size_t> layer_params;
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    const std::size_t n = model.layer(i).params().size();
-    layer_params.push_back(n);
-    total += n;
-  }
-  std::vector<std::uint8_t> mask(total, 0);
   int remaining = tail_layers;
-  std::size_t end = total;
-  for (std::size_t i = layer_params.size(); i-- > 0 && remaining > 0;) {
-    if (layer_params[i] == 0) continue;
-    for (std::size_t k = end - layer_params[i]; k < end; ++k) mask[k] = 1;
+  for (std::size_t i = model.layer_count(); i-- > 0;) {
+    if (model.layer(i).param_count() == 0) continue;
+    if (remaining == 0) return i + 1;  // last frozen parameterized layer
     --remaining;
-    end -= layer_params[i];
   }
-  return mask;
+  return 0;
 }
 
 Personalizer::Personalizer(
@@ -64,12 +53,22 @@ Personalizer::Personalizer(
       experiment.config().pipeline.profile;
   for (std::size_t s = 0; s < data::kNumSensors; ++s) {
     base_fingerprint_[s] = nn::params_fingerprint(base_[s]);
-    trainable_[s] = tail_trainable_mask(base_[s], config_.tune_tail_layers);
+    split_[s] = tail_split(base_[s], config_.tune_tail_layers);
+    nn::Sequential tail;
+    for (std::size_t l = 0; l < base_[s].layer_count(); ++l) {
+      (l < split_[s] ? prefix_[s] : tail).add(base_[s].layer(l).clone());
+    }
+    if (split_[s] > 0) {
+      prefix_cost_j_[s] =
+          nn::estimate_cost(prefix_[s], input_shape, profile).energy_j;
+    }
     // One training sample-pass ~ forward + backward + weight update over
     // the same MACs as inference: the conventional 3x multiplier on the
-    // existing per-inference cost model.
-    sample_cost_j_[s] =
-        3.0 * nn::estimate_cost(base_[s], input_shape, profile).energy_j;
+    // tail's per-inference cost.
+    const std::vector<int> tail_input =
+        base_[s].shape_trace(input_shape)[split_[s]];
+    tail_pass_cost_j_[s] =
+        3.0 * nn::estimate_cost(tail, tail_input, profile).energy_j;
   }
 }
 
@@ -122,6 +121,13 @@ std::uint64_t Personalizer::after_step(
 void Personalizer::buffer_step(PersonalizeState& state,
                                const sim::SlotStepper::StepOutcome& outcome,
                                data::SlotSource& source) {
+  // Once the remaining budget cannot fund a fit of min_samples samples,
+  // fit_due refuses every later fit, so a buffered window would never
+  // be read.
+  if (max_fit_samples(state) <
+      static_cast<std::uint64_t>(config_.min_samples)) {
+    return;
+  }
   // Buffer the slot when the fused ensemble output matched ground truth:
   // pseudo-labels the session can safely adapt toward (AHAR-style
   // self-training on confident slots).
@@ -140,6 +146,17 @@ void Personalizer::buffer_step(PersonalizeState& state,
   }
 }
 
+std::uint64_t Personalizer::max_fit_samples(
+    const PersonalizeState& state) const {
+  // Largest sample count whose fit stays inside the remaining budget:
+  // one fit costs epochs * ceil(n / batch) optimizer steps per net.
+  const std::uint64_t budget = static_cast<std::uint64_t>(config_.step_budget);
+  if (state.steps_used >= budget) return 0;
+  const std::uint64_t remaining = budget - state.steps_used;
+  const std::uint64_t epochs = static_cast<std::uint64_t>(config_.epochs);
+  return (remaining / epochs) * static_cast<std::uint64_t>(config_.batch_size);
+}
+
 bool Personalizer::fit_due(const PersonalizeState& state,
                            const sim::SlotStepper::StepOutcome& outcome) const {
   // Cadence gate on the session-local slot index — a pure function of
@@ -148,54 +165,49 @@ bool Personalizer::fit_due(const PersonalizeState& state,
       0) {
     return false;
   }
-  if (state.buffer.size() < static_cast<std::size_t>(config_.min_samples)) {
-    return false;
-  }
-  const std::uint64_t budget = static_cast<std::uint64_t>(config_.step_budget);
-  if (state.steps_used >= budget) return false;
-  const std::uint64_t remaining = budget - state.steps_used;
-  const std::uint64_t epochs = static_cast<std::uint64_t>(config_.epochs);
-  if (remaining < epochs) return false;
-  const std::uint64_t max_batches = remaining / epochs;
-  const std::uint64_t max_n =
-      max_batches * static_cast<std::uint64_t>(config_.batch_size);
-  const std::size_t n =
-      std::min(state.buffer.size(), static_cast<std::size_t>(max_n));
-  return n >= static_cast<std::size_t>(config_.min_samples);
+  const std::uint64_t n = std::min<std::uint64_t>(state.buffer.size(),
+                                                  max_fit_samples(state));
+  return n >= static_cast<std::uint64_t>(config_.min_samples);
 }
 
 std::uint64_t Personalizer::run_fit(
     PersonalizeState& state, std::uint64_t seed_offset,
     std::array<nn::Sequential, data::kNumSensors>& models) {
-  const std::uint64_t budget = static_cast<std::uint64_t>(config_.step_budget);
-  if (state.steps_used >= budget) return 0;
-  const std::uint64_t remaining = budget - state.steps_used;
-  const std::uint64_t epochs = static_cast<std::uint64_t>(config_.epochs);
-  // Largest sample count whose fit stays inside the remaining budget:
-  // one fit costs epochs * ceil(n / batch) optimizer steps per net.
-  const std::uint64_t max_batches = remaining / epochs;
-  const std::uint64_t max_n =
-      max_batches * static_cast<std::uint64_t>(config_.batch_size);
-  const std::size_t n =
-      std::min(state.buffer.size(), static_cast<std::size_t>(max_n));
+  const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
+      state.buffer.size(), max_fit_samples(state)));
+  if (n == 0) return 0;
 
   // Most recent n buffered slots, oldest first.
   const std::size_t first = state.buffer.size() - n;
   const std::uint64_t fit_seed =
       fleet::shard_seed(seed_offset ^ kFitSeedSalt, state.fine_tunes);
+  std::vector<const nn::Tensor*> windows(n);
+  std::vector<nn::Tensor> features(n);
   for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+    // The frozen prefix runs once per sample, in inference mode, as one
+    // batched panel; the tail then trains on its outputs.
+    for (std::size_t i = 0; i < n; ++i) {
+      windows[i] = &state.buffer[first + i].windows[s];
+    }
+    prefix_[s].forward_batch_inference(windows.data(), n, features.data());
     nn::Samples samples;
     samples.reserve(n);
-    for (std::size_t i = first; i < state.buffer.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       samples.push_back(
-          {state.buffer[i].windows[s], state.buffer[i].label});
+          {std::move(features[i]), state.buffer[first + i].label});
     }
-    // Deterministic stochastic layers: the fit's dropout draws depend
-    // only on (session, fine-tune ordinal, sensor), never on how many
-    // fits other sessions ran on this shard scratch before.
+
+    // The session's loaded tail, with deterministic stochastic layers:
+    // the fit's dropout draws depend only on (session, fine-tune
+    // ordinal, sensor, full-model layer index), never on how many fits
+    // other sessions ran on this shard scratch before.
     const std::uint64_t sensor_seed = fleet::shard_seed(fit_seed, s);
-    for (std::size_t l = 0; l < models[s].layer_count(); ++l) {
-      if (auto* dropout = dynamic_cast<nn::Dropout*>(&models[s].layer(l))) {
+    const std::size_t split = split_[s];
+    nn::Sequential tail;
+    for (std::size_t l = split; l < models[s].layer_count(); ++l) {
+      tail.add(models[s].layer(l).clone());
+      if (auto* dropout = dynamic_cast<nn::Dropout*>(
+              &tail.layer(tail.layer_count() - 1))) {
         dropout->reseed(sensor_seed + l);
       }
     }
@@ -207,17 +219,16 @@ std::uint64_t Personalizer::run_fit(
     train.weight_decay = 0.0;
     train.shuffle_seed = sensor_seed ^ kShuffleSalt;
     train.early_stop_accuracy = 0.0;
-    nn::Trainer(train).fit(models[s], samples);
-
-    // Freeze: parameters outside the trainable tail snap back to base,
-    // so the whole personalized state lives in the tail delta.
-    const std::vector<nn::Tensor*> bp = base_[s].params();
-    const std::vector<nn::Tensor*> mp = models[s].params();
-    for (std::size_t p = 0; p < bp.size(); ++p) {
-      if (trainable_[s][p]) continue;
-      std::copy(bp[p]->data(), bp[p]->data() + bp[p]->size(),
-                mp[p]->data());
+    nn::Trainer(train).fit(tail, samples);
+    for (std::size_t l = split; l < models[s].layer_count(); ++l) {
+      const std::vector<nn::Tensor*> tp = tail.layer(l - split).params();
+      const std::vector<nn::Tensor*> mp = models[s].layer(l).params();
+      for (std::size_t p = 0; p < tp.size(); ++p) {
+        std::copy(tp[p]->data(), tp[p]->data() + tp[p]->size(),
+                  mp[p]->data());
+      }
     }
+
     // Realize the quantized state: encode the tail diff, then apply it
     // back so the live weights sit exactly on the delta grid — what the
     // snapshot stores is bit-for-bit what keeps serving.
@@ -225,8 +236,9 @@ std::uint64_t Personalizer::run_fit(
     nn::delta_apply_with_fingerprint(base_[s], base_fingerprint_[s],
                                      state.delta[s], models[s]);
     state.energy_j +=
-        sample_cost_j_[s] * static_cast<double>(n) *
-        static_cast<double>(config_.epochs);
+        (prefix_cost_j_[s] +
+         tail_pass_cost_j_[s] * static_cast<double>(config_.epochs)) *
+        static_cast<double>(n);
   }
   scratch_dirty_ = true;
 
@@ -234,7 +246,8 @@ std::uint64_t Personalizer::run_fit(
       (static_cast<std::uint64_t>(n) +
        static_cast<std::uint64_t>(config_.batch_size) - 1) /
       static_cast<std::uint64_t>(config_.batch_size);
-  const std::uint64_t steps = epochs * batches;
+  const std::uint64_t steps =
+      static_cast<std::uint64_t>(config_.epochs) * batches;
   state.steps_used += steps;
   ++state.fine_tunes;
   state.delta_bytes = serialized_bytes(state.delta);

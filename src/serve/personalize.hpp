@@ -1,12 +1,13 @@
-// In-shard bounded per-user fine-tuning (ROADMAP item 4): a served
-// session accumulates its recent correctly-classified windows and, on a
-// fixed slot cadence, runs a batched Trainer::fit micro-fit of the
-// deployed per-sensor nets on the shard's model scratch. Adaptation is
-// bounded by an optimizer-step budget per user and confined to the
-// trailing parameterized layers (the classifier head); everything
-// earlier stays frozen at the shared base weights, so a user's whole
+// In-shard bounded per-user fine-tuning: a served session accumulates
+// its recent correctly-classified windows and, on a fixed slot cadence,
+// runs a budgeted micro-fit of the deployed per-sensor nets on the
+// shard's model scratch. Only the trailing `tune_tail_layers`
+// parameterized layers (the classifier head) adapt: the frozen prefix in
+// front of them runs once per fit as one batched inference panel over
+// the buffered windows, and nn::Trainer fits just the tail on those
+// features. The prefix never trains, so a user's whole
 // personalized state is a small nn::ModelDelta against the base — the
-// unit snapshot v3 persists and the delta store writes.
+// unit the snapshot persists and the delta store writes.
 //
 // Determinism: every fine-tune derives its dropout and shuffle seeds
 // from (session seed_offset, fine-tune ordinal), never from shared RNG
@@ -76,9 +77,9 @@ struct PersonalizeState {
 };
 
 /// Shard-owned fine-tuning engine: keeps the pristine base copies of the
-/// deployed nets, their fingerprints, the trainable-tail masks and the
-/// per-fit energy price. One per shard; the shard's sessions share it,
-/// one load() or fit at a time.
+/// deployed nets, their fingerprints, the frozen prefixes and the per-fit
+/// energy price. One per shard; the shard's sessions share it, one load()
+/// or fit at a time.
 class Personalizer {
  public:
   Personalizer(const sim::Experiment& experiment,
@@ -111,7 +112,9 @@ class Personalizer {
                            data::SlotSource& source,
                            std::array<nn::Sequential, data::kNumSensors>& models);
 
-  /// The buffering half of after_step (needs no model weights).
+  /// The buffering half of after_step (needs no model weights). Buffers
+  /// nothing once the remaining step budget can no longer fund a fit of
+  /// `min_samples` samples, since fit_due would refuse every later fit.
   void buffer_step(PersonalizeState& state,
                    const sim::SlotStepper::StepOutcome& outcome,
                    data::SlotSource& source);
@@ -121,7 +124,10 @@ class Personalizer {
   bool fit_due(const PersonalizeState& state,
                const sim::SlotStepper::StepOutcome& outcome) const;
   /// The fit half of after_step. `models` must hold this session's
-  /// weights (load() first). Returns the optimizer steps consumed.
+  /// weights (load() first). Per sensor: one forward_batch_inference of
+  /// the frozen prefix over the buffered windows, an nn::Trainer fit of a
+  /// clone of the session's tail on those features, and the tuned tail
+  /// copied back into `models`. Returns the optimizer steps consumed.
   std::uint64_t run_fit(PersonalizeState& state, std::uint64_t seed_offset,
                         std::array<nn::Sequential, data::kNumSensors>& models);
 
@@ -130,14 +136,25 @@ class Personalizer {
       const std::array<nn::ModelDelta, data::kNumSensors>& delta);
 
  private:
+  /// Most samples a fit may use within the remaining step budget
+  /// (epochs * ceil(n / batch_size) steps per net); 0 once spent.
+  std::uint64_t max_fit_samples(const PersonalizeState& state) const;
+
   PersonalizeConfig config_;
   std::array<nn::Sequential, data::kNumSensors> base_;
   std::array<std::uint64_t, data::kNumSensors> base_fingerprint_{};
-  /// params() mask per sensor: 1 = adapts, 0 = frozen at base.
-  std::array<std::vector<std::uint8_t>, data::kNumSensors> trainable_;
-  /// Energy price of one training sample-pass per sensor net (3x the
-  /// inference cost: forward + backward over the same MACs).
-  std::array<double, data::kNumSensors> sample_cost_j_{};
+  /// Per sensor: layers [0, split) are the frozen prefix, [split, L) the
+  /// tail that trains (see tail_split).
+  std::array<std::size_t, data::kNumSensors> split_{};
+  /// Clones of base layers [0, split): deltas only ever cover the tail,
+  /// so the prefix is the base for every session.
+  std::array<nn::Sequential, data::kNumSensors> prefix_;
+  /// Energy price per buffered sample: one prefix inference (0 when the
+  /// prefix is empty), plus per epoch one tail training pass at 3x the
+  /// tail's inference cost (forward + backward over the same MACs).
+  std::array<double, data::kNumSensors> prefix_cost_j_{};
+  std::array<double, data::kNumSensors> tail_pass_cost_j_{};
+
   /// Which session's weights the shard scratch currently holds; -1 =
   /// pristine base.
   std::int64_t loaded_ = -1;
@@ -146,9 +163,12 @@ class Personalizer {
   bool scratch_dirty_ = false;
 };
 
-/// params()-order mask selecting the trailing `tail_layers` parameterized
-/// layers of `model` (exposed for tests).
-std::vector<std::uint8_t> tail_trainable_mask(nn::Sequential& model,
-                                              int tail_layers);
+/// Layer index where the trainable tail of `model` begins: one past the
+/// last parameterized layer outside the trailing `tail_layers`
+/// parameterized layers, or 0 when those cover every parameterized layer.
+/// Parameterless layers between the frozen layers and the first trainable
+/// one (ReLU, Dropout) sit in the tail, so they run in train mode.
+std::size_t tail_split(const nn::Sequential& model, int tail_layers);
+
 
 }  // namespace origin::serve

@@ -28,6 +28,9 @@ inline constexpr char kSnapshotMagic[8] = {'O', 'R', 'G', 'N',
 /// the completed log.
 /// Version 5 dropped the per-node precomputed-result record: an in-flight
 /// NVP task carries only the window it began on.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+/// Version 6 changed no record: fine-tuning became tail-only (the frozen
+/// prefix never trains), so a v5 delta came from a fit this loop would no
+/// longer run, and a v5 snapshot is refused.
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 }  // namespace origin::serve

@@ -4,24 +4,35 @@
 // serial oracle at any thread count, and in-shard bounded fine-tuning
 // equal to a single-session oracle and bit-identical across thread counts
 // and a mid-flight snapshot/restore split, with the optimizer-step budget
-// and the delta-vs-full-file size advantage pinned.
+// and the delta-vs-full-file size advantage pinned. The tail-only fit is
+// checked against an independent per-sample full-net loop that never
+// steps the frozen prefix, and a golden hash pins the fine-tuned bits.
 #include "serve/personalize.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <numeric>
 #include <stdexcept>
 
+#include "backend_scope.hpp"
 #include "core/pipeline.hpp"
 #include "fleet/fleet_runner.hpp"
+#include "fleet/shard.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/dense.hpp"
 #include "nn/delta.hpp"
+#include "nn/dropout.hpp"
+#include "nn/energy_model.hpp"
+#include "nn/loss.hpp"
+#include "nn/optimizer.hpp"
 #include "nn/pooling.hpp"
 #include "nn/serialize.hpp"
 #include "nn/softmax.hpp"
 #include "serve/serve_loop.hpp"
+#include "serve/snapshot.hpp"
+#include "util/fileio.hpp"
 #include "util/rng.hpp"
 
 namespace origin::serve {
@@ -193,20 +204,98 @@ TEST(DeltaCodec, FileRoundTrip) {
   EXPECT_THROW(nn::load_delta(path), std::runtime_error);
 }
 
-TEST(TailTrainableMask, SelectsTrailingParameterizedLayers) {
-  nn::Sequential m = small_model(8);
-  const auto params = m.params();
-  // tail=1: only the last Dense (weight + bias) adapts.
-  const auto mask1 = tail_trainable_mask(m, 1);
-  ASSERT_EQ(mask1.size(), params.size());
-  for (std::size_t i = 0; i < mask1.size(); ++i) {
-    EXPECT_EQ(mask1[i] != 0, i >= mask1.size() - 2) << "param " << i;
+TEST(TailSplit, FirstTrainableLayerIndex) {
+  // small_model: Conv ReLU Flatten Dense ReLU Dense Softmax. The tail
+  // holds the trailing `tail_layers` parameterized layers and every
+  // parameterless layer after the last frozen one; a huge tail is the
+  // whole net.
+  nn::Sequential m = small_model(9);
+  EXPECT_EQ(tail_split(m, 1), 4u);  // ReLU, Dense, Softmax train
+  EXPECT_EQ(tail_split(m, 2), 1u);  // everything after the Conv
+  EXPECT_EQ(tail_split(m, 3), 0u);  // the whole net
+  EXPECT_EQ(tail_split(m, 100), 0u);
+  EXPECT_THROW(tail_split(m, 0), std::invalid_argument);
+}
+
+// --- Tail-only fit oracle --------------------------------------------
+
+// The fit-seed salts of personalize.cpp: the oracle below must draw the
+// same dropout and shuffle streams as the fit it checks.
+constexpr std::uint64_t kFitSeedSalt = 0x9E12A1F17EULL;
+constexpr std::uint64_t kShuffleSalt = 0xD1CEULL;
+
+using Models = std::array<nn::Sequential, data::kNumSensors>;
+
+/// One tail-only fine-tune of `models` (the session's current weights)
+/// on every sample of `buffer`, computed without the Personalizer: each
+/// sample runs the *full* net forward in train mode and backward, in the
+/// trainer's shuffled order. At each batch boundary the tail's
+/// accumulated gradients move into a clone of the tail that SgdMomentum
+/// steps, and the stepped tail is copied back; the prefix is never
+/// updated. Returns the realized deltas and leaves `models` on them.
+std::array<nn::ModelDelta, data::kNumSensors> oracle_tail_fit(
+    Models& base, Models& models,
+    const std::deque<PersonalizeState::BufferedSample>& buffer,
+    const PersonalizeConfig& cfg, std::uint64_t seed_offset,
+    std::uint64_t fine_tunes) {
+  std::array<nn::ModelDelta, data::kNumSensors> deltas;
+  const std::uint64_t fit_seed =
+      fleet::shard_seed(seed_offset ^ kFitSeedSalt, fine_tunes);
+  const std::size_t batch = static_cast<std::size_t>(cfg.batch_size);
+  for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+    nn::Sequential& full = models[s];
+    const std::size_t split = tail_split(full, cfg.tune_tail_layers);
+    const std::uint64_t sensor_seed = fleet::shard_seed(fit_seed, s);
+    nn::Sequential tail;
+    for (std::size_t l = split; l < full.layer_count(); ++l) {
+      if (auto* dropout = dynamic_cast<nn::Dropout*>(&full.layer(l))) {
+        dropout->reseed(sensor_seed + l);
+      }
+      tail.add(full.layer(l).clone());
+    }
+    nn::SgdMomentum opt(cfg.learning_rate, /*momentum=*/0.9,
+                        /*weight_decay=*/0.0);
+    opt.bind(tail);
+    const std::vector<nn::Tensor*> full_params = full.params();
+    const std::vector<nn::Tensor*> full_grads = full.grads();
+    const std::vector<nn::Tensor*> tail_params = tail.params();
+    const std::vector<nn::Tensor*> tail_grads = tail.grads();
+    const std::size_t first_tail = full_params.size() - tail_params.size();
+    auto step = [&] {
+      for (std::size_t k = 0; k < tail_grads.size(); ++k) {
+        *tail_grads[k] = *full_grads[first_tail + k];
+      }
+      opt.step();
+      for (std::size_t k = 0; k < tail_params.size(); ++k) {
+        *full_params[first_tail + k] = *tail_params[k];
+      }
+      full.zero_grads();
+    };
+    full.zero_grads();
+    util::Rng rng(sensor_seed ^ kShuffleSalt);
+    std::vector<std::size_t> order(buffer.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
+      rng.shuffle(order);
+      std::size_t in_batch = 0;
+      for (std::size_t idx : order) {
+        const nn::Tensor logits =
+            full.forward(buffer[idx].windows[s], /*train=*/true);
+        nn::Tensor grad =
+            nn::softmax_cross_entropy(logits, buffer[idx].label).grad;
+        grad.scale(1.0f / static_cast<float>(batch));
+        full.backward(grad);
+        if (++in_batch == batch) {
+          step();
+          in_batch = 0;
+        }
+      }
+      if (in_batch > 0) step();
+    }
+    deltas[s] = nn::delta_encode(base[s], full);
+    nn::delta_apply(base[s], deltas[s], full);
   }
-  // A huge tail marks everything.
-  const auto mask_all = tail_trainable_mask(m, 100);
-  for (std::size_t i = 0; i < mask_all.size(); ++i) {
-    EXPECT_NE(mask_all[i], 0u);
-  }
+  return deltas;
 }
 
 // --- Shared trained fixture for calibration + serving tests ----------
@@ -220,6 +309,19 @@ core::PipelineConfig micro_pipeline() {
   cfg.use_cache = false;
   cfg.seed = 4242;
   return cfg;
+}
+
+/// The sessions ServeLoop admits, derived exactly as make_population
+/// does.
+std::vector<fleet::FleetJob> population(const ServeConfig& cfg) {
+  fleet::PopulationConfig pop;
+  pop.users = cfg.users;
+  pop.root_seed = cfg.population_seed;
+  pop.severity = cfg.severity;
+  pop.policy = cfg.policy;
+  pop.rr_cycle = cfg.rr_cycle;
+  pop.set = cfg.set;
+  return fleet::make_population(pop);
 }
 
 class PersonalizeTest : public ::testing::Test {
@@ -437,22 +539,12 @@ TEST_F(PersonalizeTest, FineTuneMatchesSingleSessionOracle) {
   ASSERT_EQ(log.size(), cfg.users);
   EXPECT_GT(loop.status().batch_panels, 0u);
 
-  // ServeLoop derives each session's user and stream exactly as
-  // make_population does.
-  fleet::PopulationConfig pop;
-  pop.users = cfg.users;
-  pop.root_seed = cfg.population_seed;
-  pop.severity = cfg.severity;
-  pop.policy = cfg.policy;
-  pop.rr_cycle = cfg.rr_cycle;
-  pop.set = cfg.set;
-  const auto population = fleet::make_population(pop);
-
+  const auto jobs = population(cfg);
   const sim::Experiment& e = *experiment_;
   std::uint64_t total_tunes = 0;
   for (const CompletedSession& served : log) {
     SCOPED_TRACE(served.id);
-    const fleet::FleetJob& job = population.at(served.id);
+    const fleet::FleetJob& job = jobs.at(served.id);
     auto policy = e.make_policy(cfg.policy, cfg.rr_cycle, cfg.set);
     data::StreamCursor cursor = e.make_cursor(job.user, job.seed_offset);
     auto models = e.system().bl2_copy();
@@ -477,6 +569,219 @@ TEST_F(PersonalizeTest, FineTuneMatchesSingleSessionOracle) {
     total_tunes += served.fine_tunes;
   }
   EXPECT_GT(total_tunes, 0u);  // the run must actually fine-tune
+}
+
+TEST_F(PersonalizeTest, TailSplitKeepsDropoutInTheTail) {
+  // BL-2: Conv ReLU Pool Conv ReLU Pool Flatten Dense ReLU Dropout Dense.
+  // With the default one-layer tail the prefix ends after Dense(->64);
+  // ReLU and Dropout train with the head, in train mode.
+  nn::Sequential m = experiment_->system().bl2_copy()[0];
+  ASSERT_EQ(m.layer_count(), 11u);
+  EXPECT_EQ(tail_split(m, 1), 8u);
+  EXPECT_NE(dynamic_cast<nn::Dropout*>(&m.layer(9)), nullptr);
+  EXPECT_EQ(tail_split(m, 2), 4u);
+  EXPECT_EQ(tail_split(m, 3), 1u);
+  EXPECT_EQ(tail_split(m, 4), 0u);
+  for (std::size_t l = 0; l < tail_split(m, 1); ++l) {
+    EXPECT_EQ(dynamic_cast<nn::Dropout*>(&m.layer(l)), nullptr) << l;
+  }
+}
+
+TEST_F(PersonalizeTest, TailOnlyFitMatchesPerSampleOracle) {
+  // run_fit (one batched inference panel of the frozen prefix, then a
+  // batched Trainer fit of the tail on its outputs) must equal the
+  // per-sample full-net oracle bit for bit: float Conv1D/Dense share one
+  // GEMM between inference, train-mode and single-sample forwards, and
+  // the batched backward matches sequential backward per element. Two
+  // fits per case, so the second tail starts from a realized delta; the
+  // whole-net case (four tail layers on BL-2) has an empty prefix.
+  const core::TrainedSystem& system = experiment_->system();
+  const std::vector<int> input_shape{experiment_->spec().channels,
+                                     experiment_->spec().window_len};
+  const nn::ComputeProfile& profile =
+      experiment_->config().pipeline.profile;
+  constexpr std::size_t kPerFit = 10;  // two full batches and a partial
+  for (int tail_layers : {1, 2, 4}) {
+    SCOPED_TRACE(tail_layers);
+    PersonalizeConfig cfg;
+    cfg.enabled = true;
+    cfg.step_budget = 100;
+    cfg.min_samples = 4;
+    cfg.batch_size = 4;
+    cfg.epochs = 2;
+    cfg.learning_rate = 5e-2;
+    cfg.tune_tail_layers = tail_layers;
+    Models base = system.bl2_copy();
+    Models models = system.bl2_copy();
+    Models oracle = system.bl2_copy();
+    Personalizer personalizer(*experiment_, models, cfg);
+    PersonalizeState state;
+    constexpr std::uint64_t kSeedOffset = 77;
+    for (std::size_t fit = 0; fit < 2; ++fit) {
+      SCOPED_TRACE(fit);
+      for (std::size_t i = 0; i < kPerFit; ++i) {
+        PersonalizeState::BufferedSample sample;
+        for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+          sample.windows[s] = system.test_sets[s].at(fit * kPerFit + i).input;
+        }
+        sample.label = system.test_sets[0].at(fit * kPerFit + i).label;
+        state.buffer.push_back(std::move(sample));
+      }
+      const auto want = oracle_tail_fit(base, oracle, state.buffer, cfg,
+                                        kSeedOffset, state.fine_tunes);
+      personalizer.load(state, /*id=*/0, models);
+      EXPECT_EQ(personalizer.run_fit(state, kSeedOffset, models), 2u * 3u);
+      for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+        SCOPED_TRACE(s);
+        EXPECT_EQ(nn::delta_to_string(state.delta[s]),
+                  nn::delta_to_string(want[s]));
+        expect_same_params(models[s], oracle[s]);
+      }
+      EXPECT_TRUE(state.buffer.empty());
+    }
+
+    // The prefix never moved, and the tail did.
+    for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+      const std::size_t split = tail_split(models[s], tail_layers);
+      for (std::size_t l = 0; l < models[s].layer_count(); ++l) {
+        const auto mp = models[s].layer(l).params();
+        const auto bp = base[s].layer(l).params();
+        for (std::size_t p = 0; p < mp.size(); ++p) {
+          const bool same = std::equal(mp[p]->data(),
+                                       mp[p]->data() + mp[p]->size(),
+                                       bp[p]->data());
+          EXPECT_EQ(same, l < split) << "sensor " << s << " layer " << l;
+        }
+      }
+    }
+
+    // Price: n x (prefix inference + epochs x 3 x tail inference) per
+    // sensor, with no prefix term when the whole net trains.
+    double want_j = 0.0;
+    for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+      const std::size_t split = tail_split(base[s], tail_layers);
+      nn::Sequential prefix, tail;
+      for (std::size_t l = 0; l < base[s].layer_count(); ++l) {
+        (l < split ? prefix : tail).add(base[s].layer(l).clone());
+      }
+      const double prefix_j =
+          split == 0
+              ? 0.0
+              : nn::estimate_cost(prefix, input_shape, profile).energy_j;
+      const double tail_j =
+          nn::estimate_cost(tail, base[s].shape_trace(input_shape)[split],
+                            profile)
+              .energy_j;
+      want_j += 2.0 * kPerFit * (prefix_j + cfg.epochs * 3.0 * tail_j);
+    }
+    EXPECT_DOUBLE_EQ(state.energy_j, want_j);
+  }
+}
+
+TEST_F(PersonalizeTest, BufferStopsOnceBudgetSpent) {
+  // Once the remaining step budget cannot fund a fit of min_samples
+  // samples, buffer_step buffers nothing (fit_due would refuse every
+  // later fit anyway). Each served session must equal a single-session
+  // loop that keeps buffering to the end, and the Personalizer's own
+  // loop must hold an empty buffer from the moment the budget is spent.
+  ServeConfig cfg = tuned_config();
+  cfg.personalize.cadence_slots = 5;
+  cfg.personalize.step_budget = 6;
+  ServeLoop loop(*experiment_, cfg);
+  loop.drain(/*chunk=*/5);
+  const auto log = loop.completed_sessions();
+  ASSERT_EQ(log.size(), cfg.users);
+
+  const auto jobs = population(cfg);
+  const sim::Experiment& e = *experiment_;
+  const PersonalizeConfig& pc = cfg.personalize;
+  std::size_t spent_slots = 0;
+  std::size_t dropped_windows = 0;
+  for (const CompletedSession& served : log) {
+    SCOPED_TRACE(served.id);
+    const fleet::FleetJob& job = jobs.at(served.id);
+    auto run = [&](bool keep_buffering) {
+      auto policy = e.make_policy(cfg.policy, cfg.rr_cycle, cfg.set);
+      data::StreamCursor cursor = e.make_cursor(job.user, job.seed_offset);
+      auto models = e.system().bl2_copy();
+      Personalizer personalizer(e, models, pc);
+      PersonalizeState state;
+      sim::SlotStepper stepper(e.spec(), &models, &e.trace(), policy.get(),
+                               &cursor, e.sim_config());
+      while (!stepper.done()) {
+        personalizer.load(state, served.id, models);
+        const auto outcome = stepper.step();
+        if (!keep_buffering) {
+          personalizer.after_step(state, job.seed_offset, outcome, cursor,
+                                  models);
+          if (state.steps_used >= static_cast<std::uint64_t>(pc.step_budget)) {
+            EXPECT_TRUE(state.buffer.empty()) << "slot " << outcome.slot;
+            ++spent_slots;
+          }
+          continue;
+        }
+        if (outcome.predicted >= 0 && outcome.predicted == outcome.label) {
+          const data::SlotSample& slot = cursor.slot(outcome.slot);
+          PersonalizeState::BufferedSample sample;
+          sample.label = slot.label;
+          for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+            sample.windows[s] = slot.window(s);
+          }
+          state.buffer.push_back(std::move(sample));
+          while (state.buffer.size() >
+                 static_cast<std::size_t>(pc.max_samples)) {
+            state.buffer.pop_front();
+          }
+        }
+        if (personalizer.fit_due(state, outcome)) {
+          personalizer.run_fit(state, job.seed_offset, models);
+        }
+      }
+      return std::make_pair(stepper.take_result(), std::move(state));
+    };
+    const auto [result, state] = run(/*keep_buffering=*/false);
+    const auto [kept_result, kept_state] = run(/*keep_buffering=*/true);
+    EXPECT_EQ(served.outputs, result.outputs);
+    EXPECT_EQ(result.outputs, kept_result.outputs);
+    EXPECT_EQ(served.fine_tunes, state.fine_tunes);
+    EXPECT_EQ(state.fine_tunes, kept_state.fine_tunes);
+    EXPECT_EQ(state.steps_used, kept_state.steps_used);
+    EXPECT_EQ(state.delta_bytes, kept_state.delta_bytes);
+    EXPECT_EQ(state.energy_j, kept_state.energy_j);
+    for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+      EXPECT_EQ(nn::delta_to_string(state.delta[s]),
+                nn::delta_to_string(kept_state.delta[s]));
+    }
+    dropped_windows += kept_state.buffer.size() - state.buffer.size();
+  }
+  // The budget must actually run out mid-stream, with windows the
+  // keep-buffering loop stored for nothing.
+  EXPECT_GT(spent_slots, 0u);
+  EXPECT_GT(dropped_windows, 0u);
+}
+
+TEST_F(PersonalizeTest, WholeNetFitSnapshotRefused) {
+  // Version 5 snapshots carry deltas from whole-net fits; a loop that
+  // fits only the tail must refuse them, as it refuses any other
+  // version.
+  ASSERT_EQ(kSnapshotVersion, 6u);
+  ServeConfig cfg = tuned_config();
+  ServeLoop first(*experiment_, cfg);
+  first.tick(30);
+  const std::string path = testing::TempDir() + "/personalize_v5.snap";
+  first.save(path);
+  std::string bytes = util::read_file(path);
+  const std::uint32_t v5 = 5;
+  for (int b = 0; b < 4; ++b) bytes[8 + b] = static_cast<char>(v5 >> (8 * b));
+  util::write_file_atomic(path, bytes);
+  ServeLoop second(*experiment_, cfg);
+  try {
+    second.restore(path);
+    ADD_FAILURE() << "restored a version 5 snapshot";
+  } catch (const std::runtime_error& err) {
+    EXPECT_EQ(std::string(err.what()), "snapshot: unsupported version 5");
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(PersonalizeTest, FineTuneSplitRunBitIdenticalToUninterrupted) {
@@ -573,6 +878,54 @@ TEST_F(PersonalizeTest, PersonalizeConstraintsValidated) {
   cfg = tuned_config();
   cfg.personalize.tune_tail_layers = 0;
   EXPECT_THROW(ServeLoop(*experiment_, cfg), std::invalid_argument);
+}
+
+
+TEST(PersonalizeGolden, FineTunedDeltasPinned) {
+  // Golden FNV-1a of the three delta blobs after a fixed seeded
+  // single-session serve with fine-tuning on, trained and served on the
+  // reference backend. Any change to what a fine-tune computes (split
+  // point, seeds, optimizer, realization) moves this hash.
+  test_support::BackendScope scope("reference");
+  sim::ExperimentConfig ecfg;
+  ecfg.pipeline = micro_pipeline();
+  ecfg.pipeline.train_per_class = 40;
+  ecfg.pipeline.train.epochs = 6;
+  ecfg.stream_slots = 150;
+  const sim::Experiment e(ecfg);
+  ServeConfig cfg;
+  cfg.users = 1;
+  cfg.policy = sim::PolicyKind::Origin;
+  cfg.personalize.enabled = true;
+  cfg.personalize.cadence_slots = 5;
+  cfg.personalize.min_samples = 4;
+  cfg.personalize.batch_size = 4;
+  cfg.personalize.learning_rate = 5e-2;
+  const fleet::FleetJob job = population(cfg).at(0);
+  auto policy = e.make_policy(cfg.policy, cfg.rr_cycle, cfg.set);
+  data::StreamCursor cursor = e.make_cursor(job.user, job.seed_offset);
+  auto models = e.system().bl2_copy();
+  Personalizer personalizer(e, models, cfg.personalize);
+  PersonalizeState state;
+  sim::SlotStepper stepper(e.spec(), &models, &e.trace(), policy.get(),
+                           &cursor, e.sim_config());
+  while (!stepper.done()) {
+    const auto outcome = stepper.step();
+    personalizer.after_step(state, job.seed_offset, outcome, cursor, models);
+  }
+  ASSERT_GT(state.fine_tunes, 0u);
+
+  std::uint64_t h = 1469598103934665603ULL;
+  std::size_t bytes = 0;
+  for (const nn::ModelDelta& delta : state.delta) {
+    const std::string blob = nn::delta_to_string(delta);
+    bytes += blob.size();
+    for (unsigned char c : blob) h = (h ^ c) * 1099511628211ULL;
+  }
+  EXPECT_EQ(state.fine_tunes, 12u);
+  EXPECT_EQ(state.steps_used, 24u);
+  EXPECT_EQ(bytes, 660u);
+  EXPECT_EQ(h, 0x3f3f746c8f5f1699ULL);
 }
 
 }  // namespace

@@ -2,16 +2,21 @@
 // slot-granular stepping equivalent to batch Simulator::run, interleaved
 // sessions sharing shard models without cross-talk, bit-identity of the
 // ServeLoop across thread counts, and the HTTP/JSONL endpoint (routed
-// socketless through handle(), plus one real-socket smoke).
+// socketless through handle(), plus real-socket tests: a smoke, and a
+// silent and a trickling client each cut off at the request deadline).
 #include "serve/serve_loop.hpp"
 
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 
 #include "fleet/fleet_runner.hpp"
 #include "serve/endpoint.hpp"
@@ -330,6 +335,70 @@ TEST(HttpHelpers, QueryParamAndWireFormat) {
   EXPECT_NE(wire.find("Connection: close\r\n\r\n{}"), std::string::npos);
 }
 
+/// Connects a client socket to the loopback server on `port`, or -1.
+/// Reads give up after 10 s, so a server that never answers fails the
+/// test instead of hanging it.
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const timeval read_timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &read_timeout,
+               sizeof read_timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads `fd` until the server closes it (or the read timeout), then
+/// closes it.
+std::string read_to_close(int fd) {
+  std::string response;
+  char buf[1024];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0) {
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return response;
+}
+
+/// Sends `request` and reads the response until the server closes.
+std::string round_trip(std::uint16_t port, const std::string& request) {
+  const int fd = connect_loopback(port);
+  if (fd < 0) return {};
+  ::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+  return read_to_close(fd);
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t)
+      .count();
+}
+
+class HttpDeadlineTest : public ServeTest {
+ protected:
+  void SetUp() override {
+    loop_ = std::make_unique<ServeLoop>(*experiment_, small_config());
+    endpoint_ = std::make_unique<ServeEndpoint>(*loop_);
+    try {
+      server_ = endpoint_->serve(/*port=*/0);
+    } catch (const std::runtime_error&) {
+      GTEST_SKIP() << "cannot bind a loopback socket in this environment";
+    }
+  }
+
+  std::unique_ptr<ServeLoop> loop_;
+  std::unique_ptr<ServeEndpoint> endpoint_;
+  std::unique_ptr<HttpServer> server_;
+};
+
 TEST_F(ServeTest, HttpServerSocketSmoke) {
   ServeConfig cfg = small_config();
   ServeLoop loop(*experiment_, cfg);
@@ -343,27 +412,70 @@ TEST_F(ServeTest, HttpServerSocketSmoke) {
   }
   ASSERT_NE(server->port(), 0);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(server->port());
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
-  const std::string request = "GET /healthz HTTP/1.0\r\n\r\n";
-  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char buf[1024];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
+  const std::string response =
+      round_trip(server->port(), "GET /healthz HTTP/1.0\r\n\r\n");
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos);
   server->stop();
+}
+
+TEST_F(HttpDeadlineTest, SilentClientTimesOutAndStopReturns) {
+  // A client that connects and sends nothing holds the one-at-a-time
+  // server only until the request deadline (2 s): a later request is
+  // still served, and the silent client gets a 408.
+  const auto begin = std::chrono::steady_clock::now();
+  const int silent = connect_loopback(server_->port());
+  ASSERT_GE(silent, 0);
+  const std::string response =
+      round_trip(server_->port(), "GET /healthz HTTP/1.0\r\n\r\n");
+  EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
+  EXPECT_LT(seconds_since(begin), 5.0);
+  EXPECT_NE(read_to_close(silent).find("HTTP/1.0 408 Request Timeout"),
+            std::string::npos);
+
+  // stop() returns promptly while a silent client is mid-request.
+  const int held = connect_loopback(server_->port());
+  ASSERT_GE(held, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto stop_begin = std::chrono::steady_clock::now();
+  server_->stop();
+  EXPECT_LT(seconds_since(stop_begin), 1.0);
+  ::close(held);
+}
+
+TEST_F(HttpDeadlineTest, TrickledRequestCappedAtDeadline) {
+  // A client that keeps sending one byte every 20 ms never goes silent,
+  // so only the cap on the whole request ends it: the server answers 408
+  // and closes near the 2 s deadline, then serves the next client.
+  const int fd = connect_loopback(server_->port());
+  ASSERT_GE(fd, 0);
+  const auto begin = std::chrono::steady_clock::now();
+  const std::string head = "GET /healthz?pad=";
+  ::send(fd, head.data(), head.size(), MSG_NOSIGNAL);
+  std::string response;
+  bool closed = false;
+  while (!closed && seconds_since(begin) < 10.0) {
+    ::send(fd, "a", 1, MSG_NOSIGNAL);
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 20) <= 0) continue;
+    char buf[256];
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) {
+      closed = true;
+    } else {
+      response.append(buf, static_cast<std::size_t>(n));
+    }
+  }
+  const double held_s = seconds_since(begin);
+  ::close(fd);
+  EXPECT_TRUE(closed);
+  EXPECT_NE(response.find("HTTP/1.0 408 Request Timeout"), std::string::npos);
+  EXPECT_GE(held_s, 1.5);
+  EXPECT_LT(held_s, 5.0);
+
+  const std::string next =
+      round_trip(server_->port(), "GET /healthz HTTP/1.0\r\n\r\n");
+  EXPECT_NE(next.find("HTTP/1.0 200 OK"), std::string::npos);
 }
 
 }  // namespace

@@ -287,8 +287,8 @@ TEST_F(ServeSnapshotTest, CorruptAndTruncatedFilesRejected) {
     EXPECT_THROW(loop.restore(path), std::runtime_error);
   }
 
-  // Unsupported versions: a future one, and the previous one (whose node
-  // records carry a field this version no longer reads).
+  // Unsupported versions: a future one, and the previous one (whose
+  // personalized deltas came from whole-net fits).
   for (std::uint32_t version : {kSnapshotVersion + 1, kSnapshotVersion - 1}) {
     SCOPED_TRACE(version);
     bad = good;
