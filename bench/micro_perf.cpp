@@ -19,6 +19,7 @@
 #include "nn/conv1d.hpp"
 #include "nn/dense.hpp"
 #include "nn/energy_model.hpp"
+#include "nn/kernels.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/pruning.hpp"
@@ -167,6 +168,29 @@ void BM_NaiveConv(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NaiveConv);
+
+/// One gemm_bias call of shape m x kd x n (Args {m, kd, n}); the GMAC
+/// counter is a rate, so it reads as GMAC/s. Registered per backend
+/// below over the panels the repository benchmark runs.
+void BM_GemmBias(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const int kd = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(2));
+  util::Rng rng(11);
+  const nn::Tensor a = nn::Tensor::randn({m, kd}, rng, 1.0f);
+  const nn::Tensor bias = nn::Tensor::randn({m}, rng, 1.0f);
+  const nn::Tensor p = nn::Tensor::randn({kd, n}, rng, 1.0f);
+  nn::Tensor c({m, n});
+  for (auto _ : state) {
+    nn::kernels::gemm_bias(a.data(), bias.data(), p.data(), c.data(), m, kd,
+                           n);
+    benchmark::ClobberMemory();
+  }
+  state.counters["GMAC"] = benchmark::Counter(
+      1e-9 * static_cast<double>(m) * kd * n *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
 
 /// One training epoch of the BL-1 chest net over 128 windows — the
 /// naive/reference/kernels triple in the EXPERIMENTS.md training table.
@@ -489,6 +513,22 @@ void register_backend_variants() {
           BM_WindowSynthesisBatch(state);
         })
         ->Arg(3);
+    // Panels of the repository benchmark: the BL-1 fleet's panel of 32
+    // windows (conv1, conv2, dense1), the serve tier's pruned conv1 at 1
+    // and 3 windows and its first Dense layer at 1-3 windows, and a
+    // fine-tune fit's frozen-prefix conv1 over 96 buffered windows.
+    auto* gemm = benchmark::RegisterBenchmark(
+        ("BM_GemmBias" + tag).c_str(), [b](benchmark::State& state) {
+          BackendScope scope(b->name);
+          BM_GemmBias(state);
+        });
+    for (const auto& shape : std::vector<std::vector<std::int64_t>>{
+             {20, 30, 1920}, {32, 100, 832}, {64, 416, 32},
+             {15, 30, 60}, {15, 30, 180},
+             {20, 260, 1}, {20, 260, 2}, {20, 260, 3},
+             {15, 30, 5760}}) {
+      gemm->Args(shape);
+    }
   }
 }
 

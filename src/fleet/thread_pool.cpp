@@ -73,6 +73,13 @@ bool ThreadPool::try_get_task(std::size_t worker_index, Task& out) {
   return false;
 }
 
+bool ThreadPool::has_queued_work() const {
+  for (const auto& q : queues_) {
+    if (!q->empty()) return true;
+  }
+  return false;
+}
+
 void ThreadPool::worker_loop(std::size_t worker_index) {
   Task task;
   for (;;) {
@@ -84,10 +91,12 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
     backoffs_.fetch_add(1, std::memory_order_relaxed);
     std::unique_lock<std::mutex> lock(sleep_mutex_);
     if (shutting_down_) return;
-    // Bounded wait instead of wakeup-epoch bookkeeping: a task enqueued
-    // between our queue scan and this wait costs at most 5 ms of latency,
-    // noise against simulation-sized tasks.
-    sleep_cv_.wait_for(lock, std::chrono::milliseconds(5));
+    // The predicate reads the queues under sleep_mutex_, and run_batch
+    // notifies under it after pushing, so a push that raced the scan
+    // above is either seen by the predicate or wakes the wait: no wakeup
+    // is lost. The timeout is only a safety net.
+    sleep_cv_.wait_for(lock, std::chrono::milliseconds(5),
+                       [this] { return shutting_down_ || has_queued_work(); });
   }
 }
 
@@ -115,7 +124,11 @@ void ThreadPool::run_batch(std::size_t n,
       batch->finish_one();
     });
   }
-  sleep_cv_.notify_all();
+  {
+    // Under the lock: see worker_loop for the lost-wakeup argument.
+    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    sleep_cv_.notify_all();
+  }
 
   {
     std::unique_lock<std::mutex> lock(batch->mutex);

@@ -61,6 +61,7 @@ class ThreadPool {
 
   void worker_loop(std::size_t worker_index);
   bool try_get_task(std::size_t worker_index, Task& out);
+  bool has_queued_work() const;
 
   std::vector<std::unique_ptr<TaskQueue>> queues_;
   std::vector<std::thread> workers_;

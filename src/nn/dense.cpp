@@ -50,8 +50,9 @@ Tensor Dense::forward(const Tensor& input, bool train) {
                           in_, 1, qscale_ * xscale);
     return out;
   }
-  kernels::matvec_bias(weight_.data(), bias_.data(), input.data(), out.data(),
-                       out_, in_);
+  // The n == 1 panel: bit-identical to this sample's column of any batch.
+  kernels::gemm_bias(weight_.data(), bias_.data(), input.data(), out.data(),
+                     out_, in_, 1);
   return out;
 }
 
@@ -75,7 +76,7 @@ void Dense::forward_batch(const Tensor* const* inputs, std::size_t count,
   }
   // Column-wise input panel [in, count] -> staged GEMM output [out, count]
   // -> scatter column b to outputs[b]. Per-output accumulation runs over i
-  // in order, exactly as matvec_bias does for a single sample.
+  // in order, exactly as forward()'s n == 1 call does.
   float* panel = kernels::scratch(kernels::Slot::Panel,
                                   static_cast<std::size_t>(in_) * count);
   for (std::size_t b = 0; b < count; ++b) {

@@ -16,7 +16,7 @@ class Dense : public Layer {
   /// Uninitialized-parameter constructor for deserialization.
   Dense(int in_features, int out_features);
 
-  /// Inference path (train == false) runs the row-blocked matvec kernel
+  /// Inference path (train == false) runs the n == 1 gemm_bias
   /// (nn/kernels.hpp) and retains nothing; the training path additionally
   /// caches the input for backward(). Both match forward_reference()
   /// bit-for-bit.

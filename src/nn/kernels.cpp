@@ -72,11 +72,6 @@ void gemm_bias(const float* a, const float* bias, const float* p, float* c,
   active_backend().gemm_bias(a, bias, p, c, m, kd, n);
 }
 
-void matvec_bias(const float* a, const float* bias, const float* x, float* y,
-                 int m, int kd) {
-  active_backend().matvec_bias(a, bias, x, y, m, kd);
-}
-
 void gemm_acc_nt(const float* a, const float* b, float* c, int m, int n,
                  int kd) {
   active_backend().gemm_acc_nt(a, b, c, m, n, kd);

@@ -1,5 +1,5 @@
-// Inference + training kernels: im2row packing, cache-blocked GEMM/matvec
-// and their backward counterparts, plus the per-thread scratch workspace
+// Inference + training kernels: im2row packing, the register-tiled GEMM
+// and its backward counterparts, plus the per-thread scratch workspace
 // the fast paths allocate from. Every free function here dispatches
 // through the runtime-selected Backend (nn/kernels/backend.hpp); the
 // default backend is the scalar reference, so all golden numbers are
@@ -64,14 +64,15 @@ void im2row(const float* x, int cin, int in_len, int kernel, int stride,
 
 /// C[m x n] = broadcast(bias[m]) + A[m x kd] * P[kd x n], all row-major
 /// and dense. Register-tiled over rows/columns; the j loop over kd is
-/// innermost-sequential per output element (see contract above).
+/// innermost-sequential per output element (see contract above), so any
+/// n — including the single-sample n == 1 of Dense::forward — gives each
+/// column the bits it would get in any other panel. The AVX2 backend
+/// tiles 4 rows x 24 columns (12 FMA chains in flight), runs remainder
+/// rows in wider 3x32 / 2x48 / 1x64 tiles, covers a partial last vector
+/// with a masked load/store, and gives panels narrower than 8 columns an
+/// 8-row x 1-masked-vector tile (DESIGN.md §13).
 void gemm_bias(const float* a, const float* bias, const float* p, float* c,
                int m, int kd, int n);
-
-/// y[m] = bias[m] + A[m x kd] * x[kd] — the n == 1 GEMM, row-blocked so
-/// one pass over x feeds several rows. Same per-element order contract.
-void matvec_bias(const float* a, const float* bias, const float* x, float* y,
-                 int m, int kd);
 
 /// C[m x n] += A[m x kd] * B[n x kd]^T, all row-major (A rows and B rows
 /// both contiguous along the reduction). The grad-weight GEMM: each C

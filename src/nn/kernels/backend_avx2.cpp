@@ -29,103 +29,123 @@
 namespace origin::nn::kernels {
 namespace {
 
-void gemm_bias(const float* a, const float* bias, const float* p, float* c,
-               int m, int kd, int n) {
-  const std::size_t lda = static_cast<std::size_t>(kd);
-  const std::size_t ldp = static_cast<std::size_t>(n);
-  int i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const float* a0 = a + static_cast<std::size_t>(i) * lda;
-    const float* a1 = a0 + lda;
-    const float* a2 = a1 + lda;
-    const float* a3 = a2 + lda;
-    int j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256 c0 = _mm256_set1_ps(bias[i]);
-      __m256 c1 = _mm256_set1_ps(bias[i + 1]);
-      __m256 c2 = _mm256_set1_ps(bias[i + 2]);
-      __m256 c3 = _mm256_set1_ps(bias[i + 3]);
-      const float* prow = p + j;
-      for (int k = 0; k < kd; ++k, prow += ldp) {
-        const __m256 pv = _mm256_loadu_ps(prow);
-        c0 = _mm256_fmadd_ps(_mm256_set1_ps(a0[k]), pv, c0);
-        c1 = _mm256_fmadd_ps(_mm256_set1_ps(a1[k]), pv, c1);
-        c2 = _mm256_fmadd_ps(_mm256_set1_ps(a2[k]), pv, c2);
-        c3 = _mm256_fmadd_ps(_mm256_set1_ps(a3[k]), pv, c3);
-      }
-      _mm256_storeu_ps(c + static_cast<std::size_t>(i) * ldp + j, c0);
-      _mm256_storeu_ps(c + static_cast<std::size_t>(i + 1) * ldp + j, c1);
-      _mm256_storeu_ps(c + static_cast<std::size_t>(i + 2) * ldp + j, c2);
-      _mm256_storeu_ps(c + static_cast<std::size_t>(i + 3) * ldp + j, c3);
+// --- gemm_bias: one register-tile template for every edge -------------
+// A tile is R rows x V 8-float vectors of C: R*V independent FMA chains,
+// each one output lane's chain from the bias in strict k order. The FMA
+// latency (4 cycles) times its issue rate (2 per cycle) asks for at
+// least 8 chains in flight, so every tile shape below keeps 8-12 of
+// them: 4x3 in the main body, 3x4 / 2x6 / 1x8 for the remainder rows,
+// and 8x1 for panels narrower than one vector (single samples and the
+// serve tier's small Dense panels). A partial last vector is loaded and
+// stored under a lane mask, so there are no scalar remainder columns;
+// the masked-off lanes read zeros and are never stored. Tile shape only
+// decides which chains run side by side, never the order inside one, so
+// the output bits equal a plain std::fmaf k loop for every m, n, kd.
+
+struct GemmArgs {
+  const float* a;
+  const float* bias;
+  const float* p;
+  float* c;
+  std::size_t lda, ldp;
+  int kd, n;
+  __m256i tail_mask;  // lanes [0, n % 8) set
+};
+
+template <int R, int V, bool kTail>
+inline void gemm_tile(const GemmArgs& g, int i, int j) {
+  __m256 acc[R][V];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    const __m256 b = _mm256_set1_ps(g.bias[i + r]);
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) acc[r][v] = b;
+  }
+  const float* arow = g.a + static_cast<std::size_t>(i) * g.lda;
+  const float* prow = g.p + j;
+  for (int k = 0; k < g.kd; ++k, prow += g.ldp) {
+    __m256 pv[V];
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      pv[v] = (kTail && v == V - 1)
+                  ? _mm256_maskload_ps(prow + 8 * v, g.tail_mask)
+                  : _mm256_loadu_ps(prow + 8 * v);
     }
-    for (; j < n; ++j) {
-      float s0 = bias[i], s1 = bias[i + 1], s2 = bias[i + 2], s3 = bias[i + 3];
-      for (int k = 0; k < kd; ++k) {
-        const float pv = p[static_cast<std::size_t>(k) * ldp + j];
-        s0 = std::fmaf(a0[k], pv, s0);
-        s1 = std::fmaf(a1[k], pv, s1);
-        s2 = std::fmaf(a2[k], pv, s2);
-        s3 = std::fmaf(a3[k], pv, s3);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(arow + r * g.lda + k);
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(av, pv[v], acc[r][v]);
       }
-      c[static_cast<std::size_t>(i) * ldp + j] = s0;
-      c[static_cast<std::size_t>(i + 1) * ldp + j] = s1;
-      c[static_cast<std::size_t>(i + 2) * ldp + j] = s2;
-      c[static_cast<std::size_t>(i + 3) * ldp + j] = s3;
     }
   }
-  for (; i < m; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * lda;
-    float* crow = c + static_cast<std::size_t>(i) * ldp;
-    int j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256 acc = _mm256_set1_ps(bias[i]);
-      const float* prow = p + j;
-      for (int k = 0; k < kd; ++k, prow += ldp) {
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(arow[k]), _mm256_loadu_ps(prow),
-                              acc);
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    float* crow = g.c + static_cast<std::size_t>(i + r) * g.ldp + j;
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      if (kTail && v == V - 1) {
+        _mm256_maskstore_ps(crow + 8 * v, g.tail_mask, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(crow + 8 * v, acc[r][v]);
       }
-      _mm256_storeu_ps(crow + j, acc);
-    }
-    for (; j < n; ++j) {
-      float s = bias[i];
-      for (int k = 0; k < kd; ++k) {
-        s = std::fmaf(arow[k], p[static_cast<std::size_t>(k) * ldp + j], s);
-      }
-      crow[j] = s;
     }
   }
 }
 
-void matvec_bias(const float* a, const float* bias, const float* x, float* y,
-                 int m, int kd) {
-  // Scalar FMA chains, 4 rows in flight: a horizontal vector reduction
-  // would reassociate the k loop and break lane-equivalence with
-  // gemm_bias (batched calls must equal single-sample calls bit-for-bit).
-  const std::size_t lda = static_cast<std::size_t>(kd);
-  int i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const float* r0 = a + static_cast<std::size_t>(i) * lda;
-    const float* r1 = r0 + lda;
-    const float* r2 = r1 + lda;
-    const float* r3 = r2 + lda;
-    float s0 = bias[i], s1 = bias[i + 1], s2 = bias[i + 2], s3 = bias[i + 3];
-    for (int k = 0; k < kd; ++k) {
-      const float xv = x[k];
-      s0 = std::fmaf(r0[k], xv, s0);
-      s1 = std::fmaf(r1[k], xv, s1);
-      s2 = std::fmaf(r2[k], xv, s2);
-      s3 = std::fmaf(r3[k], xv, s3);
-    }
-    y[i] = s0;
-    y[i + 1] = s1;
-    y[i + 2] = s2;
-    y[i + 3] = s3;
+/// The last 0 < n - j <= 8*V columns of rows [i, i+R): one tile of
+/// ceil((n - j) / 8) vectors, its last vector masked when partial.
+template <int R, int V>
+inline void gemm_edge(const GemmArgs& g, int i, int j) {
+  const int rem = g.n - j;
+  if constexpr (V > 1) {
+    if (rem <= 8 * (V - 1)) return gemm_edge<R, V - 1>(g, i, j);
   }
-  for (; i < m; ++i) {
-    const float* row = a + static_cast<std::size_t>(i) * lda;
-    float s = bias[i];
-    for (int k = 0; k < kd; ++k) s = std::fmaf(row[k], x[k], s);
-    y[i] = s;
+  if (rem == 8 * V) {
+    gemm_tile<R, V, false>(g, i, j);
+  } else {
+    gemm_tile<R, V, true>(g, i, j);
+  }
+}
+
+/// Every column of rows [i, i+R) in R x V tiles plus one edge tile.
+template <int R, int V>
+inline void gemm_rows(const GemmArgs& g, int i) {
+  int j = 0;
+  for (; j + 8 * V <= g.n; j += 8 * V) gemm_tile<R, V, false>(g, i, j);
+  if (j < g.n) gemm_edge<R, V>(g, i, j);
+}
+
+void gemm_bias(const float* a, const float* bias, const float* p, float* c,
+               int m, int kd, int n) {
+  const int tail = n % 8;
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const GemmArgs g{a, bias, p, c,
+                   static_cast<std::size_t>(kd), static_cast<std::size_t>(n),
+                   kd, n, _mm256_cmpgt_epi32(_mm256_set1_epi32(tail), lane)};
+  int i = 0;
+  if (n < 8) {
+    // Narrow panel: one masked vector per row, eight rows in flight.
+    for (; i + 8 <= m; i += 8) gemm_tile<8, 1, true>(g, i, 0);
+    switch (m - i) {
+      case 7: gemm_tile<7, 1, true>(g, i, 0); break;
+      case 6: gemm_tile<6, 1, true>(g, i, 0); break;
+      case 5: gemm_tile<5, 1, true>(g, i, 0); break;
+      case 4: gemm_tile<4, 1, true>(g, i, 0); break;
+      case 3: gemm_tile<3, 1, true>(g, i, 0); break;
+      case 2: gemm_tile<2, 1, true>(g, i, 0); break;
+      case 1: gemm_tile<1, 1, true>(g, i, 0); break;
+      default: break;
+    }
+    return;
+  }
+  for (; i + 4 <= m; i += 4) gemm_rows<4, 3>(g, i);
+  switch (m - i) {
+    case 3: gemm_rows<3, 4>(g, i); break;
+    case 2: gemm_rows<2, 6>(g, i); break;
+    case 1: gemm_rows<1, 8>(g, i); break;
+    default: break;
   }
 }
 
@@ -491,7 +511,7 @@ void synth_channel(const SynthParams& sp, const double* t, double* clean,
 const Backend* avx2_backend() {
   static const Backend backend = {
       "avx2",           ref::im2row,  gemm_bias,
-      matvec_bias,      gemm_acc_nt,  gemm_tn,
+      gemm_acc_nt,      gemm_tn,
       ref::row_sum_acc, conv1d_grad_input,
       gemm_bias_i8,     synth_channel,
   };

@@ -26,8 +26,6 @@ void im2row(const float* x, int cin, int in_len, int kernel, int stride,
             int out_len, float* panel, std::size_t ldp);
 void gemm_bias(const float* a, const float* bias, const float* p, float* c,
                int m, int kd, int n);
-void matvec_bias(const float* a, const float* bias, const float* x, float* y,
-                 int m, int kd);
 void gemm_acc_nt(const float* a, const float* b, float* c, int m, int n,
                  int kd);
 void gemm_tn(const float* a, const float* p, float* c, int m, int kd, int n);

@@ -49,19 +49,6 @@ void gemm_bias(const float* a, const float* bias, const float* p, float* c,
   }
 }
 
-void matvec_bias(const float* a, const float* bias, const float* x, float* y,
-                 int m, int kd) {
-  // Scalar FMA chains: a horizontal reduction would reassociate k and
-  // break lane-equivalence with gemm_bias (see the AVX2 backend).
-  const std::size_t lda = static_cast<std::size_t>(kd);
-  for (int i = 0; i < m; ++i) {
-    const float* row = a + static_cast<std::size_t>(i) * lda;
-    float s = bias[i];
-    for (int k = 0; k < kd; ++k) s = std::fmaf(row[k], x[k], s);
-    y[i] = s;
-  }
-}
-
 void gemm_acc_nt(const float* a, const float* b, float* c, int m, int n,
                  int kd) {
   const std::size_t ld = static_cast<std::size_t>(kd);
@@ -215,7 +202,7 @@ const Backend* neon_backend() {
   // support — no probe needed.
   static const Backend backend = {
       "neon",           ref::im2row,  gemm_bias,
-      matvec_bias,      gemm_acc_nt,  gemm_tn,
+      gemm_acc_nt,      gemm_tn,
       ref::row_sum_acc, conv1d_grad_input,
       ref::gemm_bias_i8, synth_channel,
   };

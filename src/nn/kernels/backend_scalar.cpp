@@ -105,37 +105,6 @@ void gemm_bias(const float* a, const float* bias, const float* p, float* c,
   }
 }
 
-void matvec_bias(const float* a, const float* bias, const float* x, float* y,
-                 int m, int kd) {
-  const std::size_t lda = static_cast<std::size_t>(kd);
-  int i = 0;
-  for (; i + kMR <= m; i += kMR) {
-    const float* r0 = a + static_cast<std::size_t>(i) * lda;
-    const float* r1 = r0 + lda;
-    const float* r2 = r1 + lda;
-    const float* r3 = r2 + lda;
-    float acc0 = bias[i], acc1 = bias[i + 1], acc2 = bias[i + 2],
-          acc3 = bias[i + 3];
-    for (int k = 0; k < kd; ++k) {
-      const float xv = x[k];
-      acc0 += r0[k] * xv;
-      acc1 += r1[k] * xv;
-      acc2 += r2[k] * xv;
-      acc3 += r3[k] * xv;
-    }
-    y[i] = acc0;
-    y[i + 1] = acc1;
-    y[i + 2] = acc2;
-    y[i + 3] = acc3;
-  }
-  for (; i < m; ++i) {
-    const float* row = a + static_cast<std::size_t>(i) * lda;
-    float acc = bias[i];
-    for (int k = 0; k < kd; ++k) acc += row[k] * x[k];
-    y[i] = acc;
-  }
-}
-
 void gemm_acc_nt(const float* a, const float* b, float* c, int m, int n,
                  int kd) {
   const std::size_t ld = static_cast<std::size_t>(kd);
@@ -393,7 +362,7 @@ void synth_channel(const SynthParams& sp, const double* t, double* clean,
 const Backend& reference_backend() {
   static const Backend backend = {
       "reference",          ref::im2row,       ref::gemm_bias,
-      ref::matvec_bias,     ref::gemm_acc_nt,  ref::gemm_tn,
+      ref::gemm_acc_nt,     ref::gemm_tn,
       ref::row_sum_acc,     ref::conv1d_grad_input,
       ref::gemm_bias_i8,    ref::synth_channel,
   };

@@ -86,12 +86,25 @@ void MaxPool1D::forward_batch(const Tensor* const* inputs, std::size_t count,
           x + static_cast<std::size_t>(c) * static_cast<std::size_t>(in_len);
       float* orow =
           y + static_cast<std::size_t>(c) * static_cast<std::size_t>(out_len);
+      // Branch-free select with forward()'s strict `>`: a later element
+      // replaces the running best only when it compares greater, so ties
+      // (+0 / -0 included) keep the first and a NaN never replaces nor is
+      // replaced. `b > a ? b : a` is exactly x86 MAXPS, so the pool-2 loop
+      // vectorizes without changing a bit.
+      if (pool_ == 2 && stride_ == 2) {
+        for (int t = 0; t < out_len; ++t) {
+          const float a = row[2 * t];
+          const float b = row[2 * t + 1];
+          orow[t] = b > a ? b : a;
+        }
+        continue;
+      }
       for (int t = 0; t < out_len; ++t) {
         const int base = t * stride_;
         float best = row[base];
-        // Strict `>` keeps first-max-wins semantics, same as forward().
         for (int p = 1; p < pool_; ++p) {
-          if (row[base + p] > best) best = row[base + p];
+          const float v = row[base + p];
+          best = v > best ? v : best;
         }
         orow[t] = best;
       }

@@ -67,8 +67,10 @@ std::uint64_t fnv1a_tensor(const nn::Tensor& t) {
 }
 
 // --- Deterministic kernel workloads (fixed seeds; shapes exercise the
-// SIMD main loops AND the scalar remainders: 8 rows x 60 columns hits the
-// 4-row x 8-column AVX2 tiles plus a 4-column tail).
+// SIMD main loops AND the edges: the conv's 8 rows x 60 columns hits the
+// AVX2 4-row x 24-column tiles plus a 12-column edge tile with a masked
+// 4-lane tail, and the dense layer's 11 x 1 output hits the 8-row narrow
+// tile plus a 3-row remainder).
 
 nn::Tensor conv_output() {
   util::Rng rng(101);
@@ -142,7 +144,6 @@ TEST(BackendRegistry, ReferenceAlwaysAvailableAndDefault) {
   for (const k::Backend* b : all) {
     EXPECT_NE(b->im2row, nullptr) << b->name;
     EXPECT_NE(b->gemm_bias, nullptr) << b->name;
-    EXPECT_NE(b->matvec_bias, nullptr) << b->name;
     EXPECT_NE(b->gemm_acc_nt, nullptr) << b->name;
     EXPECT_NE(b->gemm_tn, nullptr) << b->name;
     EXPECT_NE(b->row_sum_acc, nullptr) << b->name;
@@ -211,6 +212,59 @@ TEST(BackendGoldens, BatchMatchesSinglePerBackend) {
         for (std::size_t c = 0; c < single.size(); ++c) {
           EXPECT_EQ(batched[i][c], single[c])
               << b->name << " window " << i << " class " << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(BackendGoldens, SimdGemmMatchesFmaOracle) {
+  // An oracle independent of every backend's tiling: each output element
+  // is one std::fmaf chain from the bias in k order. The grid covers each
+  // AVX2 tile shape (4x24 main, 3/2/1-row remainders, the 8-row narrow
+  // path for n < 8), every masked tail width, and kd from a single FMA to
+  // the BL-1 dense layer. Guard words around C catch stray stores.
+  constexpr float kGuard = -12345.0f;
+  const std::vector<int> ms = {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 15, 20, 32, 64};
+  const std::vector<int> ns = {1,  2,  3,  4,  5,  6,  7,  8,  9,  15, 16,
+                               23, 24, 25, 26, 47, 48, 60, 832};
+  const std::vector<int> kds = {1, 5, 30, 100, 416};
+  for (const k::Backend* b : k::available_backends()) {
+    if (std::string(b->name) == "reference") continue;
+    BackendScope scope(b->name);
+    util::Rng rng(505);
+    for (int kd : kds) {
+      for (int m : ms) {
+        std::vector<float> a(static_cast<std::size_t>(m) * kd);
+        std::vector<float> bias(static_cast<std::size_t>(m));
+        for (float& v : a) v = static_cast<float>(rng.gauss());
+        for (float& v : bias) v = static_cast<float>(rng.gauss());
+        for (int n : ns) {
+          std::vector<float> p(static_cast<std::size_t>(kd) * n);
+          for (float& v : p) v = static_cast<float>(rng.gauss());
+          const std::size_t cn = static_cast<std::size_t>(m) * n;
+          std::vector<float> c(cn + 16, kGuard);
+          k::gemm_bias(a.data(), bias.data(), p.data(), c.data() + 8, m, kd,
+                       n);
+          int mismatches = 0;
+          for (int i = 0; i < m; ++i) {
+            for (int j = 0; j < n; ++j) {
+              float want = bias[static_cast<std::size_t>(i)];
+              for (int q = 0; q < kd; ++q) {
+                want = std::fmaf(a[static_cast<std::size_t>(i) * kd + q],
+                                 p[static_cast<std::size_t>(q) * n + j], want);
+              }
+              const float got = c[8 + static_cast<std::size_t>(i) * n + j];
+              mismatches +=
+                  std::memcmp(&got, &want, sizeof got) != 0 ? 1 : 0;
+            }
+          }
+          for (std::size_t g = 0; g < 8; ++g) {
+            EXPECT_EQ(c[g], kGuard);
+            EXPECT_EQ(c[8 + cn + g], kGuard);
+          }
+          EXPECT_EQ(mismatches, 0) << b->name << " m=" << m << " kd=" << kd
+                                   << " n=" << n;
         }
       }
     }

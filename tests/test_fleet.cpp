@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -154,6 +155,34 @@ TEST(ThreadPool, SequentialBatchesOnOnePool) {
     total += sum.load();
   }
   EXPECT_EQ(total, 5 * (63 * 64 / 2));
+}
+
+TEST(ThreadPool, BackToBackTinyBatchesDoNotLoseWakeups) {
+  // A worker that scans empty queues just before run_batch pushes must
+  // still wake for that push; a missed notify leaves the batch waiting
+  // out the worker's 5 ms sleep timeout. The unlocked notify lost one
+  // wakeup in a few thousand batches, too rare to catch reliably here;
+  // what this bounds is a wakeup path that misses systematically (a
+  // dropped or misplaced notify makes 5000 batches take ~25 s). Without
+  // lost wakeups 5000 batches take well under a second, so the 4 s bound
+  // leaves room for sanitizer builds and loaded hosts.
+  constexpr int kBatches = 5000;
+  for (unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    std::atomic<long> sum{0};
+    const auto start = std::chrono::steady_clock::now();
+    for (int b = 0; b < kBatches; ++b) {
+      pool.run_batch(threads,
+                     [&](std::size_t i) { sum += static_cast<long>(i) + 1; });
+    }
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+    EXPECT_EQ(sum.load(),
+              kBatches * static_cast<long>(threads * (threads + 1) / 2));
+    EXPECT_LT(wall_s, 4.0);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "nn/activations.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/dense.hpp"
@@ -192,6 +198,44 @@ TEST(MaxPool1D, OddLengthDropsTail) {
   MaxPool1D p(2);
   const Tensor y = p.forward(Tensor({1, 5}, {1, 2, 3, 4, 9}), false);
   EXPECT_EQ(y.dim(1), 2);
+}
+
+TEST(MaxPool1D, BatchMatchesForwardOnNanSignedZeroAndTies) {
+  // forward_batch selects branch-free; forward keeps the argmax loop.
+  // Both must pick the first maximum under strict `>`: a NaN neither
+  // replaces the running best nor is replaced once it leads, and +0/-0 or
+  // equal values keep whichever came first. Compared as raw bits so the
+  // sign of a zero and a NaN's payload both count.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> row = {
+      nan,  1.0f,  1.0f,  nan,  0.0f, -0.0f, -0.0f, 0.0f,  2.0f,
+      2.0f, -inf,  nan,   3.0f, -1.0f, -1.0f, 3.0f, nan,  nan,
+      inf,  inf,   -5.0f, -inf, 0.0f,  0.0f,  -0.0f, nan,  7.0f};
+  const int len = static_cast<int>(row.size());
+  std::vector<float> data(row);
+  for (float v : row) data.push_back(-v);  // second channel, signs flipped
+  const Tensor x({2, len}, data);
+  const auto bits = [](float v) {
+    std::uint32_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  const std::vector<std::pair<int, int>> shapes = {
+      {2, 2}, {2, 1}, {3, 1}, {3, 2}, {4, 4}};
+  for (const auto& [pool, stride] : shapes) {
+    SCOPED_TRACE(::testing::Message() << "pool " << pool << ", stride "
+                                      << stride);
+    MaxPool1D p(pool, stride);
+    const Tensor single = p.forward(x, false);
+    const Tensor* in = &x;
+    Tensor batched;
+    p.forward_batch(&in, 1, &batched);
+    ASSERT_EQ(batched.shape(), single.shape());
+    for (std::size_t i = 0; i < single.size(); ++i) {
+      EXPECT_EQ(bits(batched[i]), bits(single[i])) << "element " << i;
+    }
+  }
 }
 
 TEST(MaxPool1D, Validation) {
