@@ -332,7 +332,8 @@ BENCHMARK(BM_WindowSynthesis);
 
 /// Stepping over one window's draws without synthesizing it: what the
 /// stream cursor pays for a window nobody reads. Track it against
-/// BM_WindowSynthesis; the ratio is the saving per unread window.
+/// BM_WindowSynthesis (the saving per unread window) and against
+/// BM_XoshiroWords (the draw floor it cannot go below).
 void BM_WindowSkip(benchmark::State& state) {
   const auto spec = data::dataset_spec(data::DatasetKind::MHealthLike);
   const data::SignalModel model(spec, data::reference_user());
@@ -343,6 +344,17 @@ void BM_WindowSkip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WindowSkip);
+
+/// The serial xoshiro chain of one skipped window alone: 491 next_u64()
+/// steps, the mean draw count of BM_WindowSkip's window (one phase
+/// uniform, then 385 Gaussians at 4/pi candidate pairs per accepted pair).
+void BM_XoshiroWords(benchmark::State& state) {
+  util::Rng rng(3);
+  for (auto _ : state) {
+    for (int i = 0; i < 491; ++i) benchmark::DoNotOptimize(rng.next_u64());
+  }
+}
+BENCHMARK(BM_XoshiroWords);
 
 /// The preserved oracle loop — the before/after pair for the synthesis
 /// kernel (see EXPERIMENTS.md; the two are bit-identical by test).
@@ -505,6 +517,11 @@ void register_backend_variants() {
         ("BM_WindowSynthesis" + tag).c_str(), [b](benchmark::State& state) {
           BackendScope scope(b->name);
           BM_WindowSynthesis(state);
+        });
+    benchmark::RegisterBenchmark(
+        ("BM_WindowSkip" + tag).c_str(), [b](benchmark::State& state) {
+          BackendScope scope(b->name);
+          BM_WindowSkip(state);
         });
     benchmark::RegisterBenchmark(
         ("BM_WindowSynthesisBatch" + tag).c_str(),

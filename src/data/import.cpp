@@ -1,10 +1,51 @@
 #include "data/import.hpp"
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "util/csv.hpp"
 
 namespace origin::data {
+
+namespace {
+
+/// Data rows count from 1 (row 0 is the header), columns from 1 (the
+/// label), so an error points at the cell a spreadsheet would show.
+[[noreturn]] void bad_cell(const std::vector<std::vector<std::string>>& rows,
+                           std::size_t r, std::size_t col, const char* what) {
+  throw std::runtime_error(
+      "load_samples_csv: " + std::string(what) + " '" + rows[r][col] +
+      "' in row " + std::to_string(r) + ", column " + std::to_string(col + 1) +
+      " (" + rows[0][col] + ")");
+}
+
+/// The whole cell as a base-10 int; false when any of it is not one.
+bool parse_int_cell(const std::string& text, int& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno != 0 || value < INT_MIN ||
+      value > INT_MAX) {
+    return false;
+  }
+  out = static_cast<int>(value);
+  return true;
+}
+
+/// The whole cell as a finite float. Underflow toward zero is kept (the
+/// value is still the nearest float); overflow, nan and inf are not.
+bool parse_float_cell(const std::string& text, float& out) {
+  char* end = nullptr;
+  const float value = std::strtof(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !std::isfinite(value)) return false;
+  out = value;
+  return true;
+}
+
+}  // namespace
 
 void save_samples_csv(const std::string& path, const nn::Samples& samples,
                       const DatasetSpec& spec) {
@@ -53,14 +94,17 @@ nn::Samples load_samples_csv(const std::string& path, const DatasetSpec& spec) {
       throw std::runtime_error("load_samples_csv: ragged row " + std::to_string(r));
     }
     nn::LabeledSample sample;
-    sample.label = std::stoi(row[0]);
+    if (!parse_int_cell(row[0], sample.label)) {
+      bad_cell(rows, r, 0, "bad label");
+    }
     if (sample.label < 0 || sample.label >= spec.num_classes()) {
-      throw std::runtime_error("load_samples_csv: label out of range in row " +
-                               std::to_string(r));
+      bad_cell(rows, r, 0, "label out of range");
     }
     std::vector<float> values(expected);
     for (std::size_t i = 0; i < expected; ++i) {
-      values[i] = std::stof(row[i + 1]);
+      if (!parse_float_cell(row[i + 1], values[i])) {
+        bad_cell(rows, r, i + 1, "bad value");
+      }
     }
     sample.input = nn::Tensor({spec.channels, spec.window_len}, std::move(values));
     samples.push_back(std::move(sample));

@@ -23,7 +23,9 @@ void save_samples_csv(const std::string& path, const nn::Samples& samples,
 
 /// Reads a CSV produced by save_samples_csv (or an external tool using the
 /// same layout). Validates the column count against `spec` and label
-/// bounds against spec.num_classes().
+/// bounds against spec.num_classes(). Every cell must parse whole: the
+/// label as an integer, each value as a finite float. Any other cell
+/// throws std::runtime_error naming its row and column.
 nn::Samples load_samples_csv(const std::string& path, const DatasetSpec& spec);
 
 }  // namespace origin::data

@@ -1,7 +1,9 @@
 #include "data/markov.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 namespace origin::data {
@@ -10,6 +12,9 @@ ActivityMarkov::ActivityMarkov(DatasetSpec spec, MarkovConfig config)
     : spec_(std::move(spec)), config_(config) {
   if (spec_.num_classes() < 2) {
     throw std::invalid_argument("ActivityMarkov: need at least two activities");
+  }
+  if (spec_.num_classes() > kNumActivityKinds) {
+    throw std::invalid_argument("ActivityMarkov: repeated activities");
   }
   if (config_.mean_dwell_s <= 0.0 || config_.min_dwell_s < 0.0) {
     throw std::invalid_argument("ActivityMarkov: bad dwell configuration");
@@ -42,12 +47,14 @@ std::vector<ActivitySegment> ActivityMarkov::generate(double total_s,
     segments.push_back({current, t, std::min(dwell, total_s - t)});
     t += dwell;
     // Pick the next activity by transition weight.
-    std::vector<double> weights;
-    weights.reserve(static_cast<std::size_t>(spec_.num_classes()));
-    for (int c = 0; c < spec_.num_classes(); ++c) {
-      weights.push_back(transition_weight(current, spec_.activity_of(c)));
+    std::array<double, kNumActivityKinds> weights{};
+    const auto classes = static_cast<std::size_t>(spec_.num_classes());
+    for (std::size_t c = 0; c < classes; ++c) {
+      weights[c] =
+          transition_weight(current, spec_.activity_of(static_cast<int>(c)));
     }
-    current = spec_.activity_of(static_cast<int>(rng.categorical(weights)));
+    current = spec_.activity_of(static_cast<int>(
+        rng.categorical(std::span<const double>(weights.data(), classes))));
   }
   return segments;
 }

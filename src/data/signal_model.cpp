@@ -1,7 +1,9 @@
 #include "data/signal_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -198,16 +200,20 @@ SharedStyle draw_shared_style(const DatasetSpec& spec, Activity a,
     // Pick the partner by intensity adjacency (the activities the wearer
     // actually drifts between), then a mixture deep enough to be genuinely
     // ambiguous.
-    std::vector<double> weights;
-    weights.reserve(static_cast<std::size_t>(spec.num_classes()));
-    for (int c = 0; c < spec.num_classes(); ++c) {
-      const Activity other = spec.activity_of(c);
-      weights.push_back(other == a
-                            ? 0.0
-                            : std::exp(-2.0 * std::fabs(activity_intensity(a) -
-                                                        activity_intensity(other))));
+    std::array<double, kNumActivityKinds> weights{};
+    const auto classes = static_cast<std::size_t>(spec.num_classes());
+    if (classes > weights.size()) {
+      throw std::invalid_argument("draw_shared_style: repeated activities");
     }
-    s.ambiguous_with = spec.activity_of(static_cast<int>(rng.categorical(weights)));
+    for (std::size_t c = 0; c < classes; ++c) {
+      const Activity other = spec.activity_of(static_cast<int>(c));
+      weights[c] = other == a
+                       ? 0.0
+                       : std::exp(-2.0 * std::fabs(activity_intensity(a) -
+                                                   activity_intensity(other)));
+    }
+    s.ambiguous_with = spec.activity_of(static_cast<int>(
+        rng.categorical(std::span<const double>(weights.data(), classes))));
     s.ambiguity_mix = rng.uniform(0.45, 0.75);
   }
   return s;
@@ -247,7 +253,84 @@ const SignatureEntry& cached_signature(Activity a, SensorLocation loc) {
                                         static_cast<int>(loc))];
 }
 
+// Block polar draws. util::Rng::gauss draws uniform pairs until one falls
+// strictly inside the unit circle, so how many words a value costs
+// depends only on the rejection test. These routines run that test in
+// two passes over blocks of candidates: one serial xoshiro chain fills
+// the words (Rng::fill_u64), then the polar_scan kernel converts them and
+// returns the accept mask. The arithmetic is gauss()'s own, so the
+// values, the state and the cached second value are its bits exactly.
+
+/// Candidate pairs per block: 32 xoshiro words per fill_u64 chain.
+constexpr int kBlockPairs = 16;
+static_assert(kBlockPairs <= nn::kernels::kPolarScanMaxPairs);
+
+/// gauss()'s polar multiplier of an accepted pair, expression for
+/// expression: one libm std::log, then the sqrt and the division.
+double polar_multiplier(double s) {
+  return std::sqrt(-2.0 * std::log(s) / s);
+}
+
+/// Draws candidate pairs block by block until `pairs` are accepted and
+/// hands each block to on_block(accept, u, v, s). A block never holds
+/// more candidates than accepts still wanted, so every word drawn is one
+/// the per-call loop would draw: the state ends exactly where `pairs`
+/// polar pairs of gauss() leave it, with no look-ahead to rewind.
+template <typename OnBlock>
+void draw_polar_pairs(util::Rng& rng, std::size_t pairs, OnBlock&& on_block) {
+  std::uint64_t words[2 * kBlockPairs];
+  double u[kBlockPairs], v[kBlockPairs], s[kBlockPairs];
+  while (pairs > 0) {
+    const int block =
+        static_cast<int>(std::min<std::size_t>(pairs, kBlockPairs));
+    rng.fill_u64(words, 2 * static_cast<std::size_t>(block));
+    const std::uint32_t accept = nn::kernels::polar_scan(words, block, u, v, s);
+    pairs -= static_cast<std::size_t>(std::popcount(accept));
+    on_block(accept, u, v, s);
+  }
+}
+
 }  // namespace
+
+void skip_gauss(util::Rng& rng, std::size_t n) {
+  if (n > 0 && rng.take_cached_gauss()) --n;
+  double last_v = 0.0, last_s = 0.0;
+  draw_polar_pairs(rng, (n + 1) / 2,
+                   [&](std::uint32_t accept, const double*, const double* v,
+                       const double* s) {
+                     if (accept == 0) return;
+                     const int last = std::bit_width(accept) - 1;
+                     last_v = v[last];
+                     last_s = s[last];
+                   });
+  // An odd count ends inside a pair: gauss() returned its first value and
+  // cached the second, the only one computed here.
+  if (n % 2 == 1) rng.set_cached_gauss(last_v * polar_multiplier(last_s));
+}
+
+void fill_gauss(util::Rng& rng, double* out, std::size_t n) {
+  if (n == 0) return;
+  if (const auto cached = rng.take_cached_gauss()) {
+    *out++ = *cached;
+    --n;
+  }
+  std::size_t written = 0;
+  draw_polar_pairs(rng, (n + 1) / 2,
+                   [&](std::uint32_t accept, const double* u, const double* v,
+                       const double* s) {
+                     for (std::uint32_t bits = accept; bits != 0;
+                          bits &= bits - 1) {
+                       const int i = std::countr_zero(bits);
+                       const double m = polar_multiplier(s[i]);
+                       out[written++] = u[i] * m;
+                       if (written < n) {
+                         out[written++] = v[i] * m;
+                       } else {
+                         rng.set_cached_gauss(v[i] * m);
+                       }
+                     }
+                   });
+}
 
 nn::Tensor SignalModel::window(Activity a, SensorLocation loc, double t0_s,
                                util::Rng& rng,
@@ -261,8 +344,8 @@ void SignalModel::skip_window(util::Rng& rng) const {
   // synthesize_window's draws under a supplied style: the window phase,
   // the wobble, then channels x window_len noise samples.
   rng.uniform();
-  rng.skip_gauss(1 + static_cast<std::size_t>(spec_.channels) *
-                         static_cast<std::size_t>(spec_.window_len));
+  skip_gauss(rng, 1 + static_cast<std::size_t>(spec_.channels) *
+                          static_cast<std::size_t>(spec_.window_len));
 }
 
 void SignalModel::synthesize_window(nn::Tensor& out, Activity a,
@@ -319,8 +402,14 @@ void SignalModel::synthesize_window(nn::Tensor& out, Activity a,
   // `t0_s + i/fs`, computed once per window instead of once per channel.
   thread_local std::vector<double> t_grid;
   thread_local std::vector<double> clean;
+  thread_local std::vector<double> noise;
   t_grid.resize(static_cast<std::size_t>(len));
   clean.resize(static_cast<std::size_t>(len));
+  // Sensor noise, every channel's in one block draw: the waveform pass
+  // draws nothing, so the reference's channel-major per-sample gauss()
+  // calls are these values in this order.
+  noise.resize(out.size());
+  fill_gauss(rng, noise.data(), noise.size());
   for (int i = 0; i < len; ++i) {
     t_grid[static_cast<std::size_t>(i)] =
         t0_s + static_cast<double>(i) / fs;
@@ -355,12 +444,15 @@ void SignalModel::synthesize_window(nn::Tensor& out, Activity a,
     }
     nn::kernels::synth_channel(sp, t_grid.data(), clean.data(), len);
 
-    // Pass 2: sensor noise, drawn in the reference's channel-major order.
-    float* row = out_data + static_cast<std::size_t>(c) *
-                                static_cast<std::size_t>(len);
+    // Pass 2: add the noise as the reference's rng.gauss(0.0, sigma)
+    // does, 0.0 + sigma * g, unfused.
+    const std::size_t offset =
+        static_cast<std::size_t>(c) * static_cast<std::size_t>(len);
+    float* row = out_data + offset;
+    const double* g = noise.data() + offset;
     for (int i = 0; i < len; ++i) {
       row[i] = static_cast<float>(clean[static_cast<std::size_t>(i)] +
-                                  rng.gauss(0.0, sigma));
+                                  (0.0 + sigma * g[i]));
     }
   }
 }

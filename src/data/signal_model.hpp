@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <optional>
 
 #include "data/activity.hpp"
@@ -74,6 +75,14 @@ struct SharedStyle {
 /// of the dataset.
 SharedStyle draw_shared_style(const DatasetSpec& spec, Activity a,
                               util::Rng& rng, double p_ambiguous = 0.33);
+
+/// Advances `rng` exactly as `n` rng.gauss() calls would, cached second
+/// value included, without computing the values it steps over.
+void skip_gauss(util::Rng& rng, std::size_t n);
+
+/// Writes the next `n` rng.gauss() values to `out` and leaves `rng`
+/// (cached second value included) where n gauss() calls leave it.
+void fill_gauss(util::Rng& rng, double* out, std::size_t n);
 
 /// Synthesizes windows of IMU data for one user.
 ///

@@ -139,4 +139,20 @@ void gemm_bias_i8(const std::int8_t* a, const float* bias,
 void synth_channel(const SynthParams& sp, const double* t, double* clean,
                    int len);
 
+/// Most pairs one polar_scan call takes: the accept mask is 32 bits.
+inline constexpr int kPolarScanMaxPairs = 32;
+
+/// The rejection test of util::Rng::gauss's Marsaglia-polar loop over
+/// `pairs` (<= kPolarScanMaxPairs) candidate pairs of xoshiro output
+/// words: pair i is words[2i], words[2i+1], converted exactly as
+/// uniform(-1, 1) converts them,
+///   u[i] = -1.0 + 2.0 * ((words[2i] >> 11) * 2^-53),   v[i] likewise,
+///   s[i] = u[i]*u[i] + v[i]*v[i]   (two products, one add, unfused),
+/// and bit i of the result is set iff 0 < s[i] < 1 (the pair gauss()
+/// accepts). u, v and s are written for every pair, accepted or not.
+/// Every step is exact or a single IEEE rounding, so the outputs are
+/// bit-identical across ALL backends and to gauss()'s own arithmetic.
+std::uint32_t polar_scan(const std::uint64_t* words, int pairs, double* u,
+                         double* v, double* s);
+
 }  // namespace origin::nn::kernels

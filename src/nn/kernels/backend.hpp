@@ -2,7 +2,8 @@
 //
 // A Backend is a table of function pointers covering every hot-path
 // kernel: the im2row/GEMM family (nn/kernels.hpp), the int8 serving
-// GEMM, and the window-synthesis inner loop (data/signal_model.cpp).
+// GEMM, the window-synthesis inner loop and the polar-pair scan of the
+// block Gaussian draws (data/signal_model.cpp).
 // The scalar "reference" backend is always available and is the oracle
 // every other backend is tested against. SIMD backends (AVX2/FMA on
 // x86-64, NEON on aarch64) are compiled when the toolchain supports the
@@ -20,7 +21,8 @@
 //     identical classification tests (tests/test_backends.cpp).
 //   * The int8 GEMM is bit-identical across ALL backends: the int32
 //     accumulation is exact and the dequantization is a fixed
-//     mul-then-add (never fused).
+//     mul-then-add (never fused). So is polar_scan: its conversions are
+//     exact and s = u*u + v*v is a fixed mul, mul, add (never fused).
 //
 // The active backend defaults to "reference" so every existing golden
 // number is unchanged; opt into SIMD via ORIGIN_BACKEND=avx2|neon|auto
@@ -62,8 +64,8 @@ struct SynthParams {
 };
 
 /// Kernel table. All float kernels follow the accumulation-order
-/// contract documented in nn/kernels.hpp; gemm_bias_i8 and synth_channel
-/// are documented at their dispatch wrappers (kernels.hpp).
+/// contract documented in nn/kernels.hpp; gemm_bias_i8, synth_channel
+/// and polar_scan are documented at their dispatch wrappers (kernels.hpp).
 struct Backend {
   const char* name;
 
@@ -84,6 +86,8 @@ struct Backend {
                        float scale);
   void (*synth_channel)(const SynthParams& sp, const double* t, double* clean,
                         int len);
+  std::uint32_t (*polar_scan)(const std::uint64_t* words, int pairs,
+                              double* u, double* v, double* s);
 };
 
 /// Backends usable on THIS machine, probed once: always starts with

@@ -506,6 +506,63 @@ void synth_channel(const SynthParams& sp, const double* t, double* clean,
   }
 }
 
+// --- polar_scan: four candidate pairs per vector ------------------------
+// uniform(-1, 1) is -1.0 + 2.0 * (x * 2^-53) with x = w >> 11 < 2^53; the
+// scalings are exact, so it is the one rounding of x * 2^-52 - 1. AVX2 has
+// no u64 -> double conversion, so x is split into hi = x >> 32 (21 bits)
+// and lo (32 bits), each OR-ed into a mantissa as an exact double:
+//   H = 2^32 + hi * 2^-20,  L = 1 + lo * 2^-52.
+// H - (2^32 + 2) = hi * 2^-20 - 2 is exact (Sterbenz), and adding L gives
+// x * 2^-52 - 1 with that same single rounding, so u and v are
+// uniform(-1, 1)'s bits. s is an explicit mul, mul, add with no FMA, one
+// rounding each like the reference's unfused expression.
+
+inline __m256d words_to_uniform_pd(__m256i w) {
+  const __m256i hi = _mm256_or_si256(
+      _mm256_srli_epi64(w, 43), _mm256_set1_epi64x(0x41F0000000000000LL));
+  const __m256i lo = _mm256_or_si256(
+      _mm256_and_si256(_mm256_srli_epi64(w, 11),
+                       _mm256_set1_epi64x(0xFFFFFFFFLL)),
+      _mm256_set1_epi64x(0x3FF0000000000000LL));
+  return _mm256_add_pd(_mm256_sub_pd(_mm256_castsi256_pd(hi),
+                                     _mm256_set1_pd(0x1.0p32 + 2.0)),
+                       _mm256_castsi256_pd(lo));
+}
+
+std::uint32_t polar_scan(const std::uint64_t* words, int pairs, double* u,
+                         double* v, double* s) {
+  std::uint32_t accept = 0;
+  int i = 0;
+  for (; i + 4 <= pairs; i += 4) {
+    // a = [u0 v0 u1 v1], b = [u2 v2 u3 v3]; the unpacks give
+    // [u0 u2 u1 u3] (and v alike), and the permute restores pair order.
+    const __m256i a = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(words + 2 * i));
+    const __m256i b = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(words + 2 * i + 4));
+    const __m256i uw =
+        _mm256_permute4x64_epi64(_mm256_unpacklo_epi64(a, b), 0xD8);
+    const __m256i vw =
+        _mm256_permute4x64_epi64(_mm256_unpackhi_epi64(a, b), 0xD8);
+    const __m256d uv = words_to_uniform_pd(uw);
+    const __m256d vv = words_to_uniform_pd(vw);
+    const __m256d sv =
+        _mm256_add_pd(_mm256_mul_pd(uv, uv), _mm256_mul_pd(vv, vv));
+    _mm256_storeu_pd(u + i, uv);
+    _mm256_storeu_pd(v + i, vv);
+    _mm256_storeu_pd(s + i, sv);
+    const __m256d ok =
+        _mm256_and_pd(_mm256_cmp_pd(sv, _mm256_set1_pd(1.0), _CMP_LT_OQ),
+                      _mm256_cmp_pd(sv, _mm256_setzero_pd(), _CMP_NEQ_OQ));
+    accept |= static_cast<std::uint32_t>(_mm256_movemask_pd(ok)) << i;
+  }
+  if (i < pairs) {
+    accept |= ref::polar_scan(words + 2 * i, pairs - i, u + i, v + i, s + i)
+              << i;
+  }
+  return accept;
+}
+
 }  // namespace
 
 const Backend* avx2_backend() {
@@ -514,6 +571,7 @@ const Backend* avx2_backend() {
       gemm_acc_nt,      gemm_tn,
       ref::row_sum_acc, conv1d_grad_input,
       gemm_bias_i8,     synth_channel,
+      polar_scan,
   };
   static const bool supported =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");

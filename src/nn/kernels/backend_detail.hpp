@@ -3,7 +3,8 @@
 // backends reuse the reference implementations for kernels that are
 // pure data movement (im2row), addition-only (row_sum_acc — no multiply
 // to fuse, so the reference is already bit-identical to any backend), or
-// not worth a vector path (general-stride grad-input).
+// not worth a vector path (general-stride grad-input, NEON's polar_scan,
+// and AVX2's polar_scan tail of fewer than four pairs).
 #pragma once
 
 #include "nn/kernels/backend.hpp"
@@ -38,6 +39,8 @@ void gemm_bias_i8(const std::int8_t* a, const float* bias,
                   float scale);
 void synth_channel(const SynthParams& sp, const double* t, double* clean,
                    int len);
+std::uint32_t polar_scan(const std::uint64_t* words, int pairs, double* u,
+                         double* v, double* s);
 
 }  // namespace ref
 }  // namespace origin::nn::kernels

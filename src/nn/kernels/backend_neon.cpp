@@ -205,6 +205,7 @@ const Backend* neon_backend() {
       gemm_acc_nt,      gemm_tn,
       ref::row_sum_acc, conv1d_grad_input,
       ref::gemm_bias_i8, synth_channel,
+      ref::polar_scan,
   };
   return &backend;
 }

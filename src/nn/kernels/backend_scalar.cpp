@@ -357,6 +357,25 @@ void synth_channel(const SynthParams& sp, const double* t, double* clean,
   }
 }
 
+std::uint32_t polar_scan(const std::uint64_t* words, int pairs, double* u,
+                         double* v, double* s) {
+  std::uint32_t accept = 0;
+  for (int i = 0; i < pairs; ++i) {
+    // util::Rng::uniform(-1.0, 1.0): lo + (hi - lo) * uniform().
+    const double ui =
+        -1.0 + 2.0 * (static_cast<double>(words[2 * i] >> 11) * 0x1.0p-53);
+    const double vi =
+        -1.0 + 2.0 * (static_cast<double>(words[2 * i + 1] >> 11) * 0x1.0p-53);
+    const double si = ui * ui + vi * vi;
+    u[i] = ui;
+    v[i] = vi;
+    s[i] = si;
+    // Branch-free: the test is a coin flip the predictor cannot learn.
+    accept |= static_cast<std::uint32_t>((si < 1.0) & (si != 0.0)) << i;
+  }
+  return accept;
+}
+
 }  // namespace ref
 
 const Backend& reference_backend() {
@@ -365,6 +384,7 @@ const Backend& reference_backend() {
       ref::gemm_acc_nt,     ref::gemm_tn,
       ref::row_sum_acc,     ref::conv1d_grad_input,
       ref::gemm_bias_i8,    ref::synth_channel,
+      ref::polar_scan,
   };
   return backend;
 }

@@ -1,9 +1,12 @@
 #include "util/args.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace origin::util {
 
@@ -13,16 +16,25 @@ namespace {
   throw std::invalid_argument("bad value for --" + name + ": '" + text + "'");
 }
 
+// strtoul/strtoull accept a sign and negate ("-1" parses as the largest
+// value), so unsigned targets refuse any '-' up front; double targets
+// refuse the "nan"/"inf" spellings strtod accepts.
 template <typename T, typename Convert>
 std::function<void(const std::string&)> numeric_assign(const std::string& name,
                                                        T* target,
                                                        Convert convert) {
   return [name, target, convert](const std::string& text) {
+    if constexpr (std::is_unsigned_v<T>) {
+      if (text.find('-') != std::string::npos) bad_value(name, text);
+    }
     char* end = nullptr;
     errno = 0;
     const auto value = convert(text.c_str(), &end);
     if (text.empty() || end == nullptr || *end != '\0' || errno != 0) {
       bad_value(name, text);
+    }
+    if constexpr (std::is_floating_point_v<T>) {
+      if (!std::isfinite(value)) bad_value(name, text);
     }
     *target = static_cast<T>(value);
     if (static_cast<decltype(value)>(*target) != value) bad_value(name, text);

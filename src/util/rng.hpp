@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 namespace origin::util {
@@ -32,16 +34,17 @@ class Rng {
   }
 
   /// Uniform 64-bit integer.
-  std::uint64_t next_u64() {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
+  std::uint64_t next_u64() { return step(state_); }
+
+  /// Writes the next `n` next_u64() outputs to `out`, leaving the state
+  /// where n next_u64() calls would. The state lives in a local copy,
+  /// which `out` cannot alias, so the serial chain stays in registers: the
+  /// word source of the block polar draws (data::skip_gauss /
+  /// data::fill_gauss).
+  void fill_u64(std::uint64_t* out, std::size_t n) {
+    std::uint64_t s[4] = {state_[0], state_[1], state_[2], state_[3]};
+    for (std::size_t i = 0; i < n; ++i) out[i] = step(s);
+    for (int k = 0; k < 4; ++k) state_[k] = s[k];
   }
 
   /// Uniform double in [0, 1).
@@ -69,33 +72,39 @@ class Rng {
   bool bernoulli(double p) { return uniform() < p; }
 
   /// Standard normal via Marsaglia polar method (cached second value).
+  /// A pair's draw count depends only on the rejection test, which is
+  /// what lets data::skip_gauss / data::fill_gauss reproduce this loop's
+  /// state and values from bulk words; this per-call form is their oracle.
   double gauss() {
     if (has_gauss_) {
       has_gauss_ = false;
       return cached_gauss_;
     }
-    double u, v;
-    const double s = polar_point(u, v);
+    double u, v, s;
+    do {
+      u = uniform(-1.0, 1.0);
+      v = uniform(-1.0, 1.0);
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
     const double m = std::sqrt(-2.0 * std::log(s) / s);
     cached_gauss_ = v * m;
     has_gauss_ = true;
     return u * m;
   }
 
-  /// Advances the state exactly as `n` gauss() calls would, without
-  /// computing the values. How many uniforms a polar pair consumes depends
-  /// only on the rejection test, so whole pairs skip the log/sqrt; only a
-  /// pair whose second value stays cached is computed in full.
-  void skip_gauss(std::size_t n) {
-    if (n > 0 && has_gauss_) {
-      has_gauss_ = false;
-      --n;
-    }
-    for (; n >= 2; n -= 2) {
-      double u, v;
-      polar_point(u, v);
-    }
-    if (n == 1) gauss();
+  /// gauss()'s cached second value, consumed: the value the next gauss()
+  /// would return without drawing, or nullopt when it would draw a pair.
+  std::optional<double> take_cached_gauss() {
+    if (!has_gauss_) return std::nullopt;
+    has_gauss_ = false;
+    return cached_gauss_;
+  }
+
+  /// Makes `g` the value the next gauss() returns, as gauss() does with
+  /// the second value of a polar pair.
+  void set_cached_gauss(double g) {
+    cached_gauss_ = g;
+    has_gauss_ = true;
   }
 
   double gauss(double mean, double stddev) { return mean + stddev * gauss(); }
@@ -113,7 +122,7 @@ class Rng {
   /// Sample an index from a discrete distribution given non-negative
   /// weights (need not be normalized). Returns weights.size()-1 on
   /// accumulated round-off. Empty weights are a caller bug.
-  std::size_t categorical(const std::vector<double>& weights) {
+  std::size_t categorical(std::span<const double> weights) {
     double total = 0.0;
     for (double w : weights) total += w;
     double r = uniform() * total;
@@ -137,21 +146,21 @@ class Rng {
   }
 
  private:
-  /// Draws uniform pairs until one lies strictly inside the unit circle;
-  /// returns its squared radius. gauss() and skip_gauss() share it, so both
-  /// take the same rejection decisions on the same draws.
-  double polar_point(double& u, double& v) {
-    double s;
-    do {
-      u = uniform(-1.0, 1.0);
-      v = uniform(-1.0, 1.0);
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    return s;
-  }
-
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
+  }
+
+  /// One xoshiro256** step of the state `s`; returns its output word.
+  static std::uint64_t step(std::uint64_t* s) {
+    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
   }
 
   std::uint64_t state_[4] = {};

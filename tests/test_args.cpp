@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace origin::util {
@@ -91,6 +93,48 @@ TEST(ArgParser, RejectsBadInput) {
     EXPECT_THROW(parser.parse(argv.argc(), argv.argv()),
                  std::invalid_argument);
   }
+
+  // Unsigned and double targets: the same error for values they cannot
+  // hold faithfully.
+  unsigned threads = 1;
+  std::uint64_t seed = 7;
+  double rate = 0.5;
+  ArgParser typed("tool", "summary");
+  typed.add("threads", &threads, "an unsigned");
+  typed.add("seed", &seed, "a u64");
+  typed.add("rate", &rate, "a double");
+  // strtoul/strtoull negate: "-1" would become the largest value and
+  // "-4294967295" would wrap to 1.
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"--seed", "-1"},
+           {"--seed=-18446744073709551615"},
+           {"--seed", " -5"},
+           {"--threads", "-1"},
+           {"--threads=-4294967295"},
+           {"--rate", "nan"},
+           {"--rate=NAN"},
+           {"--rate", "inf"},
+           {"--rate", "-infinity"},
+           {"--rate", "1e999"}}) {
+    Argv argv(args);
+    try {
+      typed.parse(argv.argc(), argv.argv());
+      ADD_FAILURE() << "accepted " << args.back();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad value for --"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(threads, 1u);
+  EXPECT_EQ(seed, 7u);
+  EXPECT_EQ(rate, 0.5);
+  // Signs that mean what they say still parse.
+  Argv ok({"--seed", "+3", "--rate", "-2.5"});
+  EXPECT_TRUE(typed.parse(ok.argc(), ok.argv()));
+  EXPECT_EQ(seed, 3u);
+  EXPECT_EQ(rate, -2.5);
 }
 
 TEST(ArgParser, HelpReturnsFalseAndUsageListsFlags) {

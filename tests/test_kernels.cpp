@@ -8,6 +8,7 @@
 // so the suite passes under any ORIGIN_BACKEND.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "nn/dense.hpp"
 #include "nn/dropout.hpp"
 #include "nn/kernels.hpp"
+#include "nn/kernels/backend.hpp"
 #include "nn/model.hpp"
 #include "nn/pooling.hpp"
 #include "nn/softmax.hpp"
@@ -285,6 +287,113 @@ TEST(Kernels, TrainingForwardStillEnablesBackward) {
   conv.forward(x, true);
   conv.forward(x, false);
   EXPECT_THROW(conv.backward(Tensor({3, 6})), std::logic_error);
+}
+
+// --- polar_scan: every backend against the reference ------------------
+
+void expect_scan_matches_reference(const kernels::Backend& b,
+                                   const std::vector<std::uint64_t>& words,
+                                   int pairs) {
+  const kernels::Backend& ref = *kernels::find_backend("reference");
+  const auto n = static_cast<std::size_t>(pairs);
+  std::vector<double> ru(n), rv(n), rs(n), bu(n), bv(n), bs(n);
+  const std::uint32_t want =
+      ref.polar_scan(words.data(), pairs, ru.data(), rv.data(), rs.data());
+  const std::uint32_t got =
+      b.polar_scan(words.data(), pairs, bu.data(), bv.data(), bs.data());
+  ASSERT_EQ(got, want) << b.name << " pairs " << pairs;
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(bu[i], ru[i]) << b.name << " pair " << i;
+    ASSERT_EQ(bv[i], rv[i]) << b.name << " pair " << i;
+    ASSERT_EQ(bs[i], rs[i]) << b.name << " pair " << i;
+    ASSERT_EQ((want >> i) & 1u, rs[i] < 1.0 && rs[i] != 0.0 ? 1u : 0u);
+  }
+}
+
+TEST(Kernels, PolarScanReferenceIsUniformArithmetic) {
+  // The reference converts words exactly as Rng::uniform(-1, 1) does.
+  util::Rng draws(300);
+  std::vector<std::uint64_t> words(2 * kernels::kPolarScanMaxPairs);
+  util::Rng source = draws;
+  source.fill_u64(words.data(), words.size());
+  std::vector<double> u(kernels::kPolarScanMaxPairs),
+      v(kernels::kPolarScanMaxPairs), s(kernels::kPolarScanMaxPairs);
+  kernels::find_backend("reference")
+      ->polar_scan(words.data(), kernels::kPolarScanMaxPairs, u.data(),
+                   v.data(), s.data());
+  for (int i = 0; i < kernels::kPolarScanMaxPairs; ++i) {
+    ASSERT_EQ(u[static_cast<std::size_t>(i)], draws.uniform(-1.0, 1.0));
+    ASSERT_EQ(v[static_cast<std::size_t>(i)], draws.uniform(-1.0, 1.0));
+  }
+}
+
+TEST(Kernels, PolarScanBitIdenticalAcrossBackends) {
+  util::Rng rng(301);
+  for (const kernels::Backend* b : kernels::available_backends()) {
+    for (int pairs = 0; pairs <= kernels::kPolarScanMaxPairs; ++pairs) {
+      for (int rep = 0; rep < 8; ++rep) {
+        std::vector<std::uint64_t> words(2 * static_cast<std::size_t>(pairs));
+        rng.fill_u64(words.data(), words.size());
+        expect_scan_matches_reference(*b, words, pairs);
+      }
+    }
+  }
+}
+
+TEST(Kernels, PolarScanEdgeWords) {
+  // Top 53 bits equal to 2^52 convert to exactly 0.5, so u = 0; a zero
+  // top gives u = -1; all ones gives the largest value below 1.
+  constexpr std::uint64_t kZero = std::uint64_t{1} << 63;
+  constexpr std::uint64_t kMinusOne = 0x7FF;  // low 11 bits are dropped
+  const kernels::Backend& ref = *kernels::find_backend("reference");
+  {
+    const std::vector<std::uint64_t> words = {kZero, kZero, kMinusOne, kZero};
+    double u[2], v[2], s[2];
+    const std::uint32_t accept = ref.polar_scan(words.data(), 2, u, v, s);
+    EXPECT_EQ(u[0], 0.0);
+    EXPECT_EQ(v[0], 0.0);
+    EXPECT_EQ(s[0], 0.0);  // s == 0 is rejected
+    EXPECT_EQ(u[1], -1.0);
+    EXPECT_EQ(v[1], 0.0);
+    EXPECT_EQ(s[1], 1.0);  // s == 1 is rejected
+    EXPECT_EQ(accept, 0u);
+  }
+  // Every edge word in every lane position, next to every other, so the
+  // vector paths' pair shuffles and both conversion halves are covered.
+  const std::vector<std::uint64_t> edges = {
+      kZero,
+      kMinusOne,
+      0,
+      ~std::uint64_t{0},
+      kZero | 0x7FF,
+      kZero - (std::uint64_t{1} << 11),
+      kZero + (std::uint64_t{1} << 11),
+      0x00000000FFFFF800ULL,
+      0xFFFFFFFF00000000ULL,
+      0x0000080000000000ULL,
+      0xDA827999FCEF3400ULL,  // u close to +sqrt(0.5): s near 1 in pairs
+      0x257D8666030CC000ULL,  // u close to -sqrt(0.5)
+  };
+  for (const kernels::Backend* b : kernels::available_backends()) {
+    for (std::size_t shift = 0; shift < 8; ++shift) {
+      std::vector<std::uint64_t> words;
+      for (std::size_t i = 0; i < edges.size(); ++i) {
+        for (std::size_t j = 0; j < edges.size(); ++j) {
+          words.push_back(edges[(i + shift) % edges.size()]);
+          words.push_back(edges[j]);
+        }
+      }
+      constexpr std::size_t kChunk = 2 * kernels::kPolarScanMaxPairs;
+      for (std::size_t at = 0; at + kChunk <= words.size(); at += kChunk) {
+        const std::vector<std::uint64_t> chunk(
+            words.begin() + static_cast<std::ptrdiff_t>(at),
+            words.begin() + static_cast<std::ptrdiff_t>(at + kChunk));
+        for (int pairs : {1, 3, 4, 5, 15, 16, 32}) {
+          expect_scan_matches_reference(*b, chunk, pairs);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

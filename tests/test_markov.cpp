@@ -99,6 +99,11 @@ TEST_F(MarkovTest, InvalidConfigThrows) {
   ActivityMarkov ok(spec);
   util::Rng rng(6);
   EXPECT_THROW(ok.generate(0.0, rng), std::invalid_argument);
+  // The transition weights live in one slot per activity kind, so a
+  // spec listing an activity twice is refused rather than overrun.
+  auto repeated = spec;
+  repeated.activities.push_back(Activity::Walking);
+  EXPECT_THROW(ActivityMarkov(repeated, MarkovConfig{}), std::invalid_argument);
 }
 
 TEST_F(MarkovTest, DeterministicGivenSeed) {

@@ -135,6 +135,11 @@ TEST(SharedStyle, AmbiguousPartnerNeverSelf) {
     EXPECT_GT(s.ambiguity_mix, 0.0);
     EXPECT_LT(s.ambiguity_mix, 1.0);
   }
+  // One weight slot per activity kind: a repeated activity is refused.
+  auto repeated = spec;
+  repeated.activities.push_back(Activity::Walking);
+  EXPECT_THROW(draw_shared_style(repeated, Activity::Cycling, rng, 1.0),
+               std::invalid_argument);
 }
 
 TEST_F(SignalModelTest, SharedStyleCorrelatesAcrossSensors) {
