@@ -4,7 +4,8 @@
 //
 //   1. Bit-identity across thread counts: the completed-session log
 //      (per-slot outputs, checksums), every deterministic metric and the
-//      flight-recorder event stream are identical at threads 1/2/8.
+//      flight-recorder event stream are identical at every swept thread
+//      count: 1, 2, nproc and 2 x nproc (deduplicated, capped at 64).
 //   2. Bit-identity across a snapshot/restore split: serving N ticks at
 //      2 threads, snapshotting, restoring into a fresh process at 8
 //      threads and serving the rest equals the uninterrupted run.
@@ -14,11 +15,13 @@
 // per-slot service latency from the serve.step_seconds histogram.
 //
 // Flags: --users N, --slots N, --arrival-rate R, --shards N, --json PATH.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -158,7 +161,18 @@ int main(int argc, char** argv) {
   bool ok = true;
   RunOutput reference;  // threads=1: the baseline
   double best_slots_per_s = 0.0;
-  for (unsigned threads : {1u, 2u, 8u}) {
+  // The sweep measures the host's own cores: 1, 2, nproc and 2 x nproc
+  // (oversubscribed), ascending, deduplicated and capped at 64 workers.
+  const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<unsigned> sweep{1u, 2u, nproc, std::min(2u * nproc, 64u)};
+  std::sort(sweep.begin(), sweep.end());
+  sweep.erase(std::unique(sweep.begin(), sweep.end()), sweep.end());
+  std::string sweep_label;
+  for (unsigned threads : sweep) {
+    if (!sweep_label.empty()) sweep_label += '/';
+    sweep_label += std::to_string(threads);
+  }
+  for (unsigned threads : sweep) {
     serve::ServeConfig cfg = base;
     cfg.threads = threads;
     // Identity checks use the first run; the reported wall time is the
@@ -263,8 +277,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("bit-identity: completed logs, deterministic metrics and "
-              "flight event streams equal across threads 1/2/8, and the "
+              "flight event streams equal across threads %s, and the "
               "2->8-thread snapshot split reproduces the uninterrupted "
-              "run\n");
+              "run\n",
+              sweep_label.c_str());
   return 0;
 }

@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark): inference latency of the deployed
 // networks (BL-1 and pruned BL-2), batched prediction throughput, the
 // im2row+GEMM kernel against the naive conv loops, window synthesis,
-// scheduler and ensemble arithmetic — the per-slot costs of the simulator
-// and, proportionally, of a real host. `--json <path>` dumps every
+// scheduler and ensemble arithmetic, and a served fine-tune's weight loads
+// and fit — the per-slot costs of the simulator and, proportionally, of a
+// real host. `--json <path>` dumps every
 // measured row through the shared bench::JsonReport manifest.
 #include <benchmark/benchmark.h>
 
@@ -23,6 +24,7 @@
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/pruning.hpp"
+#include "serve/personalize.hpp"
 #include "util/rng.hpp"
 
 #include <numeric>
@@ -477,6 +479,73 @@ void BM_PowerTraceEnergyLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PowerTraceEnergyLookup);
+
+/// The deployed MHEALTH-like BL-2 nets (model cache, trained on first
+/// use) and a full fine-tune buffer of one user's stream windows: what a
+/// serving shard's Personalizer works on. Built on first use, so the
+/// other benchmarks never pay for it.
+struct PersonalizeInputs {
+  sim::Experiment experiment{
+      bench::default_config(data::DatasetKind::MHealthLike)};
+  serve::PersonalizeConfig config;
+  /// config.max_samples buffered windows, no fit run yet.
+  serve::PersonalizeState full;
+
+  PersonalizeInputs() {
+    data::StreamCursor cursor =
+        experiment.make_cursor(data::reference_user(), 0x5EEDULL);
+    for (std::size_t i = 0;
+         full.buffer.size() < static_cast<std::size_t>(config.max_samples);
+         ++i) {
+      const data::SlotSample& slot = cursor.slot(i);
+      serve::PersonalizeState::BufferedSample sample;
+      sample.label = slot.label;
+      for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+        sample.windows[s] = slot.window(s);
+      }
+      full.buffer.push_back(std::move(sample));
+    }
+  }
+};
+
+const PersonalizeInputs& personalize_inputs() {
+  static const PersonalizeInputs inputs;
+  return inputs;
+}
+
+/// A shard's weight traffic when it serves a fine-tuned session next to
+/// clean ones: load_base, then one session's realized delta.
+void BM_PersonalizeLoad(benchmark::State& state) {
+  const PersonalizeInputs& in = personalize_inputs();
+  auto models = in.experiment.system().bl2_copy();
+  serve::Personalizer personalizer(in.experiment, models, in.config);
+  serve::PersonalizeState tuned = in.full;
+  personalizer.run_fit(tuned, /*seed_offset=*/1, models);
+  for (auto _ : state) {
+    personalizer.load_base(models);
+    personalizer.load(tuned, /*id=*/1, models);
+    benchmark::DoNotOptimize(models[0].layer(models[0].layer_count() - 1));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PersonalizeLoad)->Unit(benchmark::kMicrosecond);
+
+/// One served fine-tune on a full buffer, from base weights: per sensor
+/// the frozen-prefix panel, the tail fit and the delta realization.
+void BM_PersonalizeFit(benchmark::State& state) {
+  const PersonalizeInputs& in = personalize_inputs();
+  auto models = in.experiment.system().bl2_copy();
+  serve::Personalizer personalizer(in.experiment, models, in.config);
+  for (auto _ : state) {
+    state.PauseTiming();
+    serve::PersonalizeState fit_state = in.full;
+    personalizer.load_base(models);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        personalizer.run_fit(fit_state, /*seed_offset=*/1, models));
+  }
+}
+BENCHMARK(BM_PersonalizeFit)->Unit(benchmark::kMillisecond);
 
 /// Switches the kernel backend for the lifetime of one benchmark run and
 /// restores the previous one after — the per-backend variants below leave

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "util/bytes.hpp"
 #include "util/fileio.hpp"
@@ -30,6 +31,42 @@ float pow2_scale(float max_abs) {
   return std::ldexp(1.0f, exp);
 }
 
+/// delta_check on the base's parameter list (apply has it already).
+void check_against(const std::vector<Tensor*>& bp, std::uint64_t fingerprint,
+                   const ModelDelta& delta, std::size_t first_param) {
+  if (first_param > bp.size()) {
+    throw std::runtime_error("delta_apply: parameter range out of bounds");
+  }
+  // A default-constructed delta is the identity: restore plain base.
+  if (delta.base_param_tensors == 0 && delta.entries.empty()) return;
+  if (delta.base_param_tensors != static_cast<std::uint32_t>(bp.size())) {
+    throw std::runtime_error("delta_apply: parameter layout mismatch");
+  }
+  if (delta.base_fingerprint != fingerprint) {
+    throw std::runtime_error("delta_apply: delta was taken against a "
+                             "different base model");
+  }
+  std::size_t previous = 0;
+  for (std::size_t e = 0; e < delta.entries.size(); ++e) {
+    const TensorDelta& entry = delta.entries[e];
+    if (entry.param_index >= bp.size() ||
+        (e > 0 && entry.param_index <= previous)) {
+      throw std::runtime_error("delta_apply: entries out of order or out of "
+                               "range");
+    }
+    previous = entry.param_index;
+    if (entry.param_index < first_param) {
+      throw std::runtime_error("delta_apply: entry for parameter tensor " +
+                               std::to_string(entry.param_index) +
+                               " lies below the applied range, which starts "
+                               "at " + std::to_string(first_param));
+    }
+    if (entry.q.size() != bp[entry.param_index]->size()) {
+      throw std::runtime_error("delta_apply: entry size mismatch");
+    }
+  }
+}
+
 }  // namespace
 
 std::uint64_t params_fingerprint(const Sequential& model) {
@@ -44,15 +81,23 @@ std::uint64_t params_fingerprint(const Sequential& model) {
 }
 
 ModelDelta delta_encode(const Sequential& base, const Sequential& tuned) {
+  return delta_encode_with_fingerprint(base, params_fingerprint(base), tuned,
+                                       0);
+}
+
+ModelDelta delta_encode_with_fingerprint(const Sequential& base,
+                                         std::uint64_t fingerprint,
+                                         const Sequential& tuned,
+                                         std::size_t first_param) {
   const std::vector<Tensor*> bp = params_of(base);
   const std::vector<Tensor*> tp = params_of(tuned);
-  if (bp.size() != tp.size()) {
+  if (bp.size() != tp.size() || first_param > bp.size()) {
     throw std::runtime_error("delta_encode: parameter layout mismatch");
   }
   ModelDelta delta;
-  delta.base_fingerprint = params_fingerprint(base);
+  delta.base_fingerprint = fingerprint;
   delta.base_param_tensors = static_cast<std::uint32_t>(bp.size());
-  for (std::size_t i = 0; i < bp.size(); ++i) {
+  for (std::size_t i = first_param; i < bp.size(); ++i) {
     if (bp[i]->size() != tp[i]->size()) {
       throw std::runtime_error("delta_encode: tensor size mismatch");
     }
@@ -79,31 +124,27 @@ ModelDelta delta_encode(const Sequential& base, const Sequential& tuned) {
 
 void delta_apply(const Sequential& base, const ModelDelta& delta,
                  Sequential& model) {
-  delta_apply_with_fingerprint(base, params_fingerprint(base), delta, model);
+  delta_apply_with_fingerprint(base, params_fingerprint(base), delta, model,
+                               0);
+}
+
+void delta_check(const Sequential& base, std::uint64_t fingerprint,
+                 const ModelDelta& delta, std::size_t first_param) {
+  check_against(params_of(base), fingerprint, delta, first_param);
 }
 
 void delta_apply_with_fingerprint(const Sequential& base,
                                   std::uint64_t fingerprint,
-                                  const ModelDelta& delta, Sequential& model) {
+                                  const ModelDelta& delta, Sequential& model,
+                                  std::size_t first_param) {
   const std::vector<Tensor*> bp = params_of(base);
   const std::vector<Tensor*> mp = model.params();
   if (bp.size() != mp.size()) {
     throw std::runtime_error("delta_apply: parameter layout mismatch");
   }
-  // A default-constructed delta is the identity: restore plain base.
-  const bool identity =
-      delta.base_param_tensors == 0 && delta.entries.empty();
-  if (!identity) {
-    if (delta.base_param_tensors != static_cast<std::uint32_t>(bp.size())) {
-      throw std::runtime_error("delta_apply: parameter layout mismatch");
-    }
-    if (delta.base_fingerprint != fingerprint) {
-      throw std::runtime_error("delta_apply: delta was taken against a "
-                               "different base model");
-    }
-  }
+  check_against(bp, fingerprint, delta, first_param);
   std::size_t next_entry = 0;
-  for (std::size_t i = 0; i < bp.size(); ++i) {
+  for (std::size_t i = first_param; i < bp.size(); ++i) {
     if (bp[i]->size() != mp[i]->size()) {
       throw std::runtime_error("delta_apply: tensor size mismatch");
     }
@@ -113,18 +154,11 @@ void delta_apply_with_fingerprint(const Sequential& base,
     if (next_entry < delta.entries.size() &&
         delta.entries[next_entry].param_index == i) {
       entry = &delta.entries[next_entry++];
-      if (entry->q.size() != bp[i]->size()) {
-        throw std::runtime_error("delta_apply: entry size mismatch");
-      }
     }
     for (std::size_t k = 0; k < bp[i]->size(); ++k) {
       m[k] = entry ? b[k] + static_cast<float>(entry->q[k]) * entry->scale
                    : b[k];
     }
-  }
-  if (next_entry != delta.entries.size()) {
-    throw std::runtime_error("delta_apply: entries out of order or out of "
-                             "range");
   }
 }
 

@@ -57,6 +57,17 @@ std::uint64_t params_fingerprint(const Sequential& model);
 /// models have different parameter layouts.
 ModelDelta delta_encode(const Sequential& base, const Sequential& tuned);
 
+/// delta_encode over the parameter tensors [first_param, end) in
+/// params() order, with the base fingerprint supplied by the caller —
+/// the hot-path form for serving shards, which hash their base models
+/// once and only ever tune the tail. The tensors before `first_param`
+/// are neither read nor encoded: the caller guarantees they equal the
+/// base's. `fingerprint` must equal params_fingerprint(base).
+ModelDelta delta_encode_with_fingerprint(const Sequential& base,
+                                         std::uint64_t fingerprint,
+                                         const Sequential& tuned,
+                                         std::size_t first_param);
+
 /// Sets every parameter tensor of `model` to base + dequant(delta):
 /// tensors with a delta entry get base + q*scale, the rest are copied
 /// from base. Throws on fingerprint/layout mismatch. `model` must share
@@ -64,13 +75,23 @@ ModelDelta delta_encode(const Sequential& base, const Sequential& tuned);
 void delta_apply(const Sequential& base, const ModelDelta& delta,
                  Sequential& model);
 
-/// delta_apply with the base fingerprint supplied by the caller instead
-/// of recomputed — the hot-path form for serving shards, which hash
-/// their base models once at construction. `fingerprint` must equal
-/// params_fingerprint(base).
+/// delta_apply over the parameter tensors [first_param, end) only, with
+/// the base fingerprint supplied by the caller: the tensors before
+/// `first_param` are left untouched. Runs delta_check first, so a delta
+/// with an entry below `first_param` is rejected before anything is
+/// written. `fingerprint` must equal params_fingerprint(base).
 void delta_apply_with_fingerprint(const Sequential& base,
                                   std::uint64_t fingerprint,
-                                  const ModelDelta& delta, Sequential& model);
+                                  const ModelDelta& delta, Sequential& model,
+                                  std::size_t first_param);
+
+/// Throws std::runtime_error unless `delta` applies to `base` over
+/// [first_param, end): the identity always does; any other delta must
+/// carry `fingerprint` and the base's parameter-tensor count, and its
+/// entries must be in order, at or past `first_param` and as long as
+/// the tensors they cover.
+void delta_check(const Sequential& base, std::uint64_t fingerprint,
+                 const ModelDelta& delta, std::size_t first_param);
 
 std::string delta_to_string(const ModelDelta& delta);
 ModelDelta delta_from_string(const std::string& blob);

@@ -58,6 +58,7 @@ Personalizer::Personalizer(
     for (std::size_t l = 0; l < base_[s].layer_count(); ++l) {
       (l < split_[s] ? prefix_[s] : tail).add(base_[s].layer(l).clone());
     }
+    tail_param_[s] = prefix_[s].params().size();
     if (split_[s] > 0) {
       prefix_cost_j_[s] =
           nn::estimate_cost(prefix_[s], input_shape, profile).energy_j;
@@ -82,7 +83,8 @@ void Personalizer::load(const PersonalizeState& state, std::uint64_t id,
   }
   for (std::size_t s = 0; s < data::kNumSensors; ++s) {
     nn::delta_apply_with_fingerprint(base_[s], base_fingerprint_[s],
-                                     state.delta[s], models[s]);
+                                     state.delta[s], models[s],
+                                     tail_param_[s]);
   }
   scratch_dirty_ = state.dirty();
   loaded_ = static_cast<std::int64_t>(id);
@@ -93,11 +95,19 @@ void Personalizer::load_base(
   if (scratch_dirty_) {
     for (std::size_t s = 0; s < data::kNumSensors; ++s) {
       nn::delta_apply_with_fingerprint(base_[s], base_fingerprint_[s],
-                                       nn::ModelDelta{}, models[s]);
+                                       nn::ModelDelta{}, models[s],
+                                       tail_param_[s]);
     }
     scratch_dirty_ = false;
   }
   loaded_ = -1;
+}
+
+void Personalizer::validate(const PersonalizeState& state) const {
+  for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+    nn::delta_check(base_[s], base_fingerprint_[s], state.delta[s],
+                    tail_param_[s]);
+  }
 }
 
 std::uint64_t Personalizer::serialized_bytes(
@@ -232,9 +242,11 @@ std::uint64_t Personalizer::run_fit(
     // Realize the quantized state: encode the tail diff, then apply it
     // back so the live weights sit exactly on the delta grid — what the
     // snapshot stores is bit-for-bit what keeps serving.
-    state.delta[s] = nn::delta_encode(base_[s], models[s]);
+    state.delta[s] = nn::delta_encode_with_fingerprint(
+        base_[s], base_fingerprint_[s], models[s], tail_param_[s]);
     nn::delta_apply_with_fingerprint(base_[s], base_fingerprint_[s],
-                                     state.delta[s], models[s]);
+                                     state.delta[s], models[s],
+                                     tail_param_[s]);
     state.energy_j +=
         (prefix_cost_j_[s] +
          tail_pass_cost_j_[s] * static_cast<double>(config_.epochs)) *

@@ -91,11 +91,14 @@ class Personalizer {
   /// Loads session `id`'s personalized weights into the shard scratch
   /// (base + dequantized delta), skipping the copy when the scratch
   /// already holds them. Call before a panel or fit on those weights.
+  /// Only the tail's tensors are written: the scratch prefix is always
+  /// base, because only fits write weights and a fit writes only the
+  /// tail (validate() holds restored deltas to the same rule).
   void load(const PersonalizeState& state, std::uint64_t id,
             std::array<nn::Sequential, data::kNumSensors>& models);
 
-  /// Restores the pristine base weights into the shard scratch (no-op
-  /// when it is already clean). The shard serves every clean
+  /// Restores the pristine base weights into the shard scratch's tail
+  /// (no-op when it is already clean). The shard serves every clean
   /// (empty-delta) session from one shared base panel, so it loads base
   /// once per tick instead of once per session.
   void load_base(std::array<nn::Sequential, data::kNumSensors>& models);
@@ -131,6 +134,12 @@ class Personalizer {
   std::uint64_t run_fit(PersonalizeState& state, std::uint64_t seed_offset,
                         std::array<nn::Sequential, data::kNumSensors>& models);
 
+  /// Throws std::runtime_error unless every delta of `state` applies to
+  /// this shard's base over the tail (nn::delta_check: fingerprint,
+  /// parameter-tensor count, entry lengths, no entry in the frozen
+  /// prefix). Snapshot restore runs it before adopting a session.
+  void validate(const PersonalizeState& state) const;
+
   /// Serialized size of a session's three deltas (delta_bytes refresh).
   static std::uint64_t serialized_bytes(
       const std::array<nn::ModelDelta, data::kNumSensors>& delta);
@@ -149,6 +158,9 @@ class Personalizer {
   /// Clones of base layers [0, split): deltas only ever cover the tail,
   /// so the prefix is the base for every session.
   std::array<nn::Sequential, data::kNumSensors> prefix_;
+  /// Per sensor: index in params() order of the tail's first parameter
+  /// tensor — where every delta encode, apply and check starts.
+  std::array<std::size_t, data::kNumSensors> tail_param_{};
   /// Energy price per buffered sample: one prefix inference (0 when the
   /// prefix is empty), plus per epoch one tail training pass at 3x the
   /// tail's inference cost (forward + backward over the same MACs).

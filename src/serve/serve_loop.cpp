@@ -111,23 +111,26 @@ SessionSpec ServeLoop::make_spec(std::uint64_t id) const {
   return spec;
 }
 
-Session& ServeLoop::admit_session(std::uint64_t id) {
-  SessionShard& shard = *shards_[id % config_.shards];
-  shard.admit(std::make_unique<Session>(*experiment_, make_spec(id),
-                                        shard.models(), config_.ring_capacity,
-                                        config_.trace));
-  const Session& session = *shard.active().back();
+std::unique_ptr<Session> ServeLoop::make_session(std::uint64_t id) {
+  return std::make_unique<Session>(*experiment_, make_spec(id),
+                                   shards_[id % config_.shards]->models(),
+                                   config_.ring_capacity, config_.trace);
+}
+
+void ServeLoop::admit_session(std::unique_ptr<Session> session) {
+  const SessionSpec& spec = session->spec();
+  SessionShard& shard = *shards_[spec.id % config_.shards];
   // Admission is serial (id order), so these events are deterministic; a
   // snapshot restore re-fires them — the flight ring is process-local
   // state, not snapshotted.
   ORIGIN_TRACE(
       shard.flight(),
-      admit(static_cast<std::int64_t>(id), shard.shard_index(),
-            static_cast<double>(session.spec().arrival_tick) *
+      admit(static_cast<std::int64_t>(spec.id), shard.shard_index(),
+            static_cast<double>(spec.arrival_tick) *
                 experiment_->spec().slot_seconds(),
-            static_cast<std::int64_t>(session.spec().arrival_tick),
-            static_cast<int>(session.stepper().total_slots())));
-  return *shard.active().back();
+            static_cast<std::int64_t>(spec.arrival_tick),
+            static_cast<int>(session->stepper().total_slots())));
+  shard.admit(std::move(session));
 }
 
 void ServeLoop::tick(std::uint64_t n) {
@@ -139,7 +142,7 @@ void ServeLoop::tick(std::uint64_t n) {
   std::uint64_t admitted_delta = 0;
   while (next_admit_ < arrivals_.size() &&
          arrivals_.tick(next_admit_) < to) {
-    admit_session(next_admit_);
+    admit_session(make_session(next_admit_));
     ++next_admit_;
     ++admitted_delta;
   }

@@ -163,8 +163,10 @@ class ServeLoop {
   /// Workload identity of session `id`, re-derived on admission and on
   /// snapshot restore (the snapshot stores only the id).
   SessionSpec make_spec(std::uint64_t id) const;
-  /// Creates session `id` in its home shard and returns it.
-  Session& admit_session(std::uint64_t id);
+  /// Builds session `id` on its home shard's models, not yet admitted.
+  std::unique_ptr<Session> make_session(std::uint64_t id);
+  /// Hands `session` to its home shard (and records its admit event).
+  void admit_session(std::unique_ptr<Session> session);
   /// Folds the round logs of every shard in shard-index order under the
   /// publish mutex and refreshes the published views.
   void publish_round(std::uint64_t to, double tick_seconds);

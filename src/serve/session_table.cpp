@@ -217,22 +217,23 @@ void SessionShard::run_panels(const std::vector<PendingStep>& items) {
   }
   // Delta-group routing: sessions still on the shared base weights are
   // classified through one base panel; a session carrying a non-identity
-  // delta is served on its own weights (its own small panel).
+  // delta is served on its own weights (its own small panel). A session
+  // with nothing to classify this tick joins no group, so no weights are
+  // loaded for it.
   static thread_local std::vector<PendingStep> clean;
   clean.clear();
   for (const PendingStep& item : items) {
-    const PersonalizeState* state = item.session->personalize();
-    if (state && state->dirty()) continue;
-    clean.push_back(item);
+    if (item.req_begin == item.req_end) continue;
+    if (!item.session->personalize()->dirty()) clean.push_back(item);
   }
   if (!clean.empty()) {
     personalizer_->load_base(models_);
     run_panel_group(clean.data(), clean.size());
   }
   for (const PendingStep& item : items) {
-    const PersonalizeState* state = item.session->personalize();
-    if (!state || !state->dirty()) continue;
-    personalizer_->load(*state, item.session->spec().id, models_);
+    const PersonalizeState& state = *item.session->personalize();
+    if (item.req_begin == item.req_end || !state.dirty()) continue;
+    personalizer_->load(state, item.session->spec().id, models_);
     run_panel_group(&item, 1);
   }
 }

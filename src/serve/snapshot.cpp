@@ -12,6 +12,7 @@
 #include "serve/snapshot.hpp"
 
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -389,49 +390,37 @@ void ServeLoop::restore(const std::string& path) {
   const std::uint64_t saved_next_admit = r.u64();
   const std::uint64_t saved_results_seq = r.u64();
 
-  std::lock_guard<std::mutex> lock(publish_mutex_);
-  {
-    const std::uint64_t batch_panels = r.u64();
-    const std::uint64_t batch_windows = r.u64();
-    obs::HistogramCell occupancy;
-    field(r, occupancy);
-    if (occupancy.buckets.size() !=
-        det_metrics_.histogram(batch_occupancy_id_).buckets.size()) {
-      throw std::runtime_error(
-          "snapshot: serve.batch_occupancy bucket count mismatch");
-    }
-    det_metrics_.inc(batch_panels_id_, batch_panels);
-    det_metrics_.inc(batch_windows_id_, batch_windows);
-    det_metrics_.restore_histogram(batch_occupancy_id_, occupancy);
+  // Everything below parses into locals; the loop adopts none of it
+  // until the whole file has checked out, so a failed restore leaves the
+  // loop as constructed.
+  const std::uint64_t batch_panels = r.u64();
+  const std::uint64_t batch_windows = r.u64();
+  obs::HistogramCell occupancy;
+  field(r, occupancy);
+  if (occupancy.buckets.size() !=
+      det_metrics_.histogram(batch_occupancy_id_).buckets.size()) {
+    throw std::runtime_error(
+        "snapshot: serve.batch_occupancy bucket count mismatch");
   }
-  records(r, completed_);
-  // Replay the deterministic metrics in publish order — commutative sums
-  // recorded in the same sequence give bit-identical values to a process
-  // that never stopped.
-  det_metrics_.inc(admitted_id_, saved_next_admit);
-  for (const auto& record : completed_) {
-    record_completed_metrics(record);
-    det_metrics_.inc(slots_id_, record.slots);
-    det_metrics_.inc(fine_tunes_id_, record.fine_tunes);
-    det_metrics_.inc(fine_tune_steps_id_, record.fine_tune_steps);
-  }
+  std::vector<CompletedSession> completed;
+  records(r, completed);
 
   const int num_classes = experiment_->spec().num_classes();
+  std::vector<std::unique_ptr<Session>> sessions;
   const std::uint64_t active_count = r.u64();
   for (std::uint64_t i = 0; i < active_count; ++i) {
     const std::uint64_t id = r.u64();
     if (id >= arrivals_.size()) {
       throw std::runtime_error("snapshot: active session id out of range");
     }
-    Session& session = admit_session(id);
-    sim::SlotStepper& stepper = session.stepper();
+    std::unique_ptr<Session> session = make_session(id);
+    sim::SlotStepper& stepper = session->stepper();
 
     const std::uint64_t next_slot = r.u64();
     std::array<double, data::kNumSensors> last_success{};
     for (auto& t : last_success) t = r.f64();
     const int previous_output = r.i32();
     stepper.restore_progress(next_slot, last_success, previous_output);
-    det_metrics_.inc(slots_id_, next_slot);
 
     for (std::size_t s = 0; s < data::kNumSensors; ++s) {
       net::SensorNodeState state;
@@ -471,17 +460,49 @@ void ServeLoop::restore(const std::string& path) {
     result.accuracy.restore(std::move(confusion));
     tallies(r, result);
     if (config_.personalize.enabled) {
-      PersonalizeState& st = *session.personalize();
+      session->enable_personalize();
+      PersonalizeState& st = *session->personalize();
       field(r, st);
-      // The weights themselves are re-derived lazily: Personalizer::load
-      // re-applies base + delta before the session's next served tick.
-      det_metrics_.inc(fine_tunes_id_, st.fine_tunes);
-      det_metrics_.inc(fine_tune_steps_id_, st.steps_used);
+      // The weights themselves are re-derived lazily (Personalizer::load
+      // re-applies base + delta before the session's next panel or fit),
+      // so a delta the shard could not apply must be refused here, not
+      // mid-tick with the scratch half rewritten.
+      try {
+        shards_[id % config_.shards]->personalizer()->validate(st);
+      } catch (const std::runtime_error& err) {
+        throw std::runtime_error("snapshot: session " + std::to_string(id) +
+                                 ": " + err.what());
+      }
     }
+    sessions.push_back(std::move(session));
   }
 
   if (!r.exhausted()) {
     throw std::runtime_error("snapshot: trailing bytes");
+  }
+
+  std::lock_guard<std::mutex> lock(publish_mutex_);
+  det_metrics_.inc(batch_panels_id_, batch_panels);
+  det_metrics_.inc(batch_windows_id_, batch_windows);
+  det_metrics_.restore_histogram(batch_occupancy_id_, occupancy);
+  completed_ = std::move(completed);
+  // Replay the deterministic metrics in publish order — commutative sums
+  // recorded in the same sequence give bit-identical values to a process
+  // that never stopped.
+  det_metrics_.inc(admitted_id_, saved_next_admit);
+  for (const auto& record : completed_) {
+    record_completed_metrics(record);
+    det_metrics_.inc(slots_id_, record.slots);
+    det_metrics_.inc(fine_tunes_id_, record.fine_tunes);
+    det_metrics_.inc(fine_tune_steps_id_, record.fine_tune_steps);
+  }
+  for (std::unique_ptr<Session>& session : sessions) {
+    det_metrics_.inc(slots_id_, session->stepper().next_slot());
+    if (const PersonalizeState* st = session->personalize()) {
+      det_metrics_.inc(fine_tunes_id_, st->fine_tunes);
+      det_metrics_.inc(fine_tune_steps_id_, st->steps_used);
+    }
+    admit_session(std::move(session));
   }
 
   now_ = saved_now;

@@ -204,6 +204,50 @@ TEST(DeltaCodec, FileRoundTrip) {
   EXPECT_THROW(nn::load_delta(path), std::runtime_error);
 }
 
+TEST(DeltaCodec, TailRangeLeavesPrefixAndRejectsEntriesBelowIt) {
+  nn::Sequential base = small_model(8);
+  nn::Sequential tuned = perturb_head(base, 1e-3f);
+  const std::uint64_t fingerprint = nn::params_fingerprint(base);
+  const std::size_t first = base.params().size() - 2;  // the head Dense
+  // Over a tail that holds every change, the range encode is the full one.
+  const nn::ModelDelta delta =
+      nn::delta_encode_with_fingerprint(base, fingerprint, tuned, first);
+  EXPECT_EQ(nn::delta_to_string(delta),
+            nn::delta_to_string(nn::delta_encode(base, tuned)));
+
+  // The range apply writes the tail and leaves every prefix tensor as it
+  // found it, even where the target's prefix is not base.
+  nn::Sequential full = base;
+  nn::delta_apply(base, delta, full);
+  nn::Sequential target = base;
+  const auto tp = target.params();
+  for (std::size_t t = 0; t < first; ++t) tp[t]->fill(0.25f);
+  nn::delta_apply_with_fingerprint(base, fingerprint, delta, target, first);
+  const auto fp = full.params();
+  for (std::size_t t = 0; t < tp.size(); ++t) {
+    SCOPED_TRACE(t);
+    for (std::size_t i = 0; i < tp[t]->size(); ++i) {
+      ASSERT_EQ(tp[t]->data()[i], t < first ? 0.25f : fp[t]->data()[i]);
+    }
+  }
+
+  // A delta with an entry below the range is refused before anything is
+  // written.
+  nn::Sequential wide = perturb_head(base, 1e-3f);
+  wide.params()[0]->data()[0] += 1.0f;
+  const nn::ModelDelta below = nn::delta_encode(base, wide);
+  ASSERT_EQ(below.entries.front().param_index, 0u);
+  nn::Sequential untouched = base;
+  EXPECT_THROW(nn::delta_apply_with_fingerprint(base, fingerprint, below,
+                                                untouched, first),
+               std::runtime_error);
+  EXPECT_THROW(nn::delta_check(base, fingerprint, below, first),
+               std::runtime_error);
+  expect_same_params(untouched, base);
+  EXPECT_NO_THROW(nn::delta_check(base, fingerprint, below, 0));
+  EXPECT_NO_THROW(nn::delta_check(base, fingerprint, nn::ModelDelta{}, first));
+}
+
 TEST(TailSplit, FirstTrainableLayerIndex) {
   // small_model: Conv ReLU Flatten Dense ReLU Dense Softmax. The tail
   // holds the trailing `tail_layers` parameterized layers and every
@@ -368,6 +412,70 @@ class PersonalizeTest : public ::testing::Test {
       EXPECT_EQ(a[i].delta_bytes, b[i].delta_bytes);
       EXPECT_EQ(a[i].personalize_j, b[i].personalize_j);
     }
+  }
+
+  /// Saves a fine-tuned loop mid-flight, corrupts the first non-empty
+  /// delta blob in the file with `tamper` (given the blob's offset), and
+  /// checks that restore refuses it naming the session and `reason`, and
+  /// that the refused restore adopted nothing: the same loop then restores
+  /// the intact file and finishes exactly like an uninterrupted run.
+  static void expect_tampered_delta_refused(
+      const std::string& name, const std::string& reason,
+      void (*tamper)(std::string& bytes, std::size_t blob)) {
+    const sim::Experiment& experiment = *experiment_;
+    const ServeConfig cfg = tuned_config();
+    ServeLoop uninterrupted(experiment, cfg);
+    uninterrupted.drain(/*chunk=*/5);
+
+    ServeLoop first(experiment, cfg);
+    first.tick(30);  // past the first fine-tune cadence (20 slots)
+    const std::string path = testing::TempDir() + "/" + name + ".snap";
+    first.save(path);
+    std::string bytes = util::read_file(path);
+    // Active sessions are saved in the order session_summaries() lists
+    // them, so the first session with a fine-tune owns the first delta blob
+    // that has entries.
+    std::uint64_t tuned_id = 0;
+    bool found = false;
+    for (const SessionSummary& summary : first.session_summaries()) {
+      if (summary.fine_tunes > 0) {
+        tuned_id = summary.id;
+        found = true;
+        break;
+      }
+    }
+    ASSERT_TRUE(found);
+    // Blob layout: magic, u32 version, u64 fingerprint, u32 tensor count,
+    // u32 entry count (at +24), then the entries.
+    std::size_t blob = bytes.find("ORGNDELT");
+    while (blob != std::string::npos && bytes[blob + 24] == 0) {
+      blob = bytes.find("ORGNDELT", blob + 1);
+    }
+    ASSERT_NE(blob, std::string::npos);
+    tamper(bytes, blob);
+    const std::string bad_path = testing::TempDir() + "/" + name + "_bad.snap";
+    util::write_file_atomic(bad_path, bytes);
+
+    ServeLoop second(experiment, cfg);
+    try {
+      second.restore(bad_path);
+      ADD_FAILURE() << "restored a snapshot with a tampered delta";
+    } catch (const std::runtime_error& err) {
+      const std::string what = err.what();
+      EXPECT_EQ(what.rfind("snapshot: session " + std::to_string(tuned_id) +
+                               ": ",
+                           0),
+                0u)
+          << what;
+      EXPECT_NE(what.find(reason), std::string::npos) << what;
+    }
+    EXPECT_EQ(second.now(), 0u);
+    second.restore(path);
+    second.drain(/*chunk=*/5);
+    expect_same_completed(second.completed_sessions(),
+                          uninterrupted.completed_sessions());
+    std::remove(path.c_str());
+    std::remove(bad_path.c_str());
   }
 
   static sim::Experiment* experiment_;
@@ -815,6 +923,24 @@ TEST_F(PersonalizeTest, FineTuneSplitRunBitIdenticalToUninterrupted) {
                                                           full_metrics));
     std::remove(path.c_str());
   }
+}
+
+TEST_F(PersonalizeTest, TamperedDeltaFingerprintRefusedAtRestore) {
+  expect_tampered_delta_refused(
+      "tampered_fingerprint", "different base model",
+      [](std::string& bytes, std::size_t blob) {
+        bytes[blob + 12] = static_cast<char>(bytes[blob + 12] ^ 0x01);
+      });
+}
+
+TEST_F(PersonalizeTest, DeltaEntryInFrozenPrefixRefusedAtRestore) {
+  // The first entry's u32 param_index sits at +28; tensor 0 is the first
+  // conv's weight, deep in the frozen prefix.
+  expect_tampered_delta_refused(
+      "prefix_entry", "below the applied range",
+      [](std::string& bytes, std::size_t blob) {
+        for (int b = 0; b < 4; ++b) bytes[blob + 28 + b] = 0;
+      });
 }
 
 TEST_F(PersonalizeTest, SnapshotFingerprintCoversPersonalizeConfig) {
