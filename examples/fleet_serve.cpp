@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
   args.add("arrival-rate", &serve_config.arrival_rate_hz,
            "open-loop arrivals per virtual second");
   args.add("slots", &slots, "stream length per session, in slots");
-  args.add("threads", &serve_config.threads, "worker threads (1 = inline)");
+  args.add("threads", &serve_config.threads,
+           "serving threads, counting the driver (1 = driver only)");
   args.add("shards", &shards, "session-table shards (affects fold order)");
   args.add("policy", &policy_name, "naive|rr|aas|aasr|origin");
   args.add("rr", &serve_config.rr_cycle, "round-robin depth");

@@ -281,16 +281,13 @@ void train_system(TrainedSystem& system, const PipelineConfig& config) {
     const unsigned threads =
         config.train_threads > 0 ? static_cast<unsigned>(config.train_threads)
                                  : fleet::ThreadPool::hardware_threads();
-    if (threads > 1) {
+    {
       // Two flat run_batch calls — the pool is not reentrant, so the
       // variant fan-out cannot be nested inside the BL-1 tasks.
       fleet::ThreadPool pool(std::min<unsigned>(
           threads, static_cast<unsigned>(pending.size()) * 2u));
       pool.run_batch(pending.size(), fit_bl1);
       pool.run_batch(pending.size() * 2, fit_variant);
-    } else {
-      for (std::size_t k = 0; k < pending.size(); ++k) fit_bl1(k);
-      for (std::size_t v = 0; v < pending.size() * 2; ++v) fit_variant(v);
     }
 
     // Serial atomic saves once all training is done.
@@ -356,16 +353,13 @@ void calibrate_system(TrainedSystem& system, const PipelineConfig& config) {
   const unsigned threads =
       config.train_threads > 0 ? static_cast<unsigned>(config.train_threads)
                                : fleet::ThreadPool::hardware_threads();
-  if (threads > 1) {
+  {
     // Two flat run_batch calls, like train_system — the pool is not
     // reentrant, and stage 2 reads every sensor's calibration set.
     fleet::ThreadPool pool(std::min<unsigned>(
         threads, static_cast<unsigned>(data::kNumSensors) * 2u));
     pool.run_batch(data::kNumSensors, synthesize);
     pool.run_batch(static_cast<std::size_t>(data::kNumSensors) * 2, measure);
-  } else {
-    for (std::size_t si = 0; si < data::kNumSensors; ++si) synthesize(si);
-    for (std::size_t k = 0; k < data::kNumSensors * 2u; ++k) measure(k);
   }
 
   // Serial merge in sensor order: rank tables + confidence matrices for

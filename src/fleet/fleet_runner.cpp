@@ -186,10 +186,9 @@ FleetResult FleetRunner::run(const std::vector<FleetJob>& jobs) const {
     }
   };
 
-  if (config_.threads <= 1) {
-    // Inline path: same shard layout and merge order, no pool overhead.
-    for (std::size_t s = 0; s < shards.size(); ++s) run_shard(s);
-  } else {
+  {
+    // At threads <= 1 the pool is the calling thread alone: same shard
+    // layout and merge order, shards run in index order.
     ThreadPool pool(config_.threads);
     pool.run_batch(shards.size(), run_shard);
     const PoolStats pool_stats = pool.stats();

@@ -49,7 +49,8 @@ struct FleetJobResult {
 };
 
 struct FleetRunnerConfig {
-  /// Worker threads; <= 1 runs shards inline on the calling thread.
+  /// Threads running shards, counting the caller of run(); <= 1 runs
+  /// every shard on the calling thread.
   unsigned threads = 1;
   /// Jobs per shard (0 -> 1). One job per shard maximizes stealing
   /// granularity and is right for simulation-sized jobs.

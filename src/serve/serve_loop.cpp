@@ -28,7 +28,8 @@ ServeLoop::ServeLoop(const sim::Experiment& experiment, ServeConfig config)
         arrival.seed = config_.arrival_seed;
         arrival.slot_seconds = experiment.spec().slot_seconds();
         return arrival;
-      }()) {
+      }()),
+      pool_(config_.threads) {
   if (config_.shards == 0) {
     throw std::invalid_argument("ServeLoop: shards == 0");
   }
@@ -67,6 +68,17 @@ ServeLoop::ServeLoop(const sim::Experiment& experiment, ServeConfig config)
       "serve.tick_seconds",
       obs::MetricsRegistry::exponential_bounds(1e-4, 2.0, 20),
       /*deterministic=*/false);
+  // Where a tick's wall time goes: the serial section (admission plus the
+  // publish fold) and each shard's task, one observation per shard per
+  // tick() call. Wall clock, so excluded from every bit-identity check.
+  tick_serial_seconds_id_ = registry_.add_histogram(
+      "serve.tick_serial_seconds",
+      obs::MetricsRegistry::exponential_bounds(1e-6, 2.0, 20),
+      /*deterministic=*/false);
+  shard_busy_seconds_id_ = registry_.add_histogram(
+      "serve.shard_busy_seconds",
+      obs::MetricsRegistry::exponential_bounds(1e-6, 2.0, 20),
+      /*deterministic=*/false);
   det_metrics_ = registry_.make_shard();
   loop_wall_metrics_ = registry_.make_shard();
 
@@ -76,6 +88,8 @@ ServeLoop::ServeLoop(const sim::Experiment& experiment, ServeConfig config)
         experiment, config_.set, config_.bits, config_.personalize));
     shards_.back()->set_wall_metrics(registry_.make_shard());
   }
+  admits_.resize(config_.shards);
+  shard_summaries_.resize(config_.shards);
   if (obs::kTraceEnabled && config_.flight_capacity > 0) {
     flight_ = std::make_unique<obs::FlightRecorder>(config_.flight_capacity);
     flight_logs_.resize(config_.shards);
@@ -83,10 +97,6 @@ ServeLoop::ServeLoop(const sim::Experiment& experiment, ServeConfig config)
       shards_[i]->set_flight(&flight_logs_[i], static_cast<int>(i));
     }
   }
-  if (config_.threads > 1) {
-    pool_ = std::make_unique<fleet::ThreadPool>(config_.threads);
-  }
-
   std::lock_guard<std::mutex> lock(publish_mutex_);
   rebuild_published_locked();
 }
@@ -120,9 +130,10 @@ std::unique_ptr<Session> ServeLoop::make_session(std::uint64_t id) {
 void ServeLoop::admit_session(std::unique_ptr<Session> session) {
   const SessionSpec& spec = session->spec();
   SessionShard& shard = *shards_[spec.id % config_.shards];
-  // Admission is serial (id order), so these events are deterministic; a
-  // snapshot restore re-fires them — the flight ring is process-local
-  // state, not snapshotted.
+  // A shard admits in id order, before serving its round, so these events
+  // hold the same place in its flight log at any thread count; a snapshot
+  // restore re-fires them — the flight ring is process-local state, not
+  // snapshotted.
   ORIGIN_TRACE(
       shard.flight(),
       admit(static_cast<std::int64_t>(spec.id), shard.shard_index(),
@@ -138,31 +149,38 @@ void ServeLoop::tick(std::uint64_t n) {
   const auto begin = std::chrono::steady_clock::now();
   const std::uint64_t to = now_ + n;
 
-  // Serial admission in id order (arrival ticks are non-decreasing).
+  // Serial admission only routes each arriving id (id order; arrival ticks
+  // are non-decreasing) to its shard; the shard's task builds the session.
   std::uint64_t admitted_delta = 0;
   while (next_admit_ < arrivals_.size() &&
          arrivals_.tick(next_admit_) < to) {
-    admit_session(make_session(next_admit_));
+    admits_[next_admit_ % config_.shards].push_back(next_admit_);
     ++next_admit_;
     ++admitted_delta;
   }
+  const double admission_seconds = seconds_since(begin);
 
   // Serve every shard over [now_, to). Threads decide when a shard runs,
   // never what it computes — the publish fold below is shard-ordered.
-  const auto serve = [&](std::size_t i) {
-    shards_[i]->serve_ticks(now_, to, step_seconds_id_);
-  };
-  if (pool_) {
-    pool_->run_batch(shards_.size(), serve);
-  } else {
-    for (std::size_t i = 0; i < shards_.size(); ++i) serve(i);
-  }
+  pool_.run_batch(shards_.size(), [&](std::size_t i) { serve_shard(i, to); });
 
   det_metrics_.inc(admitted_id_, admitted_delta);
-  publish_round(to, seconds_since(begin));
+  publish_round(to, seconds_since(begin), admission_seconds);
 }
 
-void ServeLoop::publish_round(std::uint64_t to, double tick_seconds) {
+void ServeLoop::serve_shard(std::size_t i, std::uint64_t to) {
+  const auto begin = std::chrono::steady_clock::now();
+  SessionShard& shard = *shards_[i];
+  for (std::uint64_t id : admits_[i]) admit_session(make_session(id));
+  admits_[i].clear();
+  shard.serve_ticks(now_, to, step_seconds_id_);
+  shard.summarize(shard_summaries_[i]);
+  shard.wall_metrics().observe(shard_busy_seconds_id_, seconds_since(begin));
+}
+
+void ServeLoop::publish_round(std::uint64_t to, double tick_seconds,
+                              double admission_seconds) {
+  const auto begin = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(publish_mutex_);
   if (flight_) {
     // Shard-index fold order: the flight stream is bit-identical at any
@@ -212,7 +230,11 @@ void ServeLoop::publish_round(std::uint64_t to, double tick_seconds) {
   loop_wall_metrics_.observe(tick_seconds_id_, tick_seconds);
   tick_digest_.observe(tick_seconds);
   now_ = to;
-  rebuild_published_locked();
+  rebuild_views_locked();
+  // Everything serial in this tick except taking the snapshot itself.
+  loop_wall_metrics_.observe(tick_serial_seconds_id_,
+                             admission_seconds + seconds_since(begin));
+  snapshot_metrics_locked();
 }
 
 void ServeLoop::record_completed_metrics(const CompletedSession& record) {
@@ -222,43 +244,18 @@ void ServeLoop::record_completed_metrics(const CompletedSession& record) {
 }
 
 void ServeLoop::rebuild_published_locked() {
+  rebuild_views_locked();
+  snapshot_metrics_locked();
+}
+
+void ServeLoop::rebuild_views_locked() {
   summaries_.clear();
-  std::uint64_t active = 0;
-  for (const auto& shard : shards_) {
-    for (const auto& session : shard->active()) {
-      const sim::SlotStepper& stepper = session->stepper();
-      SessionSummary summary;
-      summary.id = session->spec().id;
-      summary.arrival_tick = session->spec().arrival_tick;
-      summary.slots_done = stepper.next_slot();
-      summary.slots_total = stepper.total_slots();
-      summary.accuracy = stepper.result().accuracy.overall();
-      summary.attempts = stepper.result().completion.attempts;
-      summary.completions = stepper.result().completion.completions;
-      for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-        summary.stored_j[s] = stepper.node(s).stored_j();
-      }
-      if (const PersonalizeState* st = session->personalize()) {
-        summary.fine_tunes = st->fine_tunes;
-        summary.fine_tune_steps = st->steps_used;
-        summary.delta_bytes = st->delta_bytes;
-        summary.personalize_j = st->energy_j;
-      }
-      summaries_.push_back(summary);
-      ++active;
-    }
+  for (const auto& rows : shard_summaries_) {
+    summaries_.insert(summaries_.end(), rows.begin(), rows.end());
   }
-
-  std::vector<obs::MetricsShard> all;
-  all.reserve(2 + shards_.size());
-  all.push_back(det_metrics_);
-  all.push_back(loop_wall_metrics_);
-  for (const auto& shard : shards_) all.push_back(shard->wall_metrics());
-  metrics_snapshot_ = obs::snapshot(registry_, obs::merge_in_order(all));
-
   status_.now = now_;
   status_.admitted = next_admit_;
-  status_.active = active;
+  status_.active = summaries_.size();
   status_.completed = static_cast<std::uint64_t>(completed_.size());
   status_.slots_served = det_metrics_.counter(slots_id_);
   status_.batch_panels = det_metrics_.counter(batch_panels_id_);
@@ -268,6 +265,15 @@ void ServeLoop::rebuild_published_locked() {
           ? static_cast<double>(status_.batch_windows) /
                 static_cast<double>(status_.batch_panels)
           : 0.0;
+}
+
+void ServeLoop::snapshot_metrics_locked() {
+  std::vector<obs::MetricsShard> all;
+  all.reserve(2 + shards_.size());
+  all.push_back(det_metrics_);
+  all.push_back(loop_wall_metrics_);
+  for (const auto& shard : shards_) all.push_back(shard->wall_metrics());
+  metrics_snapshot_ = obs::snapshot(registry_, obs::merge_in_order(all));
 }
 
 void ServeLoop::drain(std::uint64_t chunk) {

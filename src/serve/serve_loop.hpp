@@ -2,11 +2,12 @@
 // simulator into a persistent service: sessions are admitted at runtime
 // under an open-loop arrival schedule over a deterministic virtual clock
 // (one tick = one stream slot), advanced one slot per tick in sharded
-// session tables on a reused fleet::ThreadPool, and evicted on
-// completion. All published outputs — the JSONL results stream, the
-// completed-session log, the deterministic metrics — are folded in
-// shard-index order, so they are bit-identical at any --threads and
-// across a snapshot/restore split (see snapshot.cpp).
+// session tables on a reused fleet::ThreadPool (the driver thread is one
+// of its participants), and evicted on completion. All published outputs
+// — the JSONL results stream, the completed-session log, the
+// deterministic metrics — are folded in shard-index order, so they are
+// bit-identical at any --threads and across a snapshot/restore split
+// (see snapshot.cpp).
 //
 // Thread model: tick()/drain()/restore() belong to one driver thread;
 // the const query surface (status, summaries, results, metrics) is safe
@@ -50,7 +51,8 @@ struct ServeConfig {
   /// (Sequential::set_inference_bits). Changes results, so it is part of
   /// the snapshot fingerprint.
   int bits = 32;
-  /// Worker threads serving shards; <= 1 serves inline. Never affects
+  /// Threads serving shards, counting the driver thread that calls
+  /// tick(); <= 1 serves every shard on the driver thread. Never affects
   /// results.
   unsigned threads = 1;
   /// Session-table shards. Part of the determinism fingerprint (the
@@ -167,13 +169,24 @@ class ServeLoop {
   std::unique_ptr<Session> make_session(std::uint64_t id);
   /// Hands `session` to its home shard (and records its admit event).
   void admit_session(std::unique_ptr<Session> session);
+  /// Shard `i`'s task for the round [now_, to): builds the sessions
+  /// routed to it this tick (id order), serves them, and refreshes its
+  /// summary rows. Touches only shard `i` and its slots in admits_ and
+  /// shard_summaries_.
+  void serve_shard(std::size_t i, std::uint64_t to);
   /// Folds the round logs of every shard in shard-index order under the
-  /// publish mutex and refreshes the published views.
-  void publish_round(std::uint64_t to, double tick_seconds);
+  /// publish mutex and refreshes the published views. `admission_seconds`
+  /// is the tick's serial admission time, counted into the serial-section
+  /// metric together with this fold.
+  void publish_round(std::uint64_t to, double tick_seconds,
+                     double admission_seconds);
   /// Records one completed session into the deterministic metrics shard
   /// (also replayed, in log order, on snapshot restore).
   void record_completed_metrics(const CompletedSession& record);
+  /// Published views (summaries, status) and the metrics snapshot.
   void rebuild_published_locked();
+  void rebuild_views_locked();
+  void snapshot_metrics_locked();
 
   const sim::Experiment* experiment_;
   ServeConfig config_;
@@ -185,13 +198,19 @@ class ServeLoop {
   obs::MetricId fine_tunes_id_{}, fine_tune_steps_id_{};
   obs::MetricId batch_panels_id_{}, batch_windows_id_{}, batch_occupancy_id_{};
   obs::MetricId step_seconds_id_{}, tick_seconds_id_{};
+  obs::MetricId tick_serial_seconds_id_{}, shard_busy_seconds_id_{};
   /// Deterministic metrics, recorded only during the serial publish fold.
   obs::MetricsShard det_metrics_;
-  /// Wall-clock metrics owned by the loop (tick latency).
+  /// Wall-clock metrics owned by the loop (tick latency, serial section).
   obs::MetricsShard loop_wall_metrics_;
 
   std::vector<std::unique_ptr<SessionShard>> shards_;
-  std::unique_ptr<fleet::ThreadPool> pool_;  // created once, reused per tick
+  /// Per shard: ids admitted this tick, built by the shard's task.
+  std::vector<std::vector<std::uint64_t>> admits_;
+  /// Per shard: summary rows of its active sessions, written by the
+  /// shard's task and concatenated in shard order by the publisher.
+  std::vector<std::vector<SessionSummary>> shard_summaries_;
+  fleet::ThreadPool pool_;  // created once, reused per tick
 
   /// Flight recorder: per-shard logs recorded lock-free during the round,
   /// folded into the ring in shard-index order under the publish mutex.

@@ -46,6 +46,31 @@ void SessionShard::admit(std::unique_ptr<Session> session) {
   active_.push_back(std::move(session));
 }
 
+void SessionShard::summarize(std::vector<SessionSummary>& out) const {
+  out.clear();
+  for (const auto& session : active_) {
+    const sim::SlotStepper& stepper = session->stepper();
+    SessionSummary summary;
+    summary.id = session->spec().id;
+    summary.arrival_tick = session->spec().arrival_tick;
+    summary.slots_done = stepper.next_slot();
+    summary.slots_total = stepper.total_slots();
+    summary.accuracy = stepper.result().accuracy.overall();
+    summary.attempts = stepper.result().completion.attempts;
+    summary.completions = stepper.result().completion.completions;
+    for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+      summary.stored_j[s] = stepper.node(s).stored_j();
+    }
+    if (const PersonalizeState* st = session->personalize()) {
+      summary.fine_tunes = st->fine_tunes;
+      summary.fine_tune_steps = st->steps_used;
+      summary.delta_bytes = st->delta_bytes;
+      summary.personalize_j = st->energy_j;
+    }
+    out.push_back(summary);
+  }
+}
+
 void SessionShard::capture_nvp_before(const Session& session,
                                       PendingStep& item) const {
 #if ORIGIN_TRACE_ENABLED

@@ -144,6 +144,10 @@ class SessionShard {
     return active_;
   }
 
+  /// Replaces `out` with one summary row per active session, in admission
+  /// order.
+  void summarize(std::vector<SessionSummary>& out) const;
+
  private:
   /// One session's stake in the current tick: the range of classify
   /// requests its step_begin appended, plus the flight recorder's

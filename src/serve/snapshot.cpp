@@ -508,6 +508,9 @@ void ServeLoop::restore(const std::string& path) {
   now_ = saved_now;
   next_admit_ = saved_next_admit;
   results_seq_ = saved_results_seq;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    shards_[i]->summarize(shard_summaries_[i]);
+  }
   rebuild_published_locked();
 }
 

@@ -6,9 +6,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace origin::fleet {
@@ -101,6 +105,92 @@ TEST(ThreadPool, ZeroThreadsClampedToOne) {
   EXPECT_EQ(pool.thread_count(), 1u);
 }
 
+/// Threads of this process, where the OS lists them (Linux); -1 elsewhere.
+long process_thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  return static_cast<long>(std::distance(it, {}));
+}
+
+TEST(ThreadPool, OneParticipantRunsEveryTaskOnTheCallerAndStartsNoThread) {
+  const long threads_before = process_thread_count();
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.thread_count(), 1u);
+  if (threads_before >= 0) {
+    EXPECT_EQ(process_thread_count(), threads_before);
+  }
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool all_on_caller = true;
+  pool.run_batch(16, [&](std::size_t i) {
+    all_on_caller &= std::this_thread::get_id() == caller;
+    order.push_back(i);
+  });
+  EXPECT_TRUE(all_on_caller);
+  // The caller takes its own queue oldest first: submission order, like a
+  // plain loop.
+  std::vector<std::size_t> expected(16);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ThreadPool, BatchRunsOnAtMostThreadCountThreads) {
+  // The caller is a participant, so a pool of n runs a batch on at most n
+  // distinct threads — the caller and n - 1 workers — and the same n over
+  // its whole life.
+  for (unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    std::mutex mutex;
+    std::set<std::thread::id> lifetime_ids;
+    for (int b = 0; b < 50; ++b) {
+      std::set<std::thread::id> batch_ids;
+      pool.run_batch(64, [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+        std::lock_guard<std::mutex> lock(mutex);
+        batch_ids.insert(std::this_thread::get_id());
+      });
+      EXPECT_LE(batch_ids.size(), pool.thread_count());
+      lifetime_ids.insert(batch_ids.begin(), batch_ids.end());
+    }
+    EXPECT_LE(lifetime_ids.size(), pool.thread_count());
+    EXPECT_EQ(lifetime_ids.count(std::this_thread::get_id()), 1u);
+  }
+}
+
+TEST(ThreadPool, DestroyRightAfterBatchIsPrompt) {
+  // Workers are still spinning for the next batch when run_batch returns;
+  // the spin watches for shutdown, so the destructor joins them at once.
+  for (unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE(threads);
+    auto pool = std::make_unique<ThreadPool>(threads);
+    std::atomic<int> ran{0};
+    pool->run_batch(threads, [&](std::size_t) { ++ran; });
+    EXPECT_EQ(ran.load(), static_cast<int>(threads));
+    const auto start = std::chrono::steady_clock::now();
+    pool.reset();
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+    EXPECT_LT(wall_s, 0.050);
+  }
+}
+
+TEST(ThreadPool, IdleWorkersParkAfterTheSpinAndWakeForTheNextBatch) {
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  pool.run_batch(2, [&](std::size_t) { ++ran; });
+  // Once kIdleSpin has passed with no batch, the worker stops polling and
+  // parks (waiting up to 1 s for a loaded host to schedule it).
+  for (int i = 0; i < 1000 && pool.stats().backoffs == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(pool.stats().backoffs, 1u);
+  pool.run_batch(64, [&](std::size_t) { ++ran; });
+  EXPECT_EQ(ran.load(), 66);
+}
+
 TEST(ThreadPool, OversubscriptionManyMoreTasksThanThreads) {
   ThreadPool pool(3);
   constexpr std::size_t kN = 1000;
@@ -120,8 +210,9 @@ TEST(ThreadPool, ExceptionPropagatesToCaller) {
 }
 
 TEST(ThreadPool, ExceptionCancelsOutstandingTasks) {
-  // With one worker the tasks run strictly in submission order off the
-  // single queue, so everything after the throwing task must be skipped.
+  // A one-participant pool is the caller alone, taking its single queue
+  // oldest first: tasks run strictly in submission order, so everything
+  // after the throwing task must be skipped.
   ThreadPool pool(1);
   std::atomic<std::size_t> executed{0};
   try {

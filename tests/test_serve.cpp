@@ -74,7 +74,9 @@ TEST(ArrivalSchedule, DeterministicMonotoneAndValidated) {
   ASSERT_EQ(a.size(), 32u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.tick(i), b.tick(i));
-    if (i > 0) EXPECT_GE(a.tick(i), a.tick(i - 1));
+    if (i > 0) {
+      EXPECT_GE(a.tick(i), a.tick(i - 1));
+    }
   }
   EXPECT_EQ(a.last_tick(), a.tick(31));
 
@@ -270,6 +272,57 @@ TEST_F(ServeTest, StatusAndSummariesTrackProgress) {
   EXPECT_EQ(loop.status().slots_served, cfg.users * 60u);
   // Virtual clock: every slot of every session was served exactly once.
   EXPECT_TRUE(loop.session_summaries().empty());
+}
+
+TEST_F(ServeTest, SerialSectionAndShardBusyMetricsArePublishedAsWallClock) {
+  ServeConfig cfg = small_config();
+  cfg.threads = 2;
+  ServeLoop loop(*experiment_, cfg);
+  constexpr std::uint64_t kTicks = 5;
+  for (std::uint64_t t = 0; t < kTicks; ++t) loop.tick(1);
+  const obs::MetricsSnapshot metrics = loop.metrics();
+
+  // One serial-section observation per tick() call, one busy observation
+  // per shard per tick() call; both in the exposition /metrics serves.
+  for (const char* name :
+       {"serve.tick_serial_seconds", "serve.shard_busy_seconds"}) {
+    SCOPED_TRACE(name);
+    const obs::MetricDef* def = metrics.find(name);
+    ASSERT_NE(def, nullptr);
+    EXPECT_FALSE(def->deterministic);
+    EXPECT_NE(metrics.to_json().find(name), std::string::npos);
+  }
+  EXPECT_EQ(metrics.histogram_value("serve.tick_serial_seconds").count,
+            kTicks);
+  EXPECT_EQ(metrics.histogram_value("serve.shard_busy_seconds").count,
+            kTicks * cfg.shards);
+  obs::RunManifest manifest("test_serve");
+  ServeEndpoint endpoint(loop, &manifest);
+  HttpRequest request;
+  request.method = "GET";
+  request.path = "/metrics";
+  request.target = "/metrics";
+  const std::string body = endpoint.handle(request).body;
+  EXPECT_NE(body.find("serve.tick_serial_seconds"), std::string::npos);
+  EXPECT_NE(body.find("serve.shard_busy_seconds"), std::string::npos);
+
+  // The bit-identity comparisons (across thread counts and snapshot
+  // splits) skip them: any wall-clock value compares equal, while the
+  // same edit to a deterministic histogram does not.
+  obs::MetricsSnapshot perturbed = metrics;
+  for (const char* name :
+       {"serve.tick_serial_seconds", "serve.shard_busy_seconds"}) {
+    obs::HistogramCell& cell =
+        perturbed.histograms[perturbed.find(name)->slot];
+    cell.sum += 1.0;
+    cell.max += 1.0;
+    cell.count += 3;
+    cell.buckets.back() += 3;
+  }
+  EXPECT_TRUE(obs::MetricsSnapshot::deterministic_equal(metrics, perturbed));
+  perturbed.histograms[perturbed.find("serve.batch_occupancy")->slot].sum +=
+      1.0;
+  EXPECT_FALSE(obs::MetricsSnapshot::deterministic_equal(metrics, perturbed));
 }
 
 TEST_F(ServeTest, EndpointRoutes) {
