@@ -1,187 +1,24 @@
-// Fig. 6 — the adaptive ensemble learner personalizing to unseen users.
-// Following the paper's protocol: 3 previously-unseen users, Gaussian
-// noise at 20 dB SNR over unseen test windows, 1000 iterations of 10
-// classifications each (10000 successful classifications). Each
-// classification runs all three (frozen) sensor DNNs on the same noisy
-// instant; the host fuses with confidence-weighted voting; after every
-// classification the sensors' transmitted confidence scores update the
-// matrix by moving average. Only the confidence matrix ever changes.
+// Fig. 6 — the adaptive ensemble learner personalizing to unseen users:
+// 3 previously-unseen users at 20 dB SNR, 1000 iterations of 10
+// classifications each, plus frozen-matrix controls for users 1 and 2
+// (protocol in adaptive_protocol.hpp, shared with the claims gate).
 // Paper: accuracy starts below the base level because of the noise and the
 // unseen gait, and recovers toward it within ~100 iterations.
 #include "bench_common.hpp"
 
-#include "core/confidence.hpp"
-#include "core/ensemble.hpp"
-#include "data/noise.hpp"
-#include "fleet/thread_pool.hpp"
+#include "adaptive_protocol.hpp"
 
 using namespace origin;
-
-namespace {
-
-constexpr int kIterations = 1000;
-constexpr int kPerIteration = 10;
-const std::vector<int> kCheckpoints = {1, 10, 100, 1000};
-
-/// Accuracy (in percent) near each checkpoint iteration for one user.
-std::vector<double> run_user(const core::TrainedSystem& sys,
-                             const data::UserProfile& user, bool adaptive,
-                             std::uint64_t seed) {
-  util::Rng rng(seed);
-  const data::SignalModel model(sys.spec, user);
-  core::ConfidenceMatrix matrix = sys.confidence;  // factory calibration
-
-  std::vector<char> correct;
-  correct.reserve(kIterations * kPerIteration);
-  auto bl2 = sys.bl2_copy();
-
-  for (int iter = 0; iter < kIterations; ++iter) {
-    for (int k = 0; k < kPerIteration; ++k) {
-      const int label = static_cast<int>(
-          rng.below(static_cast<std::uint64_t>(sys.spec.num_classes())));
-      const auto activity = sys.spec.activity_of(label);
-      const double t0 = rng.uniform(0.0, 3600.0);
-      const auto style = data::draw_shared_style(sys.spec, activity, rng);
-
-      std::vector<core::Ballot> ballots;
-      std::array<net::Classification, data::kNumSensors> results;
-      for (int s = 0; s < data::kNumSensors; ++s) {
-        const auto si = static_cast<std::size_t>(s);
-        nn::Tensor w = model.window(activity,
-                                    static_cast<data::SensorLocation>(s), t0,
-                                    rng, style);
-        data::add_gaussian_noise_snr(w, 20.0, rng);
-        results[si] = net::make_classification(bl2[si].predict_proba(w));
-        core::Ballot b;
-        b.cls = results[si].predicted_class;
-        b.weight = results[si].confidence *
-                   matrix.weight(static_cast<data::SensorLocation>(s), b.cls);
-        b.tie_priority = static_cast<double>(s);
-        ballots.push_back(b);
-      }
-      const int fused =
-          core::weighted_majority_vote(ballots, sys.spec.num_classes()).value();
-      correct.push_back(fused == label ? 1 : 0);
-      if (adaptive) {
-        // Consensus-gated moving average (§III-C + the online
-        // personalization rule): adapt only on clear-margin decisions —
-        // self-training on shaky consensus amplifies errors.
-        std::vector<double> totals(
-            static_cast<std::size_t>(sys.spec.num_classes()), 0.0);
-        int supporters = 0;
-        for (const auto& b : ballots) {
-          totals[static_cast<std::size_t>(b.cls)] += b.weight;
-          if (b.cls == fused) ++supporters;
-        }
-        double second = 0.0;
-        for (int c = 0; c < sys.spec.num_classes(); ++c) {
-          if (c != fused) {
-            second = std::max(second, totals[static_cast<std::size_t>(c)]);
-          }
-        }
-        if (supporters >= 2 &&
-            totals[static_cast<std::size_t>(fused)] >= 2.0 * second) {
-          for (int s = 0; s < data::kNumSensors; ++s) {
-            const auto si = static_cast<std::size_t>(s);
-            matrix.update_with_consensus(static_cast<data::SensorLocation>(s),
-                                         results[si].predicted_class,
-                                         results[si].confidence,
-                                         results[si].predicted_class == fused);
-          }
-        }
-      }
-    }
-  }
-
-  std::vector<double> at;
-  for (int checkpoint : kCheckpoints) {
-    // Accuracy over a window of iterations around the checkpoint.
-    const int lo = std::max(0, checkpoint - std::max(1, checkpoint / 2));
-    const int hi = std::min(kIterations, checkpoint + std::max(1, checkpoint / 2));
-    std::uint64_t ok = 0, n = 0;
-    for (int i = lo * kPerIteration; i < hi * kPerIteration; ++i) {
-      ++n;
-      ok += static_cast<std::uint64_t>(correct[static_cast<std::size_t>(i)]);
-    }
-    at.push_back(100.0 * static_cast<double>(ok) / static_cast<double>(n));
-  }
-  return at;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bench::JsonReport report(argc, argv, "fig06_adaptive");
   auto exp = bench::make_experiment(data::DatasetKind::MHealthLike);
   const auto& sys = exp.system();
-
-  // Base-model reference: the reference user, no added noise, factory
-  // matrix — the level the adaptation should recover toward.
-  double base = 0.0;
-  {
-    util::Rng rng(0xBA5EULL);
-    const data::SignalModel model(sys.spec, data::reference_user());
-    auto bl2 = const_cast<core::TrainedSystem&>(sys).bl2_copy();
-    std::uint64_t ok = 0;
-    const int n = 2000;
-    for (int i = 0; i < n; ++i) {
-      const int label = static_cast<int>(
-          rng.below(static_cast<std::uint64_t>(sys.spec.num_classes())));
-      const auto activity = sys.spec.activity_of(label);
-      const double t0 = rng.uniform(0.0, 3600.0);
-      const auto style = data::draw_shared_style(sys.spec, activity, rng);
-      std::vector<core::Ballot> ballots;
-      for (int s = 0; s < data::kNumSensors; ++s) {
-        const auto si = static_cast<std::size_t>(s);
-        const auto w = model.window(
-            activity, static_cast<data::SensorLocation>(s), t0, rng, style);
-        const auto c = net::make_classification(bl2[si].predict_proba(w));
-        ballots.push_back({c.predicted_class,
-                           c.confidence * sys.confidence.weight(
-                                              static_cast<data::SensorLocation>(s),
-                                              c.predicted_class),
-                           static_cast<double>(s)});
-      }
-      if (core::weighted_majority_vote(ballots, sys.spec.num_classes()).value() ==
-          label) {
-        ++ok;
-      }
-    }
-    base = 100.0 * static_cast<double>(ok) / n;
-  }
+  const double base = bench::adaptive_base_pct(sys);
 
   util::AsciiTable t({"user", "iter 1", "iter 10", "iter 100", "iter 1000"});
-  // Mild deviations, matching the paper's premise that the noise (not the
-  // gait shift) drives the initial drop to just below the base level.
-  // Profiles are drawn sequentially (the shared rng is a stream); the four
-  // independent run_user simulations then fan out over the fleet pool and
-  // the rows print in job order, so the table is thread-count-invariant.
-  constexpr double kSeverity = 0.5;
-  struct UserRun {
-    std::string label;
-    data::UserProfile user;
-    bool adaptive = true;
-    std::uint64_t seed = 0;
-  };
-  std::vector<UserRun> runs;
-  util::Rng rng(0xF165ULL);
-  for (int u = 1; u <= 3; ++u) {
-    runs.push_back({"user " + std::to_string(u),
-                    data::random_user(u, rng, kSeverity), true,
-                    static_cast<std::uint64_t>(5000 + u)});
-  }
-  {
-    // Control: the same unseen user with a frozen factory matrix.
-    util::Rng urng(0xF165ULL);
-    runs.push_back({"user 1 (frozen matrix)",
-                    data::random_user(1, urng, kSeverity), false, 5001});
-  }
-
-  std::vector<std::vector<double>> rows(runs.size());
-  fleet::ThreadPool pool(fleet::ThreadPool::hardware_threads());
-  pool.run_batch(runs.size(), [&](std::size_t i) {
-    rows[i] = run_user(sys, runs[i].user, runs[i].adaptive, runs[i].seed);
-  });
+  const auto runs = bench::adaptive_runs();
+  const auto rows = bench::run_adaptive(sys, runs);
   for (std::size_t i = 0; i < runs.size(); ++i) {
     t.add_row(runs[i].label, rows[i]);
   }
@@ -191,8 +28,8 @@ int main(int argc, char** argv) {
   std::printf("(1000 iterations x 10 classifications; only the matrix adapts)\n");
   t.print();
   report.add_table("fig06", t);
-  report.manifest().set("iterations", kIterations);
-  report.manifest().set("per_iteration", kPerIteration);
+  report.manifest().set("iterations", bench::kAdaptiveIterations);
+  report.manifest().set("per_iteration", bench::kAdaptivePerIteration);
   report.manifest().set("base_pct", base);
   report.write();
   return 0;
