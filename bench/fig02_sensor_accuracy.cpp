@@ -48,7 +48,7 @@ int main() {
         for (int s = 0; s < data::kNumSensors; ++s) {
           const auto si = static_cast<std::size_t>(s);
           const auto w = model.window(activity, static_cast<data::SensorLocation>(s),
-                                      t0, rng, style);
+                                      t0, rng.next_u64(), style);
           ballots.push_back({sys.sensors[si].bl2.predict(w), 1.0,
                              static_cast<double>(s)});
         }

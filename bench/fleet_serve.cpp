@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   args.add("repeat", &repeat,
            "timed runs per cell; wall time is the fastest (noise floor)");
   args.add("backend", &backend,
-           "kernel backend: reference|avx2|neon|auto (default keeps "
+           "kernel backend: reference|avx2|auto (default keeps "
            "ORIGIN_BACKEND or reference)");
   args.add("bits", &base.bits,
            "inference word width: 32 (float) or 2..8 (int8 serving path)");

@@ -324,55 +324,30 @@ BENCHMARK(BM_PipelineTrainParallel)
 void BM_WindowSynthesis(benchmark::State& state) {
   const auto spec = data::dataset_spec(data::DatasetKind::MHealthLike);
   const data::SignalModel model(spec, data::reference_user());
-  util::Rng rng(3);
+  const data::SharedStyle style;
+  std::uint64_t key = 3;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.window(
-        data::Activity::Running, data::SensorLocation::LeftAnkle, 0.0, rng));
+    benchmark::DoNotOptimize(model.window(data::Activity::Running,
+                                          data::SensorLocation::LeftAnkle, 0.0,
+                                          key++, style));
   }
 }
 BENCHMARK(BM_WindowSynthesis);
 
-/// Stepping over one window's draws without synthesizing it: what the
-/// stream cursor pays for a window nobody reads. Track it against
-/// BM_WindowSynthesis (the saving per unread window) and against
-/// BM_XoshiroWords (the draw floor it cannot go below).
-void BM_WindowSkip(benchmark::State& state) {
-  const auto spec = data::dataset_spec(data::DatasetKind::MHealthLike);
-  const data::SignalModel model(spec, data::reference_user());
-  util::Rng rng(3);
+/// One window's keyed noise fill alone: the wobble plus 6 x 64 noise
+/// values, the Gaussians BM_WindowSynthesis draws.
+void BM_NoiseFill(benchmark::State& state) {
+  std::vector<double> noise(385);
+  std::uint64_t key = 3;
   for (auto _ : state) {
-    model.skip_window(rng);
-    benchmark::DoNotOptimize(rng);
+    nn::kernels::gauss_fill(key++, noise.data(), noise.size());
+    benchmark::DoNotOptimize(noise.data());
   }
 }
-BENCHMARK(BM_WindowSkip);
-
-/// The serial xoshiro chain of one skipped window alone: 491 next_u64()
-/// steps, the mean draw count of BM_WindowSkip's window (one phase
-/// uniform, then 385 Gaussians at 4/pi candidate pairs per accepted pair).
-void BM_XoshiroWords(benchmark::State& state) {
-  util::Rng rng(3);
-  for (auto _ : state) {
-    for (int i = 0; i < 491; ++i) benchmark::DoNotOptimize(rng.next_u64());
-  }
-}
-BENCHMARK(BM_XoshiroWords);
-
-/// The preserved oracle loop — the before/after pair for the synthesis
-/// kernel (see EXPERIMENTS.md; the two are bit-identical by test).
-void BM_WindowSynthesisReference(benchmark::State& state) {
-  const auto spec = data::dataset_spec(data::DatasetKind::MHealthLike);
-  const data::SignalModel model(spec, data::reference_user());
-  util::Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.synthesize_window_reference(
-        data::Activity::Running, data::SensorLocation::LeftAnkle, 0.0, rng));
-  }
-}
-BENCHMARK(BM_WindowSynthesisReference);
+BENCHMARK(BM_NoiseFill);
 
 /// A stream cursor's steady state with Arg windows read per slot, lower
-/// sensors first; the others are skipped. Arg 3 is a baseline that reads
+/// sensors first; the others cost nothing. Arg 3 is a baseline that reads
 /// every sensor, Arg 1 a scheduler that samples one sensor per slot.
 /// Pooled ring buffers, so zero allocation after warm-up; the rewind every
 /// 120 slots redraws no windows. items/s = slots/s.
@@ -588,9 +563,9 @@ void register_backend_variants() {
           BM_WindowSynthesis(state);
         });
     benchmark::RegisterBenchmark(
-        ("BM_WindowSkip" + tag).c_str(), [b](benchmark::State& state) {
+        ("BM_NoiseFill" + tag).c_str(), [b](benchmark::State& state) {
           BackendScope scope(b->name);
-          BM_WindowSkip(state);
+          BM_NoiseFill(state);
         });
     benchmark::RegisterBenchmark(
         ("BM_WindowSynthesisBatch" + tag).c_str(),

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   args.add("rr", &serve_config.rr_cycle, "round-robin depth");
   args.add("severity", &serve_config.severity, "user deviation severity");
   args.add("backend", &backend,
-           "kernel backend: reference|avx2|neon|auto (auto = best available; "
+           "kernel backend: reference|avx2|auto (auto = best available; "
            "default keeps ORIGIN_BACKEND or reference)");
   args.add("bits", &serve_config.bits,
            "inference word width: 32 (float) or 2..8 (int8 serving path)");

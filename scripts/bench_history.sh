@@ -99,7 +99,7 @@ def manifest_param(doc, key, default):
     return default
 
 
-# The active kernel backend (reference / avx2 / neon) and the machine's
+# The active kernel backend (reference / avx2) and the machine's
 # SIMD feature string, as stamped into every bench manifest. Rows from
 # different backends are never tolerance-compared: a backend switch is a
 # new baseline, not a regression.

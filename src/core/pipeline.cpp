@@ -27,8 +27,10 @@ namespace {
 // swapped libm sin for util::det_sin in window synthesis (<2e-11 absolute
 // error, deliberately bit-portable but not bit-identical to libm), which
 // changes the synthetic training streams — v5 caches hold libm-era weights
-// that no committed code can reproduce.
-constexpr int kArchVersion = 6;
+// that no committed code can reproduce. v7: windows draw their phase,
+// wobble and noise from a per-window key (keyed Box–Muller noise) instead
+// of the sequential stream RNG, which moves every training window.
+constexpr int kArchVersion = 7;
 
 nn::Samples training_set_for(const PipelineConfig& config,
                              const data::DatasetSpec& spec,

@@ -36,9 +36,10 @@ nn::Samples make_training_set(const DatasetSpec& spec, SensorLocation loc,
     const Activity a = spec.activity_of(c);
     for (int i = 0; i < per_class; ++i) {
       // Each training window starts at an arbitrary instant of an ongoing
-      // bout of the activity.
+      // bout of the activity, in a style of its own.
       const double t0 = rng.uniform(0.0, 3600.0);
-      samples.push_back({model.window(a, loc, t0, rng), c});
+      const SharedStyle style = draw_shared_style(spec, a, rng);
+      samples.push_back({model.window(a, loc, t0, rng.next_u64(), style), c});
     }
   }
   rng.shuffle(samples);

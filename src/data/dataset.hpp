@@ -25,12 +25,14 @@ class CursorState;
 /// One scheduler slot of the synchronized body-area network stream: the
 /// ground-truth activity and the window each sensor would sample.
 ///
-/// A slot served by a StreamCursor is lazy: its windows' randomness has
-/// been drawn (or is next in the stream), but a window is synthesized only
-/// on its first window() read, so a sensor that never samples never costs
-/// a synthesis. Copying a slot materializes it: the copy holds all three
-/// windows and no hook into the cursor. (A move is a copy, so a cursor's
-/// ring entry can never be moved out from under it.)
+/// A slot served by a StreamCursor is lazy: it holds its slot key, and
+/// each window is Pending until its first window() read synthesizes it
+/// from its own key (util::derive_key(slot key, sensor)). A sensor that
+/// never samples never costs anything, and the windows can be read in any
+/// order while the slot is in the cursor's ring. Copying a slot
+/// materializes it: the copy holds all three windows and no hook into the
+/// cursor. (A move is a copy, so a cursor's ring entry can never be moved
+/// out from under it.)
 struct SlotSample {
   int label = 0;
   Activity activity = Activity::Walking;
@@ -53,20 +55,21 @@ struct SlotSample {
   friend class detail::CursorState;
 
   enum class WindowState : std::uint8_t {
-    Ready,     // windows_[s] holds the window
-    Draws,     // its draws are still ahead of the cursor's stream RNG
-    Snapshot,  // snapshots_[s] is the stream RNG where its draws begin
+    Ready,    // windows_[s] holds the window
+    Pending,  // synthesized from the slot key on the first read
   };
 
   const nn::Tensor& read_lazy(std::size_t s) const;
 
   std::array<nn::Tensor, kNumSensors> windows_;
   std::array<WindowState, kNumSensors> state_{};
-  /// Lazy slots only: the owning cursor's synthesis state, the style all
-  /// three windows share, and the RNG snapshots of skipped windows.
+  /// Lazy slots only: the owning cursor's synthesis state, the cursor
+  /// generation the slot was opened in (reset and rebind retire it), the
+  /// style all three windows share, and the slot key.
   detail::CursorState* cursor_ = nullptr;
+  std::uint64_t generation_ = 0;
   SharedStyle style_;
-  std::array<util::Rng, kNumSensors> snapshots_;
+  std::uint64_t key_ = 0;
 };
 
 struct Stream {
@@ -80,7 +83,8 @@ struct Stream {
   }
 };
 
-/// Labeled i.i.d. windows (`per_class` each) for one sensor location.
+/// Labeled i.i.d. windows (`per_class` each) for one sensor location. Each
+/// window draws its start time, style and window key from one Rng(seed).
 nn::Samples make_training_set(const DatasetSpec& spec, SensorLocation loc,
                               int per_class, const UserProfile& user,
                               std::uint64_t seed);
@@ -88,7 +92,7 @@ nn::Samples make_training_set(const DatasetSpec& spec, SensorLocation loc,
 struct StreamConfig {
   MarkovConfig markov;
   /// If set, white Gaussian noise at this SNR (dB) is added to every
-  /// window (Fig. 6's noisy unseen-user condition).
+  /// window (Fig. 6's noisy unseen-user condition), keyed by the window.
   std::optional<double> snr_db;
   /// Execution style evolves smoothly: new style anchors are drawn every
   /// this many slots and interpolated between (people drift in and out of

@@ -2,10 +2,14 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
+
+#include "nn/kernels.hpp"
 
 namespace origin::data {
 
-void add_gaussian_noise_snr(nn::Tensor& window, double snr_db, util::Rng& rng) {
+void add_gaussian_noise_snr(nn::Tensor& window, double snr_db,
+                            std::uint64_t key) {
   if (window.empty()) return;
   const double n = static_cast<double>(window.size());
   double mean = 0.0;
@@ -20,8 +24,11 @@ void add_gaussian_noise_snr(nn::Tensor& window, double snr_db, util::Rng& rng) {
   if (power <= 0.0) return;
   const double noise_power = power / std::pow(10.0, snr_db / 10.0);
   const double sigma = std::sqrt(noise_power);
+  thread_local std::vector<double> noise;
+  noise.resize(window.size());
+  nn::kernels::gauss_fill(key, noise.data(), noise.size());
   for (std::size_t i = 0; i < window.size(); ++i) {
-    window[i] += static_cast<float>(rng.gauss(0.0, sigma));
+    window[i] += static_cast<float>(sigma * noise[i]);
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 
 #include "data/activity.hpp"
@@ -76,61 +77,43 @@ struct SharedStyle {
 SharedStyle draw_shared_style(const DatasetSpec& spec, Activity a,
                               util::Rng& rng, double p_ambiguous = 0.33);
 
-/// Advances `rng` exactly as `n` rng.gauss() calls would, cached second
-/// value included, without computing the values it steps over.
-void skip_gauss(util::Rng& rng, std::size_t n);
-
-/// Writes the next `n` rng.gauss() values to `out` and leaves `rng`
-/// (cached second value included) where n gauss() calls leave it.
-void fill_gauss(util::Rng& rng, double* out, std::size_t n);
-
 /// Synthesizes windows of IMU data for one user.
 ///
-/// Two implementations share one bit-identity contract:
-///   - `synthesize_window_reference` is the original scalar loop, kept
-///     verbatim as the test oracle;
-///   - `synthesize_window` (and `window`, which routes to it) is the fast
-///     kernel path: cached per-(activity, location) signature tables, a
-///     shared time grid, per-window invariants hoisted out of the inner
-///     loop, and branchless util::det_sin sinusoids evaluated in
-///     vectorizable passes. It preserves the oracle's exact FP
-///     accumulation order and RNG draw order, so outputs are identical
-///     bit for bit (pinned by tests/test_data_golden.cpp).
+/// A window is a pure function of its inputs and a 64-bit window key: the
+/// key gives the window phase (util::key_uniform) and, through the keyed
+/// noise fill nn::kernels::gauss_fill, the amplitude wobble and then one
+/// noise value per sample, channel-major. Nothing is drawn from a
+/// sequential stream, so a window nobody reads costs nothing and windows
+/// can be synthesized in any order. The path calls no libm function: the
+/// sinusoids are util::det_sin and the noise is Box–Muller on det_log /
+/// det_sin. Per-(activity, location) signature tables are cached, a
+/// shared time grid and per-window invariants are hoisted out of the
+/// inner loop, and the waveform runs through the synth_channel kernel.
+/// tests/test_data_golden.cpp keeps the plain scalar loop as the oracle
+/// and pins checksums.
 class SignalModel {
  public:
   SignalModel(DatasetSpec spec, UserProfile user);
 
   /// One [channels, window_len] window of activity `a` at location `loc`
-  /// starting at absolute time `t0_s`. `rng` supplies per-window phase,
-  /// amplitude wobble and sensor noise. When `style` is omitted an
-  /// independent style is drawn from `rng` (i.i.d. training windows).
+  /// starting at absolute time `t0_s`, drawn from `key` under the shared
+  /// per-instant `style`.
   nn::Tensor window(Activity a, SensorLocation loc, double t0_s,
-                    util::Rng& rng,
-                    std::optional<SharedStyle> style = std::nullopt) const;
+                    std::uint64_t key, const SharedStyle& style) const;
 
-  /// Fast path into a caller-provided buffer: `out` is reshaped in place
+  /// window() into a caller-provided buffer: `out` is reshaped in place
   /// (pooled callers never reallocate in steady state) and every element
-  /// overwritten. Bit-identical to `synthesize_window_reference` under
-  /// the same RNG state.
+  /// overwritten.
   void synthesize_window(nn::Tensor& out, Activity a, SensorLocation loc,
-                         double t0_s, util::Rng& rng,
-                         std::optional<SharedStyle> style = std::nullopt) const;
-
-  /// Advances `rng` past exactly the draws synthesize_window makes when a
-  /// style is supplied (the window phase, the amplitude wobble, then one
-  /// noise draw per sample) without synthesizing anything. The stream
-  /// cursor uses it to step over windows nobody reads; the two functions
-  /// sit side by side so the draw order is defined in one file.
-  void skip_window(util::Rng& rng) const;
-
-  /// The original implementation, preserved as the bit-identity oracle
-  /// for the kernel path (and benchmarked as the pre-kernel baseline).
-  nn::Tensor synthesize_window_reference(
-      Activity a, SensorLocation loc, double t0_s, util::Rng& rng,
-      std::optional<SharedStyle> style = std::nullopt) const;
+                         double t0_s, std::uint64_t key,
+                         const SharedStyle& style) const;
 
   const DatasetSpec& spec() const { return spec_; }
   const UserProfile& user() const { return user_; }
+  /// The user's fixed per-channel phase habit (added to the window phase).
+  const std::array<double, kImuChannels>& user_phase() const {
+    return user_phase_;
+  }
 
  private:
   DatasetSpec spec_;

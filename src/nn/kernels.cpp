@@ -103,9 +103,8 @@ void synth_channel(const SynthParams& sp, const double* t, double* clean,
   active_backend().synth_channel(sp, t, clean, len);
 }
 
-std::uint32_t polar_scan(const std::uint64_t* words, int pairs, double* u,
-                         double* v, double* s) {
-  return active_backend().polar_scan(words, pairs, u, v, s);
+void gauss_fill(std::uint64_t key, double* out, std::size_t n) {
+  active_backend().gauss_fill(key, out, n);
 }
 
 }  // namespace origin::nn::kernels

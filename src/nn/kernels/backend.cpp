@@ -36,7 +36,6 @@ const std::vector<const Backend*>& available_backends() {
   static const std::vector<const Backend*> backends = [] {
     std::vector<const Backend*> v{&reference_backend()};
     // Worst-to-best: "auto" picks the back of this list.
-    if (const Backend* b = neon_backend()) v.push_back(b);
     if (const Backend* b = avx2_backend()) v.push_back(b);
     return v;
   }();
@@ -86,8 +85,6 @@ std::string simd_features() {
   append(__builtin_cpu_supports("avx2"), "avx2");
   append(__builtin_cpu_supports("fma"), "fma");
   append(__builtin_cpu_supports("avx512f"), "avx512f");
-#elif defined(__ARM_NEON)
-  features = "neon";
 #endif
   if (features.empty()) features = "scalar-only";
   return features;

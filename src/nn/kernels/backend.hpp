@@ -2,12 +2,13 @@
 //
 // A Backend is a table of function pointers covering every hot-path
 // kernel: the im2row/GEMM family (nn/kernels.hpp), the int8 serving
-// GEMM, the window-synthesis inner loop and the polar-pair scan of the
-// block Gaussian draws (data/signal_model.cpp).
+// GEMM, the window-synthesis inner loop and the keyed Gaussian noise fill
+// (data/signal_model.cpp).
 // The scalar "reference" backend is always available and is the oracle
-// every other backend is tested against. SIMD backends (AVX2/FMA on
-// x86-64, NEON on aarch64) are compiled when the toolchain supports the
-// target flags and probed at runtime before being offered.
+// every other backend is tested against. The SIMD backend (AVX2/FMA on
+// x86-64) is compiled when the toolchain supports the target flags and
+// probed at runtime before being offered; other targets, aarch64
+// included, run the reference backend.
 //
 // Contract split (DESIGN.md §13):
 //   * WITHIN a backend, the full bit-identity contract of nn/kernels.hpp
@@ -21,11 +22,12 @@
 //     identical classification tests (tests/test_backends.cpp).
 //   * The int8 GEMM is bit-identical across ALL backends: the int32
 //     accumulation is exact and the dequantization is a fixed
-//     mul-then-add (never fused). So is polar_scan: its conversions are
-//     exact and s = u*u + v*v is a fixed mul, mul, add (never fused).
+//     mul-then-add (never fused). So is gauss_fill: its hash is integer
+//     arithmetic and every floating-point step is one unfused IEEE
+//     operation, so window-noise bits are backend-invariant.
 //
 // The active backend defaults to "reference" so every existing golden
-// number is unchanged; opt into SIMD via ORIGIN_BACKEND=avx2|neon|auto
+// number is unchanged; opt into SIMD via ORIGIN_BACKEND=avx2|auto
 // or the --backend flag of the serving/bench binaries.
 #pragma once
 
@@ -65,7 +67,7 @@ struct SynthParams {
 
 /// Kernel table. All float kernels follow the accumulation-order
 /// contract documented in nn/kernels.hpp; gemm_bias_i8, synth_channel
-/// and polar_scan are documented at their dispatch wrappers (kernels.hpp).
+/// and gauss_fill are documented at their dispatch wrappers (kernels.hpp).
 struct Backend {
   const char* name;
 
@@ -86,8 +88,7 @@ struct Backend {
                        float scale);
   void (*synth_channel)(const SynthParams& sp, const double* t, double* clean,
                         int len);
-  std::uint32_t (*polar_scan)(const std::uint64_t* words, int pairs,
-                              double* u, double* v, double* s);
+  void (*gauss_fill)(std::uint64_t key, double* out, std::size_t n);
 };
 
 /// Backends usable on THIS machine, probed once: always starts with
@@ -101,7 +102,7 @@ const std::vector<const Backend*>& available_backends();
 /// else "reference".
 const Backend& active_backend();
 
-/// Select by name ("reference", "avx2", "neon", or "auto" for the best
+/// Select by name ("reference", "avx2", or "auto" for the best
 /// available). Returns false — leaving the active backend unchanged —
 /// when the name is unknown or the backend is unavailable here. Intended
 /// for process startup; swapping mid-run is safe but changes float bits

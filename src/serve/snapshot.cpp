@@ -4,9 +4,11 @@
 // active session (energy, NVP task, recall buffer, policy adaptation,
 // accumulated result); the stream cursors themselves are NOT stored —
 // synthesis is deterministic, so a restored session's cursor re-derives
-// its position lazily on the next step. That replay draws every earlier
-// slot's randomness but synthesizes no window nobody reads, so it mostly
-// steps over windows (SignalModel::skip_window). Deterministic metrics are
+// its position lazily on the next step. That replay redraws every earlier
+// slot's per-slot randomness and synthesizes no window: windows are keyed
+// by (stream seed, slot, sensor), so only the ones read are built. The
+// fingerprint does not cover the stream, so a change to the stream bumps
+// kSnapshotVersion (v7: keyed windows). Deterministic metrics are
 // replayed from the logs in publish order, so a restored process's
 // metrics are bit-identical to one that never stopped.
 #include "serve/snapshot.hpp"

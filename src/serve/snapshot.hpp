@@ -31,6 +31,9 @@ inline constexpr char kSnapshotMagic[8] = {'O', 'R', 'G', 'N',
 /// Version 6 changed no record: fine-tuning became tail-only (the frozen
 /// prefix never trains), so a v5 delta came from a fit this loop would no
 /// longer run, and a v5 snapshot is refused.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+/// Version 7 changed no record: windows became keyed by (stream seed,
+/// slot, sensor), so a restored cursor re-derives different windows than
+/// a v6 process served, and a v6 snapshot is refused.
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 }  // namespace origin::serve

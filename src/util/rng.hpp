@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -34,17 +33,16 @@ class Rng {
   }
 
   /// Uniform 64-bit integer.
-  std::uint64_t next_u64() { return step(state_); }
-
-  /// Writes the next `n` next_u64() outputs to `out`, leaving the state
-  /// where n next_u64() calls would. The state lives in a local copy,
-  /// which `out` cannot alias, so the serial chain stays in registers: the
-  /// word source of the block polar draws (data::skip_gauss /
-  /// data::fill_gauss).
-  void fill_u64(std::uint64_t* out, std::size_t n) {
-    std::uint64_t s[4] = {state_[0], state_[1], state_[2], state_[3]};
-    for (std::size_t i = 0; i < n; ++i) out[i] = step(s);
-    for (int k = 0; k < 4; ++k) state_[k] = s[k];
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
   }
 
   /// Uniform double in [0, 1).
@@ -72,9 +70,8 @@ class Rng {
   bool bernoulli(double p) { return uniform() < p; }
 
   /// Standard normal via Marsaglia polar method (cached second value).
-  /// A pair's draw count depends only on the rejection test, which is
-  /// what lets data::skip_gauss / data::fill_gauss reproduce this loop's
-  /// state and values from bulk words; this per-call form is their oracle.
+  /// Calls libm's std::log. Window synthesis draws its Gaussians from
+  /// keyed fills instead (nn::kernels::gauss_fill, below).
   double gauss() {
     if (has_gauss_) {
       has_gauss_ = false;
@@ -90,21 +87,6 @@ class Rng {
     cached_gauss_ = v * m;
     has_gauss_ = true;
     return u * m;
-  }
-
-  /// gauss()'s cached second value, consumed: the value the next gauss()
-  /// would return without drawing, or nullopt when it would draw a pair.
-  std::optional<double> take_cached_gauss() {
-    if (!has_gauss_) return std::nullopt;
-    has_gauss_ = false;
-    return cached_gauss_;
-  }
-
-  /// Makes `g` the value the next gauss() returns, as gauss() does with
-  /// the second value of a polar pair.
-  void set_cached_gauss(double g) {
-    cached_gauss_ = g;
-    has_gauss_ = true;
   }
 
   double gauss(double mean, double stddev) { return mean + stddev * gauss(); }
@@ -150,22 +132,53 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  /// One xoshiro256** step of the state `s`; returns its output word.
-  static std::uint64_t step(std::uint64_t* s) {
-    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const std::uint64_t t = s[1] << 17;
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-    return result;
-  }
-
   std::uint64_t state_[4] = {};
   bool has_gauss_ = false;
   double cached_gauss_ = 0.0;
 };
+
+// --- Keyed draws ---------------------------------------------------------
+// Randomness addressed by a 64-bit key instead of drawn from a sequential
+// stream: a value is a pure function of (key, index), so whatever nobody
+// reads costs nothing and anything can be read in any order. Window
+// synthesis keys each window by (stream seed, slot, sensor); see
+// data::StreamCursor and nn::kernels::gauss_fill.
+
+/// splitmix64's finalizer: a bijective 64-bit mix with full avalanche.
+inline std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// The key of child `index` of `parent` (a slot of a stream, a sensor of
+/// a slot): adjacent indices give unrelated keys.
+inline std::uint64_t derive_key(std::uint64_t parent, std::uint64_t index) {
+  return mix64(mix64(parent) + (index + 1) * 0x9e3779b97f4a7c15ULL);
+}
+
+/// A uniform double in [0, 1) that is a function of `key` alone.
+inline double key_uniform(std::uint64_t key) {
+  return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
+}
+
+/// Chris Wellons' lowbias32 integer hash (bijective on 32 bits).
+inline std::uint32_t lowbias32(std::uint32_t x) {
+  x ^= x >> 16;
+  x *= 0x7feb352dU;
+  x ^= x >> 15;
+  x *= 0x846ca68bU;
+  x ^= x >> 16;
+  return x;
+}
+
+/// Word `counter` of `key`'s counter-hash stream: two lowbias32 rounds,
+/// keyed by the key's low and high halves. 32-bit lanes, so the AVX2 fill
+/// hashes eight words per vector.
+inline std::uint32_t keyed_word(std::uint64_t key, std::uint32_t counter) {
+  const auto lo = static_cast<std::uint32_t>(key);
+  const auto hi = static_cast<std::uint32_t>(key >> 32);
+  return lowbias32(lowbias32(counter ^ lo) ^ hi);
+}
 
 }  // namespace origin::util

@@ -8,7 +8,9 @@
 // so the suite passes under any ORIGIN_BACKEND.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "nn/model.hpp"
 #include "nn/pooling.hpp"
 #include "nn/softmax.hpp"
+#include "util/det_math.hpp"
 #include "util/rng.hpp"
 
 #include "backend_scope.hpp"
@@ -289,111 +292,117 @@ TEST(Kernels, TrainingForwardStillEnablesBackward) {
   EXPECT_THROW(conv.backward(Tensor({3, 6})), std::logic_error);
 }
 
-// --- polar_scan: every backend against the reference ------------------
+// --- gauss_fill: the keyed Box–Muller noise fill ----------------------
 
-void expect_scan_matches_reference(const kernels::Backend& b,
-                                   const std::vector<std::uint64_t>& words,
-                                   int pairs) {
+constexpr std::size_t kFillLengths[] = {1, 2, 3, 7, 384, 385};
+
+TEST(Kernels, GaussFillReferenceIsBoxMuller) {
+  // The reference is the documented formula, written out here once more.
+  constexpr double kPi = 3.141592653589793;
+  const std::uint64_t key = 0x0123456789abcdefULL;
+  std::vector<double> got(64);
+  kernels::find_backend("reference")->gauss_fill(key, got.data(), got.size());
+  for (std::uint32_t j = 0; j < 32; ++j) {
+    const double u1 =
+        (static_cast<double>(util::keyed_word(key, 2 * j)) + 0.5) * 0x1.0p-32;
+    const double theta =
+        static_cast<double>(util::keyed_word(key, 2 * j + 1)) *
+            (2.0 * kPi * 0x1.0p-32) -
+        kPi;
+    const double r = std::sqrt(-2.0 * util::det_log(u1));
+    ASSERT_EQ(got[2 * j], r * util::det_sin(theta)) << "pair " << j;
+    ASSERT_EQ(got[2 * j + 1], r * util::det_sin(theta + kPi / 2)) << "pair " << j;
+    // And it is the Gaussian pair libm would give, to rounding.
+    ASSERT_NEAR(got[2 * j], std::sqrt(-2.0 * std::log(u1)) * std::sin(theta),
+                1e-9);
+    ASSERT_NEAR(got[2 * j + 1],
+                std::sqrt(-2.0 * std::log(u1)) * std::cos(theta), 1e-9);
+  }
+}
+
+TEST(Kernels, GaussFillBitIdenticalAcrossBackends) {
   const kernels::Backend& ref = *kernels::find_backend("reference");
-  const auto n = static_cast<std::size_t>(pairs);
-  std::vector<double> ru(n), rv(n), rs(n), bu(n), bv(n), bs(n);
-  const std::uint32_t want =
-      ref.polar_scan(words.data(), pairs, ru.data(), rv.data(), rs.data());
-  const std::uint32_t got =
-      b.polar_scan(words.data(), pairs, bu.data(), bv.data(), bs.data());
-  ASSERT_EQ(got, want) << b.name << " pairs " << pairs;
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(bu[i], ru[i]) << b.name << " pair " << i;
-    ASSERT_EQ(bv[i], rv[i]) << b.name << " pair " << i;
-    ASSERT_EQ(bs[i], rs[i]) << b.name << " pair " << i;
-    ASSERT_EQ((want >> i) & 1u, rs[i] < 1.0 && rs[i] != 0.0 ? 1u : 0u);
-  }
-}
-
-TEST(Kernels, PolarScanReferenceIsUniformArithmetic) {
-  // The reference converts words exactly as Rng::uniform(-1, 1) does.
-  util::Rng draws(300);
-  std::vector<std::uint64_t> words(2 * kernels::kPolarScanMaxPairs);
-  util::Rng source = draws;
-  source.fill_u64(words.data(), words.size());
-  std::vector<double> u(kernels::kPolarScanMaxPairs),
-      v(kernels::kPolarScanMaxPairs), s(kernels::kPolarScanMaxPairs);
-  kernels::find_backend("reference")
-      ->polar_scan(words.data(), kernels::kPolarScanMaxPairs, u.data(),
-                   v.data(), s.data());
-  for (int i = 0; i < kernels::kPolarScanMaxPairs; ++i) {
-    ASSERT_EQ(u[static_cast<std::size_t>(i)], draws.uniform(-1.0, 1.0));
-    ASSERT_EQ(v[static_cast<std::size_t>(i)], draws.uniform(-1.0, 1.0));
-  }
-}
-
-TEST(Kernels, PolarScanBitIdenticalAcrossBackends) {
-  util::Rng rng(301);
   for (const kernels::Backend* b : kernels::available_backends()) {
-    for (int pairs = 0; pairs <= kernels::kPolarScanMaxPairs; ++pairs) {
-      for (int rep = 0; rep < 8; ++rep) {
-        std::vector<std::uint64_t> words(2 * static_cast<std::size_t>(pairs));
-        rng.fill_u64(words.data(), words.size());
-        expect_scan_matches_reference(*b, words, pairs);
+    util::Rng keys(301);
+    for (int rep = 0; rep < 200; ++rep) {
+      const std::uint64_t key = keys.next_u64();
+      for (std::size_t n : kFillLengths) {
+        std::vector<double> want(n), got(n);
+        ref.gauss_fill(key, want.data(), n);
+        b->gauss_fill(key, got.data(), n);
+        ASSERT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)))
+            << b->name << " key " << key << " n " << n;
       }
     }
   }
 }
 
-TEST(Kernels, PolarScanEdgeWords) {
-  // Top 53 bits equal to 2^52 convert to exactly 0.5, so u = 0; a zero
-  // top gives u = -1; all ones gives the largest value below 1.
-  constexpr std::uint64_t kZero = std::uint64_t{1} << 63;
-  constexpr std::uint64_t kMinusOne = 0x7FF;  // low 11 bits are dropped
-  const kernels::Backend& ref = *kernels::find_backend("reference");
-  {
-    const std::vector<std::uint64_t> words = {kZero, kZero, kMinusOne, kZero};
-    double u[2], v[2], s[2];
-    const std::uint32_t accept = ref.polar_scan(words.data(), 2, u, v, s);
-    EXPECT_EQ(u[0], 0.0);
-    EXPECT_EQ(v[0], 0.0);
-    EXPECT_EQ(s[0], 0.0);  // s == 0 is rejected
-    EXPECT_EQ(u[1], -1.0);
-    EXPECT_EQ(v[1], 0.0);
-    EXPECT_EQ(s[1], 1.0);  // s == 1 is rejected
-    EXPECT_EQ(accept, 0u);
+TEST(Kernels, GaussFillEveryLengthIsAPrefix) {
+  // Value i depends on (key, i) alone: every length, through every vector
+  // tail, is a prefix of the longest fill, and nothing past n is written.
+  constexpr std::size_t kMax = 70;
+  constexpr double kCanary = 12345.0;
+  for (const kernels::Backend* b : kernels::available_backends()) {
+    std::vector<double> full(kMax);
+    b->gauss_fill(77, full.data(), kMax);
+    for (std::size_t n = 0; n < kMax; ++n) {
+      std::vector<double> part(kMax, kCanary);
+      b->gauss_fill(77, part.data(), n);
+      for (std::size_t i = 0; i < kMax; ++i) {
+        ASSERT_EQ(part[i], i < n ? full[i] : kCanary)
+            << b->name << " n " << n << " i " << i;
+      }
+    }
   }
-  // Every edge word in every lane position, next to every other, so the
-  // vector paths' pair shuffles and both conversion halves are covered.
-  const std::vector<std::uint64_t> edges = {
-      kZero,
-      kMinusOne,
-      0,
-      ~std::uint64_t{0},
-      kZero | 0x7FF,
-      kZero - (std::uint64_t{1} << 11),
-      kZero + (std::uint64_t{1} << 11),
-      0x00000000FFFFF800ULL,
-      0xFFFFFFFF00000000ULL,
-      0x0000080000000000ULL,
-      0xDA827999FCEF3400ULL,  // u close to +sqrt(0.5): s near 1 in pairs
-      0x257D8666030CC000ULL,  // u close to -sqrt(0.5)
+}
+
+TEST(Kernels, GaussFillMomentsAndKeyDecorrelation) {
+  // 2^20 values from 2,731 windows' keys (the stream cursor's derivation:
+  // slot keys from one seed, window keys from slot keys), standardized
+  // moments of N(0, 1); and the correlation between the same value index
+  // of adjacent slots and of adjacent sensors stays at sampling noise.
+  constexpr std::size_t kPerWindow = 384;
+  constexpr std::uint64_t kSlots = 911;
+  const kernels::Backend& ref = *kernels::find_backend("reference");
+  std::vector<std::vector<double>> windows;  // [slot * 3 + sensor]
+  for (std::uint64_t slot = 0; slot < kSlots; ++slot) {
+    const std::uint64_t slot_key = util::derive_key(424242, slot);
+    for (std::uint64_t s = 0; s < 3; ++s) {
+      windows.emplace_back(kPerWindow);
+      ref.gauss_fill(util::derive_key(slot_key, s), windows.back().data(),
+                     kPerWindow);
+    }
+  }
+  double m1 = 0, m2 = 0, m3 = 0, m4 = 0, n = 0;
+  for (const auto& w : windows) {
+    for (double g : w) {
+      m1 += g;
+      m2 += g * g;
+      m3 += g * g * g;
+      m4 += g * g * g * g;
+      n += 1;
+    }
+  }
+  ASSERT_GE(n, 1.0e6);
+  m1 /= n, m2 /= n, m3 /= n, m4 /= n;
+  EXPECT_NEAR(m1, 0.0, 0.005);
+  EXPECT_NEAR(m2, 1.0, 0.005);
+  EXPECT_NEAR(m3, 0.0, 0.02);
+  EXPECT_NEAR(m4, 3.0, 0.03);
+
+  const auto correlation = [&](std::size_t stride) {
+    double sxy = 0, count = 0;
+    for (std::size_t a = 0; a + stride < windows.size(); ++a) {
+      for (std::size_t i = 0; i < kPerWindow; ++i) {
+        sxy += windows[a][i] * windows[a + stride][i];
+        count += 1;
+      }
+    }
+    return sxy / count;  // both sides are N(0, 1)
   };
-  for (const kernels::Backend* b : kernels::available_backends()) {
-    for (std::size_t shift = 0; shift < 8; ++shift) {
-      std::vector<std::uint64_t> words;
-      for (std::size_t i = 0; i < edges.size(); ++i) {
-        for (std::size_t j = 0; j < edges.size(); ++j) {
-          words.push_back(edges[(i + shift) % edges.size()]);
-          words.push_back(edges[j]);
-        }
-      }
-      constexpr std::size_t kChunk = 2 * kernels::kPolarScanMaxPairs;
-      for (std::size_t at = 0; at + kChunk <= words.size(); at += kChunk) {
-        const std::vector<std::uint64_t> chunk(
-            words.begin() + static_cast<std::ptrdiff_t>(at),
-            words.begin() + static_cast<std::ptrdiff_t>(at + kChunk));
-        for (int pairs : {1, 3, 4, 5, 15, 16, 32}) {
-          expect_scan_matches_reference(*b, chunk, pairs);
-        }
-      }
-    }
-  }
+  // ~1e6 products: the sampling standard deviation is about 0.001.
+  EXPECT_LT(std::fabs(correlation(3)), 0.005) << "slot vs slot + 1";
+  EXPECT_LT(std::fabs(correlation(1)), 0.005) << "sensor s vs s + 1";
 }
 
 }  // namespace

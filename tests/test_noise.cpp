@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "util/rng.hpp"
+
 namespace origin::data {
 namespace {
 
@@ -26,7 +28,7 @@ TEST(Noise, AchievesRequestedSnr) {
     for (int t = 0; t < trials; ++t) {
       const nn::Tensor clean = sine_window();
       nn::Tensor noisy = clean;
-      add_gaussian_noise_snr(noisy, target, rng);
+      add_gaussian_noise_snr(noisy, target, rng.next_u64());
       sum += measure_snr_db(clean, noisy);
     }
     EXPECT_NEAR(sum / trials, target, 1.5) << "target " << target << " dB";
@@ -37,8 +39,8 @@ TEST(Noise, HigherSnrMeansLessDistortion) {
   util::Rng rng(2);
   nn::Tensor clean = sine_window();
   nn::Tensor low = clean, high = clean;
-  add_gaussian_noise_snr(low, 5.0, rng);
-  add_gaussian_noise_snr(high, 30.0, rng);
+  add_gaussian_noise_snr(low, 5.0, rng.next_u64());
+  add_gaussian_noise_snr(high, 30.0, rng.next_u64());
   double dl = 0.0, dh = 0.0;
   for (std::size_t i = 0; i < clean.size(); ++i) {
     dl += std::fabs(low[i] - clean[i]);
@@ -50,7 +52,7 @@ TEST(Noise, HigherSnrMeansLessDistortion) {
 TEST(Noise, SilentWindowUntouched) {
   util::Rng rng(3);
   nn::Tensor silent({2, 8});
-  add_gaussian_noise_snr(silent, 20.0, rng);
+  add_gaussian_noise_snr(silent, 20.0, rng.next_u64());
   for (std::size_t i = 0; i < silent.size(); ++i) {
     EXPECT_FLOAT_EQ(silent[i], 0.0f);
   }
@@ -60,14 +62,14 @@ TEST(Noise, DcOnlyWindowUntouched) {
   // AC power is zero for a constant window; no noise should be added.
   util::Rng rng(4);
   nn::Tensor dc = nn::Tensor::full({2, 8}, 3.0f);
-  add_gaussian_noise_snr(dc, 20.0, rng);
+  add_gaussian_noise_snr(dc, 20.0, rng.next_u64());
   for (std::size_t i = 0; i < dc.size(); ++i) EXPECT_FLOAT_EQ(dc[i], 3.0f);
 }
 
 TEST(Noise, EmptyWindowNoop) {
   util::Rng rng(5);
   nn::Tensor empty;
-  EXPECT_NO_THROW(add_gaussian_noise_snr(empty, 20.0, rng));
+  EXPECT_NO_THROW(add_gaussian_noise_snr(empty, 20.0, rng.next_u64()));
 }
 
 TEST(Noise, MeasureSnrShapeMismatchThrows) {

@@ -8,11 +8,6 @@
 #include <set>
 #include <vector>
 
-#include "data/signal_model.hpp"
-#include "nn/kernels/backend.hpp"
-
-#include "backend_scope.hpp"
-
 namespace origin::util {
 namespace {
 
@@ -187,108 +182,27 @@ TEST(Rng, ForkIndependentOfParentContinuation) {
   EXPECT_EQ(child2.next_u64(), c1);
 }
 
+TEST(Rng, CachedGaussRoundTrips) {
+  // gauss() draws a polar pair, returns its first value and caches the
+  // second for the next call, which draws nothing.
+  Rng rng(78), oracle(78);
+  double u, v, s;
+  do {
+    u = oracle.uniform(-1.0, 1.0);
+    v = oracle.uniform(-1.0, 1.0);
+    s = u * u + v * v;
+  } while (s >= 1.0 || s == 0.0);
+  const double m = std::sqrt(-2.0 * std::log(s) / s);
+  EXPECT_EQ(rng.gauss(), u * m);
+  EXPECT_EQ(rng.gauss(), v * m);
+  EXPECT_EQ(rng.next_u64(), oracle.next_u64());
+}
+
 TEST(Rng, GaussCacheDoesNotBreakDeterminism) {
   Rng a(19), b(19);
   for (int i = 0; i < 100; ++i) {
     ASSERT_DOUBLE_EQ(a.gauss(), b.gauss());
   }
-}
-
-// Every count from 0 to 1,232: three windows' worth of draws, so the
-// block polar draws (blocks of up to 16 candidate pairs, at most 32
-// values) cross every block boundary with a margin on each side.
-constexpr std::size_t kBlockDrawCounts = 1233;
-
-/// Compares the cached gauss() values and the next word of a block-drawn
-/// and a per-call stream, leaving both caches as they were.
-void expect_same_cache(Rng& block, Rng& called, std::size_t n, int earlier) {
-  const auto a = block.take_cached_gauss();
-  const auto b = called.take_cached_gauss();
-  ASSERT_EQ(a.has_value(), b.has_value()) << "n " << n << " earlier " << earlier;
-  if (a) {
-    ASSERT_EQ(*a, *b) << "n " << n << " earlier " << earlier;
-  }
-  ASSERT_EQ(block.next_u64(), called.next_u64())
-      << "n " << n << " earlier " << earlier;
-  if (a) block.set_cached_gauss(*a);
-  if (b) called.set_cached_gauss(*b);
-}
-
-TEST(Rng, SkipGaussAdvancesLikeGaussCalls) {
-  // Both cache states: an even number of earlier gauss() calls leaves no
-  // cached value, an odd number leaves one. Every backend's polar_scan.
-  for (const nn::kernels::Backend* b : nn::kernels::available_backends()) {
-    test_support::BackendScope scope(b->name);
-    for (int earlier = 0; earlier < 2; ++earlier) {
-      for (std::size_t n = 0; n < kBlockDrawCounts; ++n) {
-        Rng called(2000 + n), skipped(2000 + n);
-        for (int k = 0; k < earlier; ++k) {
-          called.gauss();
-          skipped.gauss();
-        }
-        for (std::size_t k = 0; k < n; ++k) called.gauss();
-        data::skip_gauss(skipped, n);
-        expect_same_cache(skipped, called, n, earlier);
-        for (int k = 0; k < 16; ++k) {
-          ASSERT_EQ(skipped.gauss(), called.gauss())
-              << b->name << " n " << n << " earlier " << earlier << " draw "
-              << k;
-          ASSERT_EQ(skipped.next_u64(), called.next_u64())
-              << b->name << " n " << n << " earlier " << earlier << " draw "
-              << k;
-        }
-      }
-    }
-  }
-}
-
-TEST(Rng, FillGaussMatchesGaussCalls) {
-  for (const nn::kernels::Backend* b : nn::kernels::available_backends()) {
-    test_support::BackendScope scope(b->name);
-    std::vector<double> values(kBlockDrawCounts);
-    for (int earlier = 0; earlier < 2; ++earlier) {
-      for (std::size_t n = 0; n < kBlockDrawCounts; ++n) {
-        Rng called(5000 + n), filled(5000 + n);
-        for (int k = 0; k < earlier; ++k) {
-          called.gauss();
-          filled.gauss();
-        }
-        data::fill_gauss(filled, values.data(), n);
-        for (std::size_t k = 0; k < n; ++k) {
-          ASSERT_EQ(values[k], called.gauss())
-              << b->name << " n " << n << " earlier " << earlier << " value "
-              << k;
-        }
-        expect_same_cache(filled, called, n, earlier);
-        ASSERT_EQ(filled.gauss(), called.gauss())
-            << b->name << " n " << n << " earlier " << earlier;
-      }
-    }
-  }
-}
-
-TEST(Rng, FillU64MatchesNextU64) {
-  for (std::size_t n : {0, 1, 31, 32, 33, 491}) {
-    Rng stepped(77), filled(77);
-    std::vector<std::uint64_t> words(n);
-    filled.fill_u64(words.data(), n);
-    for (std::size_t k = 0; k < n; ++k) ASSERT_EQ(words[k], stepped.next_u64());
-    ASSERT_EQ(filled.next_u64(), stepped.next_u64()) << "n " << n;
-  }
-}
-
-TEST(Rng, CachedGaussRoundTrips) {
-  Rng rng(78);
-  EXPECT_FALSE(rng.take_cached_gauss().has_value());
-  const double first = rng.gauss();
-  Rng copy = rng;
-  const auto cached = rng.take_cached_gauss();
-  ASSERT_TRUE(cached.has_value());
-  EXPECT_EQ(*cached, copy.gauss());
-  EXPECT_NE(*cached, first);
-  EXPECT_FALSE(rng.take_cached_gauss().has_value());
-  rng.set_cached_gauss(0.5);
-  EXPECT_EQ(rng.gauss(), 0.5);
 }
 
 }  // namespace

@@ -270,6 +270,31 @@ TEST_F(ServeSnapshotTest, ConfigFingerprintMismatchRejected) {
   std::remove(path.c_str());
 }
 
+TEST_F(ServeSnapshotTest, V6SnapshotRefusedNamingTheVersion) {
+  // A v6 process drew every window from the sequential stream; a restored
+  // cursor here derives keyed windows instead, and the fingerprint does
+  // not cover the stream, so the version alone must refuse the file.
+  ASSERT_EQ(kSnapshotVersion, 7u);
+  ServeConfig cfg = small_config();
+  ServeLoop first(*experiment_, cfg);
+  first.tick(4);
+  const std::string path = temp_path("v6.snap");
+  first.save(path);
+  std::string v6 = util::read_file(path);
+  v6[8] = static_cast<char>(6);
+  util::write_file_atomic(path, v6);
+  ServeLoop loop(*experiment_, cfg);
+  try {
+    loop.restore(path);
+    ADD_FAILURE() << "a v6 snapshot was restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 6"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(ServeSnapshotTest, CorruptAndTruncatedFilesRejected) {
   ServeConfig cfg = small_config();
   ServeLoop first(*experiment_, cfg);
@@ -288,7 +313,7 @@ TEST_F(ServeSnapshotTest, CorruptAndTruncatedFilesRejected) {
   }
 
   // Unsupported versions: a future one, and the previous one (whose
-  // personalized deltas came from whole-net fits).
+  // sessions' cursors served windows of the pre-keyed stream).
   for (std::uint32_t version : {kSnapshotVersion + 1, kSnapshotVersion - 1}) {
     SCOPED_TRACE(version);
     bad = good;

@@ -16,23 +16,22 @@ class SignalModelTest : public ::testing::Test {
 };
 
 TEST_F(SignalModelTest, WindowShape) {
-  util::Rng rng(1);
-  const auto w = model.window(Activity::Walking, SensorLocation::Chest, 0.0, rng);
+  const auto w =
+      model.window(Activity::Walking, SensorLocation::Chest, 0.0, 1, SharedStyle{});
   EXPECT_EQ(w.shape(), (std::vector<int>{6, 64}));
 }
 
 TEST_F(SignalModelTest, DeterministicGivenRngAndStyle) {
-  util::Rng a(2), b(2);
   const SharedStyle style;
-  const auto wa = model.window(Activity::Running, SensorLocation::LeftAnkle, 1.0, a, style);
-  const auto wb = model.window(Activity::Running, SensorLocation::LeftAnkle, 1.0, b, style);
+  const auto wa = model.window(Activity::Running, SensorLocation::LeftAnkle, 1.0, 2, style);
+  const auto wb = model.window(Activity::Running, SensorLocation::LeftAnkle, 1.0, 2, style);
   for (std::size_t i = 0; i < wa.size(); ++i) ASSERT_FLOAT_EQ(wa[i], wb[i]);
 }
 
 TEST_F(SignalModelTest, DifferentWindowsDiffer) {
-  util::Rng rng(3);
-  const auto w1 = model.window(Activity::Walking, SensorLocation::Chest, 0.0, rng);
-  const auto w2 = model.window(Activity::Walking, SensorLocation::Chest, 0.0, rng);
+  const SharedStyle style;
+  const auto w1 = model.window(Activity::Walking, SensorLocation::Chest, 0.0, 3, style);
+  const auto w2 = model.window(Activity::Walking, SensorLocation::Chest, 0.0, 4, style);
   double diff = 0.0;
   for (std::size_t i = 0; i < w1.size(); ++i) diff += std::fabs(w1[i] - w2[i]);
   EXPECT_GT(diff, 1.0);
@@ -150,9 +149,8 @@ TEST_F(SignalModelTest, SharedStyleCorrelatesAcrossSensors) {
   SharedStyle shuffled = clean;
   shuffled.ambiguous_with = Activity::Running;
   shuffled.ambiguity_mix = 0.6;
-  util::Rng r1(7), r2(7);
-  const auto w_clean = model.window(Activity::Jogging, SensorLocation::Chest, 0.0, r1, clean);
-  const auto w_amb = model.window(Activity::Jogging, SensorLocation::Chest, 0.0, r2, shuffled);
+  const auto w_clean = model.window(Activity::Jogging, SensorLocation::Chest, 0.0, 7, clean);
+  const auto w_amb = model.window(Activity::Jogging, SensorLocation::Chest, 0.0, 7, shuffled);
   double diff = 0.0;
   for (std::size_t i = 0; i < w_clean.size(); ++i) {
     diff += std::fabs(w_clean[i] - w_amb[i]);
@@ -166,9 +164,8 @@ TEST_F(SignalModelTest, UserAmplitudeScaleChangesMagnitude) {
   strong.amp_scale = 2.0;
   const SignalModel strong_model(spec, strong);
   SharedStyle style;
-  util::Rng r1(8), r2(8);
-  const auto w1 = model.window(Activity::Running, SensorLocation::LeftAnkle, 0.0, r1, style);
-  const auto w2 = strong_model.window(Activity::Running, SensorLocation::LeftAnkle, 0.0, r2, style);
+  const auto w1 = model.window(Activity::Running, SensorLocation::LeftAnkle, 0.0, 8, style);
+  const auto w2 = strong_model.window(Activity::Running, SensorLocation::LeftAnkle, 0.0, 8, style);
   // Compare AC energy.
   auto ac_power = [](const nn::Tensor& w) {
     double mean = 0.0;
