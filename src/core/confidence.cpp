@@ -15,6 +15,7 @@ ConfidenceMatrix::ConfidenceMatrix(int num_classes, double initial)
   for (auto& row : weights_) {
     row.assign(static_cast<std::size_t>(num_classes), initial);
   }
+  baseline_ = weights_;
 }
 
 ConfidenceMatrix ConfidenceMatrix::calibrate(
@@ -114,30 +115,26 @@ void ConfidenceMatrix::update(data::SensorLocation sensor, int cls,
   if (confidence < 0.0) throw std::invalid_argument("ConfidenceMatrix::update: negative");
   auto& w = weights_[static_cast<std::size_t>(sensor)][static_cast<std::size_t>(cls)];
   w = (1.0 - alpha_) * w + alpha_ * confidence;
-  const auto& floor_row = floors_[static_cast<std::size_t>(sensor)];
-  if (!floor_row.empty()) {
-    w = std::max(w, floor_row[static_cast<std::size_t>(cls)]);
-  }
+  w = std::max(w, floor_fraction_ * baseline_[static_cast<std::size_t>(sensor)]
+                                             [static_cast<std::size_t>(cls)]);
 }
 
 void ConfidenceMatrix::freeze_baseline(double floor_fraction) {
   if (floor_fraction < 0.0 || floor_fraction >= 1.0) {
     throw std::invalid_argument("ConfidenceMatrix::freeze_baseline: fraction in [0, 1)");
   }
-  for (int s = 0; s < data::kNumSensors; ++s) {
-    auto& floor_row = floors_[static_cast<std::size_t>(s)];
-    const auto& row = weights_[static_cast<std::size_t>(s)];
-    floor_row.resize(row.size());
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      floor_row[c] = floor_fraction * row[c];
-    }
-  }
+  baseline_ = weights_;
+  floor_fraction_ = floor_fraction;
 }
 
 void ConfidenceMatrix::update_with_consensus(data::SensorLocation sensor,
-                                             int cls, double confidence,
+                                             int cls,
                                              bool agreed_with_consensus) {
-  update(sensor, cls, agreed_with_consensus ? confidence : 0.0);
+  update(sensor, cls,
+         agreed_with_consensus
+             ? baseline_[static_cast<std::size_t>(sensor)]
+                        [static_cast<std::size_t>(cls)]
+             : 0.0);
 }
 
 void ConfidenceMatrix::set_alpha(double alpha) {

@@ -2,7 +2,7 @@
 // (sensor, class), initialized offline as the mean variance of the softmax
 // output over held-out samples grouped by predicted class, used to weight
 // the ensemble vote, and updated online by an exponential moving average
-// whenever a sensor reports a successful classification — this is the
+// of each sensor's agreement with clear ensemble decisions — this is the
 // mechanism that personalizes Origin to an unseen user (Fig. 6).
 #pragma once
 
@@ -52,21 +52,25 @@ class ConfidenceMatrix {
   void update(data::SensorLocation sensor, int cls, double confidence);
 
   /// Consensus-aware update (the online personalization rule): when the
-  /// sensor's classification agreed with the fused ensemble decision its
-  /// transmitted confidence reinforces the weight; when it deviated the
-  /// weight decays toward zero — systematically wrong-but-confident
-  /// (sensor, class) pairs lose influence.
+  /// sensor's classification agreed with the fused ensemble decision the
+  /// weight moves toward its baseline (calibrated) value; when it deviated
+  /// it decays toward zero. The cell settles at baseline x the sensor's
+  /// agreement rate for that class, so systematically wrong (sensor,
+  /// class) pairs lose influence. The sensor's instantaneous confidence
+  /// is not the target: it already scales the sensor's ballot, and under
+  /// input noise it would drag every agreeing cell off the calibrated
+  /// scale by how noise-sensitive that sensor is, not by how reliable.
   void update_with_consensus(data::SensorLocation sensor, int cls,
-                             double confidence, bool agreed_with_consensus);
+                             bool agreed_with_consensus);
 
   double alpha() const { return alpha_; }
   void set_alpha(double alpha);
 
-  /// Snapshots the current weights as the adaptation baseline: subsequent
-  /// updates never push a cell below `floor_fraction` of its baseline
-  /// value, so a discounted sensor keeps enough influence to re-enter the
-  /// consensus when its behaviour recovers. calibrate() freezes
-  /// automatically.
+  /// Snapshots the current weights as the adaptation baseline (until
+  /// then it is the constructor's uniform value): subsequent updates never
+  /// push a cell below `floor_fraction` of its baseline value, so a
+  /// discounted sensor keeps enough influence to re-enter the consensus
+  /// when its behaviour recovers. calibrate() freezes automatically.
   void freeze_baseline(double floor_fraction = 0.25);
 
   /// Direct cell write (deserialization / tests).
@@ -79,8 +83,10 @@ class ConfidenceMatrix {
   int num_classes_;
   double alpha_ = 0.05;
   std::array<std::vector<double>, data::kNumSensors> weights_;
-  /// Per-cell lower bounds (empty until freeze_baseline()).
-  std::array<std::vector<double>, data::kNumSensors> floors_;
+  /// The consensus update's target and the floors' reference.
+  std::array<std::vector<double>, data::kNumSensors> baseline_;
+  /// Cells stay >= floor_fraction_ x baseline (0 until freeze_baseline()).
+  double floor_fraction_ = 0.0;
 };
 
 }  // namespace origin::core

@@ -268,7 +268,6 @@ std::optional<int> OriginPolicy::fuse(const net::HostDevice& host,
           confidence_.update_with_consensus(
               static_cast<data::SensorLocation>(s),
               vote->classification.predicted_class,
-              vote->classification.confidence,
               vote->classification.predicted_class == *fused);
         }
       }

@@ -213,9 +213,9 @@ class AASRPolicy : public AASPolicy {
 /// (a) the confidence score the sensor transmitted with the result — the
 /// variance of its softmax output, low on genuinely ambiguous windows,
 /// (b) the adaptive confidence-matrix entry for that (sensor, class) —
-/// the per-user prior updated by moving average on every successful
-/// classification, and (c) an exponential recency decay, so recalled
-/// votes fade as the activity may have moved on.
+/// the per-user prior updated by moving average of the sensor's agreement
+/// with clear-consensus decisions, and (c) an exponential recency decay,
+/// so recalled votes fade as the activity may have moved on.
 class OriginPolicy : public AASRPolicy {
  public:
   OriginPolicy(ExtendedRoundRobin schedule, RankTable ranks,

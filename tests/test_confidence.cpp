@@ -44,6 +44,31 @@ TEST(ConfidenceMatrix, ConvergesToStationaryObservation) {
   EXPECT_NEAR(m.weight(SensorLocation::RightWrist, 1), 0.12, 1e-6);
 }
 
+TEST(ConfidenceMatrix, ConsensusUpdateSettlesAtBaselineTimesAgreementRate) {
+  ConfidenceMatrix m(2, 0.1);
+  m.freeze_baseline();
+  m.set_alpha(0.05);
+  // Agreeing with the consensus every other time: the cell settles near
+  // half its baseline, whatever confidence the sensor reported.
+  for (int i = 0; i < 2000; ++i) {
+    m.update_with_consensus(SensorLocation::Chest, 0, i % 2 == 0);
+  }
+  EXPECT_NEAR(m.weight(SensorLocation::Chest, 0), 0.05, 0.002);
+  // Always agreeing restores the baseline, never overshoots it.
+  for (int i = 0; i < 2000; ++i) {
+    m.update_with_consensus(SensorLocation::Chest, 0, true);
+  }
+  EXPECT_NEAR(m.weight(SensorLocation::Chest, 0), 0.1, 1e-9);
+  EXPECT_LE(m.weight(SensorLocation::Chest, 0), 0.1);
+  // Never agreeing stops at the floor (a quarter of the baseline).
+  for (int i = 0; i < 2000; ++i) {
+    m.update_with_consensus(SensorLocation::Chest, 0, false);
+  }
+  EXPECT_DOUBLE_EQ(m.weight(SensorLocation::Chest, 0), 0.025);
+  // Other cells untouched.
+  EXPECT_DOUBLE_EQ(m.weight(SensorLocation::Chest, 1), 0.1);
+}
+
 TEST(ConfidenceMatrix, UpdateValidation) {
   ConfidenceMatrix m(2);
   EXPECT_THROW(m.update(SensorLocation::Chest, 2, 0.1), std::out_of_range);

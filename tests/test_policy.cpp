@@ -225,6 +225,9 @@ TEST(Origin, RecencyDecayFavorsNewVote) {
 
 TEST(Origin, AdaptiveReinforcesConsensusVotes) {
   ConfidenceMatrix conf(6, 0.1);
+  // A chest cell already discounted below its baseline (0.1), so an
+  // agreeing vote has room to restore it.
+  conf.set_weight(SensorLocation::Chest, 2, 0.05);
   OriginPolicy p(ExtendedRoundRobin(6), rank_best_is(SensorLocation::Chest),
                  conf, /*adaptive=*/true);
   net::HostDevice host;
@@ -235,7 +238,7 @@ TEST(Origin, AdaptiveReinforcesConsensusVotes) {
   const double chest_before = p.confidence().weight(SensorLocation::Chest, 2);
   const double wrist_before = p.confidence().weight(SensorLocation::RightWrist, 4);
   ASSERT_EQ(p.fuse(host, context(1)).value(), 2);
-  // Agreeing sensors reinforced toward their reported confidence...
+  // Agreeing sensors reinforced toward their baseline weight...
   EXPECT_GT(p.confidence().weight(SensorLocation::Chest, 2), chest_before);
   // ...the deviant sensor's (class) weight decays toward zero.
   EXPECT_LT(p.confidence().weight(SensorLocation::RightWrist, 4), wrist_before);
