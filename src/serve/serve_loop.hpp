@@ -58,7 +58,11 @@ struct ServeConfig {
   /// Session-table shards. Part of the determinism fingerprint (the
   /// publish fold order), unlike threads.
   std::size_t shards = 8;
-  int ring_capacity = data::StreamCursor::kDefaultRingCapacity;
+  /// Slots each session's stream cursor keeps live. Serving reads only
+  /// the slot it steps (the personalizer re-reads that same slot), so a
+  /// short ring suffices; a longer one only adds window buffers that every
+  /// session allocates, lets go cold and frees when it ends.
+  int ring_capacity = 4;
   /// In-shard bounded per-user fine-tuning (serve/personalize.hpp).
   /// Changes results, so every field is part of the snapshot fingerprint.
   /// Requires bits == 32 (fine-tuning trains float weights; int8 copies

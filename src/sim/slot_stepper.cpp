@@ -18,7 +18,8 @@ SlotStepper::SlotStepper(const data::DatasetSpec& spec,
   if (!power) throw std::invalid_argument("SlotStepper: null power trace");
   if (!policy_) throw std::invalid_argument("SlotStepper: null policy");
   if (!source_) throw std::invalid_argument("SlotStepper: null source");
-  if (source_->size() == 0) {
+  total_slots_ = source_->size();
+  if (total_slots_ == 0) {
     throw std::invalid_argument("SlotStepper: empty stream");
   }
   if (source_->spec().num_classes() != spec_.num_classes()) {
@@ -240,7 +241,7 @@ void SlotStepper::restore_progress(
     std::size_t next_slot,
     const std::array<double, data::kNumSensors>& last_success_s,
     int previous_output) {
-  if (next_slot > source_->size()) {
+  if (next_slot > total_slots_) {
     throw std::invalid_argument("SlotStepper::restore_progress: past the end");
   }
   next_slot_ = next_slot;

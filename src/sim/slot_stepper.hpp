@@ -35,15 +35,16 @@ class SlotStepper {
   /// Everything is borrowed and must outlive the stepper: `models[i]` is
   /// deployed to sensor i, `power` feeds the harvesters, `policy` is
   /// reset() on construction (fresh-run semantics), `source` yields the
-  /// slots. Requires source->size() > 0 and matching class counts.
+  /// slots. Requires source->size() > 0 and matching class counts; the
+  /// size is read once, here.
   SlotStepper(const data::DatasetSpec& spec,
               std::array<nn::Sequential, data::kNumSensors>* models,
               const energy::PowerTrace* power, core::Policy* policy,
               data::SlotSource* source, SimulatorConfig config = {});
 
-  bool done() const { return next_slot_ >= source_->size(); }
+  bool done() const { return next_slot_ >= total_slots_; }
   std::size_t next_slot() const { return next_slot_; }
-  std::size_t total_slots() const { return source_->size(); }
+  std::size_t total_slots() const { return total_slots_; }
 
   /// Advances exactly one slot. Calling past done() is a logic error.
   StepOutcome step();
@@ -123,7 +124,10 @@ class SlotStepper {
   std::array<double, data::kNumSensors> last_success_s_{};
   SimResult result_;
   int previous_output_ = -1;
+  // Side by side, so the done() polls of a serve tick read one line of
+  // each stepper instead of chasing into its source.
   std::size_t next_slot_ = 0;
+  std::size_t total_slots_ = 0;
 
   // Split-phase state, valid between step_begin and step_finish. The
   // trace stream is emitted entirely in step_finish (in fused-step event
