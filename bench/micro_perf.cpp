@@ -463,22 +463,21 @@ struct PersonalizeInputs {
   sim::Experiment experiment{
       bench::default_config(data::DatasetKind::MHealthLike)};
   serve::PersonalizeConfig config;
-  /// config.max_samples buffered windows, no fit run yet.
+  /// config.max_samples buffered slots, no fit run yet. Filled through
+  /// buffer_step, as serving fills it; the state's synthesis context
+  /// outlives the cursor.
   serve::PersonalizeState full;
 
   PersonalizeInputs() {
     data::StreamCursor cursor =
         experiment.make_cursor(data::reference_user(), 0x5EEDULL);
+    auto models = experiment.system().bl2_copy();
+    serve::Personalizer personalizer(experiment, models, config);
     for (std::size_t i = 0;
          full.buffer.size() < static_cast<std::size_t>(config.max_samples);
          ++i) {
-      const data::SlotSample& slot = cursor.slot(i);
-      serve::PersonalizeState::BufferedSample sample;
-      sample.label = slot.label;
-      for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-        sample.windows[s] = slot.window(s);
-      }
-      full.buffer.push_back(std::move(sample));
+      const int label = cursor.slot(i).label;
+      personalizer.buffer_step(full, {i, label, label}, cursor);
     }
   }
 };
@@ -506,7 +505,8 @@ void BM_PersonalizeLoad(benchmark::State& state) {
 BENCHMARK(BM_PersonalizeLoad)->Unit(benchmark::kMicrosecond);
 
 /// One served fine-tune on a full buffer, from base weights: per sensor
-/// the frozen-prefix panel, the tail fit and the delta realization.
+/// the synthesis of the fit's windows from their recipes, the
+/// frozen-prefix panel, the tail fit and the delta realization.
 void BM_PersonalizeFit(benchmark::State& state) {
   const PersonalizeInputs& in = personalize_inputs();
   auto models = in.experiment.system().bl2_copy();

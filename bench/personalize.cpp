@@ -10,11 +10,17 @@
 //      fine-tuned, and bit-identity of the fine-tuned completed logs
 //      across thread counts.
 //   3. Delta-encoded per-user storage — mean serialized delta bytes per
-//      tuned user vs the full three-model file size.
+//      tuned user vs the full three-model file size, and the bytes a
+//      mid-flight snapshot spends per active session with
+//      personalization off vs on (the difference is the session's sample
+//      buffer, stored as slot recipes, and its deltas).
 //
 // Flags: --users N, --slots N, --json PATH.
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -22,6 +28,7 @@
 #include "nn/serialize.hpp"
 #include "serve/serve_loop.hpp"
 #include "util/args.hpp"
+#include "util/fileio.hpp"
 #include "util/table.hpp"
 
 using namespace origin;
@@ -257,6 +264,37 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: delta storage less than 10x smaller\n");
     ok = false;
   }
+
+  // Mid-flight snapshot bytes per active session, halfway through the
+  // longest possible run (every session admitted by then is still
+  // mid-stream or just done).
+  const std::string snap_path =
+      (std::filesystem::temp_directory_path() /
+       ("personalize_bench_" + std::to_string(::getpid()) + ".snap"))
+          .string();
+  util::AsciiTable snapshot_table(
+      {"fine-tune", "active sessions", "snapshot B", "B/session"});
+  for (bool personalize : {false, true}) {
+    serve::ServeConfig cfg = base;
+    cfg.personalize.enabled = personalize;
+    serve::ServeLoop loop(experiment, cfg);
+    loop.tick(static_cast<std::uint64_t>(slots / 2));
+    loop.save(snap_path);
+    const std::uint64_t bytes = util::read_file(snap_path).size();
+    const std::uint64_t active = loop.status().active;
+    snapshot_table.add_row(
+        {personalize ? "on" : "off", std::to_string(active),
+         std::to_string(bytes),
+         util::AsciiTable::format(
+             active ? static_cast<double>(bytes) / static_cast<double>(active)
+                    : 0.0,
+             0)});
+  }
+  std::remove(snap_path.c_str());
+  std::printf("\nmid-flight snapshot bytes (buffered samples as slot "
+              "recipes, snapshot v8):\n");
+  snapshot_table.print();
+  report.add_table("snapshot", snapshot_table);
 
   report.manifest().set("bit_identical", ok);
   report.write();

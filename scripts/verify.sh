@@ -32,7 +32,8 @@
 #   personalize — the per-user personalization suite (label `personalize`:
 #             delta codec round-trips, parallel calibration bit-identity
 #             at threads 1/2/8, fine-tuned serve bit-identity across
-#             thread counts and a mid-flight snapshot/restore split) in
+#             thread counts and a mid-flight snapshot/restore split,
+#             plus bench/personalize at 4 users x 60 slots) in
 #             Release and Release+ASan, plus a cold-cache re-run of the
 #             parallel-calibration determinism case against a fresh
 #             ORIGIN_CACHE_DIR.
@@ -230,7 +231,7 @@ verify_personalize_config() {
   shift 2
   echo "=== personalize: sanitizer='${sanitizer:-none}' (${dir}) ==="
   cmake -B "$dir" -S "$repo" -DORIGIN_SANITIZE="$sanitizer" "$@" >/dev/null
-  cmake --build "$dir" -j "$jobs" --target test_personalize
+  cmake --build "$dir" -j "$jobs" --target test_personalize personalize
   ctest --test-dir "$dir" -L personalize --output-on-failure -j "$jobs"
 }
 

@@ -18,6 +18,8 @@ SlotSample& SlotSample::operator=(const SlotSample& other) {
   activity = other.activity;
   t0_s = other.t0_s;
   ambiguous = other.ambiguous;
+  style_ = other.style_;
+  key_ = other.key_;
   state_.fill(WindowState::Ready);
   cursor_ = nullptr;
   return *this;

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -21,6 +22,22 @@ namespace origin::data {
 namespace detail {
 class CursorState;
 }
+class SynthesisContext;
+
+/// What a keyed slot's windows are a pure function of, beside its
+/// stream's SynthesisContext: SynthesisContext::synthesize(recipe, s)
+/// rebuilds sensor s's window bit for bit long after the slot has left
+/// the cursor's ring. About 64 bytes, against 4.6 KB for the three
+/// windows.
+struct SlotRecipe {
+  Activity activity = Activity::Walking;
+  double t0_s = 0.0;
+  /// The per-instant style all three windows share.
+  SharedStyle style;
+  /// util::derive_key(stream seed, slot); a window's key is
+  /// util::derive_key(key, sensor).
+  std::uint64_t key = 0;
+};
 
 /// One scheduler slot of the synchronized body-area network stream: the
 /// ground-truth activity and the window each sensor would sample.
@@ -30,9 +47,9 @@ class CursorState;
 /// from its own key (util::derive_key(slot key, sensor)). A sensor that
 /// never samples never costs anything, and the windows can be read in any
 /// order while the slot is in the cursor's ring. Copying a slot
-/// materializes it: the copy holds all three windows and no hook into the
-/// cursor. (A move is a copy, so a cursor's ring entry can never be moved
-/// out from under it.)
+/// materializes it: the copy holds all three windows and its recipe, but
+/// no hook into the cursor, so it has no context(). (A move is a copy, so
+/// a cursor's ring entry can never be moved out from under it.)
 struct SlotSample {
   int label = 0;
   Activity activity = Activity::Walking;
@@ -51,6 +68,13 @@ struct SlotSample {
     return state_[s] == WindowState::Ready ? windows_[s] : read_lazy(s);
   }
 
+  SlotRecipe recipe() const { return {activity, t0_s, style_, key_}; }
+  /// The synthesis context that rebuilds this slot's windows from
+  /// recipe(): the owning cursor's, for a slot it serves; null for a
+  /// materialized slot, which cannot re-synthesize. Throws
+  /// std::logic_error for a slot retired by a reset or rebind.
+  std::shared_ptr<const SynthesisContext> context() const;
+
  private:
   friend class detail::CursorState;
 
@@ -63,11 +87,11 @@ struct SlotSample {
 
   std::array<nn::Tensor, kNumSensors> windows_;
   std::array<WindowState, kNumSensors> state_{};
-  /// Lazy slots only: the owning cursor's synthesis state, the cursor
-  /// generation the slot was opened in (reset and rebind retire it), the
-  /// style all three windows share, and the slot key.
+  /// Lazy slots only: the owning cursor's synthesis state and the cursor
+  /// generation the slot was opened in (reset and rebind retire it).
   detail::CursorState* cursor_ = nullptr;
   std::uint64_t generation_ = 0;
+  /// The recipe's style and key.
   SharedStyle style_;
   std::uint64_t key_ = 0;
 };

@@ -8,8 +8,6 @@
 
 namespace origin::data {
 
-namespace detail {
-
 namespace {
 
 /// Salt of a window's SNR-noise key (StreamConfig::snr_db): the same keyed
@@ -18,16 +16,33 @@ constexpr std::uint64_t kSnrNoiseStream = 0x534e52;  // "SNR"
 
 }  // namespace
 
+SynthesisContext::SynthesisContext(DatasetSpec spec, const UserProfile& user,
+                                   std::optional<double> snr_db)
+    : model_(std::move(spec), user), snr_db_(snr_db) {}
+
+void SynthesisContext::synthesize(const SlotRecipe& recipe,
+                                  std::size_t sensor, nn::Tensor& out) const {
+  const std::uint64_t key = util::derive_key(recipe.key, sensor);
+  model_.synthesize_window(out, recipe.activity,
+                           static_cast<SensorLocation>(sensor), recipe.t0_s,
+                           key, recipe.style);
+  if (snr_db_) {
+    add_gaussian_noise_snr(out, *snr_db_,
+                           util::derive_key(key, kSnrNoiseStream));
+  }
+}
+
+namespace detail {
+
 /// What a cursor's lazy slots synthesize from. It lives on the heap so the
 /// ring entries' pointers to it survive moves of the cursor.
 class CursorState {
  public:
-  CursorState(std::optional<double> snr_db, std::size_t ring_capacity)
-      : snr_db_(snr_db), ring_(ring_capacity) {
+  explicit CursorState(std::size_t ring_capacity) : ring_(ring_capacity) {
     for (auto& slot : ring_) slot.cursor_ = this;
   }
 
-  std::optional<SignalModel> model;
+  std::shared_ptr<const SynthesisContext> context;
   std::uint64_t windows_synthesized = 0;
 
   std::size_t capacity() const { return ring_.size(); }
@@ -49,26 +64,27 @@ class CursorState {
     return slot;
   }
 
+  const std::shared_ptr<const SynthesisContext>& context_of(
+      const SlotSample& slot) const {
+    if (slot.generation_ != generation_) {
+      throw std::logic_error("SlotSample::context: slot is no longer live");
+    }
+    return context;
+  }
+
   const nn::Tensor& read(const SlotSample& lazy, std::size_t s) {
     SlotSample& slot = ring_[static_cast<std::size_t>(&lazy - ring_.data())];
     if (slot.generation_ != generation_) {
       throw std::logic_error("SlotSample::window: slot is no longer live");
     }
     nn::Tensor& w = slot.windows_[s];
-    const std::uint64_t key = util::derive_key(slot.key_, s);
-    model->synthesize_window(w, slot.activity, static_cast<SensorLocation>(s),
-                             slot.t0_s, key, slot.style_);
-    if (snr_db_) {
-      add_gaussian_noise_snr(w, *snr_db_,
-                             util::derive_key(key, kSnrNoiseStream));
-    }
+    context->synthesize(slot.recipe(), s, w);
     slot.state_[s] = SlotSample::WindowState::Ready;
     ++windows_synthesized;
     return w;
   }
 
  private:
-  std::optional<double> snr_db_;
   std::vector<SlotSample> ring_;  // slot i lives at ring_[i % capacity]
   std::uint64_t generation_ = 0;
 };
@@ -79,6 +95,11 @@ const nn::Tensor& SlotSample::read_lazy(std::size_t s) const {
   return cursor_->read(*this, s);
 }
 
+std::shared_ptr<const SynthesisContext> SlotSample::context() const {
+  if (!cursor_) return nullptr;
+  return cursor_->context_of(*this);
+}
+
 StreamCursor::StreamCursor(DatasetSpec spec, int num_slots,
                            StreamConfig config, int ring_capacity)
     : spec_(std::move(spec)), config_(config), num_slots_(num_slots) {
@@ -86,7 +107,7 @@ StreamCursor::StreamCursor(DatasetSpec spec, int num_slots,
     throw std::invalid_argument("StreamCursor: num_slots <= 0");
   }
   state_ = std::make_unique<detail::CursorState>(
-      config_.snr_db, static_cast<std::size_t>(std::max(1, ring_capacity)));
+      static_cast<std::size_t>(std::max(1, ring_capacity)));
 }
 
 StreamCursor::StreamCursor(DatasetSpec spec, int num_slots,
@@ -106,10 +127,15 @@ std::uint64_t StreamCursor::windows_synthesized() const {
   return state_->windows_synthesized;
 }
 
+const std::shared_ptr<const SynthesisContext>& StreamCursor::context() const {
+  return state_->context;
+}
+
 void StreamCursor::rebind(const UserProfile& user, std::uint64_t seed) {
   user_ = user;
   seed_ = seed;
-  state_->model.emplace(spec_, user_);
+  state_->context =
+      std::make_shared<const SynthesisContext>(spec_, user_, config_.snr_db);
   rng_ = util::Rng(seed_);
 
   // The Markov activity segments come out of the stream RNG first, then
@@ -124,7 +150,7 @@ void StreamCursor::rebind(const UserProfile& user, std::uint64_t seed) {
 
 void StreamCursor::reset() {
   detail::CursorState& st = *state_;
-  if (!st.model) {
+  if (!st.context) {
     throw std::logic_error("StreamCursor::reset: no stream bound");
   }
   st.retire_slots();
@@ -145,7 +171,7 @@ const SlotSample& StreamCursor::slot(std::size_t i) {
   if (i >= size()) {
     throw std::out_of_range("StreamCursor::slot: index past end of stream");
   }
-  if (!state_->model) {
+  if (!state_->context) {
     throw std::logic_error("StreamCursor::slot: rebind() a stream first");
   }
   if (i + state_->capacity() < next_) {

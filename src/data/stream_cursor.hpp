@@ -21,15 +21,43 @@
 // the ring, and a window nobody reads costs nothing. A scheduled run
 // therefore synthesizes only the windows its nodes sample, with the same
 // bits as make_stream.
+//
+// A window is the pure function SynthesisContext::synthesize(recipe,
+// sensor): the context is the stream's immutable half (signal model and
+// SNR), the SlotRecipe the slot's (activity, start time, style, key). The
+// cursor shares its context with every slot it serves, so a consumer that
+// keeps a slot's recipe and the context can rebuild its windows after the
+// ring has recycled the slot (the personalizer's sample buffer does).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "data/dataset.hpp"
 
 namespace origin::data {
+
+/// The immutable half of a bound stream: its user's signal model and the
+/// SNR of the added noise. A cursor makes one per rebind() and hands it
+/// out by shared_ptr, so a holder can rebuild any window of that stream
+/// from the slot's recipe for as long as it keeps the pointer.
+class SynthesisContext {
+ public:
+  SynthesisContext(DatasetSpec spec, const UserProfile& user,
+                   std::optional<double> snr_db);
+
+  /// Sensor `sensor`'s window of the slot `recipe` describes, into `out`
+  /// (reshaped in place): the bits SlotSample::window(sensor) serves, SNR
+  /// noise included.
+  void synthesize(const SlotRecipe& recipe, std::size_t sensor,
+                  nn::Tensor& out) const;
+
+ private:
+  SignalModel model_;
+  std::optional<double> snr_db_;
+};
 
 /// A sequence of stream slots the simulator can consume without caring
 /// whether it is materialized or generated on the fly. Access is
@@ -88,7 +116,8 @@ class StreamCursor final : public SlotSource {
 
   /// Re-targets the cursor at another (user, seed) stream, reusing the
   /// ring buffers and segment storage. This is the fleet runner's per-job
-  /// reset: after the first job a worker's cursor never allocates again.
+  /// reset: after the first job a worker's cursor allocates only the new
+  /// stream's SynthesisContext.
   void rebind(const UserProfile& user, std::uint64_t seed);
 
   /// Rewinds to slot 0 of the current stream (same seed, same bits).
@@ -106,6 +135,9 @@ class StreamCursor final : public SlotSource {
   std::size_t lookback() const override;
 
   const UserProfile& user() const { return user_; }
+  /// The bound stream's synthesis context (null before the first
+  /// rebind()); every slot served since the last rebind() shares it.
+  const std::shared_ptr<const SynthesisContext>& context() const;
   const std::vector<ActivitySegment>& segments() const { return segments_; }
   /// Slots advanced so far (the exclusive upper end of the window).
   std::size_t generated() const { return next_; }
@@ -127,7 +159,7 @@ class StreamCursor final : public SlotSource {
   /// exact same per-slot sequence.
   util::Rng rng_{0};
   util::Rng rng_checkpoint_{0};
-  /// Signal model and ring.
+  /// Synthesis context and ring.
   std::unique_ptr<detail::CursorState> state_;
   std::size_t next_ = 0;  // slots advanced so far
 

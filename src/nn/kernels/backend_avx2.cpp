@@ -384,21 +384,23 @@ constexpr double kS5 = -0x1.ae64567f544e4p-26;
 constexpr double kS6 = 0x1.6124613a86d09p-33;
 constexpr double kS7 = -0x1.ae7f3e733b81fp-41;
 
+/// (-1)^n applied to `v`, where `tq` = n + 1.5 * 2^52 is the rounding
+/// word n was taken from: its lowest mantissa bit is n's parity, so
+/// shifting it into the sign position and xor-ing flips v exactly when n
+/// is odd. Multiplying by +/-1 is exact, so this equals util::det_sin's
+/// `sign * v` bit for bit.
+inline __m256d flip_by_parity_pd(__m256d v, __m256d tq) {
+  return _mm256_xor_pd(
+      v, _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_castpd_si256(tq), 63)));
+}
+
 inline __m256d det_sin_pd(__m256d x) {
   const __m256d magic = _mm256_set1_pd(kRoundMagic);
-  const __m256d n = _mm256_sub_pd(
-      _mm256_fmadd_pd(x, _mm256_set1_pd(kInvPi), magic), magic);
+  const __m256d tq = _mm256_fmadd_pd(x, _mm256_set1_pd(kInvPi), magic);
+  const __m256d n = _mm256_sub_pd(tq, magic);
   __m256d r = _mm256_fnmadd_pd(n, _mm256_set1_pd(kPi1), x);
   r = _mm256_fnmadd_pd(n, _mm256_set1_pd(kPi2), r);
   r = _mm256_fnmadd_pd(n, _mm256_set1_pd(kPi3), r);
-  const __m256d parity = _mm256_sub_pd(
-      n, _mm256_mul_pd(
-             _mm256_set1_pd(2.0),
-             _mm256_sub_pd(_mm256_fmadd_pd(n, _mm256_set1_pd(0.5), magic),
-                           magic)));
-  const __m256d sign = _mm256_fnmadd_pd(
-      _mm256_set1_pd(2.0), _mm256_mul_pd(parity, parity),
-      _mm256_set1_pd(1.0));
   const __m256d r2 = _mm256_mul_pd(r, r);
   __m256d pl = _mm256_set1_pd(kS7);
   pl = _mm256_fmadd_pd(pl, r2, _mm256_set1_pd(kS6));
@@ -407,7 +409,7 @@ inline __m256d det_sin_pd(__m256d x) {
   pl = _mm256_fmadd_pd(pl, r2, _mm256_set1_pd(kS3));
   pl = _mm256_fmadd_pd(pl, r2, _mm256_set1_pd(kS2));
   pl = _mm256_fmadd_pd(pl, r2, _mm256_set1_pd(kS1));
-  return _mm256_mul_pd(sign, _mm256_fmadd_pd(r, _mm256_mul_pd(r2, pl), r));
+  return flip_by_parity_pd(_mm256_fmadd_pd(r, _mm256_mul_pd(r2, pl), r), tq);
 }
 
 inline double det_sin_fused(double x) {
@@ -534,26 +536,20 @@ inline __m256d u32_to_pd(__m128i w) {
 /// util::det_sin, unfused (det_sin_pd above fuses for synth_channel).
 inline __m256d det_sin_unfused_pd(__m256d x) {
   const __m256d magic = _mm256_set1_pd(kRoundMagic);
-  const __m256d n = _mm256_sub_pd(
-      _mm256_add_pd(_mm256_mul_pd(x, _mm256_set1_pd(kInvPi)), magic), magic);
+  const __m256d tq =
+      _mm256_add_pd(_mm256_mul_pd(x, _mm256_set1_pd(kInvPi)), magic);
+  const __m256d n = _mm256_sub_pd(tq, magic);
   __m256d r = _mm256_sub_pd(x, _mm256_mul_pd(n, _mm256_set1_pd(kPi1)));
   r = _mm256_sub_pd(r, _mm256_mul_pd(n, _mm256_set1_pd(kPi2)));
   r = _mm256_sub_pd(r, _mm256_mul_pd(n, _mm256_set1_pd(kPi3)));
-  const __m256d half_n = _mm256_sub_pd(
-      _mm256_add_pd(_mm256_mul_pd(n, _mm256_set1_pd(0.5)), magic), magic);
-  const __m256d parity =
-      _mm256_sub_pd(n, _mm256_mul_pd(_mm256_set1_pd(2.0), half_n));
-  const __m256d sign = _mm256_sub_pd(
-      _mm256_set1_pd(1.0),
-      _mm256_mul_pd(_mm256_set1_pd(2.0), _mm256_mul_pd(parity, parity)));
   const __m256d r2 = _mm256_mul_pd(r, r);
   constexpr double kCoeffs[] = {kS6, kS5, kS4, kS3, kS2, kS1};
   __m256d p = _mm256_set1_pd(kS7);
   for (double c : kCoeffs) {
     p = _mm256_add_pd(_mm256_mul_pd(p, r2), _mm256_set1_pd(c));
   }
-  return _mm256_mul_pd(
-      sign, _mm256_add_pd(r, _mm256_mul_pd(r, _mm256_mul_pd(r2, p))));
+  return flip_by_parity_pd(
+      _mm256_add_pd(r, _mm256_mul_pd(r, _mm256_mul_pd(r2, p))), tq);
 }
 
 /// util::det_log, lane for lane.

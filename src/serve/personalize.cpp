@@ -132,7 +132,7 @@ void Personalizer::buffer_step(PersonalizeState& state,
                                const sim::SlotStepper::StepOutcome& outcome,
                                data::SlotSource& source) {
   // Once the remaining budget cannot fund a fit of min_samples samples,
-  // fit_due refuses every later fit, so a buffered window would never
+  // fit_due refuses every later fit, so a buffered sample would never
   // be read.
   if (max_fit_samples(state) <
       static_cast<std::uint64_t>(config_.min_samples)) {
@@ -143,12 +143,20 @@ void Personalizer::buffer_step(PersonalizeState& state,
   // self-training on confident slots).
   if (outcome.predicted >= 0 && outcome.predicted == outcome.label) {
     const data::SlotSample& slot = source.slot(outcome.slot);
-    PersonalizeState::BufferedSample sample;
-    sample.label = slot.label;
-    for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-      sample.windows[s] = slot.window(s);
+    std::shared_ptr<const data::SynthesisContext> context = slot.context();
+    if (!context) {
+      throw std::logic_error(
+          "Personalizer::buffer_step: the slot source cannot re-synthesize "
+          "its windows (materialized slots carry no synthesis context)");
     }
-    state.buffer.push_back(std::move(sample));
+    if (!state.context) {
+      state.context = std::move(context);
+    } else if (state.context != context) {
+      throw std::logic_error(
+          "Personalizer::buffer_step: slot from another stream than the "
+          "session's");
+    }
+    state.buffer.push_back({slot.label, slot.recipe()});
     while (state.buffer.size() >
            static_cast<std::size_t>(config_.max_samples)) {
       state.buffer.pop_front();
@@ -187,17 +195,25 @@ std::uint64_t Personalizer::run_fit(
       state.buffer.size(), max_fit_samples(state)));
   if (n == 0) return 0;
 
+  if (!state.context) {
+    throw std::logic_error(
+        "Personalizer::run_fit: buffered samples without a synthesis context");
+  }
+
   // Most recent n buffered slots, oldest first.
   const std::size_t first = state.buffer.size() - n;
   const std::uint64_t fit_seed =
       fleet::shard_seed(seed_offset ^ kFitSeedSalt, state.fine_tunes);
+  if (panel_.size() < n) panel_.resize(n);
   std::vector<const nn::Tensor*> windows(n);
+  for (std::size_t i = 0; i < n; ++i) windows[i] = &panel_[i];
   std::vector<nn::Tensor> features(n);
   for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-    // The frozen prefix runs once per sample, in inference mode, as one
+    // The fit's windows are synthesized here, from their recipes; the
+    // frozen prefix runs once per sample, in inference mode, as one
     // batched panel; the tail then trains on its outputs.
     for (std::size_t i = 0; i < n; ++i) {
-      windows[i] = &state.buffer[first + i].windows[s];
+      state.context->synthesize(state.buffer[first + i].recipe, s, panel_[i]);
     }
     prefix_[s].forward_batch_inference(windows.data(), n, features.data());
     nn::Samples samples;

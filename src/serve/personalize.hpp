@@ -1,11 +1,15 @@
 // In-shard bounded per-user fine-tuning: a served session accumulates
-// its recent correctly-classified windows and, on a fixed slot cadence,
+// its recent correctly-classified slots and, on a fixed slot cadence,
 // runs a budgeted micro-fit of the deployed per-sensor nets on the
-// shard's model scratch. Only the trailing `tune_tail_layers`
-// parameterized layers (the classifier head) adapt: the frozen prefix in
-// front of them runs once per fit as one batched inference panel over
-// the buffered windows, and nn::Trainer fits just the tail on those
-// features. The prefix never trains, so a user's whole
+// shard's model scratch. A buffered slot is its label and its
+// data::SlotRecipe, not its windows: windows are pure functions of the
+// recipe and the session stream's data::SynthesisContext, so a fit
+// synthesizes exactly the windows it trains on, and a slot evicted from
+// the buffer or never fitted costs no synthesis. Only the trailing
+// `tune_tail_layers` parameterized layers (the classifier head) adapt:
+// the frozen prefix in front of them runs once per fit as one batched
+// inference panel over the synthesized windows, and nn::Trainer fits
+// just the tail on those features. The prefix never trains, so a user's whole
 // personalized state is a small nn::ModelDelta against the base — the
 // unit the snapshot persists and the delta store writes.
 //
@@ -21,6 +25,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "data/stream_cursor.hpp"
@@ -50,14 +55,20 @@ struct PersonalizeConfig {
 };
 
 /// Per-session adaptation state, owned by the Session and persisted by
-/// snapshot v3.
+/// the snapshot (the buffer as recipes since v8).
 struct PersonalizeState {
   struct BufferedSample {
-    std::array<nn::Tensor, data::kNumSensors> windows;
     int label = 0;
+    /// What the fit re-synthesizes the slot's three windows from.
+    data::SlotRecipe recipe;
   };
   /// Recent correctly-classified slots, oldest first.
   std::deque<BufferedSample> buffer;
+  /// The session stream's synthesis context, which turns the buffered
+  /// recipes back into windows. A serve::Session sets it from its own
+  /// cursor when it is built or restored; a state built by hand adopts
+  /// the context of the first slot it buffers. Never persisted.
+  std::shared_ptr<const data::SynthesisContext> context;
   /// Personalized weights as deltas against the shard's base models.
   std::array<nn::ModelDelta, data::kNumSensors> delta;
   std::uint64_t fine_tunes = 0;
@@ -103,7 +114,7 @@ class Personalizer {
   /// once per tick instead of once per session.
   void load_base(std::array<nn::Sequential, data::kNumSensors>& models);
 
-  /// Post-step hook: buffers the slot's windows when the fused output
+  /// Post-step hook: buffers the slot's recipe when the fused output
   /// matched ground truth, and runs a budgeted micro-fit on the cadence.
   /// `models` must currently hold this session's weights (see load()).
   /// Returns the optimizer steps consumed (0 when no fit ran).
@@ -118,6 +129,9 @@ class Personalizer {
   /// The buffering half of after_step (needs no model weights). Buffers
   /// nothing once the remaining step budget can no longer fund a fit of
   /// `min_samples` samples, since fit_due would refuse every later fit.
+  /// Throws std::logic_error when the slot to buffer has no synthesis
+  /// context (a materialized source such as data::StreamSlotSource cannot
+  /// re-synthesize) or a different one than `state.context`.
   void buffer_step(PersonalizeState& state,
                    const sim::SlotStepper::StepOutcome& outcome,
                    data::SlotSource& source);
@@ -127,10 +141,12 @@ class Personalizer {
   bool fit_due(const PersonalizeState& state,
                const sim::SlotStepper::StepOutcome& outcome) const;
   /// The fit half of after_step. `models` must hold this session's
-  /// weights (load() first). Per sensor: one forward_batch_inference of
-  /// the frozen prefix over the buffered windows, an nn::Trainer fit of a
-  /// clone of the session's tail on those features, and the tuned tail
-  /// copied back into `models`. Returns the optimizer steps consumed.
+  /// weights (load() first). Per sensor: the windows of the n samples the
+  /// fit uses, synthesized from their recipes into the shard's panel
+  /// scratch, one forward_batch_inference of the frozen prefix over them,
+  /// an nn::Trainer fit of a clone of the session's tail on those
+  /// features, and the tuned tail copied back into `models`. Returns the
+  /// optimizer steps consumed.
   std::uint64_t run_fit(PersonalizeState& state, std::uint64_t seed_offset,
                         std::array<nn::Sequential, data::kNumSensors>& models);
 
@@ -166,6 +182,8 @@ class Personalizer {
   /// tail's inference cost (forward + backward over the same MACs).
   std::array<double, data::kNumSensors> prefix_cost_j_{};
   std::array<double, data::kNumSensors> tail_pass_cost_j_{};
+  /// One sensor's fit windows, reused by every fit on this shard.
+  std::vector<nn::Tensor> panel_;
 
   /// Which session's weights the shard scratch currently holds; -1 =
   /// pristine base.

@@ -59,8 +59,9 @@ struct ServeConfig {
   /// publish fold order), unlike threads.
   std::size_t shards = 8;
   /// Slots each session's stream cursor keeps live. Serving reads only
-  /// the slot it steps (the personalizer re-reads that same slot), so a
-  /// short ring suffices; a longer one only adds window buffers that every
+  /// the slot it steps, and the personalizer keeps that slot's recipe
+  /// rather than its windows (its fits re-synthesize them), so a short
+  /// ring suffices; a longer one only adds window buffers that every
   /// session allocates, lets go cold and frees when it ends.
   int ring_capacity = 4;
   /// In-shard bounded per-user fine-tuning (serve/personalize.hpp).

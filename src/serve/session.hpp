@@ -61,11 +61,15 @@ class Session {
   const sim::SlotStepper& stepper() const { return stepper_; }
 
   /// Per-session fine-tuning state; null unless the shard's personalize
-  /// mode is on (enable_personalize() is called on admission).
+  /// mode is on (enable_personalize() is called on admission and on
+  /// snapshot restore). The state's synthesis context is this session's
+  /// own cursor's.
   PersonalizeState* personalize() { return personalize_.get(); }
   const PersonalizeState* personalize() const { return personalize_.get(); }
   void enable_personalize() {
-    if (!personalize_) personalize_ = std::make_unique<PersonalizeState>();
+    if (personalize_) return;
+    personalize_ = std::make_unique<PersonalizeState>();
+    personalize_->context = cursor_.context();
   }
 
  private:

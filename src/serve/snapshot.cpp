@@ -8,11 +8,15 @@
 // slot's per-slot randomness and synthesizes no window: windows are keyed
 // by (stream seed, slot, sensor), so only the ones read are built. The
 // fingerprint does not cover the stream, so a change to the stream bumps
-// kSnapshotVersion (v7: keyed windows). Deterministic metrics are
+// kSnapshotVersion (v7: keyed windows). A personalizing session's sample
+// buffer rides as slot recipes (v8), checked against the restored
+// session's own stream before the session is adopted. Deterministic metrics are
 // replayed from the logs in publish order, so a restored process's
 // metrics are bit-identical to one that never stopped.
 #include "serve/snapshot.hpp"
 
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -117,6 +121,13 @@ void field(IO& io, Rec<IO, net::RecalledVote> v) {
   field(io, v.fresh);
 }
 
+void field(ByteWriter& w, data::Activity a) {
+  w.i32(static_cast<std::int32_t>(a));
+}
+void field(ByteReader& r, data::Activity& a) {
+  a = static_cast<data::Activity>(r.i32());
+}
+
 /// Optional: a u8 presence flag, then the value when present.
 template <class T>
 void field(ByteWriter& w, const std::optional<T>& v) {
@@ -206,10 +217,18 @@ void tallies(IO& io, Rec<IO, sim::SimResult> result) {
   seq(io, result.outputs);
 }
 
+/// A buffered sample (v8): the slot key, the label and the rest of the
+/// slot's recipe. The windows are re-synthesized from them.
 template <class IO>
 void field(IO& io, Rec<IO, PersonalizeState::BufferedSample> s) {
+  field(io, s.recipe.key);
   field(io, s.label);
-  for (auto& window : s.windows) field(io, window);
+  field(io, s.recipe.activity);
+  field(io, s.recipe.t0_s);
+  field(io, s.recipe.style.blend_u);
+  field(io, s.recipe.style.cadence_g);
+  field(io, s.recipe.style.ambiguous_with);
+  field(io, s.recipe.style.ambiguity_mix);
 }
 
 /// Record sequence: u64 count, then the records, read one at a time —
@@ -236,6 +255,72 @@ void field(IO& io, Rec<IO, PersonalizeState> st) {
   field(io, st.energy_j);
   records(io, st.buffer);
   for (auto& delta : st.delta) field(io, delta);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Whether `sample` is bit for bit what the session buffered from `slot`.
+bool buffered_from(const PersonalizeState::BufferedSample& sample,
+                   const data::SlotSample& slot) {
+  const data::SlotRecipe& a = sample.recipe;
+  const data::SlotRecipe b = slot.recipe();
+  return sample.label == slot.label && a.key == b.key &&
+         a.activity == b.activity && same_bits(a.t0_s, b.t0_s) &&
+         same_bits(a.style.blend_u, b.style.blend_u) &&
+         same_bits(a.style.cadence_g, b.style.cadence_g) &&
+         a.style.ambiguous_with == b.style.ambiguous_with &&
+         same_bits(a.style.ambiguity_mix, b.style.ambiguity_mix);
+}
+
+/// A restored sample buffer must hold the session's own served slots
+/// (strictly before `next_slot`, oldest first): every field in range and
+/// finite, and each record equal to the label and recipe the session's
+/// stream derives for its slot. Anything else would fine-tune the session
+/// on windows it never served. Replays `source` forward to the newest
+/// buffered slot, which the next step would replay anyway.
+void check_buffer(const PersonalizeState& st, data::SlotSource& source,
+                  std::size_t next_slot) {
+  const data::DatasetSpec& spec = source.spec();
+  const auto valid = [](data::Activity a) {
+    const int v = static_cast<int>(a);
+    return v >= 0 && v < data::kNumActivityKinds;
+  };
+  std::size_t earliest = 0;  // slots are buffered in increasing order
+  for (std::size_t k = 0; k < st.buffer.size(); ++k) {
+    const PersonalizeState::BufferedSample& sample = st.buffer[k];
+    const data::SlotRecipe& r = sample.recipe;
+    const auto fail = [&](const std::string& what) {
+      throw std::runtime_error("buffered sample " + std::to_string(k) + ": " +
+                               what);
+    };
+    if (!valid(r.activity)) fail("activity out of range");
+    if (r.style.ambiguous_with && !valid(*r.style.ambiguous_with)) {
+      fail("ambiguous activity out of range");
+    }
+    if (sample.label < 0 || sample.label >= spec.num_classes()) {
+      fail("label out of range");
+    }
+    const std::pair<const char*, double> reals[] = {
+        {"t0_s", r.t0_s},
+        {"blend_u", r.style.blend_u},
+        {"cadence_g", r.style.cadence_g},
+        {"ambiguity_mix", r.style.ambiguity_mix}};
+    for (const auto& [name, value] : reals) {
+      if (!std::isfinite(value)) fail(std::string("non-finite ") + name);
+    }
+    const double slot = r.t0_s / spec.slot_seconds();
+    if (!(slot >= static_cast<double>(earliest) &&
+          slot < static_cast<double>(next_slot))) {
+      fail("t0_s is not a served slot after the previous sample's");
+    }
+    const auto i = static_cast<std::size_t>(slot);
+    if (!buffered_from(sample, source.slot(i))) {
+      fail("does not match the session's slot " + std::to_string(i));
+    }
+    earliest = i + 1;
+  }
 }
 
 using FingerprintValue = std::variant<bool, std::int32_t, std::uint32_t,
@@ -468,9 +553,11 @@ void ServeLoop::restore(const std::string& path) {
       // The weights themselves are re-derived lazily (Personalizer::load
       // re-applies base + delta before the session's next panel or fit),
       // so a delta the shard could not apply must be refused here, not
-      // mid-tick with the scratch half rewritten.
+      // mid-tick with the scratch half rewritten; likewise a buffered
+      // recipe the session's stream did not serve, before a fit reads it.
       try {
         shards_[id % config_.shards]->personalizer()->validate(st);
+        check_buffer(st, stepper.source(), next_slot);
       } catch (const std::runtime_error& err) {
         throw std::runtime_error("snapshot: session " + std::to_string(id) +
                                  ": " + err.what());

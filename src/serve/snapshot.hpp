@@ -34,6 +34,11 @@ inline constexpr char kSnapshotMagic[8] = {'O', 'R', 'G', 'N',
 /// Version 7 changed no record: windows became keyed by (stream seed,
 /// slot, sensor), so a restored cursor re-derives different windows than
 /// a v6 process served, and a v6 snapshot is refused.
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+/// Version 8 stores a buffered personalization sample as its label and
+/// slot recipe (data::SlotRecipe, about 50 bytes) instead of its three
+/// windows (4.7 KB); the restored session re-synthesizes them from its own
+/// stream, and restore refuses a record that is not one of the session's
+/// served slots.
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 
 }  // namespace origin::serve

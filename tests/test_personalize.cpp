@@ -11,12 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 
 #include "backend_scope.hpp"
 #include "core/pipeline.hpp"
+#include "data/stream_cursor.hpp"
 #include "fleet/fleet_runner.hpp"
 #include "fleet/shard.hpp"
 #include "nn/activations.hpp"
@@ -271,7 +276,8 @@ constexpr std::uint64_t kShuffleSalt = 0xD1CEULL;
 using Models = std::array<nn::Sequential, data::kNumSensors>;
 
 /// One tail-only fine-tune of `models` (the session's current weights)
-/// on every sample of `buffer`, computed without the Personalizer: each
+/// on the windows and labels of `slots`, computed without the
+/// Personalizer: each
 /// sample runs the *full* net forward in train mode and backward, in the
 /// trainer's shuffled order. At each batch boundary the tail's
 /// accumulated gradients move into a clone of the tail that SgdMomentum
@@ -279,7 +285,7 @@ using Models = std::array<nn::Sequential, data::kNumSensors>;
 /// updated. Returns the realized deltas and leaves `models` on them.
 std::array<nn::ModelDelta, data::kNumSensors> oracle_tail_fit(
     Models& base, Models& models,
-    const std::deque<PersonalizeState::BufferedSample>& buffer,
+    const std::vector<const data::SlotSample*>& slots,
     const PersonalizeConfig& cfg, std::uint64_t seed_offset,
     std::uint64_t fine_tunes) {
   std::array<nn::ModelDelta, data::kNumSensors> deltas;
@@ -317,16 +323,16 @@ std::array<nn::ModelDelta, data::kNumSensors> oracle_tail_fit(
     };
     full.zero_grads();
     util::Rng rng(sensor_seed ^ kShuffleSalt);
-    std::vector<std::size_t> order(buffer.size());
+    std::vector<std::size_t> order(slots.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
       rng.shuffle(order);
       std::size_t in_batch = 0;
       for (std::size_t idx : order) {
         const nn::Tensor logits =
-            full.forward(buffer[idx].windows[s], /*train=*/true);
+            full.forward(slots[idx]->window(s), /*train=*/true);
         nn::Tensor grad =
-            nn::softmax_cross_entropy(logits, buffer[idx].label).grad;
+            nn::softmax_cross_entropy(logits, slots[idx]->label).grad;
         grad.scale(1.0f / static_cast<float>(batch));
         full.backward(grad);
         if (++in_batch == batch) {
@@ -480,6 +486,47 @@ class PersonalizeTest : public ::testing::Test {
                           uninterrupted.completed_sessions());
     std::remove(path.c_str());
     std::remove(bad_path.c_str());
+  }
+
+  /// One buffered-sample record of a saved snapshot: where it starts,
+  /// whose buffer it is in and at which index, and whether it carries an
+  /// ambiguous activity. v8 layout from the start: u64 slot key, i32
+  /// label (+8), i32 activity (+12), f64 t0_s (+16), blend_u (+24),
+  /// cadence_g (+32), u8 ambiguity flag (+40), [i32 ambiguous activity
+  /// (+41)], f64 ambiguity_mix.
+  struct BufferedRecord {
+    std::size_t at = 0;
+    std::uint64_t session = 0;
+    std::size_t index = 0;
+    bool ambiguous = false;
+    std::size_t size() const { return ambiguous ? 53 : 49; }
+    std::size_t mix_at() const { return at + (ambiguous ? 45 : 41); }
+  };
+
+  /// Finds every buffered record in `bytes` by its slot key: a buffered
+  /// slot's key appears nowhere else in a snapshot. Sorted by offset.
+  static std::vector<BufferedRecord> buffered_records(
+      const std::string& bytes, const ServeConfig& cfg) {
+    std::vector<BufferedRecord> found;
+    const auto jobs = population(cfg);
+    for (std::uint64_t id = 0; id < jobs.size(); ++id) {
+      data::StreamCursor cursor = experiment_->make_cursor(
+          jobs[id].user, jobs[id].seed_offset, std::nullopt, 1);
+      std::size_t index = 0;
+      for (std::size_t i = 0; i < cursor.size(); ++i) {
+        const std::uint64_t key = cursor.slot(i).recipe().key;
+        std::string le(8, '\0');
+        for (int b = 0; b < 8; ++b) le[b] = static_cast<char>(key >> (8 * b));
+        const std::size_t at = bytes.find(le);
+        if (at == std::string::npos) continue;
+        found.push_back({at, id, index++, bytes.at(at + 40) != 0});
+      }
+    }
+    std::sort(found.begin(), found.end(),
+              [](const BufferedRecord& a, const BufferedRecord& b) {
+                return a.at < b.at;
+              });
+    return found;
   }
 
   static sim::Experiment* experiment_;
@@ -706,13 +753,20 @@ TEST_F(PersonalizeTest, TailOnlyFitMatchesPerSampleOracle) {
   // GEMM between inference, train-mode and single-sample forwards, and
   // the batched backward matches sequential backward per element. Two
   // fits per case, so the second tail starts from a realized delta; the
-  // whole-net case (four tail layers on BL-2) has an empty prefix.
+  // whole-net case (four tail layers on BL-2) has an empty prefix. The
+  // buffer is filled through buffer_step from a 4-slot cursor, so the fit
+  // re-synthesizes windows whose slots the ring recycled long ago; the
+  // oracle reads the same slots of a materialized make_stream, so it
+  // shares no synthesis call with the fit.
   const core::TrainedSystem& system = experiment_->system();
   const std::vector<int> input_shape{experiment_->spec().channels,
                                      experiment_->spec().window_len};
   const nn::ComputeProfile& profile =
       experiment_->config().pipeline.profile;
   constexpr std::size_t kPerFit = 10;  // two full batches and a partial
+  constexpr std::uint64_t kStreamOffset = 5;
+  const data::UserProfile user = data::reference_user();
+  const data::Stream stream = experiment_->make_stream(user, kStreamOffset);
   for (int tail_layers : {1, 2, 4}) {
     SCOPED_TRACE(tail_layers);
     PersonalizeConfig cfg;
@@ -728,19 +782,20 @@ TEST_F(PersonalizeTest, TailOnlyFitMatchesPerSampleOracle) {
     Models oracle = system.bl2_copy();
     Personalizer personalizer(*experiment_, models, cfg);
     PersonalizeState state;
+    data::StreamCursor cursor = experiment_->make_cursor(
+        user, kStreamOffset, std::nullopt, /*ring_capacity=*/4);
     constexpr std::uint64_t kSeedOffset = 77;
     for (std::size_t fit = 0; fit < 2; ++fit) {
       SCOPED_TRACE(fit);
-      for (std::size_t i = 0; i < kPerFit; ++i) {
-        PersonalizeState::BufferedSample sample;
-        for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-          sample.windows[s] = system.test_sets[s].at(fit * kPerFit + i).input;
-        }
-        sample.label = system.test_sets[0].at(fit * kPerFit + i).label;
-        state.buffer.push_back(std::move(sample));
+      std::vector<const data::SlotSample*> slots;
+      for (std::size_t i = fit * kPerFit; i < (fit + 1) * kPerFit; ++i) {
+        const int label = cursor.slot(i).label;
+        personalizer.buffer_step(state, {i, label, label}, cursor);
+        slots.push_back(&stream.slots.at(i));
       }
-      const auto want = oracle_tail_fit(base, oracle, state.buffer, cfg,
-                                        kSeedOffset, state.fine_tunes);
+      ASSERT_EQ(state.buffer.size(), kPerFit);
+      const auto want = oracle_tail_fit(base, oracle, slots, cfg, kSeedOffset,
+                                        state.fine_tunes);
       personalizer.load(state, /*id=*/0, models);
       EXPECT_EQ(personalizer.run_fit(state, kSeedOffset, models), 2u * 3u);
       for (std::size_t s = 0; s < data::kNumSensors; ++s) {
@@ -808,7 +863,7 @@ TEST_F(PersonalizeTest, BufferStopsOnceBudgetSpent) {
   const sim::Experiment& e = *experiment_;
   const PersonalizeConfig& pc = cfg.personalize;
   std::size_t spent_slots = 0;
-  std::size_t dropped_windows = 0;
+  std::size_t dropped_samples = 0;
   for (const CompletedSession& served : log) {
     SCOPED_TRACE(served.id);
     const fleet::FleetJob& job = jobs.at(served.id);
@@ -818,6 +873,7 @@ TEST_F(PersonalizeTest, BufferStopsOnceBudgetSpent) {
       auto models = e.system().bl2_copy();
       Personalizer personalizer(e, models, pc);
       PersonalizeState state;
+      state.context = cursor.context();
       sim::SlotStepper stepper(e.spec(), &models, &e.trace(), policy.get(),
                                &cursor, e.sim_config());
       while (!stepper.done()) {
@@ -834,12 +890,7 @@ TEST_F(PersonalizeTest, BufferStopsOnceBudgetSpent) {
         }
         if (outcome.predicted >= 0 && outcome.predicted == outcome.label) {
           const data::SlotSample& slot = cursor.slot(outcome.slot);
-          PersonalizeState::BufferedSample sample;
-          sample.label = slot.label;
-          for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-            sample.windows[s] = slot.window(s);
-          }
-          state.buffer.push_back(std::move(sample));
+          state.buffer.push_back({slot.label, slot.recipe()});
           while (state.buffer.size() >
                  static_cast<std::size_t>(pc.max_samples)) {
             state.buffer.pop_front();
@@ -864,19 +915,176 @@ TEST_F(PersonalizeTest, BufferStopsOnceBudgetSpent) {
       EXPECT_EQ(nn::delta_to_string(state.delta[s]),
                 nn::delta_to_string(kept_state.delta[s]));
     }
-    dropped_windows += kept_state.buffer.size() - state.buffer.size();
+    dropped_samples += kept_state.buffer.size() - state.buffer.size();
   }
-  // The budget must actually run out mid-stream, with windows the
+  // The budget must actually run out mid-stream, with samples the
   // keep-buffering loop stored for nothing.
   EXPECT_GT(spent_slots, 0u);
-  EXPECT_GT(dropped_windows, 0u);
+  EXPECT_GT(dropped_samples, 0u);
+}
+
+TEST_F(PersonalizeTest, BufferStepRefusesSourceThatCannotResynthesize) {
+  // A materialized stream's slots carry no synthesis context, so their
+  // recipes could never be turned back into windows: buffer_step must
+  // throw rather than buffer a sample no fit can read.
+  const data::Stream stream =
+      experiment_->make_stream(data::reference_user(), /*seed_offset=*/3);
+  data::StreamSlotSource source(stream);
+  auto models = experiment_->system().bl2_copy();
+  Personalizer personalizer(*experiment_, models, tuned_config().personalize);
+  PersonalizeState state;
+  const int label = stream.slots[0].label;
+  EXPECT_THROW(personalizer.buffer_step(state, {0, label, label}, source),
+               std::logic_error);
+  EXPECT_TRUE(state.buffer.empty());
+
+  // Nor may a state bound to one stream buffer another stream's slot.
+  data::StreamCursor cursor =
+      experiment_->make_cursor(data::reference_user(), /*seed_offset=*/3);
+  state.context = cursor.context();
+  data::StreamCursor other =
+      experiment_->make_cursor(data::reference_user(), /*seed_offset=*/3);
+  const int other_label = other.slot(0).label;
+  EXPECT_THROW(personalizer.buffer_step(state, {0, other_label, other_label},
+                                        other),
+               std::logic_error);
+  EXPECT_TRUE(state.buffer.empty());
+}
+
+TEST_F(PersonalizeTest, BufferedRecordOutOfRangeRefusedAtRestore) {
+  // Restore checks every buffered record before adopting the session:
+  // fields in range and finite, and the record equal to the slot the
+  // session's own stream served. Each refusal names the session and the
+  // sample, and leaves the loop as constructed.
+  const ServeConfig cfg = tuned_config();
+  ServeLoop first(*experiment_, cfg);
+  first.tick(30);
+  const std::string path = testing::TempDir() + "/buffered_range.snap";
+  first.save(path);
+  const std::string good = util::read_file(path);
+  const auto found = buffered_records(good, cfg);
+  ASSERT_FALSE(found.empty());
+  const auto amb = std::find_if(
+      found.begin(), found.end(),
+      [](const BufferedRecord& r) { return r.ambiguous; });
+  ASSERT_NE(amb, found.end());
+
+  const auto i32 = [](std::int32_t v) {
+    std::string out(4, '\0');
+    for (int b = 0; b < 4; ++b) out[b] = static_cast<char>(v >> (8 * b));
+    return out;
+  };
+  const auto f64 = [](double v) {
+    std::string out(8, '\0');
+    std::memcpy(out.data(), &v, 8);
+    return out;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const BufferedRecord& plain = found.front();
+  struct Case {
+    const BufferedRecord* record;
+    std::size_t at;
+    std::string bytes;
+    std::string reason;
+  };
+  const std::vector<Case> cases = {
+      {&plain, plain.at + 12, i32(data::kNumActivityKinds),
+       "activity out of range"},
+      {&plain, plain.at + 12, i32(-1), "activity out of range"},
+      {&*amb, amb->at + 41, i32(17), "ambiguous activity out of range"},
+      {&plain, plain.at + 8, i32(experiment_->spec().num_classes()),
+       "label out of range"},
+      {&plain, plain.at + 8, i32(-1), "label out of range"},
+      {&plain, plain.at + 16, f64(nan), "non-finite t0_s"},
+      {&plain, plain.at + 24, f64(inf), "non-finite blend_u"},
+      {&plain, plain.at + 32, f64(-inf), "non-finite cadence_g"},
+      {&*amb, amb->mix_at(), f64(nan), "non-finite ambiguity_mix"},
+      {&plain, plain.at + 16, f64(-0.5), "t0_s is not a served slot"},
+      {&plain, plain.at + 16, f64(1e6), "t0_s is not a served slot"},
+      {&plain, plain.at, i32(12345), "does not match the session's slot"},
+  };
+  const std::string bad_path = testing::TempDir() + "/buffered_range_bad.snap";
+  ServeLoop second(*experiment_, cfg);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.reason);
+    std::string bad = good;
+    bad.replace(c.at, c.bytes.size(), c.bytes);
+    util::write_file_atomic(bad_path, bad);
+    try {
+      second.restore(bad_path);
+      ADD_FAILURE() << "restored a corrupt buffered record";
+    } catch (const std::runtime_error& err) {
+      const std::string want =
+          "snapshot: session " + std::to_string(c.record->session) +
+          ": buffered sample " + std::to_string(c.record->index) + ": " +
+          c.reason;
+      EXPECT_EQ(std::string(err.what()).rfind(want, 0), 0u) << err.what();
+    }
+    EXPECT_EQ(second.now(), 0u);
+  }
+  EXPECT_NO_THROW(second.restore(path));
+  std::remove(path.c_str());
+  std::remove(bad_path.c_str());
+}
+
+TEST_F(PersonalizeTest, BufferedRecordByteFlipsRestoreIdenticalOrThrow) {
+  // Byte-flip sweep over the buffered records of a real mid-flight
+  // snapshot: every byte of every record, under three masks (low bit, top
+  // bit, whole byte). Each flip must either be refused by restore or
+  // restore a loop that finishes exactly like an uninterrupted run. A
+  // flip the restore accepts can only be one that changes no value (a
+  // presence flag read as true either way).
+  const ServeConfig cfg = tuned_config();
+  ServeLoop uninterrupted(*experiment_, cfg);
+  uninterrupted.drain(/*chunk=*/5);
+  const auto full_log = uninterrupted.completed_sessions();
+
+  ServeLoop first(*experiment_, cfg);
+  first.tick(30);  // buffers before and after the first cadence fit
+  const std::string path = testing::TempDir() + "/buffered_flips.snap";
+  first.save(path);
+  const std::string good = util::read_file(path);
+  const auto found = buffered_records(good, cfg);
+  ASSERT_GE(found.size(), 8u);
+
+  const std::string bad_path = testing::TempDir() + "/buffered_flip_bad.snap";
+  std::size_t refused = 0, restored = 0;
+  auto loop = std::make_unique<ServeLoop>(*experiment_, cfg);
+  for (const BufferedRecord& record : found) {
+    for (std::size_t at = record.at; at < record.at + record.size(); ++at) {
+      for (unsigned mask : {0x01u, 0x80u, 0xFFu}) {
+        SCOPED_TRACE(testing::Message() << "byte " << at << " mask " << mask);
+        std::string bad = good;
+        bad[at] = static_cast<char>(static_cast<unsigned char>(bad[at]) ^ mask);
+        util::write_file_atomic(bad_path, bad);
+        try {
+          loop->restore(bad_path);
+        } catch (const std::runtime_error&) {
+          ++refused;
+          ASSERT_EQ(loop->now(), 0u);
+          continue;
+        }
+        ++restored;
+        loop->drain(/*chunk=*/5);
+        expect_same_completed(loop->completed_sessions(), full_log);
+        loop = std::make_unique<ServeLoop>(*experiment_, cfg);
+      }
+    }
+  }
+  EXPECT_GT(refused, 0u);
+  std::printf("[ flips    ] %zu records: %zu flips refused, %zu restored "
+              "bit-identical\n",
+              found.size(), refused, restored);
+  std::remove(path.c_str());
+  std::remove(bad_path.c_str());
 }
 
 TEST_F(PersonalizeTest, WholeNetFitSnapshotRefused) {
   // Version 5 snapshots carry deltas from whole-net fits; a loop that
   // fits only the tail must refuse them, as it refuses any other
   // version.
-  ASSERT_EQ(kSnapshotVersion, 7u);
+  ASSERT_EQ(kSnapshotVersion, 8u);
   ServeConfig cfg = tuned_config();
   ServeLoop first(*experiment_, cfg);
   first.tick(30);

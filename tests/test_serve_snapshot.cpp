@@ -76,6 +76,31 @@ class ServeSnapshotTest : public ::testing::Test {
     }
   }
 
+  /// Saves a mid-flight snapshot, rewrites its version word to
+  /// `version`, and checks that restore refuses it naming the version.
+  static void expect_version_refused(std::uint32_t version) {
+    ServeConfig cfg = small_config();
+    cfg.personalize.enabled = true;
+    ServeLoop first(*experiment_, cfg);
+    first.tick(30);
+    const std::string path = temp_path("v" + std::to_string(version) + ".snap");
+    first.save(path);
+    std::string old = util::read_file(path);
+    for (int b = 0; b < 4; ++b) old[8 + b] = static_cast<char>(version >> (8 * b));
+    util::write_file_atomic(path, old);
+    ServeLoop loop(*experiment_, cfg);
+    try {
+      loop.restore(path);
+      ADD_FAILURE() << "a v" << version << " snapshot was restored";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
+    std::remove(path.c_str());
+  }
+
   static sim::Experiment* experiment_;
 };
 
@@ -274,25 +299,16 @@ TEST_F(ServeSnapshotTest, V6SnapshotRefusedNamingTheVersion) {
   // A v6 process drew every window from the sequential stream; a restored
   // cursor here derives keyed windows instead, and the fingerprint does
   // not cover the stream, so the version alone must refuse the file.
-  ASSERT_EQ(kSnapshotVersion, 7u);
-  ServeConfig cfg = small_config();
-  ServeLoop first(*experiment_, cfg);
-  first.tick(4);
-  const std::string path = temp_path("v6.snap");
-  first.save(path);
-  std::string v6 = util::read_file(path);
-  v6[8] = static_cast<char>(6);
-  util::write_file_atomic(path, v6);
-  ServeLoop loop(*experiment_, cfg);
-  try {
-    loop.restore(path);
-    ADD_FAILURE() << "a v6 snapshot was restored";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported version 6"),
-              std::string::npos)
-        << e.what();
-  }
-  std::remove(path.c_str());
+  ASSERT_EQ(kSnapshotVersion, 8u);
+  expect_version_refused(6);
+}
+
+TEST_F(ServeSnapshotTest, V7SnapshotRefusedNamingTheVersion) {
+  // A v7 snapshot stores a buffered personalization sample as its three
+  // windows; v8 reads a slot recipe in its place, so the version must
+  // refuse the file before a record is misread.
+  ASSERT_EQ(kSnapshotVersion, 8u);
+  expect_version_refused(7);
 }
 
 TEST_F(ServeSnapshotTest, CorruptAndTruncatedFilesRejected) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -251,6 +252,50 @@ TEST_F(StreamCursorTest, CopiedSlotIsMaterialized) {
   // The source slot is recycled; the copy still holds every window.
   EXPECT_THROW(cursor.slot(3), std::logic_error);
   expect_slot_equal(copy, stream.slots[3], 3);
+}
+
+TEST_F(StreamCursorTest, RecipeResynthesizesAfterRingRecycles) {
+  // A served slot's recipe and its cursor's synthesis context rebuild each
+  // window bit for bit after the ring has recycled the slot, and after the
+  // cursor itself is gone: with and without SNR noise, and for whole-body
+  // ambiguous slots.
+  for (const std::optional<double> snr :
+       {std::optional<double>{}, std::optional<double>{5.0}}) {
+    SCOPED_TRACE(snr ? "snr" : "clean");
+    StreamConfig config;
+    config.snr_db = snr;
+    std::shared_ptr<const SynthesisContext> context;
+    std::vector<SlotRecipe> recipes;
+    std::vector<SlotSample> served;  // copies: the windows as served
+    {
+      StreamCursor cursor(spec_, 60, user(13), 404, config,
+                          /*ring_capacity=*/4);
+      context = cursor.context();
+      for (std::size_t i = 0; i < cursor.size(); ++i) {
+        const SlotSample& slot = cursor.slot(i);
+        EXPECT_EQ(slot.context(), context);
+        recipes.push_back(slot.recipe());
+        EXPECT_EQ(recipes.back().style.ambiguous_with.has_value(),
+                  slot.ambiguous);
+        served.push_back(slot);
+      }
+      EXPECT_THROW(cursor.slot(0), std::logic_error);  // recycled
+    }
+    std::size_t ambiguous = 0;
+    nn::Tensor window;
+    for (std::size_t i = 0; i < recipes.size(); ++i) {
+      ambiguous += recipes[i].style.ambiguous_with.has_value() ? 1 : 0;
+      for (std::size_t s = 0; s < kNumSensors; ++s) {
+        context->synthesize(recipes[i], s, window);
+        EXPECT_TRUE(same_bits(window, served[i].window(s)))
+            << "slot " << i << " sensor " << s;
+      }
+    }
+    EXPECT_GT(ambiguous, 0u);
+    // A materialized copy keeps its recipe but cannot re-synthesize.
+    EXPECT_EQ(served[3].context(), nullptr);
+    EXPECT_EQ(served[3].recipe().key, recipes[3].key);
+  }
 }
 
 // --- simulator consumption -------------------------------------------------
