@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark): inference latency of the deployed
 // networks (BL-1 and pruned BL-2), batched prediction throughput, the
-// im2row+GEMM kernel against the naive conv loops, window synthesis,
+// im2row+GEMM kernel, a training epoch, window synthesis,
 // scheduler and ensemble arithmetic, and a served fine-tune's weight loads
 // and fit — the per-slot costs of the simulator and, proportionally, of a
 // real host. `--json <path>` dumps every
@@ -21,13 +21,10 @@
 #include "nn/dense.hpp"
 #include "nn/energy_model.hpp"
 #include "nn/kernels.hpp"
-#include "nn/loss.hpp"
-#include "nn/optimizer.hpp"
 #include "nn/pruning.hpp"
+#include "nn/trainer.hpp"
 #include "serve/personalize.hpp"
 #include "util/rng.hpp"
-
-#include <numeric>
 
 using namespace origin;
 
@@ -159,18 +156,6 @@ void BM_Im2RowGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2RowGemm);
 
-/// The same conv stage through the naive reference loops — the before/
-/// after pair for the kernel layer (see EXPERIMENTS.md).
-void BM_NaiveConv(benchmark::State& state) {
-  util::Rng rng(7);
-  nn::Conv1D conv(20, 32, 5, 1, rng);
-  const nn::Tensor x = nn::Tensor::randn({20, 30}, rng, 1.0f);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.forward_reference(x));
-  }
-}
-BENCHMARK(BM_NaiveConv);
-
 /// One gemm_bias call of shape m x kd x n (Args {m, kd, n}); the GMAC
 /// counter is a rate, so it reads as GMAC/s. Registered per backend
 /// below over the panels the repository benchmark runs.
@@ -194,9 +179,9 @@ void BM_GemmBias(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 
-/// One training epoch of the BL-1 chest net over 128 windows — the
-/// naive/reference/kernels triple in the EXPERIMENTS.md training table.
-/// All paths produce bit-identical weights by test.
+/// One training epoch of the BL-1 chest net over 128 windows through
+/// Trainer::fit — the batched trainer row of the EXPERIMENTS.md training
+/// table.
 nn::Samples train_windows(std::size_t count, std::uint64_t seed) {
   util::Rng rng(seed);
   nn::Samples samples;
@@ -207,84 +192,17 @@ nn::Samples train_windows(std::size_t count, std::uint64_t seed) {
   return samples;
 }
 
-nn::TrainConfig one_epoch_config(bool use_kernels) {
+void BM_TrainEpochKernels(benchmark::State& state) {
+  const auto train = train_windows(128, 11);
   nn::TrainConfig cfg;
   cfg.epochs = 1;
   cfg.batch_size = 16;
   cfg.learning_rate = 8e-3;
-  cfg.use_kernels = use_kernels;
-  return cfg;
-}
-
-/// The pre-kernel trainer epoch: per-sample forward, naive per-layer
-/// backward loops (backward_reference on conv/dense — the verbatim old
-/// Conv1D/Dense::backward), optimizer step every 16 samples. This is the
-/// "before" row of the training table in EXPERIMENTS.md.
-void BM_TrainEpochNaiveBackward(benchmark::State& state) {
-  const auto train = train_windows(128, 11);
   for (auto _ : state) {
     state.PauseTiming();
     auto net = deployed_net();
     state.ResumeTiming();
-    nn::SgdMomentum opt(8e-3, 0.9, 1e-4);
-    opt.bind(net);
-    net.zero_grads();
-    util::Rng rng(42);
-    std::vector<std::size_t> order(train.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    rng.shuffle(order);
-    std::size_t in_batch = 0;
-    for (std::size_t idx : order) {
-      const auto& s = train[idx];
-      const nn::Tensor logits = net.forward(s.input, /*train=*/true);
-      auto res = nn::softmax_cross_entropy(logits, s.label);
-      nn::Tensor g = res.grad;
-      g.scale(1.0f / 16.0f);
-      for (int i = static_cast<int>(net.layer_count()) - 1; i >= 0; --i) {
-        if (auto* c = dynamic_cast<nn::Conv1D*>(&net.layer(i))) {
-          g = c->backward_reference(g);
-        } else if (auto* d = dynamic_cast<nn::Dense*>(&net.layer(i))) {
-          g = d->backward_reference(g);
-        } else {
-          g = net.layer(i).backward(g);
-        }
-      }
-      if (++in_batch == 16) {
-        opt.step();
-        in_batch = 0;
-      }
-    }
-    if (in_batch > 0) opt.step();
-    benchmark::DoNotOptimize(net.param_count());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(train.size()));
-}
-BENCHMARK(BM_TrainEpochNaiveBackward)->Unit(benchmark::kMillisecond);
-
-/// fit_reference: still per-sample, but Conv1D/Dense::backward now run on
-/// the GEMM kernels — isolates the kernel-rewrite share of the speedup.
-void BM_TrainEpochReference(benchmark::State& state) {
-  const auto train = train_windows(128, 11);
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto net = deployed_net();  // fresh weights per run, untimed
-    state.ResumeTiming();
-    nn::Trainer(one_epoch_config(false)).fit(net, train);
-    benchmark::DoNotOptimize(net.param_count());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(train.size()));
-}
-BENCHMARK(BM_TrainEpochReference)->Unit(benchmark::kMillisecond);
-
-void BM_TrainEpochKernels(benchmark::State& state) {
-  const auto train = train_windows(128, 11);
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto net = deployed_net();
-    state.ResumeTiming();
-    nn::Trainer(one_epoch_config(true)).fit(net, train);
+    nn::Trainer(cfg).fit(net, train);
     benchmark::DoNotOptimize(net.param_count());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -8,12 +8,16 @@
 #             Release+ASan. Guards the tentpole contract: fast synthesis
 #             must be bit-identical to the reference, so every downstream
 #             accuracy number is unchanged.
-#   kernels — inference and training kernels, the model-file parser and
-#             the fleet concurrency suites (labels nn, fleet, obs-fleet;
-#             nn includes test_train_kernels: backward kernels vs the
-#             naive oracle, batched fit vs fit_reference, parallel
-#             train_system byte identity) in Release and Release+ASan,
-#             plus the simulator's split-phase bit-identity cases.
+#   kernels — inference and training kernels, the layer contract, the
+#             model-file parser and the fleet concurrency suites (labels
+#             nn, fleet, obs-fleet; nn includes test_train_kernels:
+#             backward kernels vs the naive oracles, Trainer::fit vs the
+#             per-sample training loop, parallel train_system byte
+#             identity; and test_layers/test_gradcheck/test_layernorm:
+#             every layer kind's batch vs batches of one, backward
+#             without a training forward, gradient checks) in Release and
+#             Release+ASan, plus the simulator's split-phase bit-identity
+#             cases.
 #   trace   — the -DORIGIN_TRACE=ON/OFF build switch: both configurations
 #             build, pass the obs suite, and produce valid (event-free
 #             when OFF) trace files; the OFF tree also proves the serve
@@ -101,7 +105,8 @@ verify_kernels_config() {
   echo "=== kernels: sanitizer='${sanitizer:-none}' (${dir}) ==="
   cmake -B "$dir" -S "$repo" -DORIGIN_SANITIZE="$sanitizer" "$@" >/dev/null
   cmake --build "$dir" -j "$jobs" --target \
-      test_kernels test_train_kernels test_serialize test_simulator \
+      test_kernels test_train_kernels test_serialize test_layers \
+      test_gradcheck test_layernorm test_simulator \
       test_fleet test_fleet_runner test_fleet_baselines test_obs
   # `-L 'nn|fleet'` is a regex OR (labels nn, fleet, obs-fleet); repeating
   # -L would intersect.

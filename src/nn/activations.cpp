@@ -5,70 +5,30 @@
 
 namespace origin::nn {
 
-Tensor ReLU::forward(const Tensor& input, bool train) {
-  batch_count_ = 0;
-  if (train) {
-    last_input_ = input;
-  } else {
-    last_input_ = Tensor();
-  }
-  Tensor out = input;
-  for (auto& v : out.vec()) {
-    if (v < 0.0f) v = 0.0f;
-  }
-  return out;
-}
-
 void ReLU::forward_batch(const Tensor* const* inputs, std::size_t count,
-                         Tensor* outputs) {
+                         Tensor* outputs, bool train) {
+  train_count_ = 0;
+  if (train && train_inputs_.size() < count) train_inputs_.resize(count);
   for (std::size_t b = 0; b < count; ++b) {
+    if (train) {
+      train_inputs_[b].reset_shape(inputs[b]->shape());
+      std::memcpy(train_inputs_[b].data(), inputs[b]->data(),
+                  sizeof(float) * inputs[b]->size());
+    }
     outputs[b].reset_shape(inputs[b]->shape());
     const float* x = inputs[b]->data();
     float* y = outputs[b].data();
     const std::size_t n = inputs[b]->size();
     for (std::size_t i = 0; i < n; ++i) y[i] = x[i] < 0.0f ? 0.0f : x[i];
   }
-}
-
-Tensor ReLU::backward(const Tensor& grad_output) {
-  if (last_input_.size() != grad_output.size()) {
-    throw std::logic_error(
-        "ReLU::backward: no cached input — call forward(x, train=true) "
-        "before backward (the inference path retains nothing)");
-  }
-  Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    if (last_input_[i] <= 0.0f) grad[i] = 0.0f;
-  }
-  return grad;
-}
-
-void ReLU::forward_batch_train(const Tensor* const* inputs, std::size_t count,
-                               Tensor* outputs) {
-  last_input_ = Tensor();
-  if (batch_inputs_.size() < count) batch_inputs_.resize(count);
-  for (std::size_t b = 0; b < count; ++b) {
-    batch_inputs_[b].reset_shape(inputs[b]->shape());
-    std::memcpy(batch_inputs_[b].data(), inputs[b]->data(),
-                sizeof(float) * inputs[b]->size());
-    outputs[b].reset_shape(inputs[b]->shape());
-    const float* x = inputs[b]->data();
-    float* y = outputs[b].data();
-    const std::size_t n = inputs[b]->size();
-    for (std::size_t i = 0; i < n; ++i) y[i] = x[i] < 0.0f ? 0.0f : x[i];
-  }
-  batch_count_ = count;
+  if (train) train_count_ = count;
 }
 
 void ReLU::backward_batch(const Tensor* const* grad_outputs, std::size_t count,
                           Tensor* grad_inputs) {
-  if (batch_count_ == 0 || count != batch_count_) {
-    throw std::logic_error(
-        "ReLU::backward_batch: no cached batch — call forward_batch_train "
-        "with the same batch first");
-  }
+  require_train_cache(train_count_, count);
   for (std::size_t b = 0; b < count; ++b) {
-    const Tensor& x = batch_inputs_[b];
+    const Tensor& x = train_inputs_[b];
     if (x.size() != grad_outputs[b]->size()) {
       throw std::invalid_argument("ReLU::backward_batch: size mismatch");
     }
@@ -83,47 +43,33 @@ void ReLU::backward_batch(const Tensor* const* grad_outputs, std::size_t count,
 
 std::unique_ptr<Layer> ReLU::clone() const { return std::make_unique<ReLU>(); }
 
-Tensor Flatten::forward(const Tensor& input, bool /*train*/) {
-  last_shape_ = input.shape();
-  return input.reshaped({static_cast<int>(input.size())});
-}
-
 void Flatten::forward_batch(const Tensor* const* inputs, std::size_t count,
-                            Tensor* outputs) {
+                            Tensor* outputs, bool train) {
+  train_count_ = 0;
   for (std::size_t b = 0; b < count; ++b) {
-    outputs[b].reset_shape({static_cast<int>(inputs[b]->size())});
-    std::memcpy(outputs[b].data(), inputs[b]->data(),
-                sizeof(float) * inputs[b]->size());
-  }
-}
-
-Tensor Flatten::backward(const Tensor& grad_output) {
-  return grad_output.reshaped(last_shape_);
-}
-
-void Flatten::forward_batch_train(const Tensor* const* inputs,
-                                  std::size_t count, Tensor* outputs) {
-  if (count == 0) return;
-  last_shape_ = inputs[0]->shape();
-  for (std::size_t b = 0; b < count; ++b) {
-    if (inputs[b]->shape() != last_shape_) {
+    if (train && inputs[b]->shape() != inputs[0]->shape()) {
       throw std::invalid_argument(
-          "Flatten::forward_batch_train: mixed input shapes in batch");
+          "Flatten::forward: mixed input shapes in a training batch");
     }
     outputs[b].reset_shape({static_cast<int>(inputs[b]->size())});
     std::memcpy(outputs[b].data(), inputs[b]->data(),
                 sizeof(float) * inputs[b]->size());
+  }
+  if (train && count > 0) {
+    train_shape_ = inputs[0]->shape();
+    train_count_ = count;
   }
 }
 
 void Flatten::backward_batch(const Tensor* const* grad_outputs,
                              std::size_t count, Tensor* grad_inputs) {
-  const std::size_t n = Tensor::shape_size(last_shape_);
+  require_train_cache(train_count_, count);
+  const std::size_t n = Tensor::shape_size(train_shape_);
   for (std::size_t b = 0; b < count; ++b) {
     if (grad_outputs[b]->size() != n) {
       throw std::invalid_argument("Flatten::backward_batch: size mismatch");
     }
-    grad_inputs[b].reset_shape(last_shape_);
+    grad_inputs[b].reset_shape(train_shape_);
     std::memcpy(grad_inputs[b].data(), grad_outputs[b]->data(),
                 sizeof(float) * n);
   }

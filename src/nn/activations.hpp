@@ -7,14 +7,9 @@ namespace origin::nn {
 
 class ReLU : public Layer {
  public:
-  /// Caches the input for backward() only when train == true.
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  /// A training forward keeps copies of its inputs for backward_batch.
   void forward_batch(const Tensor* const* inputs, std::size_t count,
-                     Tensor* outputs) override;
-  bool supports_batch_train() const override { return true; }
-  void forward_batch_train(const Tensor* const* inputs, std::size_t count,
-                           Tensor* outputs) override;
+                     Tensor* outputs, bool train) override;
   void backward_batch(const Tensor* const* grad_outputs, std::size_t count,
                       Tensor* grad_inputs) override;
   std::string kind() const override { return "relu"; }
@@ -24,24 +19,19 @@ class ReLU : public Layer {
   }
 
  private:
-  Tensor last_input_;
-  /// Batched-training cache: per-sample input copies (storage reused).
-  std::vector<Tensor> batch_inputs_;
-  std::size_t batch_count_ = 0;
+  /// Training cache: per-sample input copies (storage reused; count 0:
+  /// none).
+  std::vector<Tensor> train_inputs_;
+  std::size_t train_count_ = 0;
 };
 
 /// Flatten any-rank input to rank-1; backward restores the original shape.
 class Flatten : public Layer {
  public:
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  /// A training batch must be same-shape (the trainer's minibatches are),
+  /// so one cached shape serves every sample's backward reshape.
   void forward_batch(const Tensor* const* inputs, std::size_t count,
-                     Tensor* outputs) override;
-  /// The batch must be same-shape (the trainer's minibatches are), so one
-  /// cached shape serves every sample's backward reshape.
-  bool supports_batch_train() const override { return true; }
-  void forward_batch_train(const Tensor* const* inputs, std::size_t count,
-                           Tensor* outputs) override;
+                     Tensor* outputs, bool train) override;
   void backward_batch(const Tensor* const* grad_outputs, std::size_t count,
                       Tensor* grad_inputs) override;
   std::string kind() const override { return "flatten"; }
@@ -49,7 +39,8 @@ class Flatten : public Layer {
   std::vector<int> output_shape(const std::vector<int>& input) const override;
 
  private:
-  std::vector<int> last_shape_;
+  std::vector<int> train_shape_;
+  std::size_t train_count_ = 0;
 };
 
 }  // namespace origin::nn

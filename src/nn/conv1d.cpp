@@ -49,47 +49,32 @@ int Conv1D::checked_out_length(const Tensor& input) const {
   return out_len;
 }
 
-Tensor Conv1D::forward(const Tensor& input, bool train) {
+void Conv1D::forward_int8(const Tensor& input, Tensor& out) const {
+  // Dynamic symmetric 8-bit quantization of the packed activation panel
+  // per sample (the panel holds exactly the values the reduction reads, so
+  // its max is the right scale), then the exact int32-accumulation GEMM.
+  // Bit-identical on every backend.
   const int out_len = checked_out_length(input);
-  train_count_ = 0;
-  if (train) {
-    last_input_ = input;
-  } else {
-    last_input_ = Tensor();
-  }
-  Tensor out({cout_, out_len});
   const int kd = cin_ * k_;
-  float* panel = kernels::scratch(kernels::Slot::Panel,
-                                  static_cast<std::size_t>(kd) * out_len);
+  const std::size_t pn = static_cast<std::size_t>(kd) * out_len;
+  float* panel = kernels::scratch(kernels::Slot::Panel, pn);
   kernels::im2row(input.data(), cin_, input.dim(1), k_, stride_, out_len,
                   panel, static_cast<std::size_t>(out_len));
-  if (!train && qbits_ != 32) {
-    // Int8 serving path: quantize the packed activation panel per sample
-    // (dynamic symmetric 8-bit — the panel holds exactly the values the
-    // reduction reads, so its max is the right scale), then the exact
-    // int32-accumulation GEMM. Bit-identical on every backend.
-    const std::size_t pn = static_cast<std::size_t>(kd) * out_len;
-    std::int8_t* qpanel = kernels::scratch_i8(pn);
-    const float xscale = kernels::quantize_to_i8(panel, pn, 8, qpanel);
-    kernels::gemm_bias_i8(qweight_.data(), bias_.data(), qpanel, out.data(),
-                          cout_, kd, out_len, qscale_ * xscale);
-    return out;
-  }
-  kernels::gemm_bias(weight_.data(), bias_.data(), panel, out.data(), cout_,
-                     kd, out_len);
-  return out;
+  std::int8_t* qpanel = kernels::scratch_i8(pn);
+  const float xscale = kernels::quantize_to_i8(panel, pn, 8, qpanel);
+  out.reset_shape({cout_, out_len});
+  kernels::gemm_bias_i8(qweight_.data(), bias_.data(), qpanel, out.data(),
+                        cout_, kd, out_len, qscale_ * xscale);
 }
 
 void Conv1D::forward_batch(const Tensor* const* inputs, std::size_t count,
-                           Tensor* outputs) {
+                           Tensor* outputs, bool train) {
+  train_count_ = 0;
   if (count == 0) return;
-  if (qbits_ != 32) {
+  if (!train && qbits_ != 32) {
     // Quantized mode scales activations per sample, so the batched wide
-    // panel (one shared scale) would change bits vs. the single-sample
-    // path. Route per sample to keep batch == single trivially exact.
-    for (std::size_t b = 0; b < count; ++b) {
-      outputs[b] = forward(*inputs[b], false);
-    }
+    // panel (one shared scale) would change bits against a batch of one.
+    for (std::size_t b = 0; b < count; ++b) forward_int8(*inputs[b], outputs[b]);
     return;
   }
   const int out_len = checked_out_length(*inputs[0]);
@@ -103,11 +88,17 @@ void Conv1D::forward_batch(const Tensor* const* inputs, std::size_t count,
   }
   // One wide panel [kd, count*out_len] with sample b at column offset
   // b*out_len, one GEMM, then per-sample rows copied out. Each output
-  // element accumulates in the same j order as the single-sample path.
+  // element accumulates in the same j order whatever the batch.
   const int kd = cin_ * k_;
   const std::size_t n = count * static_cast<std::size_t>(out_len);
-  float* panel = kernels::scratch(kernels::Slot::Panel,
-                                  static_cast<std::size_t>(kd) * n);
+  float* panel;
+  if (train) {
+    train_panel_.resize(static_cast<std::size_t>(kd) * n);
+    panel = train_panel_.data();
+  } else {
+    panel = kernels::scratch(kernels::Slot::Panel,
+                             static_cast<std::size_t>(kd) * n);
+  }
   for (std::size_t b = 0; b < count; ++b) {
     kernels::im2row(inputs[b]->data(), cin_, in_len, k_, stride_, out_len,
                     panel + b * static_cast<std::size_t>(out_len), n);
@@ -126,138 +117,15 @@ void Conv1D::forward_batch(const Tensor* const* inputs, std::size_t count,
                   sizeof(float) * static_cast<std::size_t>(out_len));
     }
   }
-}
-
-Tensor Conv1D::forward_reference(const Tensor& input) const {
-  const int out_len = checked_out_length(input);
-  Tensor out({cout_, out_len});
-  for (int co = 0; co < cout_; ++co) {
-    const float b = bias_[static_cast<std::size_t>(co)];
-    for (int t = 0; t < out_len; ++t) {
-      float acc = b;
-      const int base = t * stride_;
-      for (int ci = 0; ci < cin_; ++ci) {
-        for (int kk = 0; kk < k_; ++kk) {
-          acc += weight_.at(co, ci, kk) * input.at(ci, base + kk);
-        }
-      }
-      out.at(co, t) = acc;
-    }
+  if (train) {
+    train_count_ = count;
+    train_in_len_ = in_len;
   }
-  return out;
-}
-
-Tensor Conv1D::backward(const Tensor& grad_output) {
-  if (last_input_.empty()) {
-    throw std::logic_error(
-        "Conv1D::backward: no cached input — call forward(x, train=true) "
-        "before backward (the inference path retains nothing)");
-  }
-  const int in_len = last_input_.dim(1);
-  const int out_len = out_length(in_len, k_, stride_);
-  if (grad_output.rank() != 2 || grad_output.dim(0) != cout_ ||
-      grad_output.dim(1) != out_len) {
-    throw std::invalid_argument("Conv1D::backward: gradient shape mismatch");
-  }
-  // Re-pack the cached input (the grad-weight GEMM reads the same panel
-  // the forward used); grad_output is already the [cout, out_len] panel.
-  const int kd = cin_ * k_;
-  float* panel = kernels::scratch(kernels::Slot::Panel,
-                                  static_cast<std::size_t>(kd) * out_len);
-  kernels::im2row(last_input_.data(), cin_, in_len, k_, stride_, out_len,
-                  panel, static_cast<std::size_t>(out_len));
-  const float* g = grad_output.data();
-  kernels::row_sum_acc(g, grad_bias_.data(), cout_, out_len,
-                       static_cast<std::size_t>(out_len));
-  kernels::gemm_acc_nt(g, panel, grad_weight_.data(), cout_, kd, out_len);
-  Tensor grad_in({cin_, in_len});
-  kernels::conv1d_grad_input(weight_.data(), g, grad_in.data(), cin_, cout_,
-                             k_, stride_, in_len, out_len,
-                             static_cast<std::size_t>(out_len));
-  return grad_in;
-}
-
-Tensor Conv1D::backward_reference(const Tensor& grad_output) {
-  if (last_input_.empty()) {
-    throw std::logic_error(
-        "Conv1D::backward: no cached input — call forward(x, train=true) "
-        "before backward (the inference path retains nothing)");
-  }
-  const int in_len = last_input_.dim(1);
-  const int out_len = out_length(in_len, k_, stride_);
-  if (grad_output.rank() != 2 || grad_output.dim(0) != cout_ ||
-      grad_output.dim(1) != out_len) {
-    throw std::invalid_argument("Conv1D::backward: gradient shape mismatch");
-  }
-  Tensor grad_in({cin_, in_len});
-  for (int co = 0; co < cout_; ++co) {
-    for (int t = 0; t < out_len; ++t) {
-      const float g = grad_output.at(co, t);
-      grad_bias_[static_cast<std::size_t>(co)] += g;
-      const int base = t * stride_;
-      for (int ci = 0; ci < cin_; ++ci) {
-        for (int kk = 0; kk < k_; ++kk) {
-          grad_weight_.at(co, ci, kk) += g * last_input_.at(ci, base + kk);
-          grad_in.at(ci, base + kk) += g * weight_.at(co, ci, kk);
-        }
-      }
-    }
-  }
-  return grad_in;
-}
-
-void Conv1D::forward_batch_train(const Tensor* const* inputs,
-                                 std::size_t count, Tensor* outputs) {
-  if (count == 0) {
-    train_count_ = 0;
-    return;
-  }
-  const int out_len = checked_out_length(*inputs[0]);
-  const int in_len = inputs[0]->dim(1);
-  for (std::size_t b = 1; b < count; ++b) {
-    if (inputs[b]->rank() != 2 || inputs[b]->dim(0) != cin_ ||
-        inputs[b]->dim(1) != in_len) {
-      throw std::invalid_argument(
-          "Conv1D::forward_batch_train: mixed input shapes in batch");
-    }
-  }
-  last_input_ = Tensor();
-  // Same wide panel + GEMM as the inference batch (sample b at column
-  // offset b*out_len), but the panel lives in a member: backward_batch
-  // reads it after every downstream layer has used the scratch slots.
-  const int kd = cin_ * k_;
-  const std::size_t n = count * static_cast<std::size_t>(out_len);
-  train_panel_.resize(static_cast<std::size_t>(kd) * n);
-  for (std::size_t b = 0; b < count; ++b) {
-    kernels::im2row(inputs[b]->data(), cin_, in_len, k_, stride_, out_len,
-                    train_panel_.data() + b * static_cast<std::size_t>(out_len),
-                    n);
-  }
-  float* stage = kernels::scratch(kernels::Slot::Stage,
-                                  static_cast<std::size_t>(cout_) * n);
-  kernels::gemm_bias(weight_.data(), bias_.data(), train_panel_.data(), stage,
-                     cout_, kd, static_cast<int>(n));
-  for (std::size_t b = 0; b < count; ++b) {
-    outputs[b].reset_shape({cout_, out_len});
-    float* dst = outputs[b].data();
-    for (int co = 0; co < cout_; ++co) {
-      std::memcpy(dst + static_cast<std::size_t>(co) * out_len,
-                  stage + static_cast<std::size_t>(co) * n +
-                      b * static_cast<std::size_t>(out_len),
-                  sizeof(float) * static_cast<std::size_t>(out_len));
-    }
-  }
-  train_count_ = count;
-  train_in_len_ = in_len;
 }
 
 void Conv1D::backward_batch(const Tensor* const* grad_outputs,
                             std::size_t count, Tensor* grad_inputs) {
-  if (train_count_ == 0 || count != train_count_) {
-    throw std::logic_error(
-        "Conv1D::backward_batch: no cached batch — call "
-        "forward_batch_train with the same batch first");
-  }
+  require_train_cache(train_count_, count);
   const int in_len = train_in_len_;
   const int out_len = out_length(in_len, k_, stride_);
   const std::size_t n = count * static_cast<std::size_t>(out_len);
@@ -270,7 +138,7 @@ void Conv1D::backward_batch(const Tensor* const* grad_outputs,
   }
   // Wide grad panel mirroring the input panel's column layout, so the
   // grad-weight GEMM's j order (sample-major, t-ascending) reproduces the
-  // reference's per-sample sequential accumulation.
+  // naive loop's per-sample sequential accumulation.
   float* g = kernels::scratch(kernels::Slot::Panel,
                               static_cast<std::size_t>(cout_) * n);
   for (std::size_t b = 0; b < count; ++b) {

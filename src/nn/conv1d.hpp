@@ -17,40 +17,19 @@ class Conv1D : public Layer {
          util::Rng& rng);
   Conv1D(int in_channels, int out_channels, int kernel, int stride);
 
-  /// Inference path (train == false) runs im2row + blocked GEMM
-  /// (nn/kernels.hpp) and retains nothing; the training path additionally
-  /// caches the input for backward(). Both produce outputs bit-identical
-  /// to forward_reference().
-  Tensor forward(const Tensor& input, bool train) override;
-  /// Kernel-backed backward: grad-bias row reduction + grad-weight GEMM
-  /// over the re-packed im2row panel + the order-preserving transposed
-  /// correlation for grad-input. Bit-identical to backward_reference().
-  Tensor backward(const Tensor& grad_output) override;
-
-  /// Batched inference over same-shape windows: one im2row panel + one
-  /// GEMM for the whole batch. Bit-identical to per-sample forward.
+  /// One im2row panel [cin*k, count*out_len] (sample b at column offset
+  /// b*out_len) and one GEMM for the whole batch; each output element
+  /// accumulates in the naive loop's order (tests/nn_oracles.hpp), so a
+  /// sample's bits do not depend on the batch. A training forward keeps
+  /// the panel in a member (thread-local scratch would be clobbered by the
+  /// next layer) for backward_batch's one grad-weight GEMM. Quantized
+  /// inference routes per sample (see set_inference_bits).
   void forward_batch(const Tensor* const* inputs, std::size_t count,
-                     Tensor* outputs) override;
-
-  /// Batched training: the forward keeps the wide im2row panel alive in a
-  /// member (thread-local scratch would be clobbered by the next layer) so
-  /// backward_batch can run one grad-weight GEMM for the whole minibatch.
-  /// Gradients end bit-identical to per-sample forward/backward in order.
-  bool supports_batch_train() const override { return true; }
-  void forward_batch_train(const Tensor* const* inputs, std::size_t count,
-                           Tensor* outputs) override;
+                     Tensor* outputs, bool train) override;
+  /// Grad-bias row reduction + grad-weight GEMM over the cached panel +
+  /// the order-preserving transposed correlation for grad-input.
   void backward_batch(const Tensor* const* grad_outputs, std::size_t count,
                       Tensor* grad_inputs) override;
-
-  /// The original quadruple loop, kept as the accumulation-order reference
-  /// the kernel path must match bit-for-bit (tests/test_kernels.cpp).
-  Tensor forward_reference(const Tensor& input) const;
-
-  /// The original backward quadruple loop, kept verbatim as the gradient
-  /// accumulation-order oracle (tests/test_train_kernels.cpp). Accumulates
-  /// into the same grad tensors and consumes the same forward(train=true)
-  /// cache as backward().
-  Tensor backward_reference(const Tensor& grad_output);
 
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
@@ -91,6 +70,8 @@ class Conv1D : public Layer {
  private:
   /// Validates the [cin, L] input shape and returns the output length.
   int checked_out_length(const Tensor& input) const;
+  /// The int8 serving forward of one sample.
+  void forward_int8(const Tensor& input, Tensor& out) const;
 
   int cin_ = 0;
   int cout_ = 0;
@@ -100,14 +81,13 @@ class Conv1D : public Layer {
   Tensor bias_;         // [cout]
   Tensor grad_weight_;
   Tensor grad_bias_;
-  Tensor last_input_;   // [cin, L]
   /// Int8 serving mode: weight codes on the symmetric qbits_ grid, their
   /// scale, and the mode flag (32 = float path).
   std::vector<std::int8_t> qweight_;
   float qscale_ = 0.0f;
   int qbits_ = 32;
-  /// Batched-training cache: the wide im2row panel [cin*k, count*out_len]
-  /// of the last forward_batch_train, plus its geometry.
+  /// Training cache: the wide im2row panel [cin*k, count*out_len] of the
+  /// last training forward, plus its geometry (count 0: no cache).
   std::vector<float> train_panel_;
   std::size_t train_count_ = 0;
   int train_in_len_ = 0;

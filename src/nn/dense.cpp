@@ -27,58 +27,45 @@ Dense::Dense(int in_features, int out_features, util::Rng& rng)
   weight_ = Tensor::randn({out_, in_}, rng, stddev);
 }
 
-Tensor Dense::forward(const Tensor& input, bool train) {
-  if (static_cast<int>(input.size()) != in_) {
-    throw std::invalid_argument("Dense::forward: expected " + std::to_string(in_) +
-                                " features, got " + std::to_string(input.size()));
-  }
-  train_count_ = 0;
-  if (train) {
-    last_input_ = input.rank() == 1 ? input : input.reshaped({in_});
-  } else {
-    last_input_ = Tensor();
-  }
-  Tensor out({out_});
-  if (!train && qbits_ != 32) {
-    // Int8 serving path: dynamic symmetric 8-bit activation quantization +
-    // the exact int32-accumulation GEMM with n == 1. Bit-identical on
-    // every backend.
-    std::int8_t* qx = kernels::scratch_i8(static_cast<std::size_t>(in_));
-    const float xscale = kernels::quantize_to_i8(
-        input.data(), static_cast<std::size_t>(in_), 8, qx);
-    kernels::gemm_bias_i8(qweight_.data(), bias_.data(), qx, out.data(), out_,
-                          in_, 1, qscale_ * xscale);
-    return out;
-  }
-  // The n == 1 panel: bit-identical to this sample's column of any batch.
-  kernels::gemm_bias(weight_.data(), bias_.data(), input.data(), out.data(),
-                     out_, in_, 1);
-  return out;
+void Dense::forward_int8(const Tensor& input, Tensor& out) const {
+  // Dynamic symmetric 8-bit activation quantization + the exact
+  // int32-accumulation GEMM with n == 1. Bit-identical on every backend.
+  std::int8_t* qx = kernels::scratch_i8(static_cast<std::size_t>(in_));
+  const float xscale = kernels::quantize_to_i8(
+      input.data(), static_cast<std::size_t>(in_), 8, qx);
+  out.reset_shape({out_});
+  kernels::gemm_bias_i8(qweight_.data(), bias_.data(), qx, out.data(), out_,
+                        in_, 1, qscale_ * xscale);
 }
 
 void Dense::forward_batch(const Tensor* const* inputs, std::size_t count,
-                          Tensor* outputs) {
-  if (count == 0) return;
-  if (qbits_ != 32) {
-    // Quantized mode scales activations per sample; route per sample to
-    // keep batch == single trivially exact (see Conv1D::forward_batch).
-    for (std::size_t b = 0; b < count; ++b) {
-      outputs[b] = forward(*inputs[b], false);
-    }
-    return;
-  }
+                          Tensor* outputs, bool train) {
+  train_count_ = 0;
   for (std::size_t b = 0; b < count; ++b) {
     if (static_cast<int>(inputs[b]->size()) != in_) {
-      throw std::invalid_argument("Dense::forward_batch: expected " +
+      throw std::invalid_argument("Dense::forward: expected " +
                                   std::to_string(in_) + " features, got " +
                                   std::to_string(inputs[b]->size()));
     }
   }
+  if (count == 0) return;
+  if (!train && qbits_ != 32) {
+    // Quantized mode scales activations per sample; route per sample to
+    // keep a batch equal to its batches of one (see Conv1D).
+    for (std::size_t b = 0; b < count; ++b) forward_int8(*inputs[b], outputs[b]);
+    return;
+  }
   // Column-wise input panel [in, count] -> staged GEMM output [out, count]
   // -> scatter column b to outputs[b]. Per-output accumulation runs over i
-  // in order, exactly as forward()'s n == 1 call does.
-  float* panel = kernels::scratch(kernels::Slot::Panel,
-                                  static_cast<std::size_t>(in_) * count);
+  // in order whatever the batch.
+  float* panel;
+  if (train) {
+    train_panel_.resize(static_cast<std::size_t>(in_) * count);
+    panel = train_panel_.data();
+  } else {
+    panel = kernels::scratch(kernels::Slot::Panel,
+                             static_cast<std::size_t>(in_) * count);
+  }
   for (std::size_t b = 0; b < count; ++b) {
     const float* x = inputs[b]->data();
     for (int i = 0; i < in_; ++i) {
@@ -96,118 +83,12 @@ void Dense::forward_batch(const Tensor* const* inputs, std::size_t count,
       dst[o] = stage[static_cast<std::size_t>(o) * count + b];
     }
   }
-}
-
-Tensor Dense::forward_reference(const Tensor& input) const {
-  if (static_cast<int>(input.size()) != in_) {
-    throw std::invalid_argument("Dense::forward_reference: expected " +
-                                std::to_string(in_) + " features, got " +
-                                std::to_string(input.size()));
-  }
-  Tensor out({out_});
-  const float* w = weight_.data();
-  const float* x = input.data();
-  for (int o = 0; o < out_; ++o) {
-    float acc = bias_[static_cast<std::size_t>(o)];
-    const float* wrow = w + static_cast<std::size_t>(o) * static_cast<std::size_t>(in_);
-    for (int i = 0; i < in_; ++i) acc += wrow[i] * x[i];
-    out[static_cast<std::size_t>(o)] = acc;
-  }
-  return out;
-}
-
-Tensor Dense::backward(const Tensor& grad_output) {
-  if (last_input_.empty()) {
-    throw std::logic_error(
-        "Dense::backward: no cached input — call forward(x, train=true) "
-        "before backward (the inference path retains nothing)");
-  }
-  if (static_cast<int>(grad_output.size()) != out_) {
-    throw std::invalid_argument("Dense::backward: gradient size mismatch");
-  }
-  // The count == 1 case of the batched kernels: x and gy already are the
-  // [in, 1] / [out, 1] panels, and grad_in is the [in, 1] output panel.
-  Tensor grad_in({in_});
-  const float* gy = grad_output.data();
-  kernels::row_sum_acc(gy, grad_bias_.data(), out_, 1, 1);
-  kernels::gemm_acc_nt(gy, last_input_.data(), grad_weight_.data(), out_, in_,
-                       1);
-  kernels::gemm_tn(weight_.data(), gy, grad_in.data(), in_, out_, 1);
-  return grad_in;
-}
-
-Tensor Dense::backward_reference(const Tensor& grad_output) {
-  if (last_input_.empty()) {
-    throw std::logic_error(
-        "Dense::backward: no cached input — call forward(x, train=true) "
-        "before backward (the inference path retains nothing)");
-  }
-  if (static_cast<int>(grad_output.size()) != out_) {
-    throw std::invalid_argument("Dense::backward: gradient size mismatch");
-  }
-  Tensor grad_in({in_});
-  const float* w = weight_.data();
-  const float* x = last_input_.data();
-  const float* gy = grad_output.data();
-  float* gw = grad_weight_.data();
-  float* gx = grad_in.data();
-  for (int o = 0; o < out_; ++o) {
-    const float g = gy[o];
-    grad_bias_[static_cast<std::size_t>(o)] += g;
-    const std::size_t row = static_cast<std::size_t>(o) * static_cast<std::size_t>(in_);
-    for (int i = 0; i < in_; ++i) {
-      gw[row + static_cast<std::size_t>(i)] += g * x[i];
-      gx[i] += g * w[row + static_cast<std::size_t>(i)];
-    }
-  }
-  return grad_in;
-}
-
-void Dense::forward_batch_train(const Tensor* const* inputs, std::size_t count,
-                                Tensor* outputs) {
-  if (count == 0) {
-    train_count_ = 0;
-    return;
-  }
-  for (std::size_t b = 0; b < count; ++b) {
-    if (static_cast<int>(inputs[b]->size()) != in_) {
-      throw std::invalid_argument("Dense::forward_batch_train: expected " +
-                                  std::to_string(in_) + " features, got " +
-                                  std::to_string(inputs[b]->size()));
-    }
-  }
-  last_input_ = Tensor();
-  // Same column-wise panel + GEMM as the inference batch, but the panel
-  // lives in a member: backward_batch's grad-weight GEMM reduces over the
-  // sample axis of this exact panel.
-  train_panel_.resize(static_cast<std::size_t>(in_) * count);
-  for (std::size_t b = 0; b < count; ++b) {
-    const float* x = inputs[b]->data();
-    for (int i = 0; i < in_; ++i) {
-      train_panel_[static_cast<std::size_t>(i) * count + b] = x[i];
-    }
-  }
-  float* stage = kernels::scratch(kernels::Slot::Stage,
-                                  static_cast<std::size_t>(out_) * count);
-  kernels::gemm_bias(weight_.data(), bias_.data(), train_panel_.data(), stage,
-                     out_, in_, static_cast<int>(count));
-  for (std::size_t b = 0; b < count; ++b) {
-    outputs[b].reset_shape({out_});
-    float* dst = outputs[b].data();
-    for (int o = 0; o < out_; ++o) {
-      dst[o] = stage[static_cast<std::size_t>(o) * count + b];
-    }
-  }
-  train_count_ = count;
+  if (train) train_count_ = count;
 }
 
 void Dense::backward_batch(const Tensor* const* grad_outputs,
                            std::size_t count, Tensor* grad_inputs) {
-  if (train_count_ == 0 || count != train_count_) {
-    throw std::logic_error(
-        "Dense::backward_batch: no cached batch — call "
-        "forward_batch_train with the same batch first");
-  }
+  require_train_cache(train_count_, count);
   for (std::size_t b = 0; b < count; ++b) {
     if (static_cast<int>(grad_outputs[b]->size()) != out_) {
       throw std::invalid_argument(
@@ -216,7 +97,7 @@ void Dense::backward_batch(const Tensor* const* grad_outputs,
   }
   // Grad panel [out, count] mirroring the input panel's column layout:
   // the grad-weight GEMM and bias reduction then run over the sample axis
-  // in sample order — the reference's sequential per-sample accumulation.
+  // in sample order — the naive loop's sequential per-sample accumulation.
   float* gp = kernels::scratch(kernels::Slot::Panel,
                                static_cast<std::size_t>(out_) * count);
   for (std::size_t b = 0; b < count; ++b) {

@@ -16,38 +16,18 @@ class Dense : public Layer {
   /// Uninitialized-parameter constructor for deserialization.
   Dense(int in_features, int out_features);
 
-  /// Inference path (train == false) runs the n == 1 gemm_bias
-  /// (nn/kernels.hpp) and retains nothing; the training path additionally
-  /// caches the input for backward(). Both match forward_reference()
-  /// bit-for-bit.
-  Tensor forward(const Tensor& input, bool train) override;
-  /// Kernel-backed backward: grad-weight rank-1 GEMM + transposed matvec
-  /// for grad-input. Bit-identical to backward_reference().
-  Tensor backward(const Tensor& grad_output) override;
-
-  /// Batched inference: inputs packed column-wise into an [in, count]
-  /// panel and multiplied in one GEMM — each weight row is read once for
-  /// the whole batch. Bit-identical to per-sample forward.
+  /// Inputs packed column-wise into an [in, count] panel and multiplied
+  /// in one GEMM — each weight row is read once for the whole batch, and
+  /// each output accumulates in the naive loop's order
+  /// (tests/nn_oracles.hpp) whatever the batch. A training forward keeps
+  /// the panel in a member for backward_batch. Quantized inference routes
+  /// per sample (see set_inference_bits).
   void forward_batch(const Tensor* const* inputs, std::size_t count,
-                     Tensor* outputs) override;
-
-  /// Batched training: the forward keeps the [in, count] input panel in a
-  /// member so backward_batch can run the grad-weight GEMM (reduction over
-  /// the sample axis, in sample order) and the transposed grad-input GEMM
-  /// for the whole minibatch. Bit-identical to per-sample calls in order.
-  bool supports_batch_train() const override { return true; }
-  void forward_batch_train(const Tensor* const* inputs, std::size_t count,
-                           Tensor* outputs) override;
+                     Tensor* outputs, bool train) override;
+  /// Grad-weight GEMM (reduction over the sample axis, in sample order)
+  /// and the transposed grad-input GEMM for the whole batch.
   void backward_batch(const Tensor* const* grad_outputs, std::size_t count,
                       Tensor* grad_inputs) override;
-
-  /// The original row-by-row loop, kept as the accumulation-order
-  /// reference the kernel path must match bit-for-bit.
-  Tensor forward_reference(const Tensor& input) const;
-
-  /// The original backward loop, kept verbatim as the gradient
-  /// accumulation-order oracle (tests/test_train_kernels.cpp).
-  Tensor backward_reference(const Tensor& grad_output);
 
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
@@ -83,20 +63,22 @@ class Dense : public Layer {
   void remove_output_unit(int index);
 
  private:
+  /// The int8 serving forward of one sample.
+  void forward_int8(const Tensor& input, Tensor& out) const;
+
   int in_ = 0;
   int out_ = 0;
   Tensor weight_;       // [out, in]
   Tensor bias_;         // [out]
   Tensor grad_weight_;  // [out, in]
   Tensor grad_bias_;    // [out]
-  Tensor last_input_;   // [in]
   /// Int8 serving mode: weight codes on the symmetric qbits_ grid, their
   /// scale, and the mode flag (32 = float path).
   std::vector<std::int8_t> qweight_;
   float qscale_ = 0.0f;
   int qbits_ = 32;
-  /// Batched-training cache: the [in, count] input panel of the last
-  /// forward_batch_train (sample b in column b).
+  /// Training cache: the [in, count] input panel of the last training
+  /// forward (sample b in column b; count 0: no cache).
   std::vector<float> train_panel_;
   std::size_t train_count_ = 0;
 };

@@ -12,93 +12,63 @@ Dropout::Dropout(float rate, std::uint64_t seed) : rate_(rate), rng_(seed) {
   }
 }
 
-Tensor Dropout::forward(const Tensor& input, bool train) {
-  batch_count_ = 0;
+void Dropout::forward_batch(const Tensor* const* inputs, std::size_t count,
+                            Tensor* outputs, bool train) {
+  train_count_ = 0;
+  if (count == 0) return;
   if (!train || rate_ == 0.0f) {
-    mask_.clear();
-    return input;
-  }
-  const float keep = 1.0f - rate_;
-  mask_.resize(input.size());
-  Tensor out = input;
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    const bool kept = rng_.uniform() < keep;
-    mask_[i] = kept ? 1.0f / keep : 0.0f;
-    out[i] *= mask_[i];
-  }
-  return out;
-}
-
-Tensor Dropout::backward(const Tensor& grad_output) {
-  if (mask_.empty()) return grad_output;
-  if (mask_.size() != grad_output.size()) {
-    throw std::invalid_argument("Dropout::backward: gradient size mismatch");
-  }
-  Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.size(); ++i) grad[i] *= mask_[i];
-  return grad;
-}
-
-void Dropout::forward_batch_train(const Tensor* const* inputs,
-                                  std::size_t count, Tensor* outputs) {
-  mask_.clear();
-  if (count == 0) {
-    batch_count_ = 0;
-    return;
-  }
-  batch_count_ = count;
-  batch_n_ = inputs[0]->size();
-  if (rate_ == 0.0f) {
-    batch_mask_.clear();
     for (std::size_t b = 0; b < count; ++b) {
       outputs[b].reset_shape(inputs[b]->shape());
       std::memcpy(outputs[b].data(), inputs[b]->data(),
                   sizeof(float) * inputs[b]->size());
     }
+    if (train) {
+      train_mask_.clear();
+      train_count_ = count;
+    }
     return;
   }
+  const std::size_t n = inputs[0]->size();
   for (std::size_t b = 1; b < count; ++b) {
-    if (inputs[b]->size() != batch_n_) {
+    if (inputs[b]->size() != n) {
       throw std::invalid_argument(
-          "Dropout::forward_batch_train: mixed input sizes in batch");
+          "Dropout::forward: mixed input sizes in a training batch");
     }
   }
   const float keep = 1.0f - rate_;
-  batch_mask_.resize(count * batch_n_);
+  train_mask_.resize(count * n);
   for (std::size_t b = 0; b < count; ++b) {
     outputs[b].reset_shape(inputs[b]->shape());
     const float* x = inputs[b]->data();
     float* y = outputs[b].data();
-    float* mask = batch_mask_.data() + b * batch_n_;
-    for (std::size_t i = 0; i < batch_n_; ++i) {
+    float* mask = train_mask_.data() + b * n;
+    for (std::size_t i = 0; i < n; ++i) {
       const bool kept = rng_.uniform() < keep;
       mask[i] = kept ? 1.0f / keep : 0.0f;
       y[i] = x[i] * mask[i];
     }
   }
+  train_count_ = count;
+  train_n_ = n;
 }
 
 void Dropout::backward_batch(const Tensor* const* grad_outputs,
                              std::size_t count, Tensor* grad_inputs) {
-  if (batch_count_ == 0 || count != batch_count_) {
-    throw std::logic_error(
-        "Dropout::backward_batch: no cached batch — call "
-        "forward_batch_train with the same batch first");
-  }
+  require_train_cache(train_count_, count);
   for (std::size_t b = 0; b < count; ++b) {
     grad_inputs[b].reset_shape(grad_outputs[b]->shape());
     const float* gy = grad_outputs[b]->data();
     float* gx = grad_inputs[b].data();
-    if (batch_mask_.empty()) {
+    if (train_mask_.empty()) {
       std::memcpy(gx, gy, sizeof(float) * grad_outputs[b]->size());
       continue;
     }
-    if (grad_outputs[b]->size() != batch_n_) {
+    if (grad_outputs[b]->size() != train_n_) {
       throw std::invalid_argument(
           "Dropout::backward_batch: gradient size mismatch");
     }
-    const float* mask = batch_mask_.data() + b * batch_n_;
-    for (std::size_t i = 0; i < batch_n_; ++i) gx[i] = gy[i] * mask[i];
+    const float* mask = train_mask_.data() + b * train_n_;
+    for (std::size_t i = 0; i < train_n_; ++i) gx[i] = gy[i] * mask[i];
   }
 }
 

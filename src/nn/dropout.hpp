@@ -11,14 +11,11 @@ class Dropout : public Layer {
  public:
   explicit Dropout(float rate, std::uint64_t seed = 0x5eedD120ULL);
 
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
-  /// Batched training draws the per-element keep masks in sample order
-  /// b = 0..count-1, so the RNG stream is exactly the one `count`
-  /// single-sample training forwards would consume.
-  bool supports_batch_train() const override { return true; }
-  void forward_batch_train(const Tensor* const* inputs, std::size_t count,
-                           Tensor* outputs) override;
+  /// Identity at inference. A training forward draws the per-element
+  /// keep masks in sample order b = 0..count-1, so the RNG stream is
+  /// exactly the one `count` batches of one would consume.
+  void forward_batch(const Tensor* const* inputs, std::size_t count,
+                     Tensor* outputs, bool train) override;
   void backward_batch(const Tensor* const* grad_outputs, std::size_t count,
                       Tensor* grad_inputs) override;
   std::string kind() const override { return "dropout"; }
@@ -34,12 +31,11 @@ class Dropout : public Layer {
  private:
   float rate_ = 0.0f;
   util::Rng rng_;
-  std::vector<float> mask_;
-  /// Batched-training cache: sample-major masks ([b][i] flat; empty when
-  /// the last batched forward was a no-op, i.e. rate == 0).
-  std::vector<float> batch_mask_;
-  std::size_t batch_count_ = 0;
-  std::size_t batch_n_ = 0;
+  /// Training cache: sample-major masks ([b][i] flat; empty when rate ==
+  /// 0 made the forward a copy) and the batch geometry (count 0: none).
+  std::vector<float> train_mask_;
+  std::size_t train_count_ = 0;
+  std::size_t train_n_ = 0;
 };
 
 }  // namespace origin::nn

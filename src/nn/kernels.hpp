@@ -9,8 +9,8 @@
 // guarantees, see DESIGN.md §13): every output element is produced by ONE
 // float accumulator initialized with the bias and updated strictly in
 // packed-row order j = 0..kd-1, exactly the (ci-major, then kernel-tap)
-// order of the reference loops in Conv1D::forward_reference /
-// Dense::forward_reference. Blocking and unrolling only regroup *which*
+// order of the naive loops kept as test oracles (tests/nn_oracles.hpp
+// conv1d_forward_oracle / dense_forward_oracle). Blocking and unrolling only regroup *which*
 // output elements are in flight together — never the per-element order —
 // so, WITHIN any one backend, kernel outputs are bit-identical to that
 // backend's element recipe, and batched calls are bit-identical to
@@ -21,9 +21,9 @@
 //
 // The backward kernels extend the same contract to gradients: a gradient
 // accumulator starts from its *current* value (grads accumulate across a
-// minibatch) and receives contributions in exactly the order of
-// Conv1D::backward_reference / Dense::backward_reference — sample-major
-// across a batch, then the reference loop-nest order within each sample.
+// minibatch) and receives contributions in exactly the order of the naive
+// backward loops (conv1d_backward_oracle / dense_backward_oracle) —
+// sample-major across a batch, then the loop-nest order within each sample.
 // Because a float store/load round-trip is exact, chaining per-sample
 // updates through memory (the reference) equals keeping the accumulator
 // in a register across the whole batch (the kernels), so trained weights
@@ -78,7 +78,7 @@ void gemm_bias(const float* a, const float* bias, const float* p, float* c,
 /// both contiguous along the reduction). The grad-weight GEMM: each C
 /// element is one accumulator seeded from its current value and updated
 /// over k = 0..kd-1 in order — with the batch (or batch x time) axis as
-/// the reduction, that is exactly backward_reference's sample-major
+/// the reduction, that is exactly the naive backward loop's sample-major
 /// accumulation into the persistent gradient tensors.
 void gemm_acc_nt(const float* a, const float* b, float* c, int m, int n,
                  int kd);
@@ -87,7 +87,7 @@ void gemm_acc_nt(const float* a, const float* b, float* c, int m, int n,
 /// k = 0..kd-1 in order per element). The grad-input GEMM for Dense: with
 /// A = W [out x in] and P the packed grad-output panel [out x batch],
 /// each input-gradient element accumulates over the out axis in ascending
-/// order, exactly as backward_reference's `o` loop does.
+/// order, exactly as the naive backward loop's `o` loop does.
 void gemm_tn(const float* a, const float* p, float* c, int m, int kd, int n);
 
 /// y[i] += sum_j a[i*lda + j] for j = 0..n-1 in order — the bias-gradient
@@ -98,7 +98,7 @@ void row_sum_acc(const float* a, float* y, int m, int n, std::size_t lda);
 ///   gx[ci*in_len + p] = sum over (co asc, t asc with p == t*stride + kk)
 ///                       of gy[co, t] * w[(co*cin + ci)*kernel + kk]
 /// with gx's accumulators starting at 0 and contributions applied in
-/// exactly backward_reference's (co-major, t-ascending) per-element order
+/// the naive backward loop's (co-major, t-ascending) per-element order
 /// — a transposed-kernel correlation that must NOT be reassociated into a
 /// col2im scatter. `gy` row co starts at gy + co*ldg (wide-panel batched
 /// callers pass ldg > out_len). Overwrites gx (no accumulation across

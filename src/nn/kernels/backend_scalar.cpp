@@ -234,7 +234,7 @@ void conv1d_grad_input(const float* w, const float* gy, float* gx, int cin,
                        int out_len, std::size_t ldg) {
   if (stride != 1) {
     // General stride: scalar, with the t range solved per input position.
-    // Per element the order is (co asc, t asc) — backward_reference's.
+    // Per element the order is (co asc, t asc) — the naive loop's.
     for (int ci = 0; ci < cin; ++ci) {
       float* gxrow = gx + static_cast<std::size_t>(ci) * in_len;
       for (int p = 0; p < in_len; ++p) {

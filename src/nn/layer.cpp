@@ -4,25 +4,28 @@
 
 namespace origin::nn {
 
-void Layer::forward_batch(const Tensor* const* inputs, std::size_t count,
-                          Tensor* outputs) {
-  for (std::size_t i = 0; i < count; ++i) {
-    outputs[i] = forward(*inputs[i], /*train=*/false);
+Tensor Layer::forward(const Tensor& input, bool train) {
+  const Tensor* in = &input;
+  Tensor out;
+  forward_batch(&in, 1, &out, train);
+  return out;
+}
+
+Tensor Layer::backward(const Tensor& grad_output) {
+  const Tensor* g = &grad_output;
+  Tensor grad_in;
+  backward_batch(&g, 1, &grad_in);
+  return grad_in;
+}
+
+void Layer::require_train_cache(std::size_t cached, std::size_t count) const {
+  if (cached == 0 || cached != count) {
+    throw std::logic_error(
+        kind() + "::backward_batch: no cached batch of " +
+        std::to_string(count) +
+        " — call forward_batch(..., train=true) with the same batch first "
+        "(inference forwards retain nothing)");
   }
-}
-
-void Layer::forward_batch_train(const Tensor* const* /*inputs*/,
-                                std::size_t /*count*/, Tensor* /*outputs*/) {
-  throw std::logic_error("Layer::forward_batch_train: " + kind() +
-                         " has no batched training path (check "
-                         "supports_batch_train() before calling)");
-}
-
-void Layer::backward_batch(const Tensor* const* /*grad_outputs*/,
-                           std::size_t /*count*/, Tensor* /*grad_inputs*/) {
-  throw std::logic_error("Layer::backward_batch: " + kind() +
-                         " has no batched training path (check "
-                         "supports_batch_train() before calling)");
 }
 
 }  // namespace origin::nn

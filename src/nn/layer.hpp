@@ -1,10 +1,12 @@
 // Layer interface for the from-scratch inference/training engine.
 //
-// Layers process one sample at a time (rank-2 [channels, length] tensors
-// for the convolutional front-end, rank-1 after Flatten). forward() caches
-// whatever backward() needs; backward() accumulates parameter gradients
-// (zeroed by the optimizer after each step) and returns the gradient with
-// respect to the layer input.
+// A layer has one forward and one backward, both over a batch of
+// same-kind samples (rank-2 [channels, length] tensors for the
+// convolutional front-end, rank-1 after Flatten). forward_batch(train=true)
+// keeps the one cache backward_batch reads; backward_batch accumulates
+// parameter gradients (zeroed by the optimizer after each step) and writes
+// the gradient with respect to each layer input. Single-sample forward()
+// and backward() are batches of one.
 #pragma once
 
 #include <cstdint>
@@ -20,48 +22,31 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// `train` enables training-only behaviour (dropout masking) and decides
-  /// whether the layer caches what backward() needs. Inference calls
-  /// (train == false) retain nothing — in particular not the input tensor.
-  virtual Tensor forward(const Tensor& input, bool train) = 0;
-  /// Gradient w.r.t. the input of the most recent forward(train=true).
-  /// Throws std::logic_error if no training forward preceded it (the
-  /// inference path drops the cached state backward depends on).
-  virtual Tensor backward(const Tensor& grad_output) = 0;
-
-  /// Batched inference forward: outputs[i] = forward(*inputs[i], false)
-  /// for i in [0, count), bit-identically, writing into the caller's
-  /// output tensors (reusing their storage via Tensor::reset_shape — the
-  /// batched path's activation arena). The default loops over forward();
-  /// layers where batching pays (conv, dense, pooling, softmax,
-  /// element-wise) override it with packed kernels.
+  /// outputs[b] for inputs[b], b in [0, count), written into the caller's
+  /// tensors (reusing their storage via Tensor::reset_shape — the batched
+  /// path's activation arena). Every output element is bit-identical to
+  /// the same sample's output in a batch of one. `train` enables
+  /// training-only behaviour (Dropout draws its masks in sample order
+  /// b = 0..count-1, the stream `count` batches of one would consume) and
+  /// decides whether the layer keeps what backward_batch needs. Inference
+  /// forwards (train == false) retain nothing and drop any earlier cache.
   virtual void forward_batch(const Tensor* const* inputs, std::size_t count,
-                             Tensor* outputs);
+                             Tensor* outputs, bool train) = 0;
 
-  /// True when the layer implements the batched training pair below. The
-  /// trainer's minibatch fast path requires every layer to support it and
-  /// otherwise falls back to per-sample backprop, so exotic layers stay
-  /// trainable without a batched backward.
-  virtual bool supports_batch_train() const { return false; }
-
-  /// Batched training forward over same-shape samples: outputs[b] must be
-  /// bit-identical to forward(*inputs[b], train=true), and any stochastic
-  /// layer must consume its RNG in sample order b = 0..count-1 so the draw
-  /// sequence matches `count` consecutive single-sample calls. Caches
-  /// whatever backward_batch() needs (replacing any single-sample cache).
-  /// Default throws std::logic_error — query supports_batch_train() first.
-  virtual void forward_batch_train(const Tensor* const* inputs,
-                                   std::size_t count, Tensor* outputs);
-
-  /// Batched backward for the most recent forward_batch_train: writes the
-  /// per-sample input gradients and accumulates parameter gradients so
-  /// that every gradient element ends bit-identical to count sequential
-  /// backward() calls in sample order (the kernels add contributions
-  /// sample-major per element; a float store/load chain is exact, so the
-  /// interleaving of *elements* may differ, the per-element order never).
-  /// Default throws std::logic_error.
+  /// Backward for the most recent forward_batch(train=true) of the same
+  /// count: writes the per-sample input gradients and accumulates
+  /// parameter gradients so that every gradient element ends bit-identical
+  /// to `count` batch-of-one backwards in sample order (the kernels add
+  /// contributions sample-major per element; a float store/load chain is
+  /// exact, so the interleaving of *elements* may differ, the per-element
+  /// order never). Throws std::logic_error without that training forward.
   virtual void backward_batch(const Tensor* const* grad_outputs,
-                              std::size_t count, Tensor* grad_inputs);
+                              std::size_t count, Tensor* grad_inputs) = 0;
+
+  /// Batch-of-one forward_batch.
+  Tensor forward(const Tensor& input, bool train);
+  /// Batch-of-one backward_batch, for the most recent forward(x, true).
+  Tensor backward(const Tensor& grad_output);
 
   /// Learnable parameters and their gradient accumulators; same order.
   virtual std::vector<Tensor*> params() { return {}; }
@@ -100,6 +85,12 @@ class Layer {
     for (const Tensor* p : const_cast<Layer*>(this)->params()) n += p->size();
     return n;
   }
+
+ protected:
+  /// backward_batch's precondition: throws std::logic_error unless the
+  /// layer cached a training batch (`cached` samples, 0 for none) of
+  /// exactly `count` samples.
+  void require_train_cache(std::size_t cached, std::size_t count) const;
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

@@ -17,56 +17,76 @@ LayerNorm::LayerNorm(int size, float epsilon)
   if (epsilon <= 0.0f) throw std::invalid_argument("LayerNorm: epsilon <= 0");
 }
 
-Tensor LayerNorm::forward(const Tensor& input, bool /*train*/) {
-  if (static_cast<int>(input.size()) != size_) {
-    throw std::invalid_argument("LayerNorm::forward: expected " +
-                                std::to_string(size_) + " elements");
+void LayerNorm::forward_batch(const Tensor* const* inputs, std::size_t count,
+                              Tensor* outputs, bool train) {
+  train_count_ = 0;
+  const std::size_t size = static_cast<std::size_t>(size_);
+  for (std::size_t b = 0; b < count; ++b) {
+    if (inputs[b]->size() != size) {
+      throw std::invalid_argument("LayerNorm::forward: expected " +
+                                  std::to_string(size_) + " elements");
+    }
   }
-  in_shape_ = input.shape();
+  if (train) {
+    train_normalized_.resize(count * size);
+    train_inv_std_.resize(count);
+  }
   const float n = static_cast<float>(size_);
-  float mean = 0.0f;
-  for (std::size_t i = 0; i < input.size(); ++i) mean += input[i];
-  mean /= n;
-  float var = 0.0f;
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    const float d = input[i] - mean;
-    var += d * d;
+  for (std::size_t b = 0; b < count; ++b) {
+    const float* x = inputs[b]->data();
+    float mean = 0.0f;
+    for (std::size_t i = 0; i < size; ++i) mean += x[i];
+    mean /= n;
+    float var = 0.0f;
+    for (std::size_t i = 0; i < size; ++i) {
+      const float d = x[i] - mean;
+      var += d * d;
+    }
+    var /= n;
+    const float inv_std = 1.0f / std::sqrt(var + epsilon_);
+    outputs[b].reset_shape(inputs[b]->shape());
+    float* y = outputs[b].data();
+    for (std::size_t i = 0; i < size; ++i) {
+      const float xh = (x[i] - mean) * inv_std;
+      y[i] = gamma_[i] * xh + beta_[i];
+      if (train) train_normalized_[b * size + i] = xh;
+    }
+    if (train) train_inv_std_[b] = inv_std;
   }
-  var /= n;
-  inv_std_ = 1.0f / std::sqrt(var + epsilon_);
-
-  normalized_ = Tensor({size_});
-  Tensor out(input.shape());
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    normalized_[i] = (input[i] - mean) * inv_std_;
-    out[i] = gamma_[i] * normalized_[i] + beta_[i];
-  }
-  return out;
+  if (train) train_count_ = count;
 }
 
-Tensor LayerNorm::backward(const Tensor& grad_output) {
-  if (static_cast<int>(grad_output.size()) != size_) {
-    throw std::invalid_argument("LayerNorm::backward: gradient size mismatch");
-  }
+void LayerNorm::backward_batch(const Tensor* const* grad_outputs,
+                               std::size_t count, Tensor* grad_inputs) {
+  require_train_cache(train_count_, count);
+  const std::size_t size = static_cast<std::size_t>(size_);
   const float n = static_cast<float>(size_);
-  // dL/dx_hat_i = g_i * gamma_i; with the standard layer-norm backward:
-  // dL/dx_i = inv_std/n * (n*dxh_i - sum(dxh) - x_hat_i * sum(dxh * x_hat))
-  float sum_dxh = 0.0f;
-  float sum_dxh_xh = 0.0f;
-  Tensor dxh({size_});
-  for (std::size_t i = 0; i < grad_output.size(); ++i) {
-    grad_gamma_[i] += grad_output[i] * normalized_[i];
-    grad_beta_[i] += grad_output[i];
-    dxh[i] = grad_output[i] * gamma_[i];
-    sum_dxh += dxh[i];
-    sum_dxh_xh += dxh[i] * normalized_[i];
+  for (std::size_t b = 0; b < count; ++b) {
+    const Tensor& gy = *grad_outputs[b];
+    if (gy.size() != size) {
+      throw std::invalid_argument(
+          "LayerNorm::backward_batch: gradient size mismatch");
+    }
+    const float* xh = train_normalized_.data() + b * size;
+    const float inv_std = train_inv_std_[b];
+    // dL/dx_hat_i = g_i * gamma_i; with the standard layer-norm backward:
+    // dL/dx_i = inv_std/n * (n*dxh_i - sum(dxh) - x_hat_i * sum(dxh * x_hat))
+    // dxh is staged in the gradient tensor, then rewritten in place.
+    grad_inputs[b].reset_shape(gy.shape());
+    float* gx = grad_inputs[b].data();
+    float sum_dxh = 0.0f;
+    float sum_dxh_xh = 0.0f;
+    for (std::size_t i = 0; i < size; ++i) {
+      grad_gamma_[i] += gy[i] * xh[i];
+      grad_beta_[i] += gy[i];
+      gx[i] = gy[i] * gamma_[i];
+      sum_dxh += gx[i];
+      sum_dxh_xh += gx[i] * xh[i];
+    }
+    for (std::size_t i = 0; i < size; ++i) {
+      gx[i] = inv_std / n * (n * gx[i] - sum_dxh - xh[i] * sum_dxh_xh);
+    }
   }
-  Tensor grad_in(in_shape_);
-  for (std::size_t i = 0; i < grad_output.size(); ++i) {
-    grad_in[i] =
-        inv_std_ / n * (n * dxh[i] - sum_dxh - normalized_[i] * sum_dxh_xh);
-  }
-  return grad_in;
 }
 
 std::string LayerNorm::describe() const {

@@ -1,6 +1,6 @@
 // Layer normalization with learnable gain/bias. Per-sample normalization
-// (no batch statistics) suits this engine's sample-at-a-time training and
-// stabilizes the small HAR CNNs when sensor gains drift between users.
+// (no batch statistics) keeps a sample's output independent of its batch
+// and stabilizes the small HAR CNNs when sensor gains drift between users.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -13,8 +13,12 @@ class LayerNorm : public Layer {
   /// must equal the input element count. gamma starts at 1, beta at 0.
   explicit LayerNorm(int size, float epsilon = 1e-5f);
 
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  /// Normalizes each sample on its own; a training forward keeps every
+  /// sample's x_hat and 1/std for backward_batch.
+  void forward_batch(const Tensor* const* inputs, std::size_t count,
+                     Tensor* outputs, bool train) override;
+  void backward_batch(const Tensor* const* grad_outputs, std::size_t count,
+                      Tensor* grad_inputs) override;
 
   std::vector<Tensor*> params() override { return {&gamma_, &beta_}; }
   std::vector<Tensor*> grads() override { return {&grad_gamma_, &grad_beta_}; }
@@ -38,10 +42,11 @@ class LayerNorm : public Layer {
   Tensor beta_;        // [size]
   Tensor grad_gamma_;
   Tensor grad_beta_;
-  // Cached forward state for backward.
-  Tensor normalized_;  // x_hat, flattened
-  std::vector<int> in_shape_;
-  float inv_std_ = 0.0f;
+  /// Training cache: x_hat sample-major ([b][i] flat) and each sample's
+  /// 1/std (count 0: none).
+  std::vector<float> train_normalized_;
+  std::vector<float> train_inv_std_;
+  std::size_t train_count_ = 0;
 };
 
 }  // namespace origin::nn

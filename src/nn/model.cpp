@@ -27,17 +27,77 @@ Sequential& Sequential::add(LayerPtr layer) {
   return *this;
 }
 
+namespace {
+
+/// Ping/pong activation buffers for the batched passes, reused across calls
+/// on the same thread so steady-state classification allocates nothing.
+struct BatchArena {
+  std::vector<Tensor> ping;
+  std::vector<Tensor> pong;
+  std::vector<const Tensor*> in_ptrs;
+};
+
+BatchArena& batch_arena(std::size_t count) {
+  thread_local BatchArena arena;
+  if (arena.ping.size() < count) arena.ping.resize(count);
+  if (arena.pong.size() < count) arena.pong.resize(count);
+  arena.in_ptrs.resize(count);
+  return arena;
+}
+
+}  // namespace
+
+void Sequential::forward_batch(const Tensor* const* inputs, std::size_t count,
+                               Tensor* outputs, bool train) {
+  if (count == 0) return;
+  if (layers_.empty()) {
+    for (std::size_t b = 0; b < count; ++b) outputs[b] = *inputs[b];
+    return;
+  }
+  if (layers_.size() == 1) {
+    layers_[0]->forward_batch(inputs, count, outputs, train);
+    return;
+  }
+  BatchArena& arena = batch_arena(count);
+  layers_[0]->forward_batch(inputs, count, arena.ping.data(), train);
+  Tensor* cur = arena.ping.data();
+  Tensor* nxt = arena.pong.data();
+  for (std::size_t li = 1; li + 1 < layers_.size(); ++li) {
+    for (std::size_t b = 0; b < count; ++b) arena.in_ptrs[b] = &cur[b];
+    layers_[li]->forward_batch(arena.in_ptrs.data(), count, nxt, train);
+    std::swap(cur, nxt);
+  }
+  for (std::size_t b = 0; b < count; ++b) arena.in_ptrs[b] = &cur[b];
+  layers_.back()->forward_batch(arena.in_ptrs.data(), count, outputs, train);
+}
+
+void Sequential::backward_batch(const Tensor* const* grad_logits,
+                                std::size_t count) {
+  if (count == 0 || layers_.empty()) return;
+  // Layers cache whatever their backward needs as members during the
+  // training forward, so the arena can be reused for gradients here.
+  BatchArena& arena = batch_arena(count);
+  Tensor* cur = arena.ping.data();
+  Tensor* nxt = arena.pong.data();
+  layers_.back()->backward_batch(grad_logits, count, cur);
+  for (std::size_t li = layers_.size() - 1; li > 0; --li) {
+    for (std::size_t b = 0; b < count; ++b) arena.in_ptrs[b] = &cur[b];
+    layers_[li - 1]->backward_batch(arena.in_ptrs.data(), count, nxt);
+    std::swap(cur, nxt);
+  }
+  // The input gradient (now in cur) is discarded.
+}
+
 Tensor Sequential::forward(const Tensor& input, bool train) {
-  Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x, train);
-  return x;
+  const Tensor* in = &input;
+  Tensor out;
+  forward_batch(&in, 1, &out, train);
+  return out;
 }
 
 void Sequential::backward(const Tensor& grad_logits) {
-  Tensor g = grad_logits;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
-  }
+  const Tensor* g = &grad_logits;
+  backward_batch(&g, 1);
 }
 
 std::vector<float> Sequential::predict_proba(const Tensor& input) {
@@ -48,111 +108,10 @@ int Sequential::predict(const Tensor& input) {
   return static_cast<int>(forward(input, false).argmax());
 }
 
-namespace {
-
-/// Ping/pong activation buffers for batched inference, reused across calls
-/// on the same thread so steady-state classification allocates nothing.
-struct BatchArena {
-  std::vector<Tensor> ping;
-  std::vector<Tensor> pong;
-  std::vector<const Tensor*> in_ptrs;
-};
-
-BatchArena& batch_arena() {
-  thread_local BatchArena arena;
-  return arena;
-}
-
-}  // namespace
-
-void Sequential::forward_batch_inference(const Tensor* const* inputs,
-                                         std::size_t count, Tensor* outputs) {
-  if (count == 0) return;
-  if (layers_.empty()) {
-    for (std::size_t b = 0; b < count; ++b) outputs[b] = *inputs[b];
-    return;
-  }
-  if (layers_.size() == 1) {
-    layers_[0]->forward_batch(inputs, count, outputs);
-    return;
-  }
-  BatchArena& arena = batch_arena();
-  if (arena.ping.size() < count) arena.ping.resize(count);
-  if (arena.pong.size() < count) arena.pong.resize(count);
-  arena.in_ptrs.resize(count);
-
-  layers_[0]->forward_batch(inputs, count, arena.ping.data());
-  Tensor* cur = arena.ping.data();
-  Tensor* nxt = arena.pong.data();
-  for (std::size_t li = 1; li + 1 < layers_.size(); ++li) {
-    for (std::size_t b = 0; b < count; ++b) arena.in_ptrs[b] = &cur[b];
-    layers_[li]->forward_batch(arena.in_ptrs.data(), count, nxt);
-    std::swap(cur, nxt);
-  }
-  for (std::size_t b = 0; b < count; ++b) arena.in_ptrs[b] = &cur[b];
-  layers_.back()->forward_batch(arena.in_ptrs.data(), count, outputs);
-}
-
-bool Sequential::supports_batch_train() const {
-  for (const auto& layer : layers_) {
-    if (!layer->supports_batch_train()) return false;
-  }
-  return true;
-}
-
-void Sequential::forward_batch_train(const Tensor* const* inputs,
-                                     std::size_t count, Tensor* outputs) {
-  if (count == 0) return;
-  if (layers_.empty()) {
-    for (std::size_t b = 0; b < count; ++b) outputs[b] = *inputs[b];
-    return;
-  }
-  if (layers_.size() == 1) {
-    layers_[0]->forward_batch_train(inputs, count, outputs);
-    return;
-  }
-  BatchArena& arena = batch_arena();
-  if (arena.ping.size() < count) arena.ping.resize(count);
-  if (arena.pong.size() < count) arena.pong.resize(count);
-  arena.in_ptrs.resize(count);
-
-  layers_[0]->forward_batch_train(inputs, count, arena.ping.data());
-  Tensor* cur = arena.ping.data();
-  Tensor* nxt = arena.pong.data();
-  for (std::size_t li = 1; li + 1 < layers_.size(); ++li) {
-    for (std::size_t b = 0; b < count; ++b) arena.in_ptrs[b] = &cur[b];
-    layers_[li]->forward_batch_train(arena.in_ptrs.data(), count, nxt);
-    std::swap(cur, nxt);
-  }
-  for (std::size_t b = 0; b < count; ++b) arena.in_ptrs[b] = &cur[b];
-  layers_.back()->forward_batch_train(arena.in_ptrs.data(), count, outputs);
-}
-
-void Sequential::backward_batch(const Tensor* const* grad_logits,
-                                std::size_t count) {
-  if (count == 0 || layers_.empty()) return;
-  // Layers cache whatever their backward needs as members during
-  // forward_batch_train, so the arena can be reused for gradients here.
-  BatchArena& arena = batch_arena();
-  if (arena.ping.size() < count) arena.ping.resize(count);
-  if (arena.pong.size() < count) arena.pong.resize(count);
-  arena.in_ptrs.resize(count);
-
-  Tensor* cur = arena.ping.data();
-  Tensor* nxt = arena.pong.data();
-  layers_.back()->backward_batch(grad_logits, count, cur);
-  for (std::size_t li = layers_.size() - 1; li > 0; --li) {
-    for (std::size_t b = 0; b < count; ++b) arena.in_ptrs[b] = &cur[b];
-    layers_[li - 1]->backward_batch(arena.in_ptrs.data(), count, nxt);
-    std::swap(cur, nxt);
-  }
-  // The input gradient (now in cur) is discarded, matching backward().
-}
-
 std::vector<std::vector<float>> Sequential::predict_proba_batch(
     const Tensor* const* inputs, std::size_t count) {
   std::vector<Tensor> logits(count);
-  forward_batch_inference(inputs, count, logits.data());
+  forward_batch(inputs, count, logits.data(), /*train=*/false);
   std::vector<std::vector<float>> out(count);
   for (std::size_t b = 0; b < count; ++b) out[b] = softmax(logits[b].vec());
   return out;
@@ -172,7 +131,7 @@ std::size_t Sequential::predict_proba_batch_into(const Tensor* const* inputs,
   if (count == 0) return 0;
   static thread_local std::vector<Tensor> logits;
   if (logits.size() < count) logits.resize(count);
-  forward_batch_inference(inputs, count, logits.data());
+  forward_batch(inputs, count, logits.data(), /*train=*/false);
   const std::size_t num_classes = logits[0].size();
   probs.reserve(count * num_classes);
   for (std::size_t b = 0; b < count; ++b) {
@@ -185,7 +144,7 @@ std::size_t Sequential::predict_proba_batch_into(const Tensor* const* inputs,
 std::vector<int> Sequential::predict_batch(const Tensor* const* inputs,
                                            std::size_t count) {
   std::vector<Tensor> logits(count);
-  forward_batch_inference(inputs, count, logits.data());
+  forward_batch(inputs, count, logits.data(), /*train=*/false);
   std::vector<int> out(count);
   for (std::size_t b = 0; b < count; ++b) {
     out[b] = static_cast<int>(logits[b].argmax());

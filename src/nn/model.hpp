@@ -28,41 +28,30 @@ class Sequential {
     return add(std::make_unique<L>(std::forward<Args>(args)...));
   }
 
-  /// Raw forward pass (logits for a classifier).
+  /// The model's one forward over same-shape inputs: each layer runs
+  /// forward_batch on the whole panel (one im2row panel / GEMM for conv
+  /// and dense), double-buffering activations through thread-local arenas
+  /// so steady-state classification allocates nothing per window.
+  /// outputs[b] is bit-identical to the same input in a batch of one;
+  /// `train` is passed to every layer (see Layer::forward_batch).
+  void forward_batch(const Tensor* const* inputs, std::size_t count,
+                     Tensor* outputs, bool train);
+
+  /// Backward for the most recent forward_batch(train=true) of the same
+  /// count: after it returns, every parameter-gradient element is
+  /// bit-identical to `count` batch-of-one backward(grad_logits[b]) calls
+  /// in sample order. The input gradient is discarded.
+  void backward_batch(const Tensor* const* grad_logits, std::size_t count);
+
+  /// Batch-of-one forward_batch (logits for a classifier).
   Tensor forward(const Tensor& input, bool train = false);
-  /// Backward pass through every layer; input is dL/d(logits).
+  /// Batch-of-one backward_batch; input is dL/d(logits).
   void backward(const Tensor& grad_logits);
 
   /// Softmax probabilities for a classifier head producing logits.
   std::vector<float> predict_proba(const Tensor& input);
   /// Top-1 class for the input.
   int predict(const Tensor& input);
-
-  /// Batched inference over same-shape inputs: each layer processes the
-  /// whole batch via forward_batch (one im2row panel / GEMM for conv and
-  /// dense), double-buffering activations through thread-local arenas so
-  /// steady-state classification allocates nothing per window. Outputs are
-  /// bit-identical to calling forward(input, false) per sample.
-  void forward_batch_inference(const Tensor* const* inputs, std::size_t count,
-                               Tensor* outputs);
-
-  /// True when every layer implements the batched training pair — the
-  /// precondition for forward_batch_train/backward_batch (the trainer
-  /// falls back to per-sample backprop otherwise).
-  bool supports_batch_train() const;
-
-  /// Batched training forward: outputs[b] is bit-identical to
-  /// forward(*inputs[b], train=true) called in sample order (stochastic
-  /// layers consume their RNG sample-major). Each layer caches what its
-  /// backward_batch needs.
-  void forward_batch_train(const Tensor* const* inputs, std::size_t count,
-                           Tensor* outputs);
-
-  /// Batched backward for the most recent forward_batch_train: after it
-  /// returns, every parameter-gradient element is bit-identical to `count`
-  /// sequential backward(grad_logits[b]) calls in sample order. The input
-  /// gradient is discarded, as in backward().
-  void backward_batch(const Tensor* const* grad_logits, std::size_t count);
 
   /// Batched predict_proba; element b matches predict_proba(inputs[b])
   /// bit-for-bit.

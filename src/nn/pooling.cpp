@@ -17,66 +17,23 @@ int MaxPool1D::out_length(int in_length, int pool, int stride) {
   return (in_length - pool) / stride + 1;
 }
 
-Tensor MaxPool1D::forward(const Tensor& input, bool train) {
-  if (input.rank() != 2) {
-    throw std::invalid_argument("MaxPool1D::forward: expected rank-2 input");
-  }
-  const int channels = input.dim(0);
-  const int in_len = input.dim(1);
-  const int out_len = out_length(in_len, pool_, stride_);
-  if (out_len <= 0) {
-    throw std::invalid_argument("MaxPool1D::forward: input shorter than window");
-  }
-  batch_count_ = 0;
-  if (train) {
-    in_shape_ = input.shape();
-    argmax_.assign(
-        static_cast<std::size_t>(channels) * static_cast<std::size_t>(out_len),
-        0);
-  } else {
-    in_shape_.clear();
-    argmax_.clear();
-  }
-  Tensor out({channels, out_len});
-  const float* x = input.data();
-  float* y = out.data();
-  for (int c = 0; c < channels; ++c) {
-    const float* row = x + static_cast<std::size_t>(c) * static_cast<std::size_t>(in_len);
-    for (int t = 0; t < out_len; ++t) {
-      const int base = t * stride_;
-      float best = row[base];
-      int best_idx = base;
-      for (int p = 1; p < pool_; ++p) {
-        const float v = row[base + p];
-        if (v > best) {
-          best = v;
-          best_idx = base + p;
-        }
-      }
-      y[static_cast<std::size_t>(c) * static_cast<std::size_t>(out_len) +
-        static_cast<std::size_t>(t)] = best;
-      if (train) {
-        argmax_[static_cast<std::size_t>(c) * static_cast<std::size_t>(out_len) +
-                static_cast<std::size_t>(t)] = best_idx;
-      }
-    }
-  }
-  return out;
-}
-
 void MaxPool1D::forward_batch(const Tensor* const* inputs, std::size_t count,
-                              Tensor* outputs) {
+                              Tensor* outputs, bool train) {
+  train_count_ = 0;
+  if (train) {
+    forward_train(inputs, count, outputs);
+    return;
+  }
   for (std::size_t b = 0; b < count; ++b) {
     if (inputs[b]->rank() != 2) {
-      throw std::invalid_argument(
-          "MaxPool1D::forward_batch: expected rank-2 input");
+      throw std::invalid_argument("MaxPool1D::forward: expected rank-2 input");
     }
     const int channels = inputs[b]->dim(0);
     const int in_len = inputs[b]->dim(1);
     const int out_len = out_length(in_len, pool_, stride_);
     if (out_len <= 0) {
       throw std::invalid_argument(
-          "MaxPool1D::forward_batch: input shorter than window");
+          "MaxPool1D::forward: input shorter than window");
     }
     outputs[b].reset_shape({channels, out_len});
     const float* x = inputs[b]->data();
@@ -86,11 +43,11 @@ void MaxPool1D::forward_batch(const Tensor* const* inputs, std::size_t count,
           x + static_cast<std::size_t>(c) * static_cast<std::size_t>(in_len);
       float* orow =
           y + static_cast<std::size_t>(c) * static_cast<std::size_t>(out_len);
-      // Branch-free select with forward()'s strict `>`: a later element
-      // replaces the running best only when it compares greater, so ties
-      // (+0 / -0 included) keep the first and a NaN never replaces nor is
-      // replaced. `b > a ? b : a` is exactly x86 MAXPS, so the pool-2 loop
-      // vectorizes without changing a bit.
+      // Branch-free select with the argmax loop's strict `>`: a later
+      // element replaces the running best only when it compares greater,
+      // so ties (+0 / -0 included) keep the first and a NaN never replaces
+      // nor is replaced. `b > a ? b : a` is exactly x86 MAXPS, so the
+      // pool-2 loop vectorizes without changing a bit.
       if (pool_ == 2 && stride_ == 2) {
         for (int t = 0; t < out_len; ++t) {
           const float a = row[2 * t];
@@ -112,40 +69,34 @@ void MaxPool1D::forward_batch(const Tensor* const* inputs, std::size_t count,
   }
 }
 
-void MaxPool1D::forward_batch_train(const Tensor* const* inputs,
-                                    std::size_t count, Tensor* outputs) {
-  if (count == 0) {
-    batch_count_ = 0;
-    return;
-  }
+void MaxPool1D::forward_train(const Tensor* const* inputs, std::size_t count,
+                              Tensor* outputs) {
+  if (count == 0) return;
   if (inputs[0]->rank() != 2) {
-    throw std::invalid_argument(
-        "MaxPool1D::forward_batch_train: expected rank-2 input");
+    throw std::invalid_argument("MaxPool1D::forward: expected rank-2 input");
   }
   const int channels = inputs[0]->dim(0);
   const int in_len = inputs[0]->dim(1);
   const int out_len = out_length(in_len, pool_, stride_);
   if (out_len <= 0) {
-    throw std::invalid_argument(
-        "MaxPool1D::forward_batch_train: input shorter than window");
+    throw std::invalid_argument("MaxPool1D::forward: input shorter than window");
   }
   for (std::size_t b = 1; b < count; ++b) {
     if (inputs[b]->rank() != 2 || inputs[b]->dim(0) != channels ||
         inputs[b]->dim(1) != in_len) {
       throw std::invalid_argument(
-          "MaxPool1D::forward_batch_train: mixed input shapes in batch");
+          "MaxPool1D::forward: mixed input shapes in a training batch");
     }
   }
   in_shape_ = {channels, in_len};
-  argmax_.clear();
   const std::size_t per_sample = static_cast<std::size_t>(channels) *
                                  static_cast<std::size_t>(out_len);
-  batch_argmax_.assign(count * per_sample, 0);
+  train_argmax_.resize(count * per_sample);
   for (std::size_t b = 0; b < count; ++b) {
     outputs[b].reset_shape({channels, out_len});
     const float* x = inputs[b]->data();
     float* y = outputs[b].data();
-    int* amax = batch_argmax_.data() + b * per_sample;
+    int* amax = train_argmax_.data() + b * per_sample;
     for (int c = 0; c < channels; ++c) {
       const float* row =
           x + static_cast<std::size_t>(c) * static_cast<std::size_t>(in_len);
@@ -160,23 +111,20 @@ void MaxPool1D::forward_batch_train(const Tensor* const* inputs,
             best_idx = base + p;
           }
         }
-        y[static_cast<std::size_t>(c) * static_cast<std::size_t>(out_len) +
-          static_cast<std::size_t>(t)] = best;
-        amax[static_cast<std::size_t>(c) * static_cast<std::size_t>(out_len) +
-             static_cast<std::size_t>(t)] = best_idx;
+        const std::size_t oi =
+            static_cast<std::size_t>(c) * static_cast<std::size_t>(out_len) +
+            static_cast<std::size_t>(t);
+        y[oi] = best;
+        amax[oi] = best_idx;
       }
     }
   }
-  batch_count_ = count;
+  train_count_ = count;
 }
 
 void MaxPool1D::backward_batch(const Tensor* const* grad_outputs,
                                std::size_t count, Tensor* grad_inputs) {
-  if (batch_count_ == 0 || count != batch_count_ || in_shape_.size() != 2) {
-    throw std::logic_error(
-        "MaxPool1D::backward_batch: no cached batch — call "
-        "forward_batch_train with the same batch first");
-  }
+  require_train_cache(train_count_, count);
   const int channels = in_shape_[0];
   const int in_len = in_shape_[1];
   const int out_len = out_length(in_len, pool_, stride_);
@@ -192,7 +140,7 @@ void MaxPool1D::backward_batch(const Tensor* const* grad_outputs,
     grad_inputs[b].zero();
     const float* gy = grad_outputs[b]->data();
     float* gx = grad_inputs[b].data();
-    const int* amax = batch_argmax_.data() + b * per_sample;
+    const int* amax = train_argmax_.data() + b * per_sample;
     for (int c = 0; c < channels; ++c) {
       const std::size_t crow = static_cast<std::size_t>(c) *
                                static_cast<std::size_t>(in_len);
@@ -200,35 +148,10 @@ void MaxPool1D::backward_batch(const Tensor* const* grad_outputs,
         const std::size_t oi =
             static_cast<std::size_t>(c) * static_cast<std::size_t>(out_len) +
             static_cast<std::size_t>(t);
-        // argmax indices are within-row positions, as in backward().
         gx[crow + static_cast<std::size_t>(amax[oi])] += gy[oi];
       }
     }
   }
-}
-
-Tensor MaxPool1D::backward(const Tensor& grad_output) {
-  if (in_shape_.size() != 2) {
-    throw std::logic_error(
-        "MaxPool1D::backward: no cached argmax — call forward(x, train=true) "
-        "before backward (the inference path retains nothing)");
-  }
-  const int channels = in_shape_[0];
-  const int in_len = in_shape_[1];
-  const int out_len = out_length(in_len, pool_, stride_);
-  if (grad_output.rank() != 2 || grad_output.dim(0) != channels ||
-      grad_output.dim(1) != out_len) {
-    throw std::invalid_argument("MaxPool1D::backward: gradient shape mismatch");
-  }
-  Tensor grad_in({channels, in_len});
-  for (int c = 0; c < channels; ++c) {
-    for (int t = 0; t < out_len; ++t) {
-      const int src = argmax_[static_cast<std::size_t>(c) * static_cast<std::size_t>(out_len) +
-                              static_cast<std::size_t>(t)];
-      grad_in.at(c, src) += grad_output.at(c, t);
-    }
-  }
-  return grad_in;
 }
 
 std::string MaxPool1D::describe() const {

@@ -10,14 +10,11 @@ class MaxPool1D : public Layer {
   /// Non-overlapping pooling when stride == pool (the default).
   explicit MaxPool1D(int pool, int stride = 0);
 
-  /// Records argmax indices for backward() only when train == true.
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  /// Inference selects branch-free; a training forward runs the argmax
+  /// loop instead (same strict `>`, so the same values) and records the
+  /// argmax indices backward_batch routes gradients to.
   void forward_batch(const Tensor* const* inputs, std::size_t count,
-                     Tensor* outputs) override;
-  bool supports_batch_train() const override { return true; }
-  void forward_batch_train(const Tensor* const* inputs, std::size_t count,
-                           Tensor* outputs) override;
+                     Tensor* outputs, bool train) override;
   void backward_batch(const Tensor* const* grad_outputs, std::size_t count,
                       Tensor* grad_inputs) override;
   std::string kind() const override { return "maxpool1d"; }
@@ -31,14 +28,17 @@ class MaxPool1D : public Layer {
   static int out_length(int in_length, int pool, int stride);
 
  private:
+  /// The training forward: the argmax loop, recording train_argmax_.
+  void forward_train(const Tensor* const* inputs, std::size_t count,
+                     Tensor* outputs);
+
   int pool_ = 2;
   int stride_ = 2;
-  std::vector<int> argmax_;  // flat index into the input per output element
+  /// Training cache: per-sample within-row argmax indices, sample-major
+  /// ([b][c][t] flat; every sample has shape in_shape_; count 0: none).
+  std::vector<int> train_argmax_;
   std::vector<int> in_shape_;
-  /// Batched-training cache: per-sample argmax indices, sample-major
-  /// ([b][c][t] flat; every sample shares in_shape_).
-  std::vector<int> batch_argmax_;
-  std::size_t batch_count_ = 0;
+  std::size_t train_count_ = 0;
 };
 
 }  // namespace origin::nn

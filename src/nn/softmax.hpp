@@ -10,11 +10,12 @@ namespace origin::nn {
 
 class Softmax : public Layer {
  public:
-  /// Caches the output for backward() only when train == true.
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  /// A training forward keeps the outputs for backward_batch's exact
+  /// Jacobian product.
   void forward_batch(const Tensor* const* inputs, std::size_t count,
-                     Tensor* outputs) override;
+                     Tensor* outputs, bool train) override;
+  void backward_batch(const Tensor* const* grad_outputs, std::size_t count,
+                      Tensor* grad_inputs) override;
   std::string kind() const override { return "softmax"; }
   std::unique_ptr<Layer> clone() const override;
   std::vector<int> output_shape(const std::vector<int>& input) const override {
@@ -22,7 +23,10 @@ class Softmax : public Layer {
   }
 
  private:
-  Tensor last_output_;
+  /// Training cache: per-sample output copies (storage reused; count 0:
+  /// none).
+  std::vector<Tensor> train_outputs_;
+  std::size_t train_count_ = 0;
 };
 
 /// Free-function softmax over a logits vector.

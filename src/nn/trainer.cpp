@@ -18,101 +18,6 @@ Trainer::Trainer(TrainConfig config) : config_(config) {
 
 std::vector<EpochStats> Trainer::fit(Sequential& model, const Samples& train) {
   if (train.empty()) throw std::invalid_argument("Trainer::fit: empty dataset");
-  if (config_.use_kernels && model.supports_batch_train()) {
-    return fit_batched(model, train);
-  }
-  return fit_reference(model, train);
-}
-
-std::vector<EpochStats> Trainer::fit_reference(Sequential& model,
-                                               const Samples& train) {
-  if (train.empty()) throw std::invalid_argument("Trainer::fit: empty dataset");
-
-  SgdMomentum opt(config_.learning_rate, config_.momentum, config_.weight_decay);
-  opt.bind(model);
-  model.zero_grads();
-
-  util::Rng rng(config_.shuffle_seed);
-  std::vector<std::size_t> order(train.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-
-  std::vector<EpochStats> history;
-  history.reserve(static_cast<std::size_t>(config_.epochs));
-  double lr = config_.learning_rate;
-
-  using Clock = std::chrono::steady_clock;
-  const auto fit_start = Clock::now();
-  auto seconds_since = [](Clock::time_point t) {
-    return std::chrono::duration<double>(Clock::now() - t).count();
-  };
-
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    const auto epoch_start = Clock::now();
-    const double epoch_wall_t0 = seconds_since(fit_start);
-    rng.shuffle(order);
-    double loss_sum = 0.0;
-    std::size_t correct = 0;
-    std::size_t in_batch = 0;
-    for (std::size_t idx : order) {
-      const LabeledSample& s = train[idx];
-      LossResult lr_res;
-      if (config_.mixup_prob > 0.0 && rng.bernoulli(config_.mixup_prob)) {
-        // Mixup: blend this sample with a random partner; the soft target
-        // carries the blend ratio, teaching the network calibrated
-        // (low-variance) softmax outputs on ambiguous inputs.
-        const LabeledSample& partner = train[rng.below(train.size())];
-        const float lambda = static_cast<float>(rng.uniform(0.3, 1.0));
-        Tensor mixed = s.input;
-        mixed.scale(lambda).axpy(1.0f - lambda, partner.input);
-        const Tensor logits = model.forward(mixed, /*train=*/true);
-        const int num_classes = static_cast<int>(logits.size());
-        std::vector<float> target(static_cast<std::size_t>(num_classes), 0.0f);
-        target[static_cast<std::size_t>(s.label)] += lambda;
-        target[static_cast<std::size_t>(partner.label)] += 1.0f - lambda;
-        lr_res = softmax_cross_entropy_soft(logits, target);
-        loss_sum += lr_res.loss;
-        if (static_cast<int>(logits.argmax()) == s.label) ++correct;
-      } else {
-        const Tensor logits = model.forward(s.input, /*train=*/true);
-        lr_res = softmax_cross_entropy(logits, s.label);
-        loss_sum += lr_res.loss;
-        if (static_cast<int>(logits.argmax()) == s.label) ++correct;
-      }
-      // Scale so the step uses the batch-mean gradient.
-      Tensor g = lr_res.grad;
-      g.scale(1.0f / static_cast<float>(config_.batch_size));
-      model.backward(g);
-      if (++in_batch == static_cast<std::size_t>(config_.batch_size)) {
-        opt.step();
-        in_batch = 0;
-      }
-    }
-    if (in_batch > 0) opt.step();
-
-    EpochStats stats;
-    stats.loss = loss_sum / static_cast<double>(train.size());
-    stats.accuracy = static_cast<double>(correct) / static_cast<double>(train.size());
-    stats.seconds = seconds_since(epoch_start);
-    history.push_back(stats);
-    ORIGIN_TRACE(config_.trace, epoch(epoch, epoch_wall_t0, stats.seconds,
-                                      stats.loss, stats.accuracy));
-    util::log_kv(util::LogLevel::Debug, "trainer.epoch", "epoch", epoch,
-                 "loss", stats.loss, "acc", stats.accuracy, "lr", lr,
-                 "seconds", stats.seconds);
-
-    lr *= config_.lr_decay;
-    opt.set_learning_rate(lr);
-    if (config_.early_stop_accuracy > 0.0 &&
-        stats.accuracy >= config_.early_stop_accuracy) {
-      break;
-    }
-  }
-  return history;
-}
-
-std::vector<EpochStats> Trainer::fit_batched(Sequential& model,
-                                             const Samples& train) {
-  if (train.empty()) throw std::invalid_argument("Trainer::fit: empty dataset");
 
   SgdMomentum opt(config_.learning_rate, config_.momentum, config_.weight_decay);
   opt.bind(model);
@@ -160,8 +65,7 @@ std::vector<EpochStats> Trainer::fit_batched(Sequential& model,
       const std::size_t count = std::min(bsz, train.size() - pos);
       // Assemble the minibatch in shuffled order. The mixup RNG draws
       // (bernoulli, partner index, lambda) happen per sample in exactly
-      // the order the reference loop makes them, so both paths consume
-      // the same RNG stream.
+      // the order a per-sample loop makes them.
       for (std::size_t b = 0; b < count; ++b) {
         const LabeledSample& s = train[order[pos + b]];
         SoftTarget& t = targets[b];
@@ -180,9 +84,10 @@ std::vector<EpochStats> Trainer::fit_batched(Sequential& model,
           input_ptrs[b] = &s.input;
         }
       }
-      model.forward_batch_train(input_ptrs.data(), count, logits.data());
+      model.forward_batch(input_ptrs.data(), count, logits.data(),
+                          /*train=*/true);
       // Loss/accuracy in sample order so loss_sum accumulates in the same
-      // order (bit-identical double sum) as the reference loop.
+      // order (bit-identical double sum) as a per-sample loop.
       for (std::size_t b = 0; b < count; ++b) {
         const SoftTarget& t = targets[b];
         LossResult lr_res;
@@ -203,8 +108,7 @@ std::vector<EpochStats> Trainer::fit_batched(Sequential& model,
         grad_ptrs[b] = &grad_store[b];
       }
       model.backward_batch(grad_ptrs.data(), count);
-      // One step per batch, including the trailing partial batch — the
-      // same boundaries at which the reference loop steps.
+      // One step per batch, including the trailing partial batch.
       opt.step();
     }
 

@@ -1,5 +1,5 @@
-// Minibatch trainer for Sequential classifiers (per-sample backprop with
-// gradient accumulation across the batch).
+// Minibatch trainer for Sequential classifiers: each minibatch is one
+// batched forward and one batched backward, then one optimizer step.
 #pragma once
 
 #include <cstdint>
@@ -47,26 +47,19 @@ struct TrainConfig {
   /// Records one Epoch event per epoch — the loss/accuracy/wall-time
   /// series next to the simulator and fleet lanes.
   obs::TraceRecorder* trace = nullptr;
-  /// Route fit() through the GEMM-backed batched kernels when the model
-  /// supports them. The kernel path produces bit-identical weights to the
-  /// reference loop, so this flag is a speed knob, not a results knob —
-  /// it is deliberately excluded from pipeline cache keys.
-  bool use_kernels = true;
 };
 
 class Trainer {
  public:
   explicit Trainer(TrainConfig config = {});
 
-  /// Trains `model` in place; returns per-epoch stats. Dispatches to the
-  /// batched kernel path when use_kernels is set and every layer supports
-  /// it, otherwise to fit_reference — both produce bit-identical weights.
+  /// Trains `model` in place; returns per-epoch stats. Whole minibatches
+  /// flow through Sequential::forward_batch(train=true)/backward_batch.
+  /// Mixup and shuffle RNG draws happen in shuffled-sample order and the
+  /// optimizer steps on batch boundaries, so the trained weights equal a
+  /// per-sample backprop loop's bit for bit
+  /// (tests/test_train_kernels.cpp keeps that loop as the oracle).
   std::vector<EpochStats> fit(Sequential& model, const Samples& train);
-
-  /// Per-sample backprop loop: the original trainer, kept verbatim as the
-  /// oracle the kernel path is tested against (and the fallback for layers
-  /// without a batched training path).
-  std::vector<EpochStats> fit_reference(Sequential& model, const Samples& train);
 
   /// Average loss and top-1 accuracy of `model` on `samples`.
   static EpochStats evaluate(Sequential& model, const Samples& samples);
@@ -74,12 +67,6 @@ class Trainer {
   const TrainConfig& config() const { return config_; }
 
  private:
-  /// Minibatch path: whole batches flow through forward_batch_train /
-  /// backward_batch. Mixup and shuffle RNG draws happen in shuffled-sample
-  /// order and optimizer steps land on the same batch boundaries, so the
-  /// trained weights match fit_reference bit for bit.
-  std::vector<EpochStats> fit_batched(Sequential& model, const Samples& train);
-
   TrainConfig config_;
 };
 

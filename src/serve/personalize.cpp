@@ -215,7 +215,8 @@ std::uint64_t Personalizer::run_fit(
     for (std::size_t i = 0; i < n; ++i) {
       state.context->synthesize(state.buffer[first + i].recipe, s, panel_[i]);
     }
-    prefix_[s].forward_batch_inference(windows.data(), n, features.data());
+    prefix_[s].forward_batch(windows.data(), n, features.data(),
+                             /*train=*/false);
     nn::Samples samples;
     samples.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {

@@ -143,7 +143,7 @@ class Personalizer {
   /// The fit half of after_step. `models` must hold this session's
   /// weights (load() first). Per sensor: the windows of the n samples the
   /// fit uses, synthesized from their recipes into the shard's panel
-  /// scratch, one forward_batch_inference of the frozen prefix over them,
+  /// scratch, one inference forward_batch of the frozen prefix over them,
   /// an nn::Trainer fit of a clone of the session's tail on those
   /// features, and the tuned tail copied back into `models`. Returns the
   /// optimizer steps consumed.

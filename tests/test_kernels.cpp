@@ -1,10 +1,10 @@
 // Bit-identity contract of the fast inference kernels (nn/kernels.hpp):
 // on the reference backend the im2row + blocked-GEMM forward paths must
-// reproduce the naive reference loops exactly — not approximately — and
-// under whichever backend is active every batched forward must equal that
-// backend's single-sample path, since the fleet runtime's determinism
-// guarantees (bit-identical metrics across thread counts and panel
-// shapes) rest on it. Oracle cases pin the reference backend themselves,
+// reproduce the naive loops (tests/nn_oracles.hpp) exactly — not
+// approximately — and under whichever backend is active every batched
+// forward must equal that backend's batch of one, since the fleet
+// runtime's determinism guarantees (bit-identical metrics across thread
+// counts and panel shapes) rest on it. Oracle cases pin the reference backend themselves,
 // so the suite passes under any ORIGIN_BACKEND.
 #include <gtest/gtest.h>
 
@@ -27,11 +27,14 @@
 #include "util/rng.hpp"
 
 #include "backend_scope.hpp"
+#include "nn_oracles.hpp"
 
 namespace origin::nn {
 namespace {
 
 using test_support::BackendScope;
+using test_support::conv1d_forward_oracle;
+using test_support::dense_forward_oracle;
 
 void expect_bit_identical(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
@@ -69,7 +72,7 @@ TEST(Kernels, ConvForwardMatchesReferenceAcrossShapes) {
     Conv1D conv(c.cin, c.cout, c.kernel, c.stride, rng);
     const Tensor x = random_input({c.cin, c.length}, seed + 1);
     const Tensor fast = conv.forward(x, false);
-    const Tensor ref = conv.forward_reference(x);
+    const Tensor ref = conv1d_forward_oracle(conv, x);
     SCOPED_TRACE(conv.describe());
     expect_bit_identical(fast, ref);
     seed += 2;
@@ -87,13 +90,15 @@ TEST(Kernels, ConvForwardMatchesReferenceAfterPruning) {
   conv.remove_output_filter(0);
   ASSERT_EQ(conv.out_channels(), 17);
   const Tensor x = random_input({6, 64}, 8);
-  expect_bit_identical(conv.forward(x, false), conv.forward_reference(x));
+  expect_bit_identical(conv.forward(x, false),
+                       conv1d_forward_oracle(conv, x));
 
   Conv1D conv2(6, 8, 5, 1, rng);
   conv2.remove_input_channel(2);
   ASSERT_EQ(conv2.in_channels(), 5);
   const Tensor x2 = random_input({5, 33}, 9);
-  expect_bit_identical(conv2.forward(x2, false), conv2.forward_reference(x2));
+  expect_bit_identical(conv2.forward(x2, false),
+                       conv1d_forward_oracle(conv2, x2));
 }
 
 TEST(Kernels, ConvTrainAndInferencePathsAgree) {
@@ -113,7 +118,7 @@ TEST(Kernels, ConvForwardBatchMatchesPerSample) {
   }
   for (const auto& t : inputs) ptrs.push_back(&t);
   std::vector<Tensor> outputs(inputs.size());
-  conv.forward_batch(ptrs.data(), ptrs.size(), outputs.data());
+  conv.forward_batch(ptrs.data(), ptrs.size(), outputs.data(), false);
   for (std::size_t b = 0; b < inputs.size(); ++b) {
     SCOPED_TRACE(b);
     expect_bit_identical(outputs[b], conv.forward(inputs[b], false));
@@ -132,7 +137,8 @@ TEST(Kernels, DenseForwardMatchesReferenceAcrossShapes) {
     Dense dense(in, out, rng);
     const Tensor x = random_input({in}, seed + 1);
     SCOPED_TRACE(dense.describe());
-    expect_bit_identical(dense.forward(x, false), dense.forward_reference(x));
+    expect_bit_identical(dense.forward(x, false),
+                         dense_forward_oracle(dense, x));
     seed += 2;
   }
 }
@@ -147,7 +153,7 @@ TEST(Kernels, DenseForwardBatchMatchesPerSample) {
   }
   for (const auto& t : inputs) ptrs.push_back(&t);
   std::vector<Tensor> outputs(inputs.size());
-  dense.forward_batch(ptrs.data(), ptrs.size(), outputs.data());
+  dense.forward_batch(ptrs.data(), ptrs.size(), outputs.data(), false);
   for (std::size_t b = 0; b < inputs.size(); ++b) {
     SCOPED_TRACE(b);
     expect_bit_identical(outputs[b], dense.forward(inputs[b], false));
@@ -166,8 +172,10 @@ TEST(Kernels, ScratchSurvivesAlternatingShapes) {
   const Tensor xs = random_input({2, 10}, 42);
   const Tensor xb = random_input({6, 64}, 43);
   for (int round = 0; round < 3; ++round) {
-    expect_bit_identical(small.forward(xs, false), small.forward_reference(xs));
-    expect_bit_identical(big.forward(xb, false), big.forward_reference(xb));
+    expect_bit_identical(small.forward(xs, false),
+                         conv1d_forward_oracle(small, xs));
+    expect_bit_identical(big.forward(xb, false),
+                         conv1d_forward_oracle(big, xb));
   }
 }
 
@@ -184,9 +192,9 @@ TEST(Kernels, ScratchGrowsAndShrinksAcrossBatchSizes) {
     }
     for (const auto& t : inputs) ptrs.push_back(&t);
     std::vector<Tensor> outputs(count);
-    dense.forward_batch(ptrs.data(), count, outputs.data());
+    dense.forward_batch(ptrs.data(), count, outputs.data(), false);
     for (std::size_t b = 0; b < count; ++b) {
-      expect_bit_identical(outputs[b], dense.forward_reference(inputs[b]));
+      expect_bit_identical(outputs[b], dense_forward_oracle(dense, inputs[b]));
     }
   }
 }
@@ -194,8 +202,8 @@ TEST(Kernels, ScratchGrowsAndShrinksAcrossBatchSizes) {
 // --- Whole-model batched inference ------------------------------------
 
 Sequential deployed_like_cnn(std::uint64_t seed) {
-  // Mirrors the BL-1 per-sensor architecture, Dropout included, so the
-  // batched path covers the default Layer::forward_batch fallback too.
+  // Mirrors the BL-1 per-sensor architecture, Dropout (identity at
+  // inference) included.
   util::Rng rng(seed);
   Sequential m;
   m.emplace<Conv1D>(6, 20, 5, 1, rng)
@@ -244,11 +252,11 @@ TEST(Kernels, PredictProbaBatchBitIdenticalToPerSample) {
 
 TEST(Kernels, ForwardBatchInferenceHandlesEmptyAndSingle) {
   Sequential m = deployed_like_cnn(81);
-  m.forward_batch_inference(nullptr, 0, nullptr);  // no-op, no crash
+  m.forward_batch(nullptr, 0, nullptr, false);  // no-op, no crash
   const Tensor x = random_input({6, 64}, 82);
   const Tensor* ptr = &x;
   Tensor out;
-  m.forward_batch_inference(&ptr, 1, &out);
+  m.forward_batch(&ptr, 1, &out, false);
   expect_bit_identical(out, m.forward(x, false));
 }
 

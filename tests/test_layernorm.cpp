@@ -105,7 +105,7 @@ TEST(LayerNorm, InputGradCheck) {
   ln.gamma() = Tensor::randn({5}, rng, 1.0f);
   const Tensor x = Tensor::randn({5}, rng, 1.0f);
   const Tensor upstream({5}, {0.2f, -0.4f, 0.6f, 0.1f, -0.5f});
-  ln.forward(x, false);
+  ln.forward(x, true);  // a training forward: backward reads its cache
   for (Tensor* g : ln.grads()) g->zero();
   const Tensor grad = ln.backward(upstream);
 

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "nn/conv1d.hpp"
 #include "nn/dense.hpp"
 #include "nn/dropout.hpp"
+#include "nn/layernorm.hpp"
 #include "nn/pooling.hpp"
 #include "nn/softmax.hpp"
 #include "util/rng.hpp"
@@ -169,7 +172,7 @@ TEST(ReLU, BackwardMasksGradient) {
 
 TEST(Flatten, RoundTripShape) {
   Flatten f;
-  const Tensor y = f.forward(Tensor({2, 3}), false);
+  const Tensor y = f.forward(Tensor({2, 3}), true);
   EXPECT_EQ(y.rank(), 1);
   EXPECT_EQ(y.size(), 6u);
   const Tensor g = f.backward(Tensor({6}));
@@ -201,8 +204,8 @@ TEST(MaxPool1D, OddLengthDropsTail) {
 }
 
 TEST(MaxPool1D, BatchMatchesForwardOnNanSignedZeroAndTies) {
-  // forward_batch selects branch-free; forward keeps the argmax loop.
-  // Both must pick the first maximum under strict `>`: a NaN neither
+  // Inference selects branch-free; a training forward runs the argmax
+  // loop. Both must pick the first maximum under strict `>`: a NaN neither
   // replaces the running best nor is replaced once it leads, and +0/-0 or
   // equal values keep whichever came first. Compared as raw bits so the
   // sign of a zero and a NaN's payload both count.
@@ -227,13 +230,11 @@ TEST(MaxPool1D, BatchMatchesForwardOnNanSignedZeroAndTies) {
     SCOPED_TRACE(::testing::Message() << "pool " << pool << ", stride "
                                       << stride);
     MaxPool1D p(pool, stride);
-    const Tensor single = p.forward(x, false);
-    const Tensor* in = &x;
-    Tensor batched;
-    p.forward_batch(&in, 1, &batched);
-    ASSERT_EQ(batched.shape(), single.shape());
-    for (std::size_t i = 0; i < single.size(); ++i) {
-      EXPECT_EQ(bits(batched[i]), bits(single[i])) << "element " << i;
+    const Tensor trained = p.forward(x, true);
+    const Tensor inferred = p.forward(x, false);
+    ASSERT_EQ(inferred.shape(), trained.shape());
+    for (std::size_t i = 0; i < trained.size(); ++i) {
+      EXPECT_EQ(bits(inferred[i]), bits(trained[i])) << "element " << i;
     }
   }
 }
@@ -302,6 +303,127 @@ TEST(Softmax, StableForLargeLogits) {
 
 TEST(Softmax, EmptyInput) {
   EXPECT_TRUE(softmax({}).empty());
+}
+
+// --- The layer contract ------------------------------------------------
+// Every kind has one forward_batch and one backward_batch. A batch must be
+// bit-identical to its batches of one — outputs under both `train` values,
+// input gradients, the accumulated parameter gradients and Dropout's RNG
+// stream — and backward_batch throws std::logic_error unless a training
+// forward of the same count precedes it.
+
+struct KindCase {
+  const char* name;
+  std::vector<int> in_shape;
+  LayerPtr (*make)();  // two calls give two identical layers
+};
+
+const KindCase kKinds[] = {
+    {"conv1d", {3, 11},
+     [] {
+       util::Rng rng(11);
+       return LayerPtr(std::make_unique<Conv1D>(3, 4, 3, 2, rng));
+     }},
+    {"dense", {12},
+     [] {
+       util::Rng rng(12);
+       return LayerPtr(std::make_unique<Dense>(12, 5, rng));
+     }},
+    {"maxpool1d", {3, 9},
+     [] { return LayerPtr(std::make_unique<MaxPool1D>(3, 2)); }},
+    {"relu", {2, 5}, [] { return LayerPtr(std::make_unique<ReLU>()); }},
+    {"flatten", {3, 4}, [] { return LayerPtr(std::make_unique<Flatten>()); }},
+    {"dropout", {10},
+     [] { return LayerPtr(std::make_unique<Dropout>(0.4f, 99)); }},
+    {"softmax", {6}, [] { return LayerPtr(std::make_unique<Softmax>()); }},
+    {"layernorm", {2, 4},
+     [] {
+       util::Rng rng(13);
+       auto ln = std::make_unique<LayerNorm>(8);
+       ln->gamma() = Tensor::randn({8}, rng, 1.0f);
+       ln->beta() = Tensor::randn({8}, rng, 0.5f);
+       return LayerPtr(std::move(ln));
+     }},
+};
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+TEST(LayerContract, BatchEqualsBatchesOfOneForEveryKind) {
+  for (const KindCase& k : kKinds) {
+    for (const std::size_t count : {1u, 3u, 8u}) {
+      for (const bool train : {false, true}) {
+        SCOPED_TRACE(std::string(k.name) + " count " + std::to_string(count) +
+                     (train ? " train" : " inference"));
+        LayerPtr batched = k.make();
+        LayerPtr single = k.make();
+        util::Rng rng(1000 + count);
+        std::vector<Tensor> xs, ys(count), gys, gxs(count);
+        std::vector<const Tensor*> x_ptrs, gy_ptrs;
+        for (std::size_t b = 0; b < count; ++b) {
+          xs.push_back(Tensor::randn(k.in_shape, rng, 1.0f));
+        }
+        for (const Tensor& x : xs) x_ptrs.push_back(&x);
+        batched->forward_batch(x_ptrs.data(), count, ys.data(), train);
+        for (std::size_t b = 0; b < count; ++b) {
+          gys.push_back(Tensor::randn(ys[b].shape(), rng, 1.0f));
+        }
+        for (const Tensor& g : gys) gy_ptrs.push_back(&g);
+        if (train) batched->backward_batch(gy_ptrs.data(), count, gxs.data());
+
+        for (std::size_t b = 0; b < count; ++b) {
+          EXPECT_TRUE(same_bits(ys[b], single->forward(xs[b], train)))
+              << "output " << b;
+          if (train) {
+            EXPECT_TRUE(same_bits(gxs[b], single->backward(gys[b])))
+                << "input gradient " << b;
+          }
+        }
+        const auto grads_a = batched->grads();
+        const auto grads_b = single->grads();
+        ASSERT_EQ(grads_a.size(), grads_b.size());
+        for (std::size_t i = 0; i < grads_a.size(); ++i) {
+          EXPECT_TRUE(same_bits(*grads_a[i], *grads_b[i]))
+              << "parameter gradient " << i;
+        }
+        // The RNG stream: one more training forward draws the same masks.
+        EXPECT_TRUE(same_bits(batched->forward(xs[0], true),
+                              single->forward(xs[0], true)))
+            << "next training forward";
+      }
+    }
+  }
+}
+
+TEST(LayerContract, BackwardWithoutTrainingForwardThrows) {
+  for (const KindCase& k : kKinds) {
+    SCOPED_TRACE(k.name);
+    LayerPtr layer = k.make();
+    util::Rng rng(7);
+    const Tensor x = Tensor::randn(k.in_shape, rng, 1.0f);
+    const Tensor gy(layer->output_shape(k.in_shape));
+    // No forward at all.
+    EXPECT_THROW(layer->backward(gy), std::logic_error);
+    // An inference forward retains nothing.
+    layer->forward(x, false);
+    EXPECT_THROW(layer->backward(gy), std::logic_error);
+    // An inference forward drops an earlier training cache.
+    layer->forward(x, true);
+    layer->forward(x, false);
+    EXPECT_THROW(layer->backward(gy), std::logic_error);
+    // A backward of another count than the training forward's.
+    const Tensor* xs[] = {&x, &x, &x};
+    Tensor ys[3];
+    layer->forward_batch(xs, 3, ys, true);
+    const Tensor* gys[] = {&gy, &gy};
+    Tensor gxs[2];
+    EXPECT_THROW(layer->backward_batch(gys, 2, gxs), std::logic_error);
+    // The matching count succeeds.
+    layer->forward(x, true);
+    EXPECT_NO_THROW(layer->backward(gy));
+  }
 }
 
 }  // namespace

@@ -1,16 +1,17 @@
-// Bit-identity contract of the fast training path: GEMM-backed backward
-// kernels, batched forward/backward through Sequential, the batched
-// trainer, and the parallel train_system stage must all reproduce the
-// per-sample reference loops exactly — not approximately — because the
-// pipeline's model cache keys and the fleet determinism guarantees rest
-// on trained weights being a pure function of the config seed. Kernel vs
-// scalar-oracle cases pin the reference backend; batched vs per-sample
-// cases compare within whichever backend is active.
+// Bit-identity contract of the training path: GEMM-backed backward
+// kernels, batched forward/backward through Sequential, the trainer, and
+// the parallel train_system stage must all reproduce the per-sample loops
+// kept here and in nn_oracles.hpp exactly — not approximately — because
+// the pipeline's model cache keys and the fleet determinism guarantees
+// rest on trained weights being a pure function of the config seed.
+// Kernel vs scalar-oracle cases pin the reference backend; batched vs
+// per-sample cases compare within whichever backend is active.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -20,7 +21,10 @@
 #include "nn/conv1d.hpp"
 #include "nn/dense.hpp"
 #include "nn/dropout.hpp"
+#include "nn/layernorm.hpp"
+#include "nn/loss.hpp"
 #include "nn/model.hpp"
+#include "nn/optimizer.hpp"
 #include "nn/pooling.hpp"
 #include "nn/serialize.hpp"
 #include "nn/softmax.hpp"
@@ -28,11 +32,14 @@
 #include "util/rng.hpp"
 
 #include "backend_scope.hpp"
+#include "nn_oracles.hpp"
 
 namespace origin::nn {
 namespace {
 
 using test_support::BackendScope;
+using test_support::conv1d_backward_oracle;
+using test_support::dense_backward_oracle;
 
 void expect_bit_identical(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
@@ -57,7 +64,7 @@ Tensor random_input(const std::vector<int>& shape, std::uint64_t seed) {
   return Tensor::randn(shape, rng, 1.0f);
 }
 
-// --- Conv1D backward kernels vs reference loops -----------------------
+// --- Conv1D backward kernels vs the naive loops -----------------------
 
 struct ConvCase {
   int cin, cout, kernel, stride, length;
@@ -95,7 +102,7 @@ TEST(TrainKernels, ConvBackwardMatchesReferenceAcrossShapes) {
     for (int round = 0; round < 2; ++round) {
       SCOPED_TRACE("round " + std::to_string(round));
       const Tensor gx_fast = fast.backward(gy);
-      const Tensor gx_ref = ref.backward_reference(gy);
+      const Tensor gx_ref = conv1d_backward_oracle(ref, x, gy);
       expect_bit_identical(gx_fast, gx_ref);
       expect_same_grads(fast, ref);
     }
@@ -121,7 +128,7 @@ TEST(TrainKernels, ConvBackwardBatchMatchesSequentialSamples) {
       }
       std::vector<Tensor> ys(count), gxs(count);
       for (std::size_t b = 0; b < count; ++b) x_ptrs.push_back(&xs[b]);
-      batched.forward_batch_train(x_ptrs.data(), count, ys.data());
+      batched.forward_batch(x_ptrs.data(), count, ys.data(), /*train=*/true);
       for (std::size_t b = 0; b < count; ++b) {
         gys.push_back(random_input(ys[b].shape(), seed + 20 + b));
       }
@@ -139,7 +146,7 @@ TEST(TrainKernels, ConvBackwardBatchMatchesSequentialSamples) {
   }
 }
 
-// --- Dense backward kernels vs reference loops ------------------------
+// --- Dense backward kernels vs the naive loops ------------------------
 
 TEST(TrainKernels, DenseBackwardMatchesReferenceAcrossShapes) {
   BackendScope scope("reference");  // the oracle is the scalar loop
@@ -158,7 +165,8 @@ TEST(TrainKernels, DenseBackwardMatchesReferenceAcrossShapes) {
     const Tensor gy = random_input({out}, seed + 2);
     for (int round = 0; round < 2; ++round) {
       SCOPED_TRACE("round " + std::to_string(round));
-      expect_bit_identical(fast.backward(gy), ref.backward_reference(gy));
+      expect_bit_identical(fast.backward(gy),
+                           dense_backward_oracle(ref, x, gy));
       expect_same_grads(fast, ref);
     }
     seed += 10;
@@ -187,7 +195,7 @@ TEST(TrainKernels, DenseBackwardBatchMatchesSequentialSamples) {
       x_ptrs.push_back(&xs[b]);
       gy_ptrs.push_back(&gys[b]);
     }
-    batched.forward_batch_train(x_ptrs.data(), count, ys.data());
+    batched.forward_batch(x_ptrs.data(), count, ys.data(), /*train=*/true);
     batched.backward_batch(gy_ptrs.data(), count, gxs.data());
 
     for (std::size_t b = 0; b < count; ++b) {
@@ -212,7 +220,88 @@ TEST(TrainKernels, BackwardBatchWithoutForwardThrows) {
   EXPECT_THROW(dense.backward_batch(&ptr2, 1, &gx), std::logic_error);
 }
 
-// --- Full-model batched training vs per-sample reference --------------
+// --- Trainer::fit vs the per-sample training loop --------------------
+
+/// The per-sample trainer: one batch-of-one forward and backward per
+/// shuffled sample, the gradient scaled to the batch mean, an optimizer
+/// step every batch_size samples and after a partial final batch. Trainer
+/// draws the shuffle and mixup RNG in this same order, so its weights must
+/// match this loop's bit for bit.
+std::vector<EpochStats> fit_oracle(const TrainConfig& config, Sequential& model,
+                                   const Samples& train) {
+  SgdMomentum opt(config.learning_rate, config.momentum, config.weight_decay);
+  opt.bind(model);
+  model.zero_grads();
+  util::Rng rng(config.shuffle_seed);
+  std::vector<std::size_t> order(train.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::vector<EpochStats> history;
+  double lr = config.learning_rate;
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    rng.shuffle(order);
+    double loss_sum = 0.0;
+    std::size_t correct = 0;
+    std::size_t in_batch = 0;
+    for (std::size_t idx : order) {
+      const LabeledSample& s = train[idx];
+      LossResult res;
+      Tensor logits;
+      if (config.mixup_prob > 0.0 && rng.bernoulli(config.mixup_prob)) {
+        const LabeledSample& partner = train[rng.below(train.size())];
+        const float lambda = static_cast<float>(rng.uniform(0.3, 1.0));
+        Tensor mixed = s.input;
+        mixed.scale(lambda).axpy(1.0f - lambda, partner.input);
+        logits = model.forward(mixed, /*train=*/true);
+        std::vector<float> target(logits.size(), 0.0f);
+        target[static_cast<std::size_t>(s.label)] += lambda;
+        target[static_cast<std::size_t>(partner.label)] += 1.0f - lambda;
+        res = softmax_cross_entropy_soft(logits, target);
+      } else {
+        logits = model.forward(s.input, /*train=*/true);
+        res = softmax_cross_entropy(logits, s.label);
+      }
+      loss_sum += res.loss;
+      if (static_cast<int>(logits.argmax()) == s.label) ++correct;
+      res.grad.scale(1.0f / static_cast<float>(config.batch_size));
+      model.backward(res.grad);
+      if (++in_batch == static_cast<std::size_t>(config.batch_size)) {
+        opt.step();
+        in_batch = 0;
+      }
+    }
+    if (in_batch > 0) opt.step();
+    EpochStats stats;
+    stats.loss = loss_sum / static_cast<double>(train.size());
+    stats.accuracy =
+        static_cast<double>(correct) / static_cast<double>(train.size());
+    history.push_back(stats);
+    lr *= config.lr_decay;
+    opt.set_learning_rate(lr);
+    if (config.early_stop_accuracy > 0.0 &&
+        stats.accuracy >= config.early_stop_accuracy) {
+      break;
+    }
+  }
+  return history;
+}
+
+/// Trains copies of `base` with Trainer::fit and with fit_oracle and
+/// requires identical per-epoch loss/accuracy and serialized weights.
+void expect_fit_matches_oracle(const Sequential& base, const Samples& train,
+                               const TrainConfig& cfg) {
+  // Copying the model clones every layer; Dropout::clone resets its RNG,
+  // so both copies consume identical dropout streams.
+  Sequential oracle_model = base;
+  Sequential fit_model = base;
+  const auto oracle_hist = fit_oracle(cfg, oracle_model, train);
+  const auto fit_hist = Trainer(cfg).fit(fit_model, train);
+  ASSERT_EQ(oracle_hist.size(), fit_hist.size());  // same early-stop epoch
+  for (std::size_t e = 0; e < oracle_hist.size(); ++e) {
+    EXPECT_EQ(oracle_hist[e].loss, fit_hist[e].loss) << "epoch " << e;
+    EXPECT_EQ(oracle_hist[e].accuracy, fit_hist[e].accuracy) << "epoch " << e;
+  }
+  EXPECT_EQ(model_to_string(oracle_model), model_to_string(fit_model));
+}
 
 /// The BL-1 shape in miniature: conv/pool stack, dropout, dense head.
 Sequential tiny_cnn(std::uint64_t seed) {
@@ -241,37 +330,16 @@ Samples random_samples(int n, std::uint64_t seed) {
 }
 
 TEST(TrainKernels, FitKernelsMatchesReferenceWeights) {
-  const Sequential base = tiny_cnn(99);
-  ASSERT_TRUE(base.supports_batch_train());
-  const Samples train = random_samples(37, 123);  // partial final batch
-
   TrainConfig cfg;
   cfg.epochs = 3;
   cfg.batch_size = 8;
   cfg.learning_rate = 5e-3;
   cfg.shuffle_seed = 777;
-
-  // Copying the model clones every layer; Dropout::clone resets its RNG,
-  // so both copies consume identical dropout streams.
-  Sequential ref_model = base;
-  Sequential fast_model = base;
-  TrainConfig ref_cfg = cfg;
-  ref_cfg.use_kernels = false;
-  const auto ref_hist = Trainer(ref_cfg).fit(ref_model, train);
-  const auto fast_hist = Trainer(cfg).fit(fast_model, train);
-
-  ASSERT_EQ(ref_hist.size(), fast_hist.size());
-  for (std::size_t e = 0; e < ref_hist.size(); ++e) {
-    EXPECT_EQ(ref_hist[e].loss, fast_hist[e].loss) << "epoch " << e;
-    EXPECT_EQ(ref_hist[e].accuracy, fast_hist[e].accuracy) << "epoch " << e;
-  }
-  EXPECT_EQ(model_to_string(ref_model), model_to_string(fast_model));
+  // 37 samples: a partial final batch.
+  expect_fit_matches_oracle(tiny_cnn(99), random_samples(37, 123), cfg);
 }
 
 TEST(TrainKernels, FitKernelsMatchesReferenceWithMixupAndEarlyStop) {
-  const Sequential base = tiny_cnn(42);
-  const Samples train = random_samples(30, 321);
-
   TrainConfig cfg;
   cfg.epochs = 4;
   cfg.batch_size = 7;  // batch never divides the dataset evenly
@@ -279,45 +347,30 @@ TEST(TrainKernels, FitKernelsMatchesReferenceWithMixupAndEarlyStop) {
   cfg.mixup_prob = 0.5;  // exercises the mixup RNG draw-order contract
   cfg.early_stop_accuracy = 0.4;
   cfg.shuffle_seed = 2024;
-
-  Sequential ref_model = base;
-  Sequential fast_model = base;
-  TrainConfig ref_cfg = cfg;
-  ref_cfg.use_kernels = false;
-  const auto ref_hist = Trainer(ref_cfg).fit(ref_model, train);
-  const auto fast_hist = Trainer(cfg).fit(fast_model, train);
-
-  ASSERT_EQ(ref_hist.size(), fast_hist.size());  // same early-stop epoch
-  for (std::size_t e = 0; e < ref_hist.size(); ++e) {
-    EXPECT_EQ(ref_hist[e].loss, fast_hist[e].loss) << "epoch " << e;
-    EXPECT_EQ(ref_hist[e].accuracy, fast_hist[e].accuracy) << "epoch " << e;
-  }
-  EXPECT_EQ(model_to_string(ref_model), model_to_string(fast_model));
+  expect_fit_matches_oracle(tiny_cnn(42), random_samples(30, 321), cfg);
 }
 
-TEST(TrainKernels, FitFallsBackForUnsupportedLayers) {
+TEST(TrainKernels, FitMatchesOracleThroughLayerNormAndSoftmax) {
+  // The two kinds that once had no batched training pair and sent fit()
+  // down a per-sample fallback.
   util::Rng rng(7);
-  Sequential with_softmax;
-  with_softmax.emplace<Dense>(4, 8, rng)
+  Sequential net;
+  net.emplace<Dense>(4, 8, rng)
       .emplace<ReLU>()
+      .emplace<LayerNorm>(8)
+      .emplace<Dense>(8, 3, rng)
       .emplace<Softmax>();
-  EXPECT_FALSE(with_softmax.supports_batch_train());
-
   Samples train;
   util::Rng data_rng(8);
-  for (int i = 0; i < 12; ++i) {
-    train.push_back(
-        {Tensor::randn({4}, data_rng, 1.0f), static_cast<int>(data_rng.below(8))});
+  for (int i = 0; i < 23; ++i) {
+    train.push_back({Tensor::randn({4}, data_rng, 1.0f),
+                     static_cast<int>(data_rng.below(3))});
   }
-  Sequential ref_model = with_softmax;
-  Sequential fast_model = with_softmax;
   TrainConfig cfg;
-  cfg.epochs = 2;
-  TrainConfig ref_cfg = cfg;
-  ref_cfg.use_kernels = false;
-  Trainer(ref_cfg).fit(ref_model, train);
-  Trainer(cfg).fit(fast_model, train);  // dispatches to the reference loop
-  EXPECT_EQ(model_to_string(ref_model), model_to_string(fast_model));
+  cfg.epochs = 3;
+  cfg.batch_size = 5;
+  cfg.mixup_prob = 0.3;
+  expect_fit_matches_oracle(net, train, cfg);
 }
 
 }  // namespace
