@@ -511,9 +511,11 @@ void register_backend_variants() {
   }
 }
 
-/// Console reporter that also captures each run's numbers so the custom
-/// main below can feed them to bench::JsonReport.
-class CaptureReporter : public benchmark::ConsoleReporter {
+/// Reporter that captures each run's numbers so the custom main below
+/// can feed them to bench::JsonReport, and forwards everything to
+/// google-benchmark's own display reporter (so every display flag —
+/// --benchmark_color, --benchmark_format, counters — works as usual).
+class CaptureReporter : public benchmark::BenchmarkReporter {
  public:
   struct Row {
     std::string name;
@@ -529,12 +531,19 @@ class CaptureReporter : public benchmark::ConsoleReporter {
                        run.GetAdjustedCPUTime(),
                        static_cast<std::int64_t>(run.iterations)});
     }
-    ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
   }
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+  void Finalize() override { display_->Finalize(); }
 
   const std::vector<Row>& rows() const { return rows_; }
 
  private:
+  /// Owned by the library.
+  benchmark::BenchmarkReporter* display_ =
+      benchmark::CreateDefaultDisplayReporter();
   std::vector<Row> rows_;
 };
 

@@ -137,6 +137,10 @@ HttpResponse ServeEndpoint::handle(const HttpRequest& request) const {
     w.kv("tick_p50_ms", slo.tick_p50_ms);
     w.kv("tick_p95_ms", slo.tick_p95_ms);
     w.kv("tick_p99_ms", slo.tick_p99_ms);
+    w.kv("fit_phases", slo.fit_phases);
+    w.kv("fit_phase_p50_ms", slo.fit_phase_p50_ms);
+    w.kv("fit_phase_p95_ms", slo.fit_phase_p95_ms);
+    w.kv("fit_phase_p99_ms", slo.fit_phase_p99_ms);
     w.kv("admission_backlog", slo.admission_backlog);
     w.kv("sessions_per_s", slo.sessions_per_s);
     w.kv("slots_per_s", slo.slots_per_s);

@@ -1,6 +1,7 @@
 #include "serve/personalize.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <utility>
 
@@ -21,6 +22,22 @@ namespace {
 constexpr std::uint64_t kFitSeedSalt = 0x9E12A1F17EULL;
 constexpr std::uint64_t kShuffleSalt = 0xD1CEULL;
 
+/// One thread's fit scratch: per sensor, copies of a Core's prefix and
+/// of its full base net (whose tail each fit overwrites with base +
+/// delta, then with the tuned tail it encodes), plus the window panel.
+/// Layers keep per-call state even in inference, so concurrent fits
+/// cannot share one model; sibling engines share a Core, so a thread
+/// copies the nets once per serving loop, not once per shard.
+struct FitScratch {
+  std::array<std::uint64_t, data::kNumSensors> serial{};
+  std::array<nn::Sequential, data::kNumSensors> prefix;
+  std::array<nn::Sequential, data::kNumSensors> net;
+  std::vector<nn::Tensor> panel;
+  std::vector<const nn::Tensor*> windows;
+};
+
+std::atomic<std::uint64_t> g_next_core_serial{1};
+
 }  // namespace
 
 std::size_t tail_split(const nn::Sequential& model, int tail_layers) {
@@ -39,12 +56,15 @@ std::size_t tail_split(const nn::Sequential& model, int tail_layers) {
 Personalizer::Personalizer(
     const sim::Experiment& experiment,
     const std::array<nn::Sequential, data::kNumSensors>& deployed,
-    PersonalizeConfig config)
-    : config_(std::move(config)), base_(deployed) {
-  if (config_.step_budget < 1 || config_.cadence_slots < 1 ||
-      config_.min_samples < 1 || config_.max_samples < config_.min_samples ||
-      config_.batch_size < 1 || config_.epochs < 1 ||
-      config_.learning_rate <= 0.0 || config_.tune_tail_layers < 1) {
+    PersonalizeConfig config) {
+  auto core = std::make_shared<Core>();
+  core->config = std::move(config);
+  core->base = deployed;
+  core->serial = g_next_core_serial.fetch_add(1, std::memory_order_relaxed);
+  const PersonalizeConfig& c = core->config;
+  if (c.step_budget < 1 || c.cadence_slots < 1 || c.min_samples < 1 ||
+      c.max_samples < c.min_samples || c.batch_size < 1 || c.epochs < 1 ||
+      c.learning_rate <= 0.0 || c.tune_tail_layers < 1) {
     throw std::invalid_argument("Personalizer: invalid config");
   }
   const std::vector<int> input_shape{experiment.spec().channels,
@@ -52,26 +72,33 @@ Personalizer::Personalizer(
   const nn::ComputeProfile& profile =
       experiment.config().pipeline.profile;
   for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-    base_fingerprint_[s] = nn::params_fingerprint(base_[s]);
-    split_[s] = tail_split(base_[s], config_.tune_tail_layers);
+    const nn::Sequential& base = core->base[s];
+    core->base_fingerprint[s] = nn::params_fingerprint(base);
+    core->split[s] = tail_split(base, c.tune_tail_layers);
     nn::Sequential tail;
-    for (std::size_t l = 0; l < base_[s].layer_count(); ++l) {
-      (l < split_[s] ? prefix_[s] : tail).add(base_[s].layer(l).clone());
+    for (std::size_t l = 0; l < base.layer_count(); ++l) {
+      (l < core->split[s] ? core->prefix[s] : tail).add(base.layer(l).clone());
     }
-    tail_param_[s] = prefix_[s].params().size();
-    if (split_[s] > 0) {
-      prefix_cost_j_[s] =
-          nn::estimate_cost(prefix_[s], input_shape, profile).energy_j;
+    core->tail_param[s] = core->prefix[s].params().size();
+    if (core->split[s] > 0) {
+      core->prefix_cost_j[s] =
+          nn::estimate_cost(core->prefix[s], input_shape, profile).energy_j;
     }
     // One training sample-pass ~ forward + backward + weight update over
     // the same MACs as inference: the conventional 3x multiplier on the
     // tail's per-inference cost.
     const std::vector<int> tail_input =
-        base_[s].shape_trace(input_shape)[split_[s]];
-    tail_pass_cost_j_[s] =
+        base.shape_trace(input_shape)[core->split[s]];
+    core->tail_pass_cost_j[s] =
         3.0 * nn::estimate_cost(tail, tail_input, profile).energy_j;
   }
+  core_ = std::move(core);
 }
+
+Personalizer::Personalizer(std::shared_ptr<const Core> core)
+    : core_(std::move(core)) {}
+
+Personalizer Personalizer::sibling() const { return Personalizer(core_); }
 
 void Personalizer::load(const PersonalizeState& state, std::uint64_t id,
                         std::array<nn::Sequential, data::kNumSensors>& models) {
@@ -82,9 +109,9 @@ void Personalizer::load(const PersonalizeState& state, std::uint64_t id,
     return;
   }
   for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-    nn::delta_apply_with_fingerprint(base_[s], base_fingerprint_[s],
+    nn::delta_apply_with_fingerprint(core_->base[s], core_->base_fingerprint[s],
                                      state.delta[s], models[s],
-                                     tail_param_[s]);
+                                     core_->tail_param[s]);
   }
   scratch_dirty_ = state.dirty();
   loaded_ = static_cast<std::int64_t>(id);
@@ -94,9 +121,9 @@ void Personalizer::load_base(
     std::array<nn::Sequential, data::kNumSensors>& models) {
   if (scratch_dirty_) {
     for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-      nn::delta_apply_with_fingerprint(base_[s], base_fingerprint_[s],
-                                       nn::ModelDelta{}, models[s],
-                                       tail_param_[s]);
+      nn::delta_apply_with_fingerprint(
+          core_->base[s], core_->base_fingerprint[s], nn::ModelDelta{},
+          models[s], core_->tail_param[s]);
     }
     scratch_dirty_ = false;
   }
@@ -105,8 +132,8 @@ void Personalizer::load_base(
 
 void Personalizer::validate(const PersonalizeState& state) const {
   for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-    nn::delta_check(base_[s], base_fingerprint_[s], state.delta[s],
-                    tail_param_[s]);
+    nn::delta_check(core_->base[s], core_->base_fingerprint[s],
+                    state.delta[s], core_->tail_param[s]);
   }
 }
 
@@ -131,11 +158,12 @@ std::uint64_t Personalizer::after_step(
 void Personalizer::buffer_step(PersonalizeState& state,
                                const sim::SlotStepper::StepOutcome& outcome,
                                data::SlotSource& source) {
+  const PersonalizeConfig& config = core_->config;
   // Once the remaining budget cannot fund a fit of min_samples samples,
   // fit_due refuses every later fit, so a buffered sample would never
   // be read.
   if (max_fit_samples(state) <
-      static_cast<std::uint64_t>(config_.min_samples)) {
+      static_cast<std::uint64_t>(config.min_samples)) {
     return;
   }
   // Buffer the slot when the fused ensemble output matched ground truth:
@@ -158,7 +186,7 @@ void Personalizer::buffer_step(PersonalizeState& state,
     }
     state.buffer.push_back({slot.label, slot.recipe()});
     while (state.buffer.size() >
-           static_cast<std::size_t>(config_.max_samples)) {
+           static_cast<std::size_t>(config.max_samples)) {
       state.buffer.pop_front();
     }
   }
@@ -168,119 +196,158 @@ std::uint64_t Personalizer::max_fit_samples(
     const PersonalizeState& state) const {
   // Largest sample count whose fit stays inside the remaining budget:
   // one fit costs epochs * ceil(n / batch) optimizer steps per net.
-  const std::uint64_t budget = static_cast<std::uint64_t>(config_.step_budget);
+  const PersonalizeConfig& config = core_->config;
+  const std::uint64_t budget = static_cast<std::uint64_t>(config.step_budget);
   if (state.steps_used >= budget) return 0;
   const std::uint64_t remaining = budget - state.steps_used;
-  const std::uint64_t epochs = static_cast<std::uint64_t>(config_.epochs);
-  return (remaining / epochs) * static_cast<std::uint64_t>(config_.batch_size);
+  const std::uint64_t epochs = static_cast<std::uint64_t>(config.epochs);
+  return (remaining / epochs) * static_cast<std::uint64_t>(config.batch_size);
+}
+
+std::size_t Personalizer::fit_samples(const PersonalizeState& state) const {
+  return static_cast<std::size_t>(std::min<std::uint64_t>(
+      state.buffer.size(), max_fit_samples(state)));
 }
 
 bool Personalizer::fit_due(const PersonalizeState& state,
                            const sim::SlotStepper::StepOutcome& outcome) const {
   // Cadence gate on the session-local slot index — a pure function of
   // the session's own progress, independent of tick chunking.
-  if ((outcome.slot + 1) % static_cast<std::size_t>(config_.cadence_slots) !=
+  const PersonalizeConfig& config = core_->config;
+  if ((outcome.slot + 1) % static_cast<std::size_t>(config.cadence_slots) !=
       0) {
     return false;
   }
-  const std::uint64_t n = std::min<std::uint64_t>(state.buffer.size(),
-                                                  max_fit_samples(state));
-  return n >= static_cast<std::uint64_t>(config_.min_samples);
+  return fit_samples(state) >= static_cast<std::size_t>(config.min_samples);
+}
+
+void Personalizer::fit_sensor(PersonalizeState& state,
+                              std::uint64_t seed_offset, std::size_t n,
+                              std::size_t s) const {
+  if (n == 0 || n > state.buffer.size() || s >= data::kNumSensors) {
+    throw std::invalid_argument("Personalizer::fit_sensor: bad sample count "
+                                "or sensor");
+  }
+  if (!state.context) {
+    throw std::logic_error(
+        "Personalizer::fit_sensor: buffered samples without a synthesis "
+        "context");
+  }
+  const Core& core = *core_;
+  const PersonalizeConfig& config = core.config;
+  thread_local FitScratch scratch;
+  if (scratch.serial[s] != core.serial) {
+    scratch.prefix[s] = core.prefix[s];
+    scratch.net[s] = core.base[s];
+    scratch.serial[s] = core.serial;
+  }
+
+  // Most recent n buffered slots, oldest first. The fit's windows are
+  // synthesized here, from their recipes; the frozen prefix runs once per
+  // sample, in inference mode, as one batched panel; the tail then
+  // trains on its outputs.
+  const std::size_t first = state.buffer.size() - n;
+  if (scratch.panel.size() < n) scratch.panel.resize(n);
+  scratch.windows.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    state.context->synthesize(state.buffer[first + i].recipe, s,
+                              scratch.panel[i]);
+    scratch.windows[i] = &scratch.panel[i];
+  }
+  std::vector<nn::Tensor> features(n);
+  scratch.prefix[s].forward_batch(scratch.windows.data(), n, features.data(),
+                                  /*train=*/false);
+  nn::Samples samples;
+  samples.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    samples.push_back({std::move(features[i]), state.buffer[first + i].label});
+  }
+
+  // The session's tail (base + its delta), with deterministic stochastic
+  // layers: the fit's dropout draws depend only on (session, fine-tune
+  // ordinal, sensor, full-model layer index), never on how many fits
+  // ran on this thread or shard before.
+  nn::Sequential& net = scratch.net[s];
+  nn::delta_apply_with_fingerprint(core.base[s], core.base_fingerprint[s],
+                                   state.delta[s], net, core.tail_param[s]);
+  const std::uint64_t fit_seed =
+      fleet::shard_seed(seed_offset ^ kFitSeedSalt, state.fine_tunes);
+  const std::uint64_t sensor_seed = fleet::shard_seed(fit_seed, s);
+  const std::size_t split = core.split[s];
+  nn::Sequential tail;
+  for (std::size_t l = split; l < net.layer_count(); ++l) {
+    tail.add(net.layer(l).clone());
+    if (auto* dropout = dynamic_cast<nn::Dropout*>(
+            &tail.layer(tail.layer_count() - 1))) {
+      dropout->reseed(sensor_seed + l);
+    }
+  }
+  nn::TrainConfig train;
+  train.epochs = config.epochs;
+  train.batch_size = config.batch_size;
+  train.learning_rate = config.learning_rate;
+  train.lr_decay = 1.0;
+  train.weight_decay = 0.0;
+  train.shuffle_seed = sensor_seed ^ kShuffleSalt;
+  train.early_stop_accuracy = 0.0;
+  nn::Trainer(train).fit(tail, samples);
+  for (std::size_t l = split; l < net.layer_count(); ++l) {
+    const std::vector<nn::Tensor*> tp = tail.layer(l - split).params();
+    const std::vector<nn::Tensor*> np = net.layer(l).params();
+    for (std::size_t p = 0; p < tp.size(); ++p) {
+      std::copy(tp[p]->data(), tp[p]->data() + tp[p]->size(), np[p]->data());
+    }
+  }
+
+  // The quantized state: what the snapshot stores and what every load()
+  // applies (base + dequant(delta)) is what keeps serving.
+  state.delta[s] = nn::delta_encode_with_fingerprint(
+      core.base[s], core.base_fingerprint[s], net, core.tail_param[s]);
+}
+
+std::uint64_t Personalizer::finish_fit(PersonalizeState& state,
+                                       std::size_t n) {
+  const Core& core = *core_;
+  const PersonalizeConfig& config = core.config;
+  for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+    state.energy_j +=
+        (core.prefix_cost_j[s] +
+         core.tail_pass_cost_j[s] * static_cast<double>(config.epochs)) *
+        static_cast<double>(n);
+  }
+  const std::uint64_t batches =
+      (static_cast<std::uint64_t>(n) +
+       static_cast<std::uint64_t>(config.batch_size) - 1) /
+      static_cast<std::uint64_t>(config.batch_size);
+  const std::uint64_t steps =
+      static_cast<std::uint64_t>(config.epochs) * batches;
+  state.steps_used += steps;
+  ++state.fine_tunes;
+  state.delta_bytes = serialized_bytes(state.delta);
+  state.buffer.clear();
+  // The scratch may hold this session's pre-fit weights.
+  loaded_ = -1;
+  return steps;
 }
 
 std::uint64_t Personalizer::run_fit(
     PersonalizeState& state, std::uint64_t seed_offset,
     std::array<nn::Sequential, data::kNumSensors>& models) {
-  const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
-      state.buffer.size(), max_fit_samples(state)));
+  const std::size_t n = fit_samples(state);
   if (n == 0) return 0;
-
-  if (!state.context) {
-    throw std::logic_error(
-        "Personalizer::run_fit: buffered samples without a synthesis context");
-  }
-
-  // Most recent n buffered slots, oldest first.
-  const std::size_t first = state.buffer.size() - n;
-  const std::uint64_t fit_seed =
-      fleet::shard_seed(seed_offset ^ kFitSeedSalt, state.fine_tunes);
-  if (panel_.size() < n) panel_.resize(n);
-  std::vector<const nn::Tensor*> windows(n);
-  for (std::size_t i = 0; i < n; ++i) windows[i] = &panel_[i];
-  std::vector<nn::Tensor> features(n);
   for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-    // The fit's windows are synthesized here, from their recipes; the
-    // frozen prefix runs once per sample, in inference mode, as one
-    // batched panel; the tail then trains on its outputs.
-    for (std::size_t i = 0; i < n; ++i) {
-      state.context->synthesize(state.buffer[first + i].recipe, s, panel_[i]);
-    }
-    prefix_[s].forward_batch(windows.data(), n, features.data(),
-                             /*train=*/false);
-    nn::Samples samples;
-    samples.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      samples.push_back(
-          {std::move(features[i]), state.buffer[first + i].label});
-    }
-
-    // The session's loaded tail, with deterministic stochastic layers:
-    // the fit's dropout draws depend only on (session, fine-tune
-    // ordinal, sensor, full-model layer index), never on how many fits
-    // other sessions ran on this shard scratch before.
-    const std::uint64_t sensor_seed = fleet::shard_seed(fit_seed, s);
-    const std::size_t split = split_[s];
-    nn::Sequential tail;
-    for (std::size_t l = split; l < models[s].layer_count(); ++l) {
-      tail.add(models[s].layer(l).clone());
-      if (auto* dropout = dynamic_cast<nn::Dropout*>(
-              &tail.layer(tail.layer_count() - 1))) {
-        dropout->reseed(sensor_seed + l);
-      }
-    }
-    nn::TrainConfig train;
-    train.epochs = config_.epochs;
-    train.batch_size = config_.batch_size;
-    train.learning_rate = config_.learning_rate;
-    train.lr_decay = 1.0;
-    train.weight_decay = 0.0;
-    train.shuffle_seed = sensor_seed ^ kShuffleSalt;
-    train.early_stop_accuracy = 0.0;
-    nn::Trainer(train).fit(tail, samples);
-    for (std::size_t l = split; l < models[s].layer_count(); ++l) {
-      const std::vector<nn::Tensor*> tp = tail.layer(l - split).params();
-      const std::vector<nn::Tensor*> mp = models[s].layer(l).params();
-      for (std::size_t p = 0; p < tp.size(); ++p) {
-        std::copy(tp[p]->data(), tp[p]->data() + tp[p]->size(),
-                  mp[p]->data());
-      }
-    }
-
-    // Realize the quantized state: encode the tail diff, then apply it
-    // back so the live weights sit exactly on the delta grid — what the
-    // snapshot stores is bit-for-bit what keeps serving.
-    state.delta[s] = nn::delta_encode_with_fingerprint(
-        base_[s], base_fingerprint_[s], models[s], tail_param_[s]);
-    nn::delta_apply_with_fingerprint(base_[s], base_fingerprint_[s],
+    fit_sensor(state, seed_offset, n, s);
+  }
+  const std::int64_t loaded = loaded_;
+  const std::uint64_t steps = finish_fit(state, n);
+  // `models` held this session's weights; realize its tuned ones there.
+  for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+    nn::delta_apply_with_fingerprint(core_->base[s], core_->base_fingerprint[s],
                                      state.delta[s], models[s],
-                                     tail_param_[s]);
-    state.energy_j +=
-        (prefix_cost_j_[s] +
-         tail_pass_cost_j_[s] * static_cast<double>(config_.epochs)) *
-        static_cast<double>(n);
+                                     core_->tail_param[s]);
   }
   scratch_dirty_ = true;
-
-  const std::uint64_t batches =
-      (static_cast<std::uint64_t>(n) +
-       static_cast<std::uint64_t>(config_.batch_size) - 1) /
-      static_cast<std::uint64_t>(config_.batch_size);
-  const std::uint64_t steps =
-      static_cast<std::uint64_t>(config_.epochs) * batches;
-  state.steps_used += steps;
-  ++state.fine_tunes;
-  state.delta_bytes = serialized_bytes(state.delta);
-  state.buffer.clear();
+  loaded_ = loaded;
   return steps;
 }
 

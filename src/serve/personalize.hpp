@@ -1,25 +1,32 @@
 // In-shard bounded per-user fine-tuning: a served session accumulates
 // its recent correctly-classified slots and, on a fixed slot cadence,
-// runs a budgeted micro-fit of the deployed per-sensor nets on the
-// shard's model scratch. A buffered slot is its label and its
-// data::SlotRecipe, not its windows: windows are pure functions of the
-// recipe and the session stream's data::SynthesisContext, so a fit
-// synthesizes exactly the windows it trains on, and a slot evicted from
-// the buffer or never fitted costs no synthesis. Only the trailing
-// `tune_tail_layers` parameterized layers (the classifier head) adapt:
-// the frozen prefix in front of them runs once per fit as one batched
-// inference panel over the synthesized windows, and nn::Trainer fits
-// just the tail on those features. The prefix never trains, so a user's whole
-// personalized state is a small nn::ModelDelta against the base — the
-// unit the snapshot persists and the delta store writes.
+// runs a budgeted micro-fit of the deployed per-sensor nets. A buffered
+// slot is its label and its data::SlotRecipe, not its windows: windows
+// are pure functions of the recipe and the session stream's
+// data::SynthesisContext, so a fit synthesizes exactly the windows it
+// trains on, and a slot evicted from the buffer or never fitted costs no
+// synthesis. Only the trailing `tune_tail_layers` parameterized layers
+// (the classifier head) adapt: the frozen prefix in front of them runs
+// once per fit as one batched inference panel over the synthesized
+// windows, and nn::Trainer fits just the tail on those features. The
+// prefix never trains, so a user's whole personalized state is a small
+// nn::ModelDelta against the base — the unit the snapshot persists and
+// the delta store writes.
+//
+// A fit is three independent sensor fits (fit_sensor) and one booking
+// (finish_fit). A sensor fit reads only its session's buffer, delta and
+// seeds, writes only that session's delta for that sensor, and runs on
+// per-thread scratch (panel, prefix copy, tail), never on a shard's
+// model scratch, so the serving loop runs the sensor fits of every fit
+// due in a tick as parallel pool tasks (DESIGN.md §14).
 //
 // Determinism: every fine-tune derives its dropout and shuffle seeds
 // from (session seed_offset, fine-tune ordinal), never from shared RNG
-// state, and after each fit the trainable tensors are *realized* on the
-// quantized delta grid (base + dequant(encode(tuned - base))), so the
-// in-memory weights always equal what a snapshot stores — sessions are
-// bit-identical at any thread count and across a mid-flight
-// snapshot/restore split.
+// state, and the tuned tail is stored on the quantized delta grid
+// (encode(tuned - base)); every model that serves or fits a session's
+// weights applies base + dequant(delta), so the in-memory weights always
+// equal what a snapshot stores — sessions are bit-identical at any
+// thread count and across a mid-flight snapshot/restore split.
 #pragma once
 
 #include <array>
@@ -87,23 +94,30 @@ struct PersonalizeState {
   }
 };
 
-/// Shard-owned fine-tuning engine: keeps the pristine base copies of the
+/// Shard-owned fine-tuning engine: the pristine base copies of the
 /// deployed nets, their fingerprints, the frozen prefixes and the per-fit
-/// energy price. One per shard; the shard's sessions share it, one load()
-/// or fit at a time.
+/// energy price (immutable, and shared by sibling engines), plus the
+/// state of one shard's model scratch (which session's weights it holds).
+/// One per shard; the shard's sessions share it, one load() at a time.
 class Personalizer {
  public:
   Personalizer(const sim::Experiment& experiment,
                const std::array<nn::Sequential, data::kNumSensors>& deployed,
                PersonalizeConfig config);
 
-  const PersonalizeConfig& config() const { return config_; }
+  /// An engine for another shard's model scratch over this one's base:
+  /// it shares the immutable base copies, prefixes and prices (so sensor
+  /// fits of both shards reuse one per-thread fit scratch), and its own
+  /// scratch state starts at pristine base.
+  Personalizer sibling() const;
+
+  const PersonalizeConfig& config() const { return core_->config; }
 
   /// Loads session `id`'s personalized weights into the shard scratch
   /// (base + dequantized delta), skipping the copy when the scratch
-  /// already holds them. Call before a panel or fit on those weights.
+  /// already holds them. Call before a panel on those weights.
   /// Only the tail's tensors are written: the scratch prefix is always
-  /// base, because only fits write weights and a fit writes only the
+  /// base, because only fits change weights and a fit changes only the
   /// tail (validate() holds restored deltas to the same rule).
   void load(const PersonalizeState& state, std::uint64_t id,
             std::array<nn::Sequential, data::kNumSensors>& models);
@@ -118,9 +132,7 @@ class Personalizer {
   /// matched ground truth, and runs a budgeted micro-fit on the cadence.
   /// `models` must currently hold this session's weights (see load()).
   /// Returns the optimizer steps consumed (0 when no fit ran).
-  /// Equivalent to buffer_step + (fit_due ? run_fit : 0) — the shard
-  /// calls the pieces so it can defer the (possibly redundant) load()
-  /// until a fit is actually due.
+  /// Equivalent to buffer_step + (fit_due ? run_fit : 0).
   std::uint64_t after_step(PersonalizeState& state, std::uint64_t seed_offset,
                            const sim::SlotStepper::StepOutcome& outcome,
                            data::SlotSource& source,
@@ -140,13 +152,32 @@ class Personalizer {
   /// touching the scratch.
   bool fit_due(const PersonalizeState& state,
                const sim::SlotStepper::StepOutcome& outcome) const;
-  /// The fit half of after_step. `models` must hold this session's
-  /// weights (load() first). Per sensor: the windows of the n samples the
-  /// fit uses, synthesized from their recipes into the shard's panel
-  /// scratch, one inference forward_batch of the frozen prefix over them,
-  /// an nn::Trainer fit of a clone of the session's tail on those
-  /// features, and the tuned tail copied back into `models`. Returns the
+  /// Samples the next fit of `state` trains on: the most recent buffered
+  /// ones, as many as the remaining step budget funds (0 once spent).
+  std::size_t fit_samples(const PersonalizeState& state) const;
+
+  /// Sensor `s`'s share of a fit on the `n` most recent buffered samples
+  /// (n = fit_samples(state), taken before any of the fit's calls): the
+  /// n windows synthesized from their recipes, one inference
+  /// forward_batch of the frozen prefix over them, an nn::Trainer fit of
+  /// a tail built from the base tail plus `state.delta[s]`, and the tuned
+  /// tail encoded into `state.delta[s]`. Reads only `state`'s buffer,
+  /// context, fine-tune ordinal and delta[s], writes only delta[s], and
+  /// runs on per-thread scratch: calls for distinct (state, s) pairs may
+  /// run concurrently, on this engine or its siblings. The fit is booked
+  /// by finish_fit once all three sensors have run.
+  void fit_sensor(PersonalizeState& state, std::uint64_t seed_offset,
+                  std::size_t n, std::size_t s) const;
+  /// Books a fit whose three fit_sensor calls have run: its energy
+  /// (summed in sensor order), optimizer steps, fine-tune count and delta
+  /// size; clears the buffer and marks the shard scratch stale, so the
+  /// next load() of any dirty session re-applies its delta. Returns the
   /// optimizer steps consumed.
+  std::uint64_t finish_fit(PersonalizeState& state, std::size_t n);
+  /// The fit half of after_step: fit_sensor for every sensor in order,
+  /// then finish_fit. `models` must hold this session's weights (load()
+  /// first) and holds its tuned weights afterwards. Returns the optimizer
+  /// steps consumed (0 when there is nothing to fit).
   std::uint64_t run_fit(PersonalizeState& state, std::uint64_t seed_offset,
                         std::array<nn::Sequential, data::kNumSensors>& models);
 
@@ -161,32 +192,39 @@ class Personalizer {
       const std::array<nn::ModelDelta, data::kNumSensors>& delta);
 
  private:
+  /// What sibling engines share: everything but the scratch state.
+  struct Core {
+    PersonalizeConfig config;
+    std::array<nn::Sequential, data::kNumSensors> base;
+    std::array<std::uint64_t, data::kNumSensors> base_fingerprint{};
+    /// Per sensor: layers [0, split) are the frozen prefix, [split, L)
+    /// the tail that trains (see tail_split).
+    std::array<std::size_t, data::kNumSensors> split{};
+    /// Clones of base layers [0, split): deltas only ever cover the
+    /// tail, so the prefix is the base for every session.
+    std::array<nn::Sequential, data::kNumSensors> prefix;
+    /// Per sensor: index in params() order of the tail's first parameter
+    /// tensor — where every delta encode, apply and check starts.
+    std::array<std::size_t, data::kNumSensors> tail_param{};
+    /// Energy price per buffered sample: one prefix inference (0 when
+    /// the prefix is empty), plus per epoch one tail training pass at 3x
+    /// the tail's inference cost (forward + backward over the same MACs).
+    std::array<double, data::kNumSensors> prefix_cost_j{};
+    std::array<double, data::kNumSensors> tail_pass_cost_j{};
+    /// Process-unique id: which core a thread's fit scratch was copied
+    /// from (never reused, unlike an address).
+    std::uint64_t serial = 0;
+  };
+
+  explicit Personalizer(std::shared_ptr<const Core> core);
+
   /// Most samples a fit may use within the remaining step budget
   /// (epochs * ceil(n / batch_size) steps per net); 0 once spent.
   std::uint64_t max_fit_samples(const PersonalizeState& state) const;
 
-  PersonalizeConfig config_;
-  std::array<nn::Sequential, data::kNumSensors> base_;
-  std::array<std::uint64_t, data::kNumSensors> base_fingerprint_{};
-  /// Per sensor: layers [0, split) are the frozen prefix, [split, L) the
-  /// tail that trains (see tail_split).
-  std::array<std::size_t, data::kNumSensors> split_{};
-  /// Clones of base layers [0, split): deltas only ever cover the tail,
-  /// so the prefix is the base for every session.
-  std::array<nn::Sequential, data::kNumSensors> prefix_;
-  /// Per sensor: index in params() order of the tail's first parameter
-  /// tensor — where every delta encode, apply and check starts.
-  std::array<std::size_t, data::kNumSensors> tail_param_{};
-  /// Energy price per buffered sample: one prefix inference (0 when the
-  /// prefix is empty), plus per epoch one tail training pass at 3x the
-  /// tail's inference cost (forward + backward over the same MACs).
-  std::array<double, data::kNumSensors> prefix_cost_j_{};
-  std::array<double, data::kNumSensors> tail_pass_cost_j_{};
-  /// One sensor's fit windows, reused by every fit on this shard.
-  std::vector<nn::Tensor> panel_;
-
+  std::shared_ptr<const Core> core_;
   /// Which session's weights the shard scratch currently holds; -1 =
-  /// pristine base.
+  /// none known (pristine base when !scratch_dirty_).
   std::int64_t loaded_ = -1;
   /// Whether the scratch may differ from base (avoids a full restore
   /// when consecutive sessions both have empty deltas).

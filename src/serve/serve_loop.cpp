@@ -69,8 +69,10 @@ ServeLoop::ServeLoop(const sim::Experiment& experiment, ServeConfig config)
       obs::MetricsRegistry::exponential_bounds(1e-4, 2.0, 20),
       /*deterministic=*/false);
   // Where a tick's wall time goes: the serial section (admission plus the
-  // publish fold) and each shard's task, one observation per shard per
-  // tick() call. Wall clock, so excluded from every bit-identity check.
+  // publish fold, one observation per tick() call) and each shard's
+  // serving (one observation per shard task, and one more each time the
+  // shard serves on after its fits). Wall clock, so excluded from every
+  // bit-identity check.
   tick_serial_seconds_id_ = registry_.add_histogram(
       "serve.tick_serial_seconds",
       obs::MetricsRegistry::exponential_bounds(1e-6, 2.0, 20),
@@ -79,16 +81,32 @@ ServeLoop::ServeLoop(const sim::Experiment& experiment, ServeConfig config)
       "serve.shard_busy_seconds",
       obs::MetricsRegistry::exponential_bounds(1e-6, 2.0, 20),
       /*deterministic=*/false);
+  // The fit batch's wall time, one observation per fit batch (fits are
+  // not in serve.shard_busy_seconds; the batch also books each shard's
+  // fits and serves the shard on).
+  fit_phase_seconds_id_ = registry_.add_histogram(
+      "serve.fit_phase_seconds",
+      obs::MetricsRegistry::exponential_bounds(1e-5, 2.0, 20),
+      /*deterministic=*/false);
   det_metrics_ = registry_.make_shard();
   loop_wall_metrics_ = registry_.make_shard();
 
+  if (config_.personalize.enabled) {
+    personalizer_ = std::make_unique<Personalizer>(
+        experiment,
+        SessionShard::deployed_models(experiment, config_.set, config_.bits),
+        config_.personalize);
+  }
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     shards_.push_back(std::make_unique<SessionShard>(
-        experiment, config_.set, config_.bits, config_.personalize));
+        experiment, config_.set, config_.bits, personalizer_.get()));
     shards_.back()->set_wall_metrics(registry_.make_shard());
   }
   admits_.resize(config_.shards);
+  shard_ticks_.resize(config_.shards);
+  sensor_fits_left_ =
+      std::vector<std::atomic<std::size_t>>(config_.shards);
   shard_summaries_.resize(config_.shards);
   if (obs::kTraceEnabled && config_.flight_capacity > 0) {
     flight_ = std::make_unique<obs::FlightRecorder>(config_.flight_capacity);
@@ -160,9 +178,17 @@ void ServeLoop::tick(std::uint64_t n) {
   }
   const double admission_seconds = seconds_since(begin);
 
-  // Serve every shard over [now_, to). Threads decide when a shard runs,
-  // never what it computes — the publish fold below is shard-ordered.
+  // Serve every shard over [now_, to): one task per shard serves ahead
+  // until `to` or until a tick queues fits (a fit changes the weights
+  // the session's next slot is classified with), so a tick() that queues
+  // no fit is this one batch. Then fit batches run until no shard has
+  // fits queued. Shards never read each other, so where each one pauses
+  // changes no output. Threads decide when a task runs, never what it
+  // computes — the publish fold below is shard-ordered.
+  std::fill(shard_ticks_.begin(), shard_ticks_.end(), now_);
   pool_.run_batch(shards_.size(), [&](std::size_t i) { serve_shard(i, to); });
+  while (run_fits(to)) {
+  }
 
   det_metrics_.inc(admitted_id_, admitted_delta);
   publish_round(to, seconds_since(begin), admission_seconds);
@@ -173,9 +199,42 @@ void ServeLoop::serve_shard(std::size_t i, std::uint64_t to) {
   SessionShard& shard = *shards_[i];
   for (std::uint64_t id : admits_[i]) admit_session(make_session(id));
   admits_[i].clear();
-  shard.serve_ticks(now_, to, step_seconds_id_);
-  shard.summarize(shard_summaries_[i]);
+  std::uint64_t& t = shard_ticks_[i];
+  while (t < to && shard.fit_jobs().empty()) {
+    shard.serve_tick(t++, step_seconds_id_);
+  }
+  if (shard.fit_jobs().empty()) shard.summarize(shard_summaries_[i]);
   shard.wall_metrics().observe(shard_busy_seconds_id_, seconds_since(begin));
+}
+
+bool ServeLoop::run_fits(std::uint64_t to) {
+  queued_fits_.clear();
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    const auto& jobs = shards_[i]->fit_jobs();
+    for (const SessionShard::FitJob& job : jobs) {
+      queued_fits_.push_back({job, i});
+    }
+    sensor_fits_left_[i].store(jobs.size() * data::kNumSensors,
+                               std::memory_order_relaxed);
+  }
+  if (queued_fits_.empty()) return false;
+  const auto begin = std::chrono::steady_clock::now();
+  pool_.run_batch(queued_fits_.size() * data::kNumSensors, [&](std::size_t k) {
+    const QueuedFit& fit = queued_fits_[k / data::kNumSensors];
+    Session& session = *fit.job.session;
+    personalizer_->fit_sensor(*session.personalize(),
+                              session.spec().seed_offset, fit.job.samples,
+                              k % data::kNumSensors);
+    // The last of a shard's sensor fits books them (the shard paused
+    // right after the tick that queued them) and serves the shard on.
+    if (sensor_fits_left_[fit.shard].fetch_sub(
+            1, std::memory_order_acq_rel) == 1) {
+      shards_[fit.shard]->book_fits(shard_ticks_[fit.shard] - 1);
+      serve_shard(fit.shard, to);
+    }
+  });
+  loop_wall_metrics_.observe(fit_phase_seconds_id_, seconds_since(begin));
+  return true;
 }
 
 void ServeLoop::publish_round(std::uint64_t to, double tick_seconds,
@@ -189,9 +248,9 @@ void ServeLoop::publish_round(std::uint64_t to, double tick_seconds,
   }
   std::vector<CompletedSession> round_completed;
   for (auto& shard : shards_) {
+    det_metrics_.inc(slots_id_, shard->round_slots().size());
     for (SlotRecord& record : shard->round_slots()) {
       record.seq = results_seq_++;
-      det_metrics_.inc(slots_id_);
       results_.push_back(record);
     }
     shard->round_slots().clear();
@@ -329,19 +388,24 @@ std::vector<CompletedSession> ServeLoop::completed_sessions() const {
 
 ServeLoop::Slo ServeLoop::slo() const {
   std::lock_guard<std::mutex> lock(publish_mutex_);
+  const auto quantiles = [&](const char* name) {
+    const obs::MetricDef* def = metrics_snapshot_.find(name);
+    const obs::HistogramCell& cell = metrics_snapshot_.histograms[def->slot];
+    return std::make_pair(
+        cell.count, obs::histogram_quantiles(cell, def->upper_bounds,
+                                             {obs::kSloQuantiles.begin(),
+                                              obs::kSloQuantiles.end()}));
+  };
   Slo slo;
-  const obs::MetricDef* step =
-      metrics_snapshot_.find("serve.step_seconds");
-  if (step) {
-    const obs::HistogramCell& cell =
-        metrics_snapshot_.histograms[step->slot];
-    const auto qs = obs::histogram_quantiles(
-        cell, step->upper_bounds, {obs::kSloQuantiles.begin(),
-                                   obs::kSloQuantiles.end()});
-    slo.step_p50_us = qs[0] * 1e6;
-    slo.step_p95_us = qs[1] * 1e6;
-    slo.step_p99_us = qs[2] * 1e6;
-  }
+  const auto [steps, step_qs] = quantiles("serve.step_seconds");
+  slo.step_p50_us = step_qs[0] * 1e6;
+  slo.step_p95_us = step_qs[1] * 1e6;
+  slo.step_p99_us = step_qs[2] * 1e6;
+  const auto [fit_phases, fit_qs] = quantiles("serve.fit_phase_seconds");
+  slo.fit_phases = fit_phases;
+  slo.fit_phase_p50_ms = fit_qs[0] * 1e3;
+  slo.fit_phase_p95_ms = fit_qs[1] * 1e3;
+  slo.fit_phase_p99_ms = fit_qs[2] * 1e3;
   if (tick_digest_.count() > 0) {
     slo.tick_p50_ms = tick_digest_.quantile(0.5) * 1e3;
     slo.tick_p95_ms = tick_digest_.quantile(0.95) * 1e3;

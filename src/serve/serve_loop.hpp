@@ -3,7 +3,12 @@
 // under an open-loop arrival schedule over a deterministic virtual clock
 // (one tick = one stream slot), advanced one slot per tick in sharded
 // session tables on a reused fleet::ThreadPool (the driver thread is one
-// of its participants), and evicted on completion. All published outputs
+// of its participants), and evicted on completion. A tick() is a shard
+// batch (one pool task per shard, serving ahead until the call's end or
+// its first tick that makes a fine-tune due), then, while fits are
+// queued, fit batches (one pool task per sensor of every queued fit; a
+// shard's last one books its fits and serves the shard on); then it
+// publishes (DESIGN.md §11). All published outputs
 // — the JSONL results stream, the completed-session log, the
 // deterministic metrics — are folded in shard-index order, so they are
 // bit-identical at any --threads and across a snapshot/restore split
@@ -15,6 +20,7 @@
 // mutex at the end of each tick.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -126,6 +132,11 @@ class ServeLoop {
   struct Slo {
     double step_p50_us = 0.0, step_p95_us = 0.0, step_p99_us = 0.0;
     double tick_p50_ms = 0.0, tick_p95_ms = 0.0, tick_p99_ms = 0.0;
+    /// Wall time of the fit batches (serve.fit_phase_seconds): how many
+    /// ran and their quantiles.
+    std::uint64_t fit_phases = 0;
+    double fit_phase_p50_ms = 0.0, fit_phase_p95_ms = 0.0,
+           fit_phase_p99_ms = 0.0;
     /// Sessions not yet admitted (config.users - admitted).
     std::uint64_t admission_backlog = 0;
     /// Completed sessions / served slots per wall-clock second spent in
@@ -174,11 +185,18 @@ class ServeLoop {
   std::unique_ptr<Session> make_session(std::uint64_t id);
   /// Hands `session` to its home shard (and records its admit event).
   void admit_session(std::unique_ptr<Session> session);
-  /// Shard `i`'s task for the round [now_, to): builds the sessions
-  /// routed to it this tick (id order), serves them, and refreshes its
-  /// summary rows. Touches only shard `i` and its slots in admits_ and
-  /// shard_summaries_.
+  /// Shard `i`'s serving: builds the sessions routed to it this tick()
+  /// call (id order), then serves virtual ticks from shard_ticks_[i]
+  /// until `to` or until a tick queues fits, and refreshes its summary
+  /// rows once it reaches `to` with no fit queued. Touches only shard `i`
+  /// and its slots in admits_, shard_ticks_ and shard_summaries_.
   void serve_shard(std::size_t i, std::uint64_t to);
+  /// One fit batch, when any shard has fits queued (returns whether it
+  /// ran): one pool task per (queued fit, sensor), in shard order, then
+  /// admission order. The task that runs a shard's last sensor fit books
+  /// the shard's fits in order at the tick that queued them, then serves
+  /// the shard on (serve_shard), which may queue the next batch's fits.
+  bool run_fits(std::uint64_t to);
   /// Folds the round logs of every shard in shard-index order under the
   /// publish mutex and refreshes the published views. `admission_seconds`
   /// is the tick's serial admission time, counted into the serial-section
@@ -204,17 +222,33 @@ class ServeLoop {
   obs::MetricId batch_panels_id_{}, batch_windows_id_{}, batch_occupancy_id_{};
   obs::MetricId step_seconds_id_{}, tick_seconds_id_{};
   obs::MetricId tick_serial_seconds_id_{}, shard_busy_seconds_id_{};
+  obs::MetricId fit_phase_seconds_id_{};
   /// Deterministic metrics, recorded only during the serial publish fold.
   obs::MetricsShard det_metrics_;
-  /// Wall-clock metrics owned by the loop (tick latency, serial section).
+  /// Wall-clock metrics owned by the loop (tick latency, serial section,
+  /// fit phase).
   obs::MetricsShard loop_wall_metrics_;
 
+  /// The fine-tuning engine every shard's Personalizer is a sibling of;
+  /// the fit batch runs its sensor fits. Null unless personalize.enabled.
+  std::unique_ptr<Personalizer> personalizer_;
   std::vector<std::unique_ptr<SessionShard>> shards_;
   /// Per shard: ids admitted this tick, built by the shard's task.
   std::vector<std::vector<std::uint64_t>> admits_;
   /// Per shard: summary rows of its active sessions, written by the
   /// shard's task and concatenated in shard order by the publisher.
   std::vector<std::vector<SessionSummary>> shard_summaries_;
+  /// Per shard: the next virtual tick it serves in this tick() call.
+  std::vector<std::uint64_t> shard_ticks_;
+  /// The current fit batch, shard order then admission order; task k
+  /// fits sensor k % kNumSensors of entry k / kNumSensors.
+  struct QueuedFit {
+    SessionShard::FitJob job;
+    std::size_t shard = 0;
+  };
+  std::vector<QueuedFit> queued_fits_;
+  /// Per shard: its sensor fits in the current fit batch not yet done.
+  std::vector<std::atomic<std::size_t>> sensor_fits_left_;
   fleet::ThreadPool pool_;  // created once, reused per tick
 
   /// Flight recorder: per-shard logs recorded lock-free during the round,

@@ -25,19 +25,24 @@ std::uint64_t fnv1a_outputs(const std::vector<int>& outputs) {
   return h;
 }
 
+std::array<nn::Sequential, data::kNumSensors> SessionShard::deployed_models(
+    const sim::Experiment& experiment, sim::ModelSet set, int bits) {
+  auto models = set == sim::ModelSet::Relaxed
+                    ? experiment.system().relaxed_copy()
+                    : experiment.system().bl2_copy();
+  if (bits != 32) {
+    for (nn::Sequential& model : models) model.set_inference_bits(bits);
+  }
+  return models;
+}
+
 SessionShard::SessionShard(const sim::Experiment& experiment,
                            sim::ModelSet set, int bits,
-                           const PersonalizeConfig& personalize)
-    : models_(set == sim::ModelSet::Relaxed
-                  ? experiment.system().relaxed_copy()
-                  : experiment.system().bl2_copy()),
+                           const Personalizer* personalizer)
+    : models_(deployed_models(experiment, set, bits)),
       slot_s_(experiment.spec().slot_seconds()) {
-  if (bits != 32) {
-    for (nn::Sequential& model : models_) model.set_inference_bits(bits);
-  }
-  if (personalize.enabled) {
-    personalizer_ =
-        std::make_unique<Personalizer>(experiment, models_, personalize);
+  if (personalizer) {
+    personalizer_ = std::make_unique<Personalizer>(personalizer->sibling());
   }
 }
 
@@ -87,24 +92,20 @@ void SessionShard::capture_nvp_before(const Session& session,
 #endif
 }
 
-void SessionShard::finish_step(Session& session, const PendingStep& item,
+bool SessionShard::finish_step(Session& session, const PendingStep& item,
                                std::uint64_t tick) {
   const SessionSpec& spec = session.spec();
   const auto out = session.stepper().step_finish(
       results_.data() + item.req_begin, item.req_end - item.req_begin);
+  bool fit_queued = false;
   if (personalizer_) {
     PersonalizeState& state = *session.personalize();
     personalizer_->buffer_step(state, out, session.stepper().source());
     if (personalizer_->fit_due(state, out)) {
-      // The scratch may hold another session's weights (or base) after
-      // the tick's panel pass — re-target it before the fit.
-      personalizer_->load(state, spec.id, models_);
-      const std::uint64_t steps =
-          personalizer_->run_fit(state, spec.seed_offset, models_);
-      if (steps > 0) {
-        ++round_fine_tunes_;
-        round_fine_tune_steps_ += steps;
-      }
+      // The fit itself runs after the shard's tick, as sensor tasks of
+      // the loop's fit batch; this tick's classifications are done.
+      fit_jobs_.push_back({&session, personalizer_->fit_samples(state)});
+      fit_queued = true;
     }
   }
 #if ORIGIN_TRACE_ENABLED
@@ -155,6 +156,7 @@ void SessionShard::finish_step(Session& session, const PendingStep& item,
   record.predicted = out.predicted;
   record.label = out.label;
   round_slots_.push_back(record);
+  return fit_queued;
 }
 
 void SessionShard::complete_session(Session& session,
@@ -190,45 +192,61 @@ void SessionShard::complete_session(Session& session,
   round_completed_.push_back(std::move(done));
 }
 
-void SessionShard::serve_ticks(std::uint64_t from, std::uint64_t to,
-                               obs::MetricId step_seconds) {
-  // Tick-outer: at each virtual tick, gather every ready window across
-  // the shard's sessions (phase A), classify them in per-(delta-group,
-  // sensor) panels (phase B), then complete each session's slot in
-  // admission order (phase C). Sessions are independent and classification
-  // is a pure function of (model, window), so per-session results are
-  // bit-identical to stepping each session alone — only the number of
-  // forward passes changes (DESIGN.md §15).
-  for (std::uint64_t tick = from; tick < to; ++tick) {
-    const auto begin = steady_clock::now();
-    requests_.clear();
-    pending_.clear();
-    for (auto& session : active_) {
-      if (session->done() || tick < session->spec().arrival_tick) continue;
-      PendingStep item;
-      item.session = session.get();
-      capture_nvp_before(*session, item);
-      item.req_begin = requests_.size();
-      session->stepper().step_begin(requests_);
-      item.req_end = requests_.size();
-      pending_.push_back(item);
-    }
-    if (pending_.empty()) continue;
+void SessionShard::serve_tick(std::uint64_t tick,
+                              obs::MetricId step_seconds) {
+  // Gather every ready window across the shard's sessions (phase A),
+  // classify them in per-(delta-group, sensor) panels (phase B), then
+  // complete each session's slot in admission order (phase C). Sessions
+  // are independent and classification is a pure function of (model,
+  // window), so per-session results are bit-identical to stepping each
+  // session alone — only the number of forward passes changes
+  // (DESIGN.md §15).
+  const auto begin = steady_clock::now();
+  requests_.clear();
+  pending_.clear();
+  for (auto& session : active_) {
+    if (session->done() || tick < session->spec().arrival_tick) continue;
+    PendingStep item;
+    item.session = session.get();
+    capture_nvp_before(*session, item);
+    item.req_begin = requests_.size();
+    session->stepper().step_begin(requests_);
+    item.req_end = requests_.size();
+    pending_.push_back(item);
+  }
+  if (pending_.empty()) return;
 
-    run_panels(pending_);
+  run_panels(pending_);
 
-    for (const PendingStep& item : pending_) {
-      finish_step(*item.session, item, tick);
-      if (item.session->done()) complete_session(*item.session, tick);
-    }
-    // One observation per served slot: the tick's gather/classify/scatter
-    // wall time amortized over its slots.
-    const double per_slot =
-        seconds_since(begin) / static_cast<double>(pending_.size());
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      wall_metrics_.observe(step_seconds, per_slot);
+  for (const PendingStep& item : pending_) {
+    const bool fit_queued = finish_step(*item.session, item, tick);
+    if (item.session->done() && !fit_queued) {
+      complete_session(*item.session, tick);
     }
   }
+  // One observation per served slot: the tick's gather/classify/scatter
+  // wall time amortized over its slots.
+  const double per_slot =
+      seconds_since(begin) / static_cast<double>(pending_.size());
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    wall_metrics_.observe(step_seconds, per_slot);
+  }
+  // A queued fit still reads its session; book_fits evicts then.
+  if (fit_jobs_.empty()) {
+    std::erase_if(active_,
+                  [](const std::unique_ptr<Session>& s) { return s->done(); });
+  }
+}
+
+void SessionShard::book_fits(std::uint64_t tick) {
+  for (const FitJob& job : fit_jobs_) {
+    const std::uint64_t steps =
+        personalizer_->finish_fit(*job.session->personalize(), job.samples);
+    ++round_fine_tunes_;
+    round_fine_tune_steps_ += steps;
+    if (job.session->done()) complete_session(*job.session, tick);
+  }
+  fit_jobs_.clear();
   std::erase_if(active_,
                 [](const std::unique_ptr<Session>& s) { return s->done(); });
 }

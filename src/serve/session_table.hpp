@@ -75,27 +75,47 @@ std::uint64_t fnv1a_outputs(const std::vector<int>& outputs);
 class SessionShard {
  public:
   /// Builds this shard's private copies of the deployed networks for
-  /// `set` (inference mutates activation caches, so shards never share).
-  /// `bits` != 32 switches the copies to the int8 serving path
-  /// (Sequential::set_inference_bits). When `personalize.enabled`, the
-  /// shard also keeps pristine base copies and a Personalizer, and its
-  /// model scratch is re-targeted per delta group (base, or base + one
-  /// session's delta) before each panel and each fit.
+  /// `set` (deployed_models; inference mutates activation caches, so
+  /// shards never share). When `personalizer` is given — an engine over
+  /// the same deployed_models — the shard fine-tunes its sessions with a
+  /// sibling of it (Personalizer::sibling, sharing its base copies), and
+  /// its model scratch is re-targeted per delta group (base, or base +
+  /// one session's delta) before each panel.
   SessionShard(const sim::Experiment& experiment, sim::ModelSet set,
-               int bits = 32, const PersonalizeConfig& personalize = {});
+               int bits = 32, const Personalizer* personalizer = nullptr);
+
+  /// The deployed networks for `set`; `bits` != 32 switches them to the
+  /// int8 serving path (Sequential::set_inference_bits).
+  static std::array<nn::Sequential, data::kNumSensors> deployed_models(
+      const sim::Experiment& experiment, sim::ModelSet set, int bits);
 
   std::array<nn::Sequential, data::kNumSensors>* models() { return &models_; }
 
   void admit(std::unique_ptr<Session> session);
 
-  /// Serves every admitted session one slot per tick over [from, to)
-  /// (sessions arriving inside the window start at their arrival tick),
-  /// classifying each tick's ready windows in per-sensor panels
+  /// A fit that a slot of the current tick made due: the session and the
+  /// number of buffered samples it trains on (Personalizer::fit_samples).
+  struct FitJob {
+    Session* session = nullptr;
+    std::size_t samples = 0;
+  };
+
+  /// Serves every admitted session that has arrived by `tick` one slot,
+  /// classifying the tick's ready windows in per-sensor panels
   /// (DESIGN.md §15). Appends served slots and completions to the round
-  /// logs and evicts completed sessions. `step_seconds` is observed per
-  /// slot into `wall_metrics()` (wall-clock — never deterministic).
-  void serve_ticks(std::uint64_t from, std::uint64_t to,
-                   obs::MetricId step_seconds);
+  /// logs and evicts completed sessions; a slot that makes a fit due
+  /// queues a FitJob instead of fitting, and a session whose final slot
+  /// did so completes in book_fits. `step_seconds` is observed per slot
+  /// into `wall_metrics()` (wall-clock — never deterministic).
+  void serve_tick(std::uint64_t tick, obs::MetricId step_seconds);
+  /// The fits the last serve_tick queued, in admission order. Their
+  /// sensor fits (Personalizer::fit_sensor) must all have run before
+  /// book_fits.
+  const std::vector<FitJob>& fit_jobs() const { return fit_jobs_; }
+  /// Books the queued fits in admission order (Personalizer::finish_fit
+  /// and the round's fine-tune counters), then completes and evicts the
+  /// sessions whose final slot fitted, at `tick`.
+  void book_fits(std::uint64_t tick);
 
   /// Round logs, cleared by the publisher after folding.
   std::vector<SlotRecord>& round_slots() { return round_slots_; }
@@ -167,9 +187,9 @@ class SessionShard {
   /// One (group, sensor) panel over requests_[item range] with the
   /// weights currently loaded in models_.
   void run_panel_group(const PendingStep* items, std::size_t item_count);
-  /// Phase C per-session completion: step_finish + personalize + flight +
-  /// the slot record.
-  void finish_step(Session& session, const PendingStep& item,
+  /// Phase C per-session completion: step_finish + buffering + flight +
+  /// the slot record. Returns whether the slot queued a fit.
+  bool finish_step(Session& session, const PendingStep& item,
                    std::uint64_t tick);
   /// Eviction record + flight session_end for a finished session.
   void complete_session(Session& session, std::uint64_t last_tick);
@@ -180,6 +200,7 @@ class SessionShard {
   std::vector<std::unique_ptr<Session>> active_;  // admission (= id) order
   std::vector<SlotRecord> round_slots_;
   std::vector<CompletedSession> round_completed_;
+  std::vector<FitJob> fit_jobs_;
   std::uint64_t round_fine_tunes_ = 0;
   std::uint64_t round_fine_tune_steps_ = 0;
   std::uint64_t round_batch_panels_ = 0;

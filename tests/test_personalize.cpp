@@ -35,6 +35,7 @@
 #include "nn/pooling.hpp"
 #include "nn/serialize.hpp"
 #include "nn/softmax.hpp"
+#include "serve/endpoint.hpp"
 #include "serve/serve_loop.hpp"
 #include "serve/snapshot.hpp"
 #include "util/fileio.hpp"
@@ -529,6 +530,46 @@ class PersonalizeTest : public ::testing::Test {
     return found;
   }
 
+  /// The single-session oracle for served session `id`: its own stepper
+  /// and a Personalizer on private models, over its first `slots` slots
+  /// (all of them by default).
+  struct OracleRun {
+    std::vector<int> outputs;
+    PersonalizeState state;
+    /// Whether the last slot run made a fit.
+    bool last_slot_fitted = false;
+  };
+  static OracleRun run_oracle(
+      const ServeConfig& cfg, std::uint64_t id,
+      std::size_t slots = std::numeric_limits<std::size_t>::max()) {
+    const sim::Experiment& e = *experiment_;
+    const fleet::FleetJob job = population(cfg).at(id);
+    auto policy = e.make_policy(cfg.policy, cfg.rr_cycle, cfg.set);
+    data::StreamCursor cursor = e.make_cursor(job.user, job.seed_offset);
+    auto models = e.system().bl2_copy();
+    Personalizer personalizer(e, models, cfg.personalize);
+    OracleRun run;
+    sim::SlotStepper stepper(e.spec(), &models, &e.trace(), policy.get(),
+                             &cursor, e.sim_config());
+    for (std::size_t i = 0; i < slots && !stepper.done(); ++i) {
+      personalizer.load(run.state, id, models);
+      const auto outcome = stepper.step();
+      run.last_slot_fitted =
+          personalizer.after_step(run.state, job.seed_offset, outcome,
+                                  cursor, models) > 0;
+    }
+    run.outputs = stepper.take_result().outputs;
+    return run;
+  }
+
+  /// tuned_config with every session arriving at tick 0, so all of them
+  /// reach each fine-tune cadence slot in the same tick.
+  static ServeConfig same_tick_config() {
+    ServeConfig cfg = tuned_config();
+    cfg.arrival_rate_hz = 1e4;
+    return cfg;
+  }
+
   static sim::Experiment* experiment_;
 };
 
@@ -679,6 +720,40 @@ TEST_F(PersonalizeTest, FineTuneBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST_F(PersonalizeTest, FineTuneBitIdenticalAcrossTickChunking) {
+  // A shard task serves ahead through a tick() call and pauses only after
+  // a tick that queues fits, so within one call the shards pause at
+  // different virtual ticks. No served bit may depend on that: one tick
+  // per call, 16-tick calls and one call over the whole run complete the
+  // same sessions with the same deterministic metrics.
+  ServeConfig cfg = tuned_config();
+  cfg.threads = 2;
+  cfg.personalize.cadence_slots = 7;
+  const auto by_id = [](const ServeLoop& loop) {
+    auto log = loop.completed_sessions();
+    std::sort(log.begin(), log.end(),
+              [](const CompletedSession& a, const CompletedSession& b) {
+                return a.id < b.id;
+              });
+    return log;
+  };
+  ServeLoop reference(*experiment_, cfg);
+  reference.drain(/*chunk=*/1);
+  const auto ref_log = by_id(reference);
+  const auto ref_metrics = reference.metrics();
+  ASSERT_EQ(ref_log.size(), cfg.users);
+  ASSERT_GT(ref_metrics.counter_value("serve.fine_tunes"), cfg.users);
+
+  for (std::uint64_t chunk : {std::uint64_t{16}, reference.now()}) {
+    SCOPED_TRACE(chunk);
+    ServeLoop loop(*experiment_, cfg);
+    loop.drain(chunk);
+    expect_same_completed(by_id(loop), ref_log);
+    EXPECT_TRUE(obs::MetricsSnapshot::deterministic_equal(loop.metrics(),
+                                                          ref_metrics));
+  }
+}
+
 TEST_F(PersonalizeTest, FineTuneMatchesSingleSessionOracle) {
   // The shard classifies personalized sessions in cross-session panels:
   // sessions still on the base weights share one panel, and a session
@@ -728,6 +803,150 @@ TEST_F(PersonalizeTest, FineTuneMatchesSingleSessionOracle) {
     total_tunes += served.fine_tunes;
   }
   EXPECT_GT(total_tunes, 0u);  // the run must actually fine-tune
+}
+
+TEST_F(PersonalizeTest, FinalSlotFitIsBookedBeforeCompletion) {
+  // A fit runs after its shard's tick, in the loop's fit batch. A session
+  // whose final slot makes a fit due completes only once that fit is
+  // booked, so its CompletedSession carries it: 60-slot streams with a
+  // 20-slot cadence make slot 59 a fit slot. Its flight session_end
+  // follows its shard's other events of that tick, identically at every
+  // thread count.
+  ServeConfig cfg = tuned_config();
+  std::vector<obs::TraceEvent> flight_1thread;
+  std::vector<OracleRun> oracles;
+  std::size_t final_slot_fits = 0;
+  for (std::uint64_t id = 0; id < cfg.users; ++id) {
+    oracles.push_back(run_oracle(cfg, id));
+    final_slot_fits += oracles.back().last_slot_fitted ? 1 : 0;
+  }
+  ASSERT_GT(final_slot_fits, 0u);
+  for (unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    cfg.threads = threads;
+    ServeLoop loop(*experiment_, cfg);
+    loop.drain(/*chunk=*/5);
+    const auto log = loop.completed_sessions();
+    ASSERT_EQ(log.size(), cfg.users);
+    std::uint64_t fine_tunes = 0;
+    for (const CompletedSession& served : log) {
+      SCOPED_TRACE(served.id);
+      const OracleRun& oracle = oracles.at(served.id);
+      EXPECT_EQ(served.outputs, oracle.outputs);
+      EXPECT_EQ(served.fine_tunes, oracle.state.fine_tunes);
+      EXPECT_EQ(served.fine_tune_steps, oracle.state.steps_used);
+      EXPECT_EQ(served.delta_bytes, oracle.state.delta_bytes);
+      EXPECT_EQ(served.personalize_j, oracle.state.energy_j);
+      fine_tunes += served.fine_tunes;
+    }
+    EXPECT_EQ(loop.metrics().counter_value("serve.fine_tunes"), fine_tunes);
+    if (threads == 1) flight_1thread = loop.flight_events();
+    EXPECT_EQ(loop.flight_events(), flight_1thread);
+  }
+}
+
+TEST_F(PersonalizeTest, SameTickFitsOnOneShardMatchOracle) {
+  // One shard, every session arriving at tick 0: at slot 19 several
+  // sessions of the same shard fit in the same tick, and their sensor
+  // fits run as concurrent tasks. Each must still equal its
+  // single-session oracle: the deltas (found in a snapshot taken right
+  // after the fits) and every served output.
+  ServeConfig cfg = same_tick_config();
+  cfg.shards = 1;
+  ASSERT_EQ(ServeLoop(*experiment_, cfg).arrivals().last_tick(), 0u);
+  constexpr std::size_t kFitSlots = 20;  // one cadence
+  std::vector<OracleRun> at_fit, full;
+  for (std::uint64_t id = 0; id < cfg.users; ++id) {
+    at_fit.push_back(run_oracle(cfg, id, kFitSlots));
+    full.push_back(run_oracle(cfg, id));
+  }
+  for (unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    cfg.threads = threads;
+    ServeLoop loop(*experiment_, cfg);
+    loop.tick(kFitSlots);
+    std::size_t fitted = 0;
+    for (const SessionSummary& summary : loop.session_summaries()) {
+      fitted += summary.fine_tunes == 1 ? 1 : 0;
+    }
+    ASSERT_GE(fitted, 2u);
+
+    const std::string path = testing::TempDir() + "/same_tick_fits_" +
+                             std::to_string(threads) + ".snap";
+    loop.save(path);
+    const std::string bytes = util::read_file(path);
+    std::remove(path.c_str());
+    for (std::uint64_t id = 0; id < cfg.users; ++id) {
+      SCOPED_TRACE(id);
+      const PersonalizeState& want = at_fit[id].state;
+      if (want.fine_tunes == 0) continue;
+      for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+        ASSERT_FALSE(want.delta[s].empty());
+        EXPECT_NE(bytes.find(nn::delta_to_string(want.delta[s])),
+                  std::string::npos)
+            << "sensor " << s;
+      }
+    }
+
+    loop.drain(/*chunk=*/5);
+    const auto log = loop.completed_sessions();
+    ASSERT_EQ(log.size(), cfg.users);
+    for (const CompletedSession& served : log) {
+      SCOPED_TRACE(served.id);
+      EXPECT_EQ(served.outputs, full.at(served.id).outputs);
+      EXPECT_EQ(served.fine_tunes, full.at(served.id).state.fine_tunes);
+      EXPECT_EQ(served.delta_bytes, full.at(served.id).state.delta_bytes);
+    }
+  }
+}
+
+TEST_F(PersonalizeTest, SummariesShowFitsBookedInTheTick) {
+  // The query surface reads what the end of a tick published: after the
+  // tick whose slot 19 fitted, session_summaries() already carries the
+  // fit, the fine-tune counter agrees, and the fit batch left exactly
+  // one wall-clock serve.fit_phase_seconds observation, shown in /status.
+  ServeConfig cfg = same_tick_config();
+  cfg.threads = 2;
+  ServeLoop loop(*experiment_, cfg);
+  loop.tick(19);
+  for (const SessionSummary& summary : loop.session_summaries()) {
+    EXPECT_EQ(summary.fine_tunes, 0u) << summary.id;
+  }
+  EXPECT_EQ(loop.slo().fit_phases, 0u);
+
+  loop.tick(1);  // virtual tick 19: every session's slot 19
+  const auto summaries = loop.session_summaries();
+  ASSERT_EQ(summaries.size(), cfg.users);
+  std::uint64_t fine_tunes = 0;
+  for (const SessionSummary& summary : summaries) {
+    SCOPED_TRACE(summary.id);
+    const OracleRun oracle = run_oracle(cfg, summary.id, 20);
+    EXPECT_EQ(summary.fine_tunes, oracle.state.fine_tunes);
+    EXPECT_EQ(summary.fine_tune_steps, oracle.state.steps_used);
+    EXPECT_EQ(summary.delta_bytes, oracle.state.delta_bytes);
+    EXPECT_EQ(summary.personalize_j, oracle.state.energy_j);
+    fine_tunes += summary.fine_tunes;
+  }
+  ASSERT_GT(fine_tunes, 0u);
+  const obs::MetricsSnapshot metrics = loop.metrics();
+  EXPECT_EQ(metrics.counter_value("serve.fine_tunes"), fine_tunes);
+  const obs::MetricDef* fit_phase = metrics.find("serve.fit_phase_seconds");
+  ASSERT_NE(fit_phase, nullptr);
+  EXPECT_FALSE(fit_phase->deterministic);
+  EXPECT_EQ(metrics.histogram_value("serve.fit_phase_seconds").count, 1u);
+  const ServeLoop::Slo slo = loop.slo();
+  EXPECT_EQ(slo.fit_phases, 1u);
+  EXPECT_GT(slo.fit_phase_p50_ms, 0.0);
+
+  obs::RunManifest manifest("test_personalize");
+  ServeEndpoint endpoint(loop, &manifest);
+  HttpRequest request;
+  request.method = "GET";
+  request.path = "/status";
+  request.target = "/status";
+  const std::string body = endpoint.handle(request).body;
+  EXPECT_NE(body.find("\"fit_phases\":1"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"fit_phase_p50_ms\""), std::string::npos) << body;
 }
 
 TEST_F(PersonalizeTest, TailSplitKeepsDropoutInTheTail) {
