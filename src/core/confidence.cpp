@@ -18,38 +18,6 @@ ConfidenceMatrix::ConfidenceMatrix(int num_classes, double initial)
   baseline_ = weights_;
 }
 
-ConfidenceMatrix ConfidenceMatrix::calibrate(
-    std::array<nn::Sequential*, data::kNumSensors> models,
-    const std::array<const nn::Samples*, data::kNumSensors>& calibration,
-    int num_classes) {
-  ConfidenceMatrix matrix(num_classes);
-  for (int s = 0; s < data::kNumSensors; ++s) {
-    if (!models[static_cast<std::size_t>(s)] || !calibration[static_cast<std::size_t>(s)]) {
-      throw std::invalid_argument("ConfidenceMatrix::calibrate: null input");
-    }
-    std::vector<util::RunningStats> per_class(static_cast<std::size_t>(num_classes));
-    util::RunningStats global;
-    for (const auto& sample : *calibration[static_cast<std::size_t>(s)]) {
-      const auto probs =
-          models[static_cast<std::size_t>(s)]->predict_proba(sample.input);
-      const double var = util::probability_vector_variance(probs);
-      const auto predicted = util::argmax(probs);
-      if (predicted >= static_cast<std::size_t>(num_classes)) {
-        throw std::logic_error("ConfidenceMatrix::calibrate: class out of range");
-      }
-      per_class[predicted].add(var);
-      global.add(var);
-    }
-    for (int c = 0; c < num_classes; ++c) {
-      const auto& stats = per_class[static_cast<std::size_t>(c)];
-      matrix.weights_[static_cast<std::size_t>(s)][static_cast<std::size_t>(c)] =
-          stats.count() > 0 ? stats.mean() : global.mean();
-    }
-  }
-  matrix.freeze_baseline();
-  return matrix;
-}
-
 std::vector<double> ConfidenceMatrix::calibrate_sensor(
     nn::Sequential& model, const nn::Samples& samples, int num_classes) {
   if (num_classes <= 0) {

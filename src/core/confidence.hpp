@@ -20,19 +20,13 @@ class ConfidenceMatrix {
   /// Uniform initial confidence for every (sensor, class).
   explicit ConfidenceMatrix(int num_classes, double initial = 0.05);
 
-  /// Offline calibration: runs each sensor's model over its calibration
-  /// samples and averages Var(softmax) per *predicted* class. Classes a
-  /// sensor never predicts fall back to that sensor's global mean.
-  static ConfidenceMatrix calibrate(
-      std::array<nn::Sequential*, data::kNumSensors> models,
-      const std::array<const nn::Samples*, data::kNumSensors>& calibration,
-      int num_classes);
-
-  /// One sensor's calibration row on the batched inference path
-  /// (predict_proba_batch in fixed-size chunks, per-sample accumulation
-  /// in sample order) — bit-identical to the corresponding calibrate()
-  /// row, which is kept as the per-sample oracle. The unit of work the
-  /// parallel pipeline calibration fans out per (sensor, model variant).
+  /// Offline calibration of one sensor's row: runs the model over its
+  /// calibration samples (predict_proba_batch in fixed-size chunks) and
+  /// averages Var(softmax) per *predicted* class, accumulating in sample
+  /// order. Classes the sensor never predicts fall back to its global
+  /// mean. The unit of work the parallel pipeline calibration fans out
+  /// per (sensor, model variant); tests/calibration_oracles.hpp keeps the
+  /// per-sample loop it must match bit for bit.
   static std::vector<double> calibrate_sensor(nn::Sequential& model,
                                               const nn::Samples& samples,
                                               int num_classes);
@@ -70,7 +64,7 @@ class ConfidenceMatrix {
   /// then it is the constructor's uniform value): subsequent updates never
   /// push a cell below `floor_fraction` of its baseline value, so a
   /// discounted sensor keeps enough influence to re-enter the consensus
-  /// when its behaviour recovers. calibrate() freezes automatically.
+  /// when its behaviour recovers. from_rows() freezes automatically.
   void freeze_baseline(double floor_fraction = 0.25);
 
   /// Direct cell write (deserialization / tests).

@@ -118,25 +118,6 @@ std::vector<double> per_class_accuracy(nn::Sequential& model,
                                        int num_classes) {
   std::vector<std::uint64_t> correct(static_cast<std::size_t>(num_classes), 0);
   std::vector<std::uint64_t> total(static_cast<std::size_t>(num_classes), 0);
-  for (const auto& s : samples) {
-    ++total[static_cast<std::size_t>(s.label)];
-    if (model.predict(s.input) == s.label) {
-      ++correct[static_cast<std::size_t>(s.label)];
-    }
-  }
-  std::vector<double> acc(static_cast<std::size_t>(num_classes), 0.0);
-  for (int c = 0; c < num_classes; ++c) {
-    const auto ci = static_cast<std::size_t>(c);
-    if (total[ci]) acc[ci] = static_cast<double>(correct[ci]) / static_cast<double>(total[ci]);
-  }
-  return acc;
-}
-
-std::vector<double> per_class_accuracy_batch(nn::Sequential& model,
-                                             const nn::Samples& samples,
-                                             int num_classes) {
-  std::vector<std::uint64_t> correct(static_cast<std::size_t>(num_classes), 0);
-  std::vector<std::uint64_t> total(static_cast<std::size_t>(num_classes), 0);
   constexpr std::size_t kChunk = 256;
   std::vector<const nn::Tensor*> inputs;
   for (std::size_t begin = 0; begin < samples.size(); begin += kChunk) {
@@ -348,7 +329,7 @@ void calibrate_system(TrainedSystem& system, const PipelineConfig& config) {
     auto& accuracy =
         relaxed ? system.calib_accuracy_relaxed[si] : system.calib_accuracy[si];
     auto& row = relaxed ? rows_relaxed[si] : rows[si];
-    accuracy = per_class_accuracy_batch(model, calib[si], num_classes);
+    accuracy = per_class_accuracy(model, calib[si], num_classes);
     row = ConfidenceMatrix::calibrate_sensor(model, calib[si], num_classes);
   };
 

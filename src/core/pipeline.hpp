@@ -117,17 +117,12 @@ void calibrate_system(TrainedSystem& system, const PipelineConfig& config);
 TrainedSystem build_system(const PipelineConfig& config);
 
 /// Per-class accuracy of `model` on `samples` (classes sized by
-/// `num_classes`; classes with no samples report 0).
+/// `num_classes`; classes with no samples report 0), on the batched
+/// inference path (predict_batch in fixed-size chunks). Its counts equal
+/// the per-sample loop's (tests/calibration_oracles.hpp).
 std::vector<double> per_class_accuracy(nn::Sequential& model,
                                        const nn::Samples& samples,
                                        int num_classes);
-
-/// per_class_accuracy on the batched inference path (predict_batch in
-/// fixed-size chunks) — bit-identical counts, kept separate so the
-/// per-sample loop remains the oracle the batch path is tested against.
-std::vector<double> per_class_accuracy_batch(nn::Sequential& model,
-                                             const nn::Samples& samples,
-                                             int num_classes);
 
 /// Stable cache key for the given configuration (exposed for tests).
 std::string pipeline_cache_key(const PipelineConfig& config);

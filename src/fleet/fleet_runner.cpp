@@ -119,7 +119,7 @@ FleetResult FleetRunner::run(const std::vector<FleetJob>& jobs) const {
     for (std::size_t j = shard.begin; j < shard.end; ++j) {
       const FleetJob& job = jobs[j];
       const auto job_t0 = Clock::now();
-      const double job_wall_t0 = seconds_since(run_start);
+      [[maybe_unused]] const double job_wall_t0 = seconds_since(run_start);
       // Streaming + pooled hot path: re-target the worker's cursor at this
       // job's stream (ring buffers reused, working set O(ring) instead of
       // a materialized O(slots) stream) and borrow the worker's model

@@ -57,7 +57,7 @@ std::vector<EpochStats> Trainer::fit(Sequential& model, const Samples& train) {
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     const auto epoch_start = Clock::now();
-    const double epoch_wall_t0 = seconds_since(fit_start);
+    [[maybe_unused]] const double epoch_wall_t0 = seconds_since(fit_start);
     rng.shuffle(order);
     double loss_sum = 0.0;
     std::size_t correct = 0;

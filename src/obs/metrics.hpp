@@ -9,6 +9,7 @@
 // with deterministic = false and excluded from bit-identity checks.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -153,6 +154,9 @@ struct MetricsSnapshot {
 /// bucket clamps to the observed max; an empty histogram returns 0.
 double histogram_quantile(const HistogramCell& cell,
                           const std::vector<double>& upper_bounds, double q);
+
+/// The SLO trio every latency summary reports: p50, p95, p99.
+inline constexpr std::array<double, 3> kSloQuantiles = {0.5, 0.95, 0.99};
 
 /// Batch form: one estimate per entry of `qs`, in order — a single call
 /// for the p50/p95/p99 trio instead of three scans.

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "fleet/thread_pool.hpp"
-#include "obs/digest.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "serve/arrival.hpp"
@@ -83,13 +82,6 @@ struct ServeConfig {
   /// build compiles the recording sites out regardless. Never affects
   /// results, so it is excluded from the snapshot fingerprint.
   std::size_t flight_capacity = 1 << 15;
-  /// Optional slot-level trace: wired into every session's SlotStepper so
-  /// served sessions emit the same energy/schedule/attempt/output events
-  /// the batch simulator does. The recorder is internally locked (shards
-  /// record concurrently — interleaving across shards is wall-clock
-  /// nondeterministic; the flight recorder above is the deterministic
-  /// stream). Not owned; must outlive the loop.
-  obs::TraceRecorder* trace = nullptr;
 };
 
 class ServeLoop {
@@ -262,8 +254,6 @@ class ServeLoop {
   std::uint64_t results_seq_ = 0;
 
   mutable std::mutex publish_mutex_;
-  /// Driver-thread tick-latency digest (wall clock), read by slo().
-  obs::StreamingDigest tick_digest_;
   std::deque<SlotRecord> results_;
   std::vector<CompletedSession> completed_;
   std::vector<SessionSummary> summaries_;

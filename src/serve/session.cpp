@@ -16,17 +16,12 @@ Session::Session(const sim::Experiment& experiment, SessionSpec spec,
 
 Session::Session(const sim::Experiment& experiment, SessionSpec spec,
                  std::array<nn::Sequential, data::kNumSensors>* models,
-                 int ring_capacity, obs::TraceRecorder* trace)
+                 int ring_capacity)
     : spec_(std::move(spec)),
       policy_(experiment.make_policy(spec_.policy, spec_.rr_cycle, spec_.set)),
       cursor_(experiment.make_cursor(spec_.user, spec_.seed_offset,
                                      std::nullopt, ring_capacity)),
       stepper_(experiment.spec(), models, &experiment.trace(), policy_.get(),
-               &cursor_,
-               [&] {
-                 sim::SimulatorConfig config = experiment.sim_config();
-                 config.trace = trace;
-                 return config;
-               }()) {}
+               &cursor_, experiment.sim_config()) {}
 
 }  // namespace origin::serve

@@ -33,21 +33,17 @@ class Session {
  public:
   /// `models` is the owning shard's deployed-network scratch (must match
   /// spec.set) and must outlive the session; sessions of one shard share
-  /// it safely because the shard serves them one slot at a time. `trace`
-  /// (optional) receives the stepper's slot-level ORIGIN_TRACE events —
-  /// the same energy/schedule/attempt/output stream the batch simulator
-  /// emits; it must be thread-safe when shards serve in parallel
-  /// (obs::TraceRecorder is).
+  /// it safely because the shard serves them one slot at a time. The
+  /// serve tier's event stream is the loop's flight recorder, so the
+  /// stepper records no slot-level trace.
   Session(const sim::Experiment& experiment, SessionSpec spec,
           std::array<nn::Sequential, data::kNumSensors>* models,
-          int ring_capacity, obs::TraceRecorder* trace = nullptr);
+          int ring_capacity);
 
   /// Compatibility overload for the repository benchmark's serve replica
   /// (benchmark/serve_replica.hpp), which still passes a retired
-  /// in-shard block size of 0 through std::make_unique — once forwarded
-  /// that literal is an int and cannot bind to the trace pointer. Throws
-  /// std::invalid_argument unless `batch_slots` is 0. Goes away with the
-  /// next change to the benchmark.
+  /// in-shard block size of 0. Throws std::invalid_argument unless
+  /// `batch_slots` is 0. Goes away with the next change to the benchmark.
   Session(const sim::Experiment& experiment, SessionSpec spec,
           std::array<nn::Sequential, data::kNumSensors>* models,
           int ring_capacity, int batch_slots);

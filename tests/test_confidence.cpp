@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "calibration_oracles.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "util/rng.hpp"
@@ -106,8 +107,11 @@ TEST(ConfidenceMatrix, CalibrateAveragesPerPredictedClass) {
   nn::Samples calib;
   for (int i = 0; i < 4; ++i) calib.push_back({nn::Tensor({2}), 0});
 
-  const auto matrix = ConfidenceMatrix::calibrate(
-      {&m0, &m1, &m2}, {&calib, &calib, &calib}, 3);
+  const auto matrix = ConfidenceMatrix::from_rows(
+      {ConfidenceMatrix::calibrate_sensor(m0, calib, 3),
+       ConfidenceMatrix::calibrate_sensor(m1, calib, 3),
+       ConfidenceMatrix::calibrate_sensor(m2, calib, 3)},
+      3);
   // Sharper model earns a higher class-0 weight.
   EXPECT_GT(matrix.weight(SensorLocation::Chest, 0),
             matrix.weight(SensorLocation::LeftAnkle, 0));
@@ -118,11 +122,15 @@ TEST(ConfidenceMatrix, CalibrateAveragesPerPredictedClass) {
 }
 
 TEST(ConfidenceMatrix, CalibrateValidatesInputs) {
-  nn::Samples calib;
-  EXPECT_THROW(
-      ConfidenceMatrix::calibrate({nullptr, nullptr, nullptr},
-                                  {&calib, &calib, &calib}, 3),
-      std::invalid_argument);
+  nn::Sequential m;
+  m.emplace<nn::Dense>(2, 3);
+  dynamic_cast<nn::Dense*>(&m.layer(0))->bias()[2] = 5.0f;
+  const nn::Samples calib = {{nn::Tensor({2}), 0}};
+  EXPECT_THROW(ConfidenceMatrix::calibrate_sensor(m, calib, 0),
+               std::invalid_argument);
+  // The model predicts class 2, out of range for two classes.
+  EXPECT_THROW(ConfidenceMatrix::calibrate_sensor(m, calib, 2),
+               std::logic_error);
 }
 
 // A model whose prediction varies with the input, so calibration sees a
@@ -145,13 +153,13 @@ nn::Samples varied_samples(int n, std::uint64_t seed) {
 
 TEST(ConfidenceMatrix, CalibrateSensorMatchesCalibrateBitwise) {
   // The batched per-sensor row (the unit of the parallel pipeline
-  // calibration) against the per-sample calibrate() oracle.
+  // calibration) against the per-sample oracle.
   nn::Sequential m0 = varied_model(11), m1 = varied_model(12),
                  m2 = varied_model(13);
   const nn::Samples s0 = varied_samples(40, 21), s1 = varied_samples(37, 22),
                     s2 = varied_samples(5, 23);
-  const auto oracle =
-      ConfidenceMatrix::calibrate({&m0, &m1, &m2}, {&s0, &s1, &s2}, 3);
+  const auto oracle = test_support::calibrate_oracle({&m0, &m1, &m2},
+                                                     {&s0, &s1, &s2}, 3);
   std::array<std::vector<double>, data::kNumSensors> rows = {
       ConfidenceMatrix::calibrate_sensor(m0, s0, 3),
       ConfidenceMatrix::calibrate_sensor(m1, s1, 3),

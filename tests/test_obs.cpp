@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/digest.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -264,58 +263,6 @@ TEST(HistogramQuantile, BatchFormMatchesSingleCalls) {
     EXPECT_DOUBLE_EQ(batch[i], histogram_quantile(cell, bounds, qs[i])) << i;
   }
   EXPECT_TRUE(histogram_quantiles(cell, bounds, {}).empty());
-}
-
-// ----------------------------------------------------------------- digest
-
-TEST(StreamingDigest, ValidatesTargets) {
-  EXPECT_THROW(StreamingDigest(std::vector<double>{}), std::invalid_argument);
-  EXPECT_THROW(StreamingDigest({0.0}), std::invalid_argument);
-  EXPECT_THROW(StreamingDigest({1.0}), std::invalid_argument);
-  StreamingDigest d({0.5});
-  EXPECT_THROW(d.quantile(0.99), std::out_of_range);
-}
-
-TEST(StreamingDigest, EmptyAndSmallCountsAreExact) {
-  StreamingDigest d;
-  EXPECT_EQ(d.count(), 0u);
-  EXPECT_DOUBLE_EQ(d.quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(d.min(), 0.0);
-  EXPECT_DOUBLE_EQ(d.max(), 0.0);
-  EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-
-  d.observe(3.0);
-  EXPECT_DOUBLE_EQ(d.quantile(0.5), 3.0);
-  d.observe(1.0);
-  d.observe(2.0);
-  // Below five samples the estimate is an exact sorted-buffer lookup.
-  EXPECT_DOUBLE_EQ(d.quantile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(d.min(), 1.0);
-  EXPECT_DOUBLE_EQ(d.max(), 3.0);
-  EXPECT_DOUBLE_EQ(d.mean(), 2.0);
-}
-
-TEST(StreamingDigest, TracksQuantilesOfALargeStream) {
-  // Deterministic pseudo-random stream in [0, 1): the P-squared estimates
-  // must land near the true quantiles.
-  StreamingDigest d;
-  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    d.observe(static_cast<double>(x % 100000u) / 100000.0);
-  }
-  EXPECT_EQ(d.count(), static_cast<std::uint64_t>(n));
-  EXPECT_NEAR(d.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(d.quantile(0.95), 0.95, 0.02);
-  EXPECT_NEAR(d.quantile(0.99), 0.99, 0.02);
-  EXPECT_NEAR(d.mean(), 0.5, 0.02);
-  EXPECT_GE(d.quantile(0.99), d.quantile(0.95));
-  EXPECT_GE(d.quantile(0.95), d.quantile(0.5));
-  EXPECT_LE(d.max(), 1.0);
-  EXPECT_GE(d.min(), 0.0);
 }
 
 // ------------------------------------------------------------- prometheus

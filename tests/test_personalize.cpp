@@ -20,6 +20,7 @@
 #include <stdexcept>
 
 #include "backend_scope.hpp"
+#include "calibration_oracles.hpp"
 #include "core/pipeline.hpp"
 #include "data/stream_cursor.hpp"
 #include "fleet/fleet_runner.hpp"
@@ -582,9 +583,9 @@ TEST_F(PersonalizeTest, PerClassAccuracyBatchMatchesOracle) {
   const int num_classes = system.spec.num_classes();
   for (std::size_t s = 0; s < data::kNumSensors; ++s) {
     SCOPED_TRACE(s);
-    const auto oracle = core::per_class_accuracy(
+    const auto oracle = test_support::per_class_accuracy_oracle(
         system.sensors[s].bl2, system.test_sets[s], num_classes);
-    const auto batch = core::per_class_accuracy_batch(
+    const auto batch = core::per_class_accuracy(
         system.sensors[s].bl2, system.test_sets[s], num_classes);
     ASSERT_EQ(batch.size(), oracle.size());
     for (std::size_t c = 0; c < oracle.size(); ++c) {
@@ -596,7 +597,7 @@ TEST_F(PersonalizeTest, PerClassAccuracyBatchMatchesOracle) {
 TEST_F(PersonalizeTest, CalibrateSensorRowsMatchCalibrateOracle) {
   core::TrainedSystem system = experiment_->system();
   const int num_classes = system.spec.num_classes();
-  const auto oracle = core::ConfidenceMatrix::calibrate(
+  const auto oracle = test_support::calibrate_oracle(
       {&system.sensors[0].bl2, &system.sensors[1].bl2, &system.sensors[2].bl2},
       {&system.test_sets[0], &system.test_sets[1], &system.test_sets[2]},
       num_classes);

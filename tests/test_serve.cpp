@@ -2,8 +2,9 @@
 // slot-granular stepping equivalent to batch Simulator::run, interleaved
 // sessions sharing shard models without cross-talk, bit-identity of the
 // ServeLoop across thread counts, and the HTTP/JSONL endpoint (routed
-// socketless through handle(), plus real-socket tests: a smoke, and a
-// silent and a trickling client each cut off at the request deadline).
+// socketless through handle(), plus real-socket tests: a smoke of every
+// route family, and a silent and a trickling client each cut off at the
+// request deadline).
 #include "serve/serve_loop.hpp"
 
 #include <gtest/gtest.h>
@@ -453,10 +454,14 @@ class HttpDeadlineTest : public ServeTest {
 };
 
 TEST_F(ServeTest, HttpServerSocketSmoke) {
+  // Every route family over a real socket: the JSON and JSONL routes, the
+  // Prometheus exposition and the flight-recorder route.
   ServeConfig cfg = small_config();
   ServeLoop loop(*experiment_, cfg);
-  loop.tick(2);
-  ServeEndpoint endpoint(loop);
+  loop.tick(20);
+  ASSERT_GT(loop.status().slots_served, 0u);
+  obs::RunManifest manifest("test_serve");
+  ServeEndpoint endpoint(loop, &manifest);
   std::unique_ptr<HttpServer> server;
   try {
     server = endpoint.serve(/*port=*/0);
@@ -465,11 +470,53 @@ TEST_F(ServeTest, HttpServerSocketSmoke) {
   }
   ASSERT_NE(server->port(), 0);
 
-  const std::string response =
-      round_trip(server->port(), "GET /healthz HTTP/1.0\r\n\r\n");
-  EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
-  EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos);
+  const auto get = [&](const std::string& target, int status = 200) {
+    const std::string response = round_trip(
+        server->port(), "GET " + target + " HTTP/1.0\r\n\r\n");
+    EXPECT_EQ(response.rfind("HTTP/1.0 " + std::to_string(status) + " ", 0),
+              0u)
+        << target;
+    return response;
+  };
+  const auto carries = [](const std::string& response, const char* text) {
+    return response.find(text) != std::string::npos;
+  };
+  EXPECT_TRUE(carries(get("/healthz"), "\"status\":\"ok\""));
+  const std::string status = get("/status");
+  EXPECT_TRUE(carries(status, "\"slots_served\""));
+  EXPECT_TRUE(carries(status, "\"slo\""));
+  EXPECT_TRUE(carries(get("/results?tail=3"), "\"predicted\""));
+  const std::string prom = get("/metrics?format=prom");
+  EXPECT_TRUE(carries(prom, "\n# TYPE serve_slots_served_total counter\n"));
+  EXPECT_TRUE(carries(prom, "_bucket{le=\"+Inf\"}"));
+  // A -DORIGIN_TRACE=OFF build compiles the flight recorder out.
+  if (loop.flight_enabled()) {
+    EXPECT_TRUE(carries(get("/trace/recent?n=16"), "\"kind\""));
+  } else {
+    get("/trace/recent?n=16", 404);
+  }
   server->stop();
+}
+
+TEST_F(ServeTest, SloTickFieldsComeFromTheTickHistogram) {
+  ServeConfig cfg = small_config();
+  ServeLoop loop(*experiment_, cfg);
+  constexpr std::uint64_t kTicks = 12;
+  for (std::uint64_t t = 0; t < kTicks; ++t) loop.tick(1);
+  const ServeLoop::Slo slo = loop.slo();
+  const ServeLoop::Status status = loop.status();
+  const obs::HistogramCell ticks =
+      loop.metrics().histogram_value("serve.tick_seconds");
+  ASSERT_EQ(ticks.count, kTicks);
+  ASSERT_GT(ticks.sum, 0.0);
+  ASSERT_GT(status.slots_served, 0u);
+  EXPECT_GT(slo.tick_p50_ms, 0.0);
+  EXPECT_LE(slo.tick_p50_ms, slo.tick_p95_ms);
+  EXPECT_LE(slo.tick_p95_ms, slo.tick_p99_ms);
+  EXPECT_EQ(slo.slots_per_s,
+            static_cast<double>(status.slots_served) / ticks.sum);
+  EXPECT_EQ(slo.sessions_per_s,
+            static_cast<double>(status.completed) / ticks.sum);
 }
 
 TEST_F(HttpDeadlineTest, SilentClientTimesOutAndStopReturns) {
