@@ -20,10 +20,13 @@ int main(int argc, char** argv) {
                         "mean test acc %"});
     for (int s = 0; s < data::kNumSensors; ++s) {
       const auto si = static_cast<std::size_t>(s);
+      const nn::Samples test =
+          core::make_test_set(exp.config().pipeline, sys.spec,
+                              static_cast<data::SensorLocation>(s));
       auto add = [&](const char* tag, nn::Sequential& net,
                      const nn::InferenceCost& cost) {
-        const auto acc = core::per_class_accuracy(
-            net, sys.test_sets[si], sys.spec.num_classes());
+        const auto acc =
+            core::per_class_accuracy(net, test, sys.spec.num_classes());
         double mean = 0.0;
         for (double a : acc) mean += a;
         mean /= static_cast<double>(acc.size());

@@ -15,6 +15,11 @@ int main(int argc, char** argv) {
   auto& sys = exp.system();
   const auto stream = exp.make_stream(data::reference_user());
   const std::vector<int> input_shape = {sys.spec.channels, sys.spec.window_len};
+  std::array<nn::Samples, data::kNumSensors> tests;
+  for (int s = 0; s < data::kNumSensors; ++s) {
+    tests[static_cast<std::size_t>(s)] = core::make_test_set(
+        exp.config().pipeline, sys.spec, static_cast<data::SensorLocation>(s));
+  }
 
   std::printf("\n=== Quantized deployment of the BL-2 networks ===\n");
   util::AsciiTable t({"weights", "mean test acc %", "energy/inf [uJ]",
@@ -33,8 +38,8 @@ int main(int argc, char** argv) {
                    : nn::estimate_cost(models[si], input_shape,
                                        exp.config().pipeline.profile);
       energy += cost.energy_j / data::kNumSensors;
-      const auto acc = core::per_class_accuracy(
-          models[si], sys.test_sets[si], sys.spec.num_classes());
+      const auto acc = core::per_class_accuracy(models[si], tests[si],
+                                                sys.spec.num_classes());
       for (double a : acc) mean_acc += a;
     }
     mean_acc /= data::kNumSensors * sys.spec.num_classes();

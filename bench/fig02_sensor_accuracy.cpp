@@ -20,7 +20,9 @@ int main() {
   std::array<std::vector<double>, data::kNumSensors> acc;
   for (int s = 0; s < data::kNumSensors; ++s) {
     const auto si = static_cast<std::size_t>(s);
-    acc[si] = core::per_class_accuracy(sys.sensors[si].bl2, sys.test_sets[si],
+    const nn::Samples test = core::make_test_set(
+        exp.config().pipeline, spec, static_cast<data::SensorLocation>(s));
+    acc[si] = core::per_class_accuracy(sys.sensors[si].bl2, test,
                                        spec.num_classes());
     std::vector<double> row;
     double mean = 0.0;

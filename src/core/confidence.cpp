@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
+#include "nn/softmax.hpp"
 #include "util/stats.hpp"
 
 namespace origin::core {
@@ -19,40 +21,62 @@ ConfidenceMatrix::ConfidenceMatrix(int num_classes, double initial)
 }
 
 std::vector<double> ConfidenceMatrix::calibrate_sensor(
-    nn::Sequential& model, const nn::Samples& samples, int num_classes) {
+    nn::Sequential& model, const nn::Samples& samples, int num_classes,
+    std::vector<double>* accuracy) {
   if (num_classes <= 0) {
     throw std::invalid_argument("ConfidenceMatrix::calibrate_sensor: num_classes <= 0");
   }
-  std::vector<util::RunningStats> per_class(static_cast<std::size_t>(num_classes));
+  const auto classes = static_cast<std::size_t>(num_classes);
+  std::vector<util::RunningStats> per_class(classes);
   util::RunningStats global;
+  std::vector<std::uint64_t> correct(classes, 0);
+  std::vector<std::uint64_t> total(classes, 0);
   // Fixed-size chunks bound the batched-inference arenas; the chunk size
-  // never changes the result — predict_proba_batch is bit-identical to
-  // per-sample predict_proba, and the stats accumulate in sample order.
+  // never changes the result — the batched forward is bit-identical to a
+  // batch of one, and the stats accumulate in sample order. Each chunk's
+  // logits feed both outputs: argmax of the logits is predict()'s class,
+  // softmax of them is predict_proba()'s row.
   constexpr std::size_t kChunk = 256;
   std::vector<const nn::Tensor*> inputs;
+  std::vector<nn::Tensor> logits(std::min(kChunk, samples.size()));
   for (std::size_t begin = 0; begin < samples.size(); begin += kChunk) {
     const std::size_t count = std::min(kChunk, samples.size() - begin);
     inputs.clear();
     for (std::size_t i = 0; i < count; ++i) {
       inputs.push_back(&samples[begin + i].input);
     }
-    const auto probs = model.predict_proba_batch(inputs.data(), count);
+    model.forward_batch(inputs.data(), count, logits.data(), /*train=*/false);
     for (std::size_t i = 0; i < count; ++i) {
-      const double var = util::probability_vector_variance(probs[i]);
-      const auto predicted = util::argmax(probs[i]);
-      if (predicted >= static_cast<std::size_t>(num_classes)) {
+      const std::vector<float> probs = nn::softmax(logits[i].vec());
+      const double var = util::probability_vector_variance(probs);
+      const auto predicted = util::argmax(probs);
+      if (predicted >= classes) {
         throw std::logic_error(
             "ConfidenceMatrix::calibrate_sensor: class out of range");
       }
       per_class[predicted].add(var);
       global.add(var);
+      const auto label = static_cast<std::size_t>(samples[begin + i].label);
+      if (label >= classes) {
+        throw std::invalid_argument(
+            "ConfidenceMatrix::calibrate_sensor: label out of range");
+      }
+      ++total[label];
+      if (logits[i].argmax() == label) ++correct[label];
     }
   }
-  std::vector<double> row(static_cast<std::size_t>(num_classes));
-  for (int c = 0; c < num_classes; ++c) {
-    const auto& stats = per_class[static_cast<std::size_t>(c)];
-    row[static_cast<std::size_t>(c)] =
-        stats.count() > 0 ? stats.mean() : global.mean();
+  std::vector<double> row(classes);
+  for (std::size_t c = 0; c < classes; ++c) {
+    row[c] = per_class[c].count() > 0 ? per_class[c].mean() : global.mean();
+  }
+  if (accuracy) {
+    accuracy->assign(classes, 0.0);
+    for (std::size_t c = 0; c < classes; ++c) {
+      if (total[c]) {
+        (*accuracy)[c] =
+            static_cast<double>(correct[c]) / static_cast<double>(total[c]);
+      }
+    }
   }
   return row;
 }

@@ -20,16 +20,23 @@ class ConfidenceMatrix {
   /// Uniform initial confidence for every (sensor, class).
   explicit ConfidenceMatrix(int num_classes, double initial = 0.05);
 
-  /// Offline calibration of one sensor's row: runs the model over its
-  /// calibration samples (predict_proba_batch in fixed-size chunks) and
-  /// averages Var(softmax) per *predicted* class, accumulating in sample
-  /// order. Classes the sensor never predicts fall back to its global
-  /// mean. The unit of work the parallel pipeline calibration fans out
-  /// per (sensor, model variant); tests/calibration_oracles.hpp keeps the
-  /// per-sample loop it must match bit for bit.
-  static std::vector<double> calibrate_sensor(nn::Sequential& model,
-                                              const nn::Samples& samples,
-                                              int num_classes);
+  /// Offline calibration of one sensor's row: one batched forward over
+  /// its calibration samples (in fixed-size chunks), averaging
+  /// Var(softmax) per *predicted* class in sample order. Classes the
+  /// sensor never predicts fall back to its global mean. Throws
+  /// std::invalid_argument for num_classes <= 0 or a sample label
+  /// outside [0, num_classes), std::logic_error when the model predicts
+  /// a class outside that range. When `accuracy`
+  /// is given, the same logits also fill it with per-class accuracy
+  /// (argmax of the logits against each sample's label; classes with no
+  /// samples report 0) — the rank table's input, so one pass per model
+  /// serves both tables. The unit of work the parallel pipeline
+  /// calibration fans out per (sensor, model variant);
+  /// tests/calibration_oracles.hpp keeps the per-sample loops it must
+  /// match bit for bit.
+  static std::vector<double> calibrate_sensor(
+      nn::Sequential& model, const nn::Samples& samples, int num_classes,
+      std::vector<double>* accuracy = nullptr);
 
   /// Assembles a matrix from per-sensor rows (as produced by
   /// calibrate_sensor) and freezes the adaptation baseline — the serial

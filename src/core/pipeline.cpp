@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +16,8 @@
 #include "nn/kernels/backend.hpp"
 #include "nn/pooling.hpp"
 #include "nn/serialize.hpp"
+#include "util/bytes.hpp"
+#include "util/fileio.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 
@@ -32,12 +35,61 @@ namespace {
 // of the sequential stream RNG, which moves every training window.
 constexpr int kArchVersion = 7;
 
+// The calibration cache file: magic, version, key text, class count, the
+// four f64 tables (accuracy, relaxed accuracy, confidence rows, relaxed
+// confidence rows; sensor-major), then an FNV-1a checksum of all of it.
+// Bump kCalibVersion when the calibration procedure or this layout
+// changes.
+constexpr char kCalibMagic[4] = {'O', 'R', 'C', 'L'};
+constexpr std::uint32_t kCalibVersion = 1;
+
 nn::Samples training_set_for(const PipelineConfig& config,
                              const data::DatasetSpec& spec,
                              data::SensorLocation loc, int per_class,
                              std::uint64_t salt) {
   return data::make_training_set(spec, loc, per_class, data::reference_user(),
                                  config.seed ^ salt);
+}
+
+/// The calibration cache's key before hashing; the file stores it too, so
+/// a file renamed or colliding into another key's path is refused.
+std::string calibration_key_text(const PipelineConfig& config) {
+  std::ostringstream os;
+  os << pipeline_cache_key(config) << "|calib|" << config.calib_per_class
+     << '|' << nn::kernels::active_backend().name << '|' << kCalibVersion;
+  return os.str();
+}
+
+/// Writes `system`'s calibration (per-class accuracies and confidence
+/// rows, strict and relaxed, as f64) to calibration_cache_path(config)
+/// atomically. Runs right after calibrate_system: the confidence rows are
+/// read back from the matrices' current weights.
+void save_calibration(const TrainedSystem& system,
+                      const PipelineConfig& config) {
+  const int num_classes = system.spec.num_classes();
+  util::ByteWriter w;
+  w.raw(kCalibMagic, sizeof kCalibMagic);
+  w.u32(kCalibVersion);
+  w.str(calibration_key_text(config));
+  w.u32(static_cast<std::uint32_t>(num_classes));
+  for (const auto* accuracy :
+       {&system.calib_accuracy, &system.calib_accuracy_relaxed}) {
+    for (const auto& row : *accuracy) {
+      for (double v : row) w.f64(v);
+    }
+  }
+  for (const auto* matrix : {&system.confidence, &system.confidence_relaxed}) {
+    for (int s = 0; s < data::kNumSensors; ++s) {
+      for (int c = 0; c < num_classes; ++c) {
+        w.f64(matrix->weight(static_cast<data::SensorLocation>(s), c));
+      }
+    }
+  }
+  std::string bytes = w.bytes();
+  util::ByteWriter sum;
+  sum.u64(util::fnv1a(bytes));
+  bytes += sum.bytes();
+  util::write_file_atomic(calibration_cache_path(config), bytes);
 }
 
 }  // namespace
@@ -116,31 +168,9 @@ std::string pipeline_cache_key(const PipelineConfig& config) {
 std::vector<double> per_class_accuracy(nn::Sequential& model,
                                        const nn::Samples& samples,
                                        int num_classes) {
-  std::vector<std::uint64_t> correct(static_cast<std::size_t>(num_classes), 0);
-  std::vector<std::uint64_t> total(static_cast<std::size_t>(num_classes), 0);
-  constexpr std::size_t kChunk = 256;
-  std::vector<const nn::Tensor*> inputs;
-  for (std::size_t begin = 0; begin < samples.size(); begin += kChunk) {
-    const std::size_t count = std::min(kChunk, samples.size() - begin);
-    inputs.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      inputs.push_back(&samples[begin + i].input);
-    }
-    const std::vector<int> predicted = model.predict_batch(inputs.data(), count);
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto& s = samples[begin + i];
-      ++total[static_cast<std::size_t>(s.label)];
-      if (predicted[i] == s.label) {
-        ++correct[static_cast<std::size_t>(s.label)];
-      }
-    }
-  }
-  std::vector<double> acc(static_cast<std::size_t>(num_classes), 0.0);
-  for (int c = 0; c < num_classes; ++c) {
-    const auto ci = static_cast<std::size_t>(c);
-    if (total[ci]) acc[ci] = static_cast<double>(correct[ci]) / static_cast<double>(total[ci]);
-  }
-  return acc;
+  std::vector<double> accuracy;
+  ConfidenceMatrix::calibrate_sensor(model, samples, num_classes, &accuracy);
+  return accuracy;
 }
 
 void train_system(TrainedSystem& system, const PipelineConfig& config) {
@@ -305,22 +335,19 @@ void calibrate_system(TrainedSystem& system, const PipelineConfig& config) {
   std::array<std::vector<double>, data::kNumSensors> rows_relaxed;
 
   // Stage 1: held-out window synthesis, one task per sensor. Each task
-  // writes only its own slots.
+  // writes only its own slot.
   auto synthesize = [&](std::size_t si) {
-    const auto loc = static_cast<data::SensorLocation>(si);
-    calib[si] = training_set_for(config, system.spec, loc,
-                                 config.calib_per_class,
-                                 0xCA11Bu + si);
-    system.test_sets[si] = training_set_for(config, system.spec, loc,
-                                            config.test_per_class,
-                                            0x7E57u + si);
+    calib[si] = training_set_for(config, system.spec,
+                                 static_cast<data::SensorLocation>(si),
+                                 config.calib_per_class, 0xCA11Bu + si);
   };
 
   // Stage 2: measurement, one task per (sensor, model variant) — task k
   // is sensor k%3, variant k/3, so each task owns one model exclusively
   // (batched inference keeps per-thread arenas, but the int8 and panel
-  // caches live in the model). Both passes run on the batched paths,
-  // which are pinned bit-identical to the per-sample oracles.
+  // caches live in the model). One batched forward per model yields both
+  // the accuracy and the confidence row, pinned bit-identical to the
+  // per-sample oracles.
   auto measure = [&](std::size_t k) {
     const std::size_t si = k % data::kNumSensors;
     const bool relaxed = k >= data::kNumSensors;
@@ -329,8 +356,8 @@ void calibrate_system(TrainedSystem& system, const PipelineConfig& config) {
     auto& accuracy =
         relaxed ? system.calib_accuracy_relaxed[si] : system.calib_accuracy[si];
     auto& row = relaxed ? rows_relaxed[si] : rows[si];
-    accuracy = per_class_accuracy(model, calib[si], num_classes);
-    row = ConfidenceMatrix::calibrate_sensor(model, calib[si], num_classes);
+    row = ConfidenceMatrix::calibrate_sensor(model, calib[si], num_classes,
+                                             &accuracy);
   };
 
   const unsigned threads =
@@ -354,11 +381,111 @@ void calibrate_system(TrainedSystem& system, const PipelineConfig& config) {
       ConfidenceMatrix::from_rows(rows_relaxed, num_classes);
 }
 
+std::string calibration_cache_path(const PipelineConfig& config) {
+  return (std::filesystem::path(config.cache_dir) /
+          (util::hex64(util::fnv1a(calibration_key_text(config))) +
+           "_calib.bin"))
+      .string();
+}
+
+void load_calibration(TrainedSystem& system, const PipelineConfig& config) {
+  const std::string bytes = util::read_file(calibration_cache_path(config));
+  // The trailing checksum covers every byte before it, so any truncation
+  // or flipped byte fails here before a field is trusted.
+  if (bytes.size() < sizeof(std::uint64_t)) {
+    throw std::runtime_error("load_calibration: truncated");
+  }
+  const std::string_view body(bytes.data(),
+                              bytes.size() - sizeof(std::uint64_t));
+  util::ByteReader tail(
+      std::string_view(bytes).substr(body.size()), "load_calibration");
+  if (tail.u64() != util::fnv1a(std::string(body))) {
+    throw std::runtime_error("load_calibration: checksum mismatch");
+  }
+  util::ByteReader r(body, "load_calibration");
+  if (std::memcmp(r.take(sizeof kCalibMagic), kCalibMagic,
+                  sizeof kCalibMagic) != 0) {
+    throw std::runtime_error("load_calibration: bad magic");
+  }
+  if (r.u32() != kCalibVersion) {
+    throw std::runtime_error("load_calibration: unsupported version");
+  }
+  if (r.str() != calibration_key_text(config)) {
+    throw std::runtime_error("load_calibration: key mismatch");
+  }
+  const int num_classes = system.spec.num_classes();
+  if (r.u32() != static_cast<std::uint32_t>(num_classes)) {
+    throw std::runtime_error("load_calibration: class count mismatch");
+  }
+  using Table = std::array<std::vector<double>, data::kNumSensors>;
+  // Accuracy, relaxed accuracy, confidence rows, relaxed confidence rows.
+  std::array<Table, 4> tables;
+  for (Table& table : tables) {
+    for (auto& row : table) {
+      row.resize(static_cast<std::size_t>(num_classes));
+      for (double& v : row) {
+        v = r.f64();
+        if (!(v >= 0.0 && v <= 1.0)) {
+          throw std::runtime_error("load_calibration: value out of range");
+        }
+      }
+    }
+  }
+  if (!r.exhausted()) {
+    throw std::runtime_error("load_calibration: trailing bytes");
+  }
+
+  // Build every table before adopting any, so a throw leaves `system`
+  // untouched.
+  RankTable ranks = RankTable::from_accuracy(tables[0]);
+  RankTable ranks_relaxed = RankTable::from_accuracy(tables[1]);
+  ConfidenceMatrix confidence =
+      ConfidenceMatrix::from_rows(tables[2], num_classes);
+  ConfidenceMatrix confidence_relaxed =
+      ConfidenceMatrix::from_rows(tables[3], num_classes);
+  system.calib_accuracy = std::move(tables[0]);
+  system.calib_accuracy_relaxed = std::move(tables[1]);
+  system.ranks = std::move(ranks);
+  system.ranks_relaxed = std::move(ranks_relaxed);
+  system.confidence = std::move(confidence);
+  system.confidence_relaxed = std::move(confidence_relaxed);
+}
+
 TrainedSystem build_system(const PipelineConfig& config) {
   TrainedSystem system;
   train_system(system, config);
+  if (config.use_cache &&
+      std::filesystem::exists(calibration_cache_path(config))) {
+    try {
+      load_calibration(system, config);
+      util::log_info("pipeline: loaded cached calibration");
+      return system;
+    } catch (const std::exception& e) {
+      util::log_warn("pipeline: calibration cache load failed (", e.what(),
+                     "); recalibrating");
+    }
+  }
   calibrate_system(system, config);
+  if (config.use_cache) {
+    std::error_code ec;
+    std::filesystem::create_directories(config.cache_dir, ec);
+    try {
+      save_calibration(system, config);
+    } catch (const std::exception& e) {
+      // The tables are in memory either way; only the next warm start
+      // pays for a missing file.
+      util::log_warn("pipeline: calibration cache save failed (", e.what(),
+                     ")");
+    }
+  }
   return system;
+}
+
+nn::Samples make_test_set(const PipelineConfig& config,
+                          const data::DatasetSpec& spec,
+                          data::SensorLocation loc) {
+  return training_set_for(config, spec, loc, config.test_per_class,
+                          0x7E57u + static_cast<std::size_t>(loc));
 }
 
 }  // namespace origin::core

@@ -1,8 +1,9 @@
 // End-to-end offline pipeline (paper §IV-B): per-sensor training sets from
 // the synthetic dataset, Baseline-1 CNNs trained per sensor location,
 // Baseline-2 derived by energy-aware pruning, rank table and confidence
-// matrix calibrated on held-out data. Trained models are cached on disk so
-// every bench/example binary shares one training run.
+// matrix calibrated on held-out data. Trained models and their calibration
+// are cached on disk so every bench/example binary shares one training and
+// one calibration run.
 #pragma once
 
 #include <array>
@@ -78,8 +79,6 @@ struct TrainedSystem {
   ConfidenceMatrix confidence{1};
   RankTable ranks_relaxed{1};
   ConfidenceMatrix confidence_relaxed{1};
-  /// Held-out i.i.d. test windows per sensor (Fig. 2 style evaluation).
-  std::array<nn::Samples, data::kNumSensors> test_sets;
 
   std::array<nn::Sequential*, data::kNumSensors> bl1_models();
   std::array<nn::Sequential*, data::kNumSensors> bl2_models();
@@ -104,22 +103,49 @@ void train_system(TrainedSystem& system, const PipelineConfig& config);
 
 /// Calibration stage of build_system, exposed so benches and tests can
 /// time and re-run it standalone: synthesizes the held-out calibration
-/// and test sets, measures per-class accuracy, and builds the rank
-/// tables and confidence matrices for the strict and relaxed model
-/// sets. The work fans out over config.train_threads workers in two
-/// flat stages (three per-sensor data syntheses, then six per-model
-/// measurement passes), each task owning one model exclusively; the
-/// rank/confidence assembly is a serial merge in sensor order, so the
-/// tables are bit-identical at any thread count.
+/// set, measures per-class accuracy and the confidence rows in one
+/// inference pass per model, and builds the rank tables and confidence
+/// matrices for the strict and relaxed model sets. The work fans out over
+/// config.train_threads workers in two flat stages (three per-sensor
+/// data syntheses, then six per-model measurement passes), each task
+/// owning one model exclusively; the rank/confidence assembly is a serial
+/// merge in sensor order, so the tables are bit-identical at any thread
+/// count.
 void calibrate_system(TrainedSystem& system, const PipelineConfig& config);
 
-/// Trains (or loads from cache) and calibrates the full system.
+/// Where build_system caches the calibration of `config`'s models: a file
+/// in config.cache_dir beside the model files, named by a key over
+/// pipeline_cache_key(config), calib_per_class, the active kernel
+/// backend's name (always: calibration bits differ between backends) and
+/// the calibration format version.
+std::string calibration_cache_path(const PipelineConfig& config);
+
+/// Reads calibration_cache_path(config) and rebuilds the rank tables
+/// (RankTable::from_accuracy) and confidence matrices
+/// (ConfidenceMatrix::from_rows) bit for bit. Throws std::runtime_error
+/// when the file is unreadable or fails to parse or validate (magic,
+/// version, key, class count, finite values in [0, 1], checksum);
+/// `system` is untouched then.
+void load_calibration(TrainedSystem& system, const PipelineConfig& config);
+
+/// Trains (or loads from cache) the models, then loads their cached
+/// calibration or runs calibrate_system and caches it. A cache file that
+/// fails to load is logged, recomputed and rewritten, as the model files
+/// are. config.use_cache = false skips every lookup and save.
 TrainedSystem build_system(const PipelineConfig& config);
 
+/// The held-out i.i.d. test windows of one sensor (Fig. 2 style
+/// evaluation): config.test_per_class per class, synthesized on demand
+/// from a salt of their own (0x7E57 + sensor), apart from the training
+/// and calibration draws.
+nn::Samples make_test_set(const PipelineConfig& config,
+                          const data::DatasetSpec& spec,
+                          data::SensorLocation loc);
+
 /// Per-class accuracy of `model` on `samples` (classes sized by
-/// `num_classes`; classes with no samples report 0), on the batched
-/// inference path (predict_batch in fixed-size chunks). Its counts equal
-/// the per-sample loop's (tests/calibration_oracles.hpp).
+/// `num_classes`; classes with no samples report 0): the accuracy half
+/// of ConfidenceMatrix::calibrate_sensor's pass. Its counts equal the
+/// per-sample loop's (tests/calibration_oracles.hpp).
 std::vector<double> per_class_accuracy(nn::Sequential& model,
                                        const nn::Samples& samples,
                                        int num_classes);

@@ -1,9 +1,13 @@
 // The per-sample calibration loops, kept as the oracles the batched
-// production paths must match bit for bit: core::per_class_accuracy
-// (predict_batch in chunks) and ConfidenceMatrix::calibrate_sensor
-// (predict_proba_batch in chunks) against one predict / predict_proba
-// call per sample (tests/test_confidence.cpp, tests/test_personalize.cpp).
+// production path must match bit for bit: ConfidenceMatrix::calibrate_sensor
+// (one batched forward in chunks, giving the confidence row and, through
+// core::per_class_accuracy, the accuracies) against one predict /
+// predict_proba call per sample (tests/test_confidence.cpp,
+// tests/test_personalize.cpp); and the table comparison the calibration
+// cache's tests share (tests/test_pipeline.cpp, tests/test_personalize.cpp).
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
@@ -11,6 +15,7 @@
 #include <vector>
 
 #include "core/confidence.hpp"
+#include "core/pipeline.hpp"
 #include "util/stats.hpp"
 
 namespace origin::test_support {
@@ -65,6 +70,30 @@ inline core::ConfidenceMatrix calibrate_oracle(
     }
   }
   return core::ConfidenceMatrix::from_rows(rows, num_classes);
+}
+
+/// Every calibration table of `got` equals `want`'s, bit for bit: the
+/// per-class accuracies, the rank tables and the confidence matrices,
+/// strict and relaxed.
+inline void expect_same_calibration(const core::TrainedSystem& got,
+                                    const core::TrainedSystem& want) {
+  for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+    EXPECT_EQ(got.calib_accuracy[s], want.calib_accuracy[s]);
+    EXPECT_EQ(got.calib_accuracy_relaxed[s], want.calib_accuracy_relaxed[s]);
+  }
+  for (int c = 0; c < want.spec.num_classes(); ++c) {
+    for (int r = 0; r < data::kNumSensors; ++r) {
+      EXPECT_EQ(got.ranks.sensor_at(c, r), want.ranks.sensor_at(c, r));
+      EXPECT_EQ(got.ranks_relaxed.sensor_at(c, r),
+                want.ranks_relaxed.sensor_at(c, r));
+    }
+    for (int s = 0; s < data::kNumSensors; ++s) {
+      const auto loc = static_cast<data::SensorLocation>(s);
+      EXPECT_EQ(got.confidence.weight(loc, c), want.confidence.weight(loc, c));
+      EXPECT_EQ(got.confidence_relaxed.weight(loc, c),
+                want.confidence_relaxed.weight(loc, c));
+    }
+  }
 }
 
 }  // namespace origin::test_support

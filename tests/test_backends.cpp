@@ -464,7 +464,10 @@ TEST_F(TrainedBackendTest, Int8AndFakeQuantMatchFloatOffNearTies) {
   // is also all an accuracy difference between the paths can come from.
   int windows = 0;
   for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-    for (const auto& sample : system.test_sets[s]) {
+    const nn::Samples test = core::make_test_set(
+        experiment_->config().pipeline, system.spec,
+        static_cast<data::SensorLocation>(s));
+    for (const auto& sample : test) {
       const auto want = float_models[s].predict_proba(sample.input);
       std::vector<float> sorted = want;
       std::sort(sorted.begin(), sorted.end());

@@ -131,6 +131,10 @@ TEST(ConfidenceMatrix, CalibrateValidatesInputs) {
   // The model predicts class 2, out of range for two classes.
   EXPECT_THROW(ConfidenceMatrix::calibrate_sensor(m, calib, 2),
                std::logic_error);
+  // A label outside the classes (the accuracy counts index by label).
+  const nn::Samples mislabeled = {{nn::Tensor({2}), 3}};
+  EXPECT_THROW(ConfidenceMatrix::calibrate_sensor(m, mislabeled, 3),
+               std::invalid_argument);
 }
 
 // A model whose prediction varies with the input, so calibration sees a

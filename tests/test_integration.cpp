@@ -74,7 +74,9 @@ TEST_F(IntegrationTest, ModelsLearnSomething) {
   for (int s = 0; s < data::kNumSensors; ++s) {
     const auto acc = core::per_class_accuracy(
         sys.sensors[static_cast<std::size_t>(s)].bl2,
-        sys.test_sets[static_cast<std::size_t>(s)], sys.spec.num_classes());
+        core::make_test_set(experiment_->config().pipeline, sys.spec,
+                            static_cast<data::SensorLocation>(s)),
+        sys.spec.num_classes());
     double mean = 0.0;
     for (double a : acc) mean += a;
     mean /= static_cast<double>(acc.size());
@@ -101,7 +103,9 @@ TEST_F(IntegrationTest, TrainedModelSerializationRoundtrip) {
   auto& sys = experiment_->system();
   const std::string blob = nn::model_to_string(sys.sensors[0].bl2);
   nn::Sequential loaded = nn::model_from_string(blob);
-  const auto& sample = sys.test_sets[0][0];
+  const auto sample =
+      core::make_test_set(experiment_->config().pipeline, sys.spec,
+                          data::SensorLocation::Chest)[0];
   EXPECT_EQ(loaded.predict(sample.input), sys.sensors[0].bl2.predict(sample.input));
 }
 

@@ -11,9 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -40,6 +44,7 @@
 #include "serve/serve_loop.hpp"
 #include "serve/snapshot.hpp"
 #include "util/fileio.hpp"
+#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace origin::serve {
@@ -578,15 +583,27 @@ sim::Experiment* PersonalizeTest::experiment_ = nullptr;
 
 // --- Parallel pipeline calibration -----------------------------------
 
+/// Each sensor's held-out test windows under the fixture's pipeline.
+std::array<nn::Samples, data::kNumSensors> test_sets(
+    const core::TrainedSystem& system) {
+  std::array<nn::Samples, data::kNumSensors> sets;
+  for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+    sets[s] = core::make_test_set(micro_pipeline(), system.spec,
+                                  static_cast<data::SensorLocation>(s));
+  }
+  return sets;
+}
+
 TEST_F(PersonalizeTest, PerClassAccuracyBatchMatchesOracle) {
   core::TrainedSystem system = experiment_->system();
   const int num_classes = system.spec.num_classes();
+  const auto tests = test_sets(system);
   for (std::size_t s = 0; s < data::kNumSensors; ++s) {
     SCOPED_TRACE(s);
     const auto oracle = test_support::per_class_accuracy_oracle(
-        system.sensors[s].bl2, system.test_sets[s], num_classes);
+        system.sensors[s].bl2, tests[s], num_classes);
     const auto batch = core::per_class_accuracy(
-        system.sensors[s].bl2, system.test_sets[s], num_classes);
+        system.sensors[s].bl2, tests[s], num_classes);
     ASSERT_EQ(batch.size(), oracle.size());
     for (std::size_t c = 0; c < oracle.size(); ++c) {
       EXPECT_EQ(batch[c], oracle[c]) << "class " << c;
@@ -597,14 +614,18 @@ TEST_F(PersonalizeTest, PerClassAccuracyBatchMatchesOracle) {
 TEST_F(PersonalizeTest, CalibrateSensorRowsMatchCalibrateOracle) {
   core::TrainedSystem system = experiment_->system();
   const int num_classes = system.spec.num_classes();
+  const auto tests = test_sets(system);
   const auto oracle = test_support::calibrate_oracle(
       {&system.sensors[0].bl2, &system.sensors[1].bl2, &system.sensors[2].bl2},
-      {&system.test_sets[0], &system.test_sets[1], &system.test_sets[2]},
-      num_classes);
+      {&tests[0], &tests[1], &tests[2]}, num_classes);
   std::array<std::vector<double>, data::kNumSensors> rows;
   for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+    // The pass that fills the accuracy as well yields the same row.
+    std::vector<double> accuracy;
     rows[s] = core::ConfidenceMatrix::calibrate_sensor(
-        system.sensors[s].bl2, system.test_sets[s], num_classes);
+        system.sensors[s].bl2, tests[s], num_classes, &accuracy);
+    EXPECT_EQ(accuracy, test_support::per_class_accuracy_oracle(
+                            system.sensors[s].bl2, tests[s], num_classes));
   }
   const auto assembled = core::ConfidenceMatrix::from_rows(rows, num_classes);
   for (int s = 0; s < data::kNumSensors; ++s) {
@@ -626,30 +647,57 @@ TEST_F(PersonalizeTest, CalibrateSystemBitIdenticalAcrossThreadCounts) {
     return system;
   };
   const core::TrainedSystem serial = calibrated_at(1);
-  const int num_classes = serial.spec.num_classes();
   for (int threads : {2, 8}) {
     SCOPED_TRACE(threads);
-    const core::TrainedSystem parallel = calibrated_at(threads);
-    for (std::size_t s = 0; s < data::kNumSensors; ++s) {
-      EXPECT_EQ(parallel.calib_accuracy[s], serial.calib_accuracy[s]);
-      EXPECT_EQ(parallel.calib_accuracy_relaxed[s],
-                serial.calib_accuracy_relaxed[s]);
-    }
-    for (int c = 0; c < num_classes; ++c) {
-      for (int r = 0; r < data::kNumSensors; ++r) {
-        EXPECT_EQ(parallel.ranks.sensor_at(c, r), serial.ranks.sensor_at(c, r));
-        EXPECT_EQ(parallel.ranks_relaxed.sensor_at(c, r),
-                  serial.ranks_relaxed.sensor_at(c, r));
-      }
-      for (int s = 0; s < data::kNumSensors; ++s) {
-        const auto loc = static_cast<data::SensorLocation>(s);
-        EXPECT_EQ(parallel.confidence.weight(loc, c),
-                  serial.confidence.weight(loc, c));
-        EXPECT_EQ(parallel.confidence_relaxed.weight(loc, c),
-                  serial.confidence_relaxed.weight(loc, c));
-      }
-    }
+    test_support::expect_same_calibration(calibrated_at(threads), serial);
   }
+}
+
+TEST_F(PersonalizeTest, ColdThenWarmCacheCalibrationMatchesCalibrateSystem) {
+  // $ORIGIN_CACHE_DIR when set (ctest's personalize_cold_cache_calibration
+  // points it at a directory its fixture has just emptied), else a
+  // private scratch directory.
+  const char* env = std::getenv("ORIGIN_CACHE_DIR");
+  const bool private_dir = env == nullptr || *env == '\0';
+  core::PipelineConfig cfg = micro_pipeline();
+  cfg.use_cache = true;
+  cfg.cache_dir = private_dir
+                      ? (std::filesystem::temp_directory_path() /
+                         ("origin_personalize_cache_" +
+                          std::to_string(::getpid())))
+                            .string()
+                      : std::string(env);
+  if (private_dir) std::filesystem::remove_all(cfg.cache_dir);
+  const std::string path = core::calibration_cache_path(cfg);
+  ASSERT_FALSE(std::filesystem::exists(path)) << "cache not cold: " << path;
+
+  const core::TrainedSystem cold = core::build_system(cfg);
+  ASSERT_TRUE(std::filesystem::exists(path)) << "cold run cached nothing";
+  const std::string written = util::read_file(path);
+
+  // The warm run must take the tables from the file, not recompute them.
+  std::vector<std::string> lines;
+  const util::LogLevel level = util::log_level();
+  util::set_log_level(util::LogLevel::Info);
+  const util::LogSink prev = util::set_log_sink(
+      [&](util::LogLevel, const std::string& line) { lines.push_back(line); });
+  const core::TrainedSystem warm = core::build_system(cfg);
+  util::set_log_sink(prev);
+  util::set_log_level(level);
+  EXPECT_NE(std::find(lines.begin(), lines.end(),
+                      "pipeline: loaded cached calibration"),
+            lines.end());
+  EXPECT_EQ(util::read_file(path), written);
+
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    core::TrainedSystem fresh = experiment_->system();
+    cfg.train_threads = threads;
+    core::calibrate_system(fresh, cfg);
+    test_support::expect_same_calibration(cold, fresh);
+    test_support::expect_same_calibration(warm, fresh);
+  }
+  if (private_dir) std::filesystem::remove_all(cfg.cache_dir);
 }
 
 // --- Served fine-tuning ----------------------------------------------
