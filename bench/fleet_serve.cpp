@@ -14,7 +14,9 @@
 // cross-session GEMM panel occupancy (DESIGN.md §15), and p50/p99
 // per-slot service latency from the serve.step_seconds histogram.
 //
-// Flags: --users N, --slots N, --arrival-rate R, --shards N, --json PATH.
+// Flags: --users N, --slots N, --arrival-rate R, --shards N, --chunk N
+// (ticks per drain call; 1 serves one slot per call, as the repository
+// benchmark does), --fine-tune, --json PATH.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -42,9 +44,9 @@ struct RunOutput {
   double slots_per_s = 0.0;
 };
 
-RunOutput drain_loop(serve::ServeLoop& loop) {
+RunOutput drain_loop(serve::ServeLoop& loop, std::uint64_t chunk) {
   const auto begin = std::chrono::steady_clock::now();
-  loop.drain(/*chunk=*/32);
+  loop.drain(chunk);
   RunOutput out;
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
@@ -52,7 +54,7 @@ RunOutput drain_loop(serve::ServeLoop& loop) {
   out.completed = loop.completed_sessions();
   out.metrics = loop.metrics();
   out.status = loop.status();
-  // Fixed drain chunk above: the flight stream is then a pure function of
+  // Fixed drain chunk per run: the flight stream is then a pure function of
   // the workload, so it must be bit-identical across thread counts.
   out.flight = loop.flight_events();
   return out;
@@ -84,6 +86,8 @@ int main(int argc, char** argv) {
   std::string policy_name = to_string(base.policy);
   std::string set_name = to_string(base.set);
   int repeat = 3;
+  std::uint64_t chunk = 32;
+  bool fine_tune = false;
   std::string json_path;  // parsed again by JsonReport below
 
   util::ArgParser args("fleet_serve",
@@ -103,6 +107,11 @@ int main(int argc, char** argv) {
            "ORIGIN_BACKEND or reference)");
   args.add("bits", &base.bits,
            "inference word width: 32 (float) or 2..8 (int8 serving path)");
+  args.add("chunk", &chunk,
+           "ticks per tick() call while draining (1 = one slot per call)");
+  args.add_switch("fine-tune", &fine_tune,
+                  "serve with in-shard fine-tuning (PersonalizeConfig "
+                  "defaults)");
   args.add("json", &json_path, "write a run manifest JSON here");
   try {
     if (!args.parse(argc, argv)) return 0;
@@ -122,8 +131,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "fleet_serve: %s\n%s", e.what(), args.usage().c_str());
     return 2;
   }
+  if (chunk == 0) {
+    std::fprintf(stderr, "fleet_serve: --chunk must be positive\n%s",
+                 args.usage().c_str());
+    return 2;
+  }
   base.users = users;
   base.shards = shards;
+  base.personalize.enabled = fine_tune;
 
   // JsonReport re-scans argv for --json and stamps the (now switched)
   // kernel backend into the manifest.
@@ -135,6 +150,8 @@ int main(int argc, char** argv) {
   report.manifest().set("policy", to_string(base.policy));
   report.manifest().set("set", to_string(base.set));
   report.manifest().set("bits", base.bits);
+  report.manifest().set("chunk", chunk);
+  report.manifest().set("fine_tune", fine_tune);
 
   auto config = bench::default_config(data::DatasetKind::MHealthLike);
   config.stream_slots = slots;
@@ -153,7 +170,7 @@ int main(int argc, char** argv) {
     serve::ServeConfig cfg = base;
     cfg.threads = 1;
     serve::ServeLoop warm(experiment, cfg);
-    warm.drain(/*chunk=*/32);
+    warm.drain(chunk);
   }
 
   util::AsciiTable table({"threads", "wall s", "users/s", "slots/s", "occ",
@@ -181,7 +198,7 @@ int main(int argc, char** argv) {
     RunOutput out;
     for (int r = 0; r < std::max(1, repeat); ++r) {
       serve::ServeLoop loop(experiment, cfg);
-      RunOutput this_run = drain_loop(loop);
+      RunOutput this_run = drain_loop(loop, chunk);
       if (r == 0) {
         out = std::move(this_run);
       } else if (this_run.wall_seconds < out.wall_seconds) {

@@ -56,7 +56,11 @@ void save_samples_csv(const std::string& path, const nn::Samples& samples,
   std::vector<std::string> header{"label"};
   for (int c = 0; c < spec.channels; ++c) {
     for (int t = 0; t < spec.window_len; ++t) {
-      header.push_back("c" + std::to_string(c) + "_t" + std::to_string(t));
+      std::string name = "c";
+      name += std::to_string(c);
+      name += "_t";
+      name += std::to_string(t);
+      header.push_back(std::move(name));
     }
   }
   writer.write_row(header);

@@ -21,9 +21,7 @@ Conv1D::Conv1D(int in_channels, int out_channels, int kernel, int stride)
       k_(kernel),
       stride_(stride),
       weight_({out_channels, in_channels, kernel}),
-      bias_({out_channels}),
-      grad_weight_({out_channels, in_channels, kernel}),
-      grad_bias_({out_channels}) {
+      bias_({out_channels}) {
   if (in_channels <= 0 || out_channels <= 0 || kernel <= 0 || stride <= 0) {
     throw std::invalid_argument("Conv1D: non-positive configuration");
   }
@@ -123,9 +121,16 @@ void Conv1D::forward_batch(const Tensor* const* inputs, std::size_t count,
   }
 }
 
+std::vector<Tensor*> Conv1D::grads() {
+  size_grad(grad_weight_, weight_);
+  size_grad(grad_bias_, bias_);
+  return {&grad_weight_, &grad_bias_};
+}
+
 void Conv1D::backward_batch(const Tensor* const* grad_outputs,
                             std::size_t count, Tensor* grad_inputs) {
   require_train_cache(train_count_, count);
+  grads();  // sizes the gradients on first use
   const int in_len = train_in_len_;
   const int out_len = out_length(in_len, k_, stride_);
   const std::size_t n = count * static_cast<std::size_t>(out_len);
@@ -243,8 +248,8 @@ void Conv1D::remove_output_filter(int f) {
   cout_ = new_cout;
   weight_ = std::move(new_w);
   bias_ = std::move(new_b);
-  grad_weight_ = Tensor({cout_, cin_, k_});
-  grad_bias_ = Tensor({cout_});
+  grad_weight_ = Tensor();  // both re-sized on the next training use
+  grad_bias_ = Tensor();
   qbits_ = 32;
   qweight_.clear();
   qscale_ = 0.0f;
@@ -266,7 +271,7 @@ void Conv1D::remove_input_channel(int c) {
   }
   cin_ = new_cin;
   weight_ = std::move(new_w);
-  grad_weight_ = Tensor({cout_, cin_, k_});
+  grad_weight_ = Tensor();  // re-sized on the next training use
   qbits_ = 32;
   qweight_.clear();
   qscale_ = 0.0f;

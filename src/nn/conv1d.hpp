@@ -32,7 +32,10 @@ class Conv1D : public Layer {
                       Tensor* grad_inputs) override;
 
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
-  std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
+  std::vector<Tensor*> grads() override;
+  std::size_t grad_size() const override {
+    return grad_weight_.size() + grad_bias_.size();
+  }
 
   /// Int8 serving mode (see Layer): weights quantized on the symmetric
   /// `bits` grid into int8 storage; inference forwards run im2row +
@@ -79,6 +82,8 @@ class Conv1D : public Layer {
   int stride_ = 1;
   Tensor weight_;       // [cout, cin, k]
   Tensor bias_;         // [cout]
+  /// Gradients of weight_ and bias_: empty until training sizes them
+  /// (Layer::grads).
   Tensor grad_weight_;
   Tensor grad_bias_;
   /// Int8 serving mode: weight codes on the symmetric qbits_ grid, their

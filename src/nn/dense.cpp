@@ -13,9 +13,7 @@ Dense::Dense(int in_features, int out_features)
     : in_(in_features),
       out_(out_features),
       weight_({out_features, in_features}),
-      bias_({out_features}),
-      grad_weight_({out_features, in_features}),
-      grad_bias_({out_features}) {
+      bias_({out_features}) {
   if (in_features <= 0 || out_features <= 0) {
     throw std::invalid_argument("Dense: non-positive dimensions");
   }
@@ -86,9 +84,16 @@ void Dense::forward_batch(const Tensor* const* inputs, std::size_t count,
   if (train) train_count_ = count;
 }
 
+std::vector<Tensor*> Dense::grads() {
+  size_grad(grad_weight_, weight_);
+  size_grad(grad_bias_, bias_);
+  return {&grad_weight_, &grad_bias_};
+}
+
 void Dense::backward_batch(const Tensor* const* grad_outputs,
                            std::size_t count, Tensor* grad_inputs) {
   require_train_cache(train_count_, count);
+  grads();  // sizes the gradients on first use
   for (std::size_t b = 0; b < count; ++b) {
     if (static_cast<int>(grad_outputs[b]->size()) != out_) {
       throw std::invalid_argument(
@@ -181,7 +186,7 @@ void Dense::remove_input_block(int begin, int count) {
   }
   in_ = new_in;
   weight_ = std::move(new_w);
-  grad_weight_ = Tensor({out_, in_});
+  grad_weight_ = Tensor();  // re-sized on the next training use
   qbits_ = 32;
   qweight_.clear();
   qscale_ = 0.0f;
@@ -204,8 +209,8 @@ void Dense::remove_output_unit(int index) {
   out_ = new_out;
   weight_ = std::move(new_w);
   bias_ = std::move(new_b);
-  grad_weight_ = Tensor({out_, in_});
-  grad_bias_ = Tensor({out_});
+  grad_weight_ = Tensor();  // both re-sized on the next training use
+  grad_bias_ = Tensor();
   qbits_ = 32;
   qweight_.clear();
   qscale_ = 0.0f;

@@ -30,7 +30,10 @@ class Dense : public Layer {
                       Tensor* grad_inputs) override;
 
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
-  std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
+  std::vector<Tensor*> grads() override;
+  std::size_t grad_size() const override {
+    return grad_weight_.size() + grad_bias_.size();
+  }
 
   /// Int8 serving mode (see Layer): weights quantized on the symmetric
   /// `bits` grid into int8 storage; inference forwards run per-sample
@@ -70,8 +73,10 @@ class Dense : public Layer {
   int out_ = 0;
   Tensor weight_;       // [out, in]
   Tensor bias_;         // [out]
-  Tensor grad_weight_;  // [out, in]
-  Tensor grad_bias_;    // [out]
+  /// Gradients of weight_ and bias_: empty until training sizes them
+  /// (Layer::grads).
+  Tensor grad_weight_;
+  Tensor grad_bias_;
   /// Int8 serving mode: weight codes on the symmetric qbits_ grid, their
   /// scale, and the mode flag (32 = float path).
   std::vector<std::int8_t> qweight_;

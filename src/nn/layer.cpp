@@ -28,4 +28,8 @@ void Layer::require_train_cache(std::size_t cached, std::size_t count) const {
   }
 }
 
+void Layer::size_grad(Tensor& grad, const Tensor& param) {
+  if (!grad.same_shape(param)) grad = Tensor(param.shape());
+}
+
 }  // namespace origin::nn

@@ -49,8 +49,15 @@ class Layer {
   Tensor backward(const Tensor& grad_output);
 
   /// Learnable parameters and their gradient accumulators; same order.
+  /// Gradients are training state: a layer is built, copied and cloned
+  /// without them, and grads() (the optimizer's bind, zero_grads) or a
+  /// training backward_batch sizes each one, zeroed, on first use. So
+  /// grads() mutates: it belongs to training code, never to a model that
+  /// other threads run inference on.
   virtual std::vector<Tensor*> params() { return {}; }
   virtual std::vector<Tensor*> grads() { return {}; }
+  /// Gradient elements the layer holds now (0 until training sizes them).
+  virtual std::size_t grad_size() const { return 0; }
 
   /// Switch the layer's INFERENCE execution mode: 32 restores the float
   /// path; bits in [2, 8] makes weight-bearing layers (Conv1D, Dense)
@@ -91,6 +98,9 @@ class Layer {
   /// layer cached a training batch (`cached` samples, 0 for none) of
   /// exactly `count` samples.
   void require_train_cache(std::size_t cached, std::size_t count) const;
+  /// Sizes `grad` as zeros of `param`'s shape unless it has that shape
+  /// already (then it keeps what it accumulated).
+  static void size_grad(Tensor& grad, const Tensor& param);
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

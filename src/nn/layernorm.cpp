@@ -10,9 +10,7 @@ LayerNorm::LayerNorm(int size, float epsilon)
     : size_(size),
       epsilon_(epsilon),
       gamma_(Tensor::full({size}, 1.0f)),
-      beta_({size}),
-      grad_gamma_({size}),
-      grad_beta_({size}) {
+      beta_({size}) {
   if (size <= 0) throw std::invalid_argument("LayerNorm: size <= 0");
   if (epsilon <= 0.0f) throw std::invalid_argument("LayerNorm: epsilon <= 0");
 }
@@ -56,9 +54,16 @@ void LayerNorm::forward_batch(const Tensor* const* inputs, std::size_t count,
   if (train) train_count_ = count;
 }
 
+std::vector<Tensor*> LayerNorm::grads() {
+  size_grad(grad_gamma_, gamma_);
+  size_grad(grad_beta_, beta_);
+  return {&grad_gamma_, &grad_beta_};
+}
+
 void LayerNorm::backward_batch(const Tensor* const* grad_outputs,
                                std::size_t count, Tensor* grad_inputs) {
   require_train_cache(train_count_, count);
+  grads();  // sizes the gradients on first use
   const std::size_t size = static_cast<std::size_t>(size_);
   const float n = static_cast<float>(size_);
   for (std::size_t b = 0; b < count; ++b) {

@@ -21,7 +21,10 @@ class LayerNorm : public Layer {
                       Tensor* grad_inputs) override;
 
   std::vector<Tensor*> params() override { return {&gamma_, &beta_}; }
-  std::vector<Tensor*> grads() override { return {&grad_gamma_, &grad_beta_}; }
+  std::vector<Tensor*> grads() override;
+  std::size_t grad_size() const override {
+    return grad_gamma_.size() + grad_beta_.size();
+  }
 
   std::string kind() const override { return "layernorm"; }
   std::string describe() const override;
@@ -40,6 +43,8 @@ class LayerNorm : public Layer {
   float epsilon_ = 1e-5f;
   Tensor gamma_;       // [size]
   Tensor beta_;        // [size]
+  /// Gradients of gamma_ and beta_: empty until training sizes them
+  /// (Layer::grads).
   Tensor grad_gamma_;
   Tensor grad_beta_;
   /// Training cache: x_hat sample-major ([b][i] flat) and each sample's

@@ -180,6 +180,12 @@ std::size_t Sequential::param_count() const {
   return n;
 }
 
+std::size_t Sequential::grad_size() const {
+  std::size_t n = 0;
+  for (const auto& layer : layers_) n += layer->grad_size();
+  return n;
+}
+
 void Sequential::zero_grads() {
   for (Tensor* g : grads()) g->zero();
 }

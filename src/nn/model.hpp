@@ -78,8 +78,12 @@ class Sequential {
   const Layer& layer(std::size_t i) const { return *layers_[i]; }
 
   std::vector<Tensor*> params();
+  /// Every layer's gradients, sized on first use (see Layer::grads).
   std::vector<Tensor*> grads();
   std::size_t param_count() const;
+  /// Gradient elements the layers hold now; 0 for a model that never
+  /// trained (a loaded, copied or cloned one).
+  std::size_t grad_size() const;
   void zero_grads();
 
   /// Switch every layer's inference execution mode (see Layer): 32 is the

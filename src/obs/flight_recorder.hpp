@@ -13,10 +13,12 @@
 //                    count. Oldest events drop first; the drop count is
 //                    kept so exports stay honest.
 //
-// Events are plain obs::TraceEvent records (the serve-specific kinds of
-// EventKind), so the existing JSONL and Chrome trace_event sinks render
-// flight streams unchanged. Timestamps are virtual serve-time (tick x
-// slot seconds), never wall clock.
+// Each event is stored as a FlightRecord: the fields the flight kinds set,
+// packed into 64 bytes, in one contiguous ring. Queries return them as
+// obs::TraceEvents (the serve-specific kinds of EventKind), so the JSONL
+// and Chrome trace_event sinks render flight streams unchanged.
+// Timestamps are virtual serve-time (tick x slot seconds), never wall
+// clock.
 //
 // Instrumentation sites use the same ORIGIN_TRACE(log, call) macro as the
 // simulator: a null log skips the call, and -DORIGIN_TRACE=OFF compiles
@@ -27,16 +29,39 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <type_traits>
 #include <vector>
 
 #include "obs/trace.hpp"
 
 namespace origin::obs {
 
+/// One flight event, packed: exactly the fields the six flight kinds set
+/// (see the FlightLog helpers), at their TraceEvent defaults when a kind
+/// leaves them unset. TraceEvent adds the sim-only `outcome` and `label`,
+/// which flight events never carry.
+struct FlightRecord {
+  std::int64_t session = -1;
+  std::int64_t slot = -1;
+  double t0_s = 0.0;
+  double dur_s = 0.0;
+  double value = 0.0;
+  double aux = 0.0;
+  int track = 0;
+  int cls = -1;
+  int count = 0;
+  EventKind kind = EventKind::Mark;
+  bool flag = false;
+
+  /// The TraceEvent this record stands for.
+  TraceEvent event() const;
+};
+static_assert(std::is_trivially_copyable_v<FlightRecord>);
+static_assert(sizeof(FlightRecord) <= 64);
+
 /// One shard's private event buffer for the current publish round. Cheap
 /// to create, no interior locking. The typed helpers mirror
-/// TraceRecorder's: they fill a TraceEvent and append.
+/// TraceRecorder's: they fill a FlightRecord and append.
 class FlightLog {
  public:
   void admit(std::int64_t session, int shard, double t0_s,
@@ -54,19 +79,19 @@ class FlightLog {
                    std::int64_t completed_tick, int slots, double accuracy,
                    double success_rate_pct, bool completed);
 
-  std::vector<TraceEvent>& events() { return events_; }
-  const std::vector<TraceEvent>& events() const { return events_; }
+  const std::vector<FlightRecord>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
   void clear() { events_.clear(); }
 
  private:
-  std::vector<TraceEvent> events_;
+  std::vector<FlightRecord> events_;
 };
 
-/// The folded, bounded event ring. NOT internally synchronized: fold()
-/// and the query surface belong under one external mutex (the serving
-/// loop's publish mutex), which is also what makes a query see complete
-/// rounds only.
+/// The folded, bounded event ring: one contiguous buffer of at most
+/// `capacity` records that, once full, overwrites its oldest at `head_`.
+/// NOT internally synchronized: fold() and the query surface belong under
+/// one external mutex (the serving loop's publish mutex), which is also
+/// what makes a query see complete rounds only.
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = 1 << 15);
@@ -89,8 +114,13 @@ class FlightRecorder {
   void clear();
 
  private:
+  /// The i-th buffered record, oldest first.
+  const FlightRecord& at(std::size_t i) const;
+
   std::size_t capacity_;
-  std::deque<TraceEvent> ring_;
+  /// Grows to capacity_, then stays full; the oldest record is at head_.
+  std::vector<FlightRecord> ring_;
+  std::size_t head_ = 0;
   std::uint64_t dropped_ = 0;
 };
 

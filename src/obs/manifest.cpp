@@ -9,11 +9,10 @@
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 
-// Build facts injected by src/CMakeLists.txt onto this file only (so a new
-// git HEAD recompiles one translation unit, not the library).
-#ifndef ORIGIN_GIT_DESCRIBE
-#define ORIGIN_GIT_DESCRIBE "unknown"
-#endif
+// Build facts from src/CMakeLists.txt: the git stamp is a generated header
+// only this file includes (rewritten at build time when HEAD or the tree's
+// dirty state changes), the rest compile definitions on this file only.
+#include "build_stamp.hpp"
 #ifndef ORIGIN_BUILD_TYPE
 #define ORIGIN_BUILD_TYPE "unknown"
 #endif

@@ -8,13 +8,14 @@ namespace origin::obs {
 namespace {
 
 std::string sanitize(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
+  std::string out;
+  out.reserve(name.size() + 1);
+  if (!name.empty() && name[0] >= '0' && name[0] <= '9') out += '_';
+  for (const char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
-    if (!ok) c = '_';
+    out += ok ? c : '_';
   }
-  if (!out.empty() && out[0] >= '0' && out[0] <= '9') out.insert(0, "_");
   return out;
 }
 

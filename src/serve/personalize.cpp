@@ -36,6 +36,8 @@ struct FitScratch {
   std::vector<const nn::Tensor*> windows;
 };
 
+thread_local FitScratch t_fit_scratch;
+
 std::atomic<std::uint64_t> g_next_core_serial{1};
 
 }  // namespace
@@ -128,6 +130,16 @@ void Personalizer::load_base(
     scratch_dirty_ = false;
   }
   loaded_ = -1;
+}
+
+std::size_t Personalizer::grad_size() const {
+  std::size_t n = 0;
+  for (std::size_t s = 0; s < data::kNumSensors; ++s) {
+    n += core_->base[s].grad_size() + core_->prefix[s].grad_size() +
+         t_fit_scratch.prefix[s].grad_size() +
+         t_fit_scratch.net[s].grad_size();
+  }
+  return n;
 }
 
 void Personalizer::validate(const PersonalizeState& state) const {
@@ -235,7 +247,7 @@ void Personalizer::fit_sensor(PersonalizeState& state,
   }
   const Core& core = *core_;
   const PersonalizeConfig& config = core.config;
-  thread_local FitScratch scratch;
+  FitScratch& scratch = t_fit_scratch;
   if (scratch.serial[s] != core.serial) {
     scratch.prefix[s] = core.prefix[s];
     scratch.net[s] = core.base[s];

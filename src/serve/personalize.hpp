@@ -187,6 +187,11 @@ class Personalizer {
   /// prefix). Snapshot restore runs it before adopting a session.
   void validate(const PersonalizeState& state) const;
 
+  /// Gradient elements held by the shared base and prefix copies and by
+  /// the calling thread's fit scratch. Gradients are training state and
+  /// each fit trains a tail it builds and drops, so this stays 0.
+  std::size_t grad_size() const;
+
   /// Serialized size of a session's three deltas (delta_bytes refresh).
   static std::uint64_t serialized_bytes(
       const std::array<nn::ModelDelta, data::kNumSensors>& delta);

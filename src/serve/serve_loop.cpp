@@ -423,6 +423,14 @@ ServeLoop::Slo ServeLoop::slo() const {
   return slo;
 }
 
+std::size_t ServeLoop::model_grad_size() const {
+  std::size_t n = personalizer_ ? personalizer_->grad_size() : 0;
+  for (const auto& shard : shards_) {
+    for (const nn::Sequential& model : *shard->models()) n += model.grad_size();
+  }
+  return n;
+}
+
 bool ServeLoop::flight_enabled() const { return flight_ != nullptr; }
 
 std::vector<obs::TraceEvent> ServeLoop::flight_events() const {

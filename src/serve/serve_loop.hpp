@@ -80,7 +80,9 @@ struct ServeConfig {
   /// Flight-recorder ring capacity (admit/step/hop/NVP/session-end events,
   /// oldest dropped first). 0 disables recording; a -DORIGIN_TRACE=OFF
   /// build compiles the recording sites out regardless. Never affects
-  /// results, so it is excluded from the snapshot fingerprint.
+  /// results, so it is excluded from the snapshot fingerprint. The ring
+  /// reserves 64 bytes per event up front (2 MiB at the default); its
+  /// pages become resident as events land.
   std::size_t flight_capacity = 1 << 15;
 };
 
@@ -164,6 +166,12 @@ class ServeLoop {
   /// results). Throws std::runtime_error on a corrupt or mismatched
   /// snapshot.
   void restore(const std::string& path);
+
+  /// Gradient elements held by every shard's model copies and the
+  /// fine-tuning engine's (Personalizer::grad_size, on this thread).
+  /// Serving never trains those copies, so this stays 0. Call between
+  /// ticks.
+  std::size_t model_grad_size() const;
 
   const ServeConfig& config() const { return config_; }
   const sim::Experiment& experiment() const { return *experiment_; }

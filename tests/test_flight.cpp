@@ -9,11 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <sstream>
+#include <type_traits>
+#include <vector>
 
 #include "obs/prometheus.hpp"
 #include "serve/endpoint.hpp"
 #include "serve/serve_loop.hpp"
+#include "util/rng.hpp"
 
 namespace origin::serve {
 namespace {
@@ -179,6 +184,130 @@ TEST(FlightRecorder, ZeroCapacityClampsToOne) {
   rec.fold(log);
   EXPECT_EQ(rec.size(), 1u);
   EXPECT_EQ(rec.events().front().session, 1);
+}
+
+static_assert(std::is_trivially_copyable_v<obs::FlightRecord>);
+static_assert(sizeof(obs::FlightRecord) <= 64);
+
+/// Appends one random event of a random flight kind to `log` and the
+/// TraceEvent it must read back as to `expected`, filled field by field
+/// as the recorder's deque-of-TraceEvent ring used to store it.
+void append_random_event(util::Rng& rng, obs::FlightLog& log,
+                         std::vector<obs::TraceEvent>& expected) {
+  obs::TraceEvent e;
+  e.session = rng.uniform_int(0, 7);
+  e.track = static_cast<int>(rng.uniform_int(0, 7));
+  e.t0_s = rng.uniform(0.0, 1e4);
+  e.slot = rng.uniform_int(0, 1 << 20);
+  switch (rng.uniform_int(0, 5)) {
+    case 0:
+      e.kind = obs::EventKind::Admit;
+      e.count = static_cast<int>(rng.uniform_int(1, 400));
+      log.admit(e.session, e.track, e.t0_s, e.slot, e.count);
+      break;
+    case 1:
+      e.kind = obs::EventKind::Step;
+      e.dur_s = rng.uniform(0.0, 1.0);
+      e.cls = static_cast<int>(rng.uniform_int(0, 11));
+      e.count = static_cast<int>(rng.uniform_int(0, 11));
+      e.flag = e.cls == e.count;
+      e.value = rng.uniform(0.0, 0.5);
+      e.aux = rng.uniform(0.0, 0.1);
+      log.step(e.session, e.track, e.t0_s, e.dur_s, e.slot, e.cls, e.count,
+               e.value, e.aux);
+      break;
+    case 2:
+      e.kind = obs::EventKind::Hop;
+      e.count = static_cast<int>(rng.uniform_int(1, 3));
+      log.hop(e.session, e.track, e.t0_s, e.slot, e.count);
+      break;
+    case 3:
+      e.kind = obs::EventKind::NvpSave;
+      e.cls = static_cast<int>(rng.uniform_int(0, 2));
+      e.count = static_cast<int>(rng.uniform_int(1, 4));
+      log.nvp_save(e.session, e.track, e.t0_s, e.slot, e.cls, e.count);
+      break;
+    case 4:
+      e.kind = obs::EventKind::NvpRestore;
+      e.cls = static_cast<int>(rng.uniform_int(0, 2));
+      e.count = static_cast<int>(rng.uniform_int(1, 4));
+      log.nvp_restore(e.session, e.track, e.t0_s, e.slot, e.cls, e.count);
+      break;
+    default:
+      e.kind = obs::EventKind::SessionEnd;
+      e.count = static_cast<int>(rng.uniform_int(1, 400));
+      e.value = rng.uniform(0.0, 1.0);
+      e.aux = rng.uniform(0.0, 100.0);
+      e.flag = rng.bernoulli(0.5);
+      log.session_end(e.session, e.track, e.t0_s, e.slot, e.count, e.value,
+                      e.aux, e.flag);
+      break;
+  }
+  expected.push_back(e);
+}
+
+TEST(FlightRecorder, PackedRingMatchesDequeOracle) {
+  // The packed ring against the std::deque<TraceEvent> ring it replaced,
+  // over seeded streams folded in rounds of random size: wrap-around,
+  // drop counts and all three queries agree after every fold.
+  for (const std::size_t capacity :
+       {std::size_t{1}, std::size_t{3}, std::size_t{1} << 15}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "capacity " << capacity << " seed " << seed);
+      util::Rng rng(seed);
+      obs::FlightRecorder rec(capacity);
+      std::deque<obs::TraceEvent> oracle;
+      std::uint64_t oracle_dropped = 0;
+      // About 1.3 times the capacity, so every ring wraps.
+      const std::size_t total = capacity + capacity / 3 + 5;
+      std::size_t appended = 0;
+      while (appended < total) {
+        obs::FlightLog log;
+        std::vector<obs::TraceEvent> expected;
+        const auto round = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(capacity / 4 + 2)));
+        for (std::size_t i = 0; i < round; ++i) {
+          append_random_event(rng, log, expected);
+        }
+        appended += round;
+        rec.fold(log);
+        EXPECT_EQ(log.size(), 0u);
+        for (const obs::TraceEvent& e : expected) {
+          if (oracle.size() == capacity) {
+            oracle.pop_front();
+            ++oracle_dropped;
+          }
+          oracle.push_back(e);
+        }
+
+        ASSERT_EQ(rec.size(), oracle.size());
+        ASSERT_EQ(rec.dropped(), oracle_dropped);
+        const std::vector<obs::TraceEvent> all(oracle.begin(), oracle.end());
+        ASSERT_EQ(rec.events(), all);
+        for (const std::size_t n :
+             {std::size_t{0}, std::size_t{1}, oracle.size() / 2, oracle.size(),
+              oracle.size() + 7}) {
+          const std::size_t take = std::min(n, oracle.size());
+          const std::vector<obs::TraceEvent> tail(
+              oracle.end() - static_cast<std::ptrdiff_t>(take), oracle.end());
+          ASSERT_EQ(rec.recent(n), tail) << "n " << n;
+        }
+        for (const std::uint64_t id : {0u, 5u, 99u}) {
+          std::vector<obs::TraceEvent> mine;
+          for (const obs::TraceEvent& e : oracle) {
+            if (e.session == static_cast<std::int64_t>(id)) mine.push_back(e);
+          }
+          ASSERT_EQ(rec.session(id), mine) << "session " << id;
+        }
+      }
+      EXPECT_GT(oracle_dropped, 0u);
+      rec.clear();
+      EXPECT_EQ(rec.size(), 0u);
+      EXPECT_EQ(rec.dropped(), 0u);
+      EXPECT_TRUE(rec.events().empty());
+    }
+  }
 }
 
 TEST_F(FlightServeTest, StreamBitIdenticalAcrossThreadCounts) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,6 +22,15 @@
 
 namespace origin::obs {
 namespace {
+
+/// `prefix` followed by `i`, built by appending: GCC 12 misreads the
+/// insert that `"m" + std::to_string(i)` compiles to as an overlapping
+/// copy (-Wrestrict).
+std::string numbered(const char* prefix, int i) {
+  std::string s = prefix;
+  s += std::to_string(i);
+  return s;
+}
 
 // ----------------------------------------------------------------- metrics
 
@@ -340,7 +350,7 @@ TEST(Prometheus, TextFormatIsStructurallyValid) {
 TEST(TraceRecorder, RingBufferWrapsWithDropCount) {
   TraceRecorder rec(4);
   for (int i = 0; i < 6; ++i) {
-    rec.mark(static_cast<double>(i), "m" + std::to_string(i));
+    rec.mark(static_cast<double>(i), numbered("m", i));
   }
   EXPECT_EQ(rec.size(), 4u);
   EXPECT_EQ(rec.capacity(), 4u);
@@ -449,6 +459,24 @@ TEST(RunManifest, CapturesBuildInfoAndParams) {
   EXPECT_EQ(with_metrics.back(), '}');
 }
 
+TEST(BuildInfo, GitDescribeMatchesTheCheckout) {
+  // The stamp is taken at build time, so a build tree reused across
+  // commits (or across a clean/dirty change) reports the tree it built.
+  const std::string command =
+      "git -C \"" ORIGIN_SOURCE_DIR "\" describe --always --dirty --tags "
+      "2>/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) GTEST_SKIP() << "cannot run git";
+  std::string describe;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) describe += buf;
+  if (pclose(pipe) != 0 || describe.empty()) {
+    GTEST_SKIP() << "git absent, or the source tree is not a checkout";
+  }
+  while (!describe.empty() && describe.back() == '\n') describe.pop_back();
+  EXPECT_EQ(build_info().git_describe, describe);
+}
+
 // -------------------------------------------------------------- concurrency
 
 // Run under TSan via the obs/fleet ctest labels: many threads hammer one
@@ -467,7 +495,7 @@ TEST(ObsConcurrency, ParallelRecordingIsExact) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        rec.mark(static_cast<double>(i), "t" + std::to_string(t));
+        rec.mark(static_cast<double>(i), numbered("t", t));
         shards[static_cast<std::size_t>(t)].inc(c);
         shards[static_cast<std::size_t>(t)].observe(
             h, static_cast<double>(i));
