@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     if (done == total) std::printf("\n");
     std::fflush(stdout);
   };
-  obs::TraceRecorder recorder;
+  obs::FlightRecorder recorder(1 << 16);
   if (!trace_path.empty()) runner_config.trace = &recorder;
   const auto result = fleet::FleetRunner(experiment, runner_config).run(jobs);
 

@@ -87,10 +87,10 @@ class Policy {
   /// Clears cross-run state; called before each simulation run.
   virtual void reset();
 
-  /// Borrowed slot-trace recorder (nullptr = no tracing). The simulator
-  /// forwards its own recorder here so fusing policies can expose the
-  /// ballots and weights behind each decision.
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
+  /// Borrowed event log (nullptr = no tracing). The simulator forwards
+  /// its own log here so fusing policies can expose the ballots and
+  /// weights behind each decision.
+  void set_trace(obs::FlightLog* trace) { trace_ = trace; }
 
   /// Energy-fallback hops the most recent plan() took below the
   /// best-ranked sensor (0 for rotation policies; kNumSensors when every
@@ -104,7 +104,7 @@ class Policy {
   void restore_last_result_class(int cls) { last_result_class_ = cls; }
 
  protected:
-  obs::TraceRecorder* trace_ = nullptr;
+  obs::FlightLog* trace_ = nullptr;
   /// The activity the policy anticipates next (temporal continuity):
   /// the most recent classification the policy trusts. Base policies use
   /// the last raw sensor result; fusing policies use the ensemble output,

@@ -102,6 +102,11 @@ FleetResult FleetRunner::run(const std::vector<FleetJob>& jobs) const {
     metric_shards.push_back(registry.make_shard());
   }
 
+  // One event log per shard, folded into the ring in shard order after
+  // the batch: shards are contiguous job ranges, so the trace is in job
+  // order at any thread count.
+  std::vector<obs::FlightLog> logs(config_.trace ? shards.size() : 0);
+
   std::mutex progress_mutex;
   std::size_t shards_done = 0;
   ScratchPool scratch_pool;
@@ -109,11 +114,11 @@ FleetResult FleetRunner::run(const std::vector<FleetJob>& jobs) const {
   const auto run_start = Clock::now();
 
   // Every write inside targets a slot owned by this shard alone; only the
-  // progress callback needs serialization (the trace recorder locks
-  // internally).
+  // progress callback needs serialization.
   const auto run_shard = [&](std::size_t s) {
     const Shard& shard = shards[s];
     obs::MetricsShard& metrics = metric_shards[s];
+    obs::FlightLog* const log = config_.trace ? &logs[s] : nullptr;
     auto scratch = scratch_pool.acquire();
     const auto t0 = Clock::now();
     for (std::size_t j = shard.begin; j < shard.end; ++j) {
@@ -153,8 +158,8 @@ FleetResult FleetRunner::run(const std::vector<FleetJob>& jobs) const {
                   });
         // Slot-level tracing of job 0 only — the exemplar run; tracing
         // every job would just wrap the ring buffer.
-        sim_result = experiment_->run_policy(
-            *policy, models, cursor, j == 0 ? config_.trace : nullptr);
+        sim_result = experiment_->run_policy(*policy, models, cursor,
+                                             j == 0 ? log : nullptr);
       }
       const double job_seconds = seconds_since(job_t0);
       result.jobs[j].accuracy = sim_result.accuracy.overall();
@@ -166,7 +171,7 @@ FleetResult FleetRunner::run(const std::vector<FleetJob>& jobs) const {
       metrics.observe(m_success_pct,
                       sim_result.completion.attempt_success_rate());
       metrics.observe(m_job_seconds, job_seconds);
-      ORIGIN_TRACE(config_.trace,
+      ORIGIN_TRACE(log,
                    job(static_cast<std::int64_t>(j), job_wall_t0, job_seconds,
                        static_cast<int>(shard.index),
                        job.baseline ? core::to_string(*job.baseline)
@@ -198,6 +203,7 @@ FleetResult FleetRunner::run(const std::vector<FleetJob>& jobs) const {
     tail.set_max(m_queue_depth,
                  static_cast<double>(pool_stats.max_queue_depth));
   }
+  for (obs::FlightLog& log : logs) config_.trace->fold(log);
   result.wall_seconds = seconds_since(run_start);
   result.aggregate = merge_in_order(partials);
   result.metrics = obs::snapshot(registry, obs::merge_in_order(metric_shards));

@@ -61,11 +61,13 @@ struct FleetRunnerConfig {
   /// completion order is nondeterministic — use it for progress only.
   std::function<void(std::size_t shards_done, std::size_t shards_total)>
       progress;
-  /// Borrowed slot/job trace recorder (null-object: nullptr disables
-  /// tracing). Records one Job event per job (track = shard index, wall
-  /// time relative to run start) and, to keep trace volume bounded, the
-  /// full slot-level simulator trace of job 0 only.
-  obs::TraceRecorder* trace = nullptr;
+  /// Borrowed event ring (null-object: nullptr disables tracing). Each
+  /// shard records into its own log: one Job event per job (track = shard
+  /// index, wall time relative to run start) and, to keep trace volume
+  /// bounded, the full slot-level simulator trace of job 0 only. The logs
+  /// fold into the ring in shard order after the batch, so events arrive
+  /// in job order at any thread count.
+  obs::FlightRecorder* trace = nullptr;
 };
 
 struct FleetResult {

@@ -2,34 +2,19 @@
 
 #include <exception>
 
-#if defined(__x86_64__) || defined(__i386__) || defined(_M_X64) || \
-    defined(_M_IX86)
-#define ORIGIN_POOL_X86 1
-#include <immintrin.h>
-#endif
-
 namespace origin::fleet {
 
 namespace {
 
-/// One polling step: the x86 spin-wait hint, or a yield elsewhere.
-inline void cpu_relax() {
-#ifdef ORIGIN_POOL_X86
-  _mm_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
-
-/// Polls `ready` until it holds or ThreadPool::kIdleSpin has passed;
-/// returns its last value.
+/// Polls `ready` until it holds or ThreadPool::kIdleSpin has passed,
+/// yielding the core between polls; returns its last value.
 template <typename Ready>
 bool spin_until(Ready ready) {
   const auto deadline =
       std::chrono::steady_clock::now() + ThreadPool::kIdleSpin;
   do {
     if (ready()) return true;
-    cpu_relax();
+    std::this_thread::yield();
   } while (std::chrono::steady_clock::now() < deadline);
   return ready();
 }

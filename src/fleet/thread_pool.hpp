@@ -10,14 +10,16 @@
 // caller in submission order, so there is one pool path at every thread
 // count.
 //
-// Spin, then park. A participant that runs out of work polls for a
+// Yield, then park. A participant that runs out of work polls for a
 // bounded time (kIdleSpin) before it blocks: an idle worker polls for
 // queued work before parking on the pool condition variable, and the
 // caller polls the batch's remaining-task count before sleeping on the
-// batch's condition variable. A serve loop runs one short batch per tick
-// with a short serial gap in between; the spin keeps both ends of that
-// gap off the futex path. The worker's poll also watches for shutdown, so
-// the destructor never waits out a spin.
+// batch's condition variable. Between polls it yields its core, so two
+// participants the scheduler placed on one CPU hand it back and forth
+// instead of one burning the other's time slice. A serve loop runs one
+// short batch per tick with a short serial gap in between; the poll keeps
+// both ends of that gap off the futex path. The worker's poll also
+// watches for shutdown, so the destructor never waits out its poll.
 //
 // run_batch() blocks until every index has run or been cancelled and
 // rethrows the first exception thrown by any task — remaining unstarted
@@ -53,8 +55,9 @@ class ThreadPool {
  public:
   /// How long an idle participant polls before it blocks. It covers the
   /// serve loop's serial section between two ticks' batches (admission
-  /// and publish, about 100 µs), so back-to-back ticks reach spinning
-  /// workers instead of sleeping ones; a longer idle period parks.
+  /// and publish, about 21 µs per serve_origin tick on a 4-vCPU AVX2
+  /// host), so back-to-back ticks reach polling workers instead of
+  /// sleeping ones; a longer idle period parks.
   static constexpr std::chrono::microseconds kIdleSpin{200};
 
   /// `threads` participants, counting the caller of run_batch(); 0 is

@@ -32,7 +32,6 @@ std::vector<EpochStats> Trainer::fit(Sequential& model, const Samples& train) {
   double lr = config_.learning_rate;
 
   using Clock = std::chrono::steady_clock;
-  const auto fit_start = Clock::now();
   auto seconds_since = [](Clock::time_point t) {
     return std::chrono::duration<double>(Clock::now() - t).count();
   };
@@ -57,7 +56,6 @@ std::vector<EpochStats> Trainer::fit(Sequential& model, const Samples& train) {
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     const auto epoch_start = Clock::now();
-    [[maybe_unused]] const double epoch_wall_t0 = seconds_since(fit_start);
     rng.shuffle(order);
     double loss_sum = 0.0;
     std::size_t correct = 0;
@@ -117,8 +115,6 @@ std::vector<EpochStats> Trainer::fit(Sequential& model, const Samples& train) {
     stats.accuracy = static_cast<double>(correct) / static_cast<double>(train.size());
     stats.seconds = seconds_since(epoch_start);
     history.push_back(stats);
-    ORIGIN_TRACE(config_.trace, epoch(epoch, epoch_wall_t0, stats.seconds,
-                                      stats.loss, stats.accuracy));
     util::log_kv(util::LogLevel::Debug, "trainer.epoch", "epoch", epoch,
                  "loss", stats.loss, "acc", stats.accuracy, "lr", lr,
                  "seconds", stats.seconds);

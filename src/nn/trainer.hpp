@@ -8,7 +8,6 @@
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/tensor.hpp"
-#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace origin::nn {
@@ -43,10 +42,6 @@ struct TrainConfig {
   /// both linearly blended with a random partner). Calibrates the softmax
   /// on ambiguous inputs — essential for confidence-weighted ensembles.
   double mixup_prob = 0.0;
-  /// Borrowed trace recorder (null-object: nullptr disables tracing).
-  /// Records one Epoch event per epoch — the loss/accuracy/wall-time
-  /// series next to the simulator and fleet lanes.
-  obs::TraceRecorder* trace = nullptr;
 };
 
 class Trainer {

@@ -1,5 +1,9 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstring>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
@@ -18,8 +22,6 @@ const char* to_string(EventKind kind) {
     case EventKind::Fusion: return "fusion";
     case EventKind::Output: return "output";
     case EventKind::Job: return "job";
-    case EventKind::Epoch: return "epoch";
-    case EventKind::Mark: return "mark";
     case EventKind::Admit: return "admit";
     case EventKind::Step: return "step";
     case EventKind::Hop: return "hop";
@@ -28,14 +30,6 @@ const char* to_string(EventKind kind) {
     case EventKind::SessionEnd: return "session_end";
   }
   return "?";
-}
-
-bool operator==(const TraceEvent& a, const TraceEvent& b) {
-  return a.kind == b.kind && a.outcome == b.outcome && a.flag == b.flag &&
-         a.track == b.track && a.slot == b.slot && a.t0_s == b.t0_s &&
-         a.dur_s == b.dur_s && a.cls == b.cls && a.value == b.value &&
-         a.aux == b.aux && a.count == b.count && a.session == b.session &&
-         a.label == b.label;
 }
 
 const char* to_string(AttemptOutcome outcome) {
@@ -48,176 +42,215 @@ const char* to_string(AttemptOutcome outcome) {
   return "?";
 }
 
-// --------------------------------------------------------------- recorder
+// ------------------------------------------------------------ label codes
 
-TraceRecorder::TraceRecorder(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
+std::uint8_t pack_sensors(const std::vector<int>& sensors) {
+  if (sensors.size() > 3) {
+    throw std::invalid_argument("pack_sensors: more than three sensors");
+  }
+  unsigned packed = static_cast<unsigned>(sensors.size()) << 6;
+  for (std::size_t i = 0; i < sensors.size(); ++i) {
+    if (sensors[i] < 0 || sensors[i] > 3) {
+      throw std::invalid_argument("pack_sensors: sensor outside [0, 3]");
+    }
+    packed |= static_cast<unsigned>(sensors[i]) << (2 * i);
+  }
+  return static_cast<std::uint8_t>(packed);
+}
+
+std::string sensors_label(std::uint8_t packed) {
+  std::string label;
+  for (unsigned i = 0; i < (packed >> 6u); ++i) {
+    if (!label.empty()) label += ',';
+    label += 's';
+    label += static_cast<char>('0' + ((packed >> (2 * i)) & 3u));
+  }
+  return label;
+}
+
+namespace {
+
+/// Interned job labels, filled front to back by compare-and-swap; a slot
+/// never changes once set.
+std::array<std::atomic<const char*>, 64> g_labels{};
+
+}  // namespace
+
+int intern_label(const char* label) {
+  for (std::size_t i = 0; i < g_labels.size(); ++i) {
+    const char* seen = nullptr;
+    if (g_labels[i].compare_exchange_strong(seen, label,
+                                            std::memory_order_acq_rel) ||
+        seen == label || std::strcmp(seen, label) == 0) {
+      return static_cast<int>(i);
+    }
+  }
+  throw std::length_error("intern_label: more than 64 distinct labels");
+}
+
+const char* label_text(int code) {
+  if (code < 0 || static_cast<std::size_t>(code) >= g_labels.size()) return "";
+  const char* label = g_labels[static_cast<std::size_t>(code)].load(
+      std::memory_order_acquire);
+  return label != nullptr ? label : "";
+}
+
+// -------------------------------------------------------------------- log
+
+void FlightLog::schedule(std::int64_t slot, double t0_s, double dur_s,
+                         const std::vector<int>& sensors, int fallback_hops) {
+  events_.push_back({.slot = slot, .t0_s = t0_s, .dur_s = dur_s,
+                     .track = sensors.empty() ? 0 : sensors.front(),
+                     .count = fallback_hops, .kind = EventKind::Schedule,
+                     .sensors = pack_sensors(sensors)});
+}
+
+void FlightLog::energy(std::int64_t slot, double t0_s, int sensor,
+                       double stored_j, double cost_j) {
+  events_.push_back({.slot = slot, .t0_s = t0_s, .value = stored_j,
+                     .aux = cost_j, .track = sensor,
+                     .kind = EventKind::Energy});
+}
+
+void FlightLog::attempt(std::int64_t slot, double t0_s, double dur_s,
+                        int sensor, AttemptOutcome outcome, int cls,
+                        double confidence, double stored_j) {
+  events_.push_back({.slot = slot, .t0_s = t0_s, .dur_s = dur_s,
+                     .value = stored_j, .aux = confidence, .track = sensor,
+                     .cls = cls, .kind = EventKind::Attempt,
+                     .outcome = static_cast<std::uint8_t>(outcome)});
+}
+
+void FlightLog::vote(std::int64_t slot, double t0_s, int sensor, int cls,
+                     double weight, double age_s, bool fresh) {
+  events_.push_back({.slot = slot, .t0_s = t0_s, .value = weight,
+                     .aux = age_s, .track = sensor, .cls = cls,
+                     .kind = EventKind::Vote, .flag = fresh});
+}
+
+void FlightLog::fusion(std::int64_t slot, double t0_s, int cls,
+                       double top_total, double second_total, int ballots,
+                       bool tie_break) {
+  events_.push_back({.slot = slot, .t0_s = t0_s, .value = top_total,
+                     .aux = second_total, .cls = cls, .count = ballots,
+                     .kind = EventKind::Fusion, .flag = tie_break});
+}
+
+void FlightLog::output(std::int64_t slot, double t0_s, double dur_s,
+                       int predicted, int truth) {
+  events_.push_back({.slot = slot, .t0_s = t0_s, .dur_s = dur_s,
+                     .cls = predicted, .count = truth,
+                     .kind = EventKind::Output, .flag = predicted == truth});
+}
+
+void FlightLog::job(std::int64_t job_index, double t0_s, double dur_s,
+                    int shard, const char* label) {
+  events_.push_back({.slot = job_index, .t0_s = t0_s, .dur_s = dur_s,
+                     .track = shard, .cls = intern_label(label),
+                     .kind = EventKind::Job});
+}
+
+void FlightLog::admit(std::int64_t session, int shard, double t0_s,
+                      std::int64_t arrival_tick, int slots_total) {
+  events_.push_back({.session = session, .slot = arrival_tick, .t0_s = t0_s,
+                     .track = shard, .count = slots_total,
+                     .kind = EventKind::Admit});
+}
+
+void FlightLog::step(std::int64_t session, int shard, double t0_s, double dur_s,
+                     std::int64_t slot, int predicted, int truth,
+                     double stored_total_j, double stored_min_j) {
+  events_.push_back({.session = session, .slot = slot, .t0_s = t0_s,
+                     .dur_s = dur_s, .value = stored_total_j,
+                     .aux = stored_min_j, .track = shard, .cls = predicted,
+                     .count = truth, .kind = EventKind::Step,
+                     .flag = predicted == truth});
+}
+
+void FlightLog::hop(std::int64_t session, int shard, double t0_s,
+                    std::int64_t slot, int hops) {
+  events_.push_back({.session = session, .slot = slot, .t0_s = t0_s,
+                     .track = shard, .count = hops, .kind = EventKind::Hop});
+}
+
+void FlightLog::nvp_save(std::int64_t session, int shard, double t0_s,
+                         std::int64_t slot, int sensor, int times) {
+  events_.push_back({.session = session, .slot = slot, .t0_s = t0_s,
+                     .track = shard, .cls = sensor, .count = times,
+                     .kind = EventKind::NvpSave});
+}
+
+void FlightLog::nvp_restore(std::int64_t session, int shard, double t0_s,
+                            std::int64_t slot, int sensor, int times) {
+  events_.push_back({.session = session, .slot = slot, .t0_s = t0_s,
+                     .track = shard, .cls = sensor, .count = times,
+                     .kind = EventKind::NvpRestore});
+}
+
+void FlightLog::session_end(std::int64_t session, int shard, double t0_s,
+                            std::int64_t completed_tick, int slots,
+                            double accuracy, double success_rate_pct,
+                            bool completed) {
+  events_.push_back({.session = session, .slot = completed_tick,
+                     .t0_s = t0_s, .value = accuracy, .aux = success_rate_pct,
+                     .track = shard, .count = slots,
+                     .kind = EventKind::SessionEnd, .flag = completed});
+}
+
+// ------------------------------------------------------------------- ring
+
+FlightRecorder::FlightRecorder(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(1, capacity)) {
+  // One allocation for the ring's lifetime: its pages become resident as
+  // events first land in them, and no growth step ever holds an old and
+  // a new buffer at once (or leaves freed buffers resident in the heap).
   ring_.reserve(capacity_);
 }
 
-void TraceRecorder::record(TraceEvent event) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (count_ < capacity_) {
+void FlightRecorder::fold(FlightLog& log) {
+  for (const TraceEvent& e : log.events()) {
     if (ring_.size() < capacity_) {
-      ring_.push_back(std::move(event));
+      ring_.push_back(e);
     } else {
-      ring_[(start_ + count_) % capacity_] = std::move(event);
+      ring_[head_] = e;
+      head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+      ++dropped_;
     }
-    ++count_;
-  } else {
-    // Full: overwrite the oldest slot and advance the window.
-    ring_[start_] = std::move(event);
-    start_ = (start_ + 1) % capacity_;
-    ++dropped_;
   }
+  log.clear();
 }
 
-void TraceRecorder::schedule(std::int64_t slot, double t0_s, double dur_s,
-                             const std::vector<int>& sensors,
-                             int fallback_hops) {
-  TraceEvent e;
-  e.kind = EventKind::Schedule;
-  e.slot = slot;
-  e.t0_s = t0_s;
-  e.dur_s = dur_s;
-  e.count = fallback_hops;
-  std::string label;
-  for (const int s : sensors) {
-    if (!label.empty()) label += ',';
-    label += 's' + std::to_string(s);
-  }
-  e.label = std::move(label);
-  if (!sensors.empty()) e.track = sensors.front();
-  record(std::move(e));
+const TraceEvent& FlightRecorder::at(std::size_t i) const {
+  const std::size_t j = head_ + i;
+  return ring_[j < ring_.size() ? j : j - ring_.size()];
 }
 
-void TraceRecorder::energy(std::int64_t slot, double t0_s, int sensor,
-                           double stored_j, double cost_j) {
-  TraceEvent e;
-  e.kind = EventKind::Energy;
-  e.slot = slot;
-  e.t0_s = t0_s;
-  e.track = sensor;
-  e.value = stored_j;
-  e.aux = cost_j;
-  record(std::move(e));
+std::vector<TraceEvent> FlightRecorder::events() const {
+  return recent(ring_.size());
 }
 
-void TraceRecorder::attempt(std::int64_t slot, double t0_s, double dur_s,
-                            int sensor, AttemptOutcome outcome, int cls,
-                            double confidence, double stored_j) {
-  TraceEvent e;
-  e.kind = EventKind::Attempt;
-  e.slot = slot;
-  e.t0_s = t0_s;
-  e.dur_s = dur_s;
-  e.track = sensor;
-  e.outcome = static_cast<std::uint8_t>(outcome);
-  e.cls = cls;
-  e.value = stored_j;
-  e.aux = confidence;
-  record(std::move(e));
-}
-
-void TraceRecorder::vote(std::int64_t slot, double t0_s, int sensor, int cls,
-                         double weight, double age_s, bool fresh) {
-  TraceEvent e;
-  e.kind = EventKind::Vote;
-  e.slot = slot;
-  e.t0_s = t0_s;
-  e.track = sensor;
-  e.cls = cls;
-  e.value = weight;
-  e.aux = age_s;
-  e.flag = fresh;
-  record(std::move(e));
-}
-
-void TraceRecorder::fusion(std::int64_t slot, double t0_s, int cls,
-                           double top_total, double second_total, int ballots,
-                           bool tie_break) {
-  TraceEvent e;
-  e.kind = EventKind::Fusion;
-  e.slot = slot;
-  e.t0_s = t0_s;
-  e.cls = cls;
-  e.value = top_total;
-  e.aux = second_total;
-  e.count = ballots;
-  e.flag = tie_break;
-  record(std::move(e));
-}
-
-void TraceRecorder::output(std::int64_t slot, double t0_s, double dur_s,
-                           int predicted, int truth) {
-  TraceEvent e;
-  e.kind = EventKind::Output;
-  e.slot = slot;
-  e.t0_s = t0_s;
-  e.dur_s = dur_s;
-  e.cls = predicted;
-  e.count = truth;
-  e.flag = predicted == truth;
-  record(std::move(e));
-}
-
-void TraceRecorder::job(std::int64_t job_index, double t0_s, double dur_s,
-                        int shard, std::string label) {
-  TraceEvent e;
-  e.kind = EventKind::Job;
-  e.slot = job_index;
-  e.t0_s = t0_s;
-  e.dur_s = dur_s;
-  e.track = shard;
-  e.label = std::move(label);
-  record(std::move(e));
-}
-
-void TraceRecorder::epoch(std::int64_t epoch_index, double t0_s, double dur_s,
-                          double loss, double accuracy) {
-  TraceEvent e;
-  e.kind = EventKind::Epoch;
-  e.slot = epoch_index;
-  e.t0_s = t0_s;
-  e.dur_s = dur_s;
-  e.value = loss;
-  e.aux = accuracy;
-  record(std::move(e));
-}
-
-void TraceRecorder::mark(double t0_s, std::string label) {
-  TraceEvent e;
-  e.kind = EventKind::Mark;
-  e.t0_s = t0_s;
-  e.label = std::move(label);
-  record(std::move(e));
-}
-
-std::vector<TraceEvent> TraceRecorder::events() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+std::vector<TraceEvent> FlightRecorder::recent(std::size_t n) const {
+  const std::size_t take = std::min(n, ring_.size());
   std::vector<TraceEvent> out;
-  out.reserve(count_);
-  for (std::size_t i = 0; i < count_; ++i) {
-    out.push_back(ring_[(start_ + i) % capacity_]);
+  out.reserve(take);
+  for (std::size_t i = ring_.size() - take; i < ring_.size(); ++i) {
+    out.push_back(at(i));
   }
   return out;
 }
 
-std::size_t TraceRecorder::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return count_;
+std::vector<TraceEvent> FlightRecorder::session(std::uint64_t id) const {
+  std::vector<TraceEvent> out;
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    const TraceEvent& e = at(i);
+    if (e.session == static_cast<std::int64_t>(id)) out.push_back(e);
+  }
+  return out;
 }
 
-std::uint64_t TraceRecorder::dropped() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
-}
-
-void TraceRecorder::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
+void FlightRecorder::clear() {
   ring_.clear();
-  start_ = 0;
-  count_ = 0;
+  head_ = 0;
   dropped_ = 0;
 }
 
@@ -244,7 +277,7 @@ void JsonlSink::write(const std::vector<TraceEvent>& events,
     if (e.session >= 0) w.kv("session", e.session);
     switch (e.kind) {
       case EventKind::Schedule:
-        w.kv("sensors", e.label);
+        w.kv("sensors", sensors_label(e.sensors));
         w.kv("fallback_hops", e.count);
         break;
       case EventKind::Energy:
@@ -280,14 +313,7 @@ void JsonlSink::write(const std::vector<TraceEvent>& events,
         break;
       case EventKind::Job:
         w.kv("shard", e.track);
-        w.kv("label", e.label);
-        break;
-      case EventKind::Epoch:
-        w.kv("loss", e.value);
-        w.kv("accuracy", e.aux);
-        break;
-      case EventKind::Mark:
-        w.kv("label", e.label);
+        w.kv("label", label_text(e.cls));
         break;
       case EventKind::Admit:
         w.kv("shard", e.track);
@@ -332,12 +358,11 @@ namespace {
 
 /// Lane assignment for the trace viewer. Simulator events share pid 1 with
 /// one tid per sensor plus dedicated lanes for scheduling and the fused
-/// output; fleet jobs get pid 2 with one tid per shard; trainer epochs
-/// pid 3.
+/// output; fleet jobs get pid 2 with one tid per shard; serve events pid
+/// 4 with one tid per session-table shard.
 constexpr int kPidRun = 0;
 constexpr int kPidSim = 1;
 constexpr int kPidFleet = 2;
-constexpr int kPidTrainer = 3;
 constexpr int kPidServe = 4;
 constexpr int kTidSchedule = 100;
 constexpr int kTidFusion = 101;
@@ -357,8 +382,6 @@ Lane lane_of(const TraceEvent& e) {
     case EventKind::Fusion: return {kPidSim, kTidFusion};
     case EventKind::Output: return {kPidSim, kTidOutput};
     case EventKind::Job: return {kPidFleet, e.track};
-    case EventKind::Epoch: return {kPidTrainer, 0};
-    case EventKind::Mark: return {kPidRun, 0};
     case EventKind::Admit:
     case EventKind::Step:
     case EventKind::Hop:
@@ -378,7 +401,6 @@ std::string lane_thread_name(const Lane& lane) {
     return "sensor " + std::to_string(lane.tid);
   }
   if (lane.pid == kPidFleet) return "shard " + std::to_string(lane.tid);
-  if (lane.pid == kPidTrainer) return "epochs";
   if (lane.pid == kPidServe) return "shard " + std::to_string(lane.tid);
   return "run";
 }
@@ -387,7 +409,6 @@ const char* pid_name(int pid) {
   switch (pid) {
     case kPidSim: return "simulator";
     case kPidFleet: return "fleet";
-    case kPidTrainer: return "trainer";
     case kPidServe: return "serve";
     default: return "run";
   }
@@ -465,7 +486,7 @@ void ChromeTraceSink::write(const std::vector<TraceEvent>& events,
         w.kv("dur", dur_us);
         w.key("args").begin_object();
         w.kv("slot", e.slot);
-        w.kv("sensors", e.label);
+        w.kv("sensors", sensors_label(e.sensors));
         w.kv("fallback_hops", e.count);
         w.end_object();
         break;
@@ -521,28 +542,15 @@ void ChromeTraceSink::write(const std::vector<TraceEvent>& events,
         w.kv("truth", e.count);
         w.end_object();
         break;
-      case EventKind::Job:
-        common_fields(w, e.label.empty() ? "job" : e.label.c_str(), "X", lane,
-                      ts_us);
+      case EventKind::Job: {
+        const char* label = label_text(e.cls);
+        common_fields(w, *label == '\0' ? "job" : label, "X", lane, ts_us);
         w.kv("dur", dur_us);
         w.key("args").begin_object();
         w.kv("job", e.slot);
         w.end_object();
         break;
-      case EventKind::Epoch:
-        common_fields(w, "epoch", "X", lane, ts_us);
-        w.kv("dur", dur_us);
-        w.key("args").begin_object();
-        w.kv("epoch", e.slot);
-        w.kv("loss", e.value);
-        w.kv("accuracy", e.aux);
-        w.end_object();
-        break;
-      case EventKind::Mark:
-        common_fields(w, e.label.empty() ? "mark" : e.label.c_str(), "i",
-                      lane, ts_us);
-        w.kv("s", "g");
-        break;
+      }
       case EventKind::Admit:
         common_fields(w, "admit", "i", lane, ts_us);
         w.kv("s", "t");
@@ -605,7 +613,7 @@ void ChromeTraceSink::write(const std::vector<TraceEvent>& events,
   os << w.str() << '\n';
 }
 
-void write_trace(const TraceRecorder& recorder, const TraceSink& sink,
+void write_trace(const FlightRecorder& recorder, const TraceSink& sink,
                  const std::string& path) {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("write_trace: cannot open " + path);

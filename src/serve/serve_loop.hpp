@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "fleet/thread_pool.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/trace.hpp"
 #include "obs/metrics.hpp"
 #include "serve/arrival.hpp"
 #include "serve/session_table.hpp"

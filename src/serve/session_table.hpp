@@ -10,7 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
+#include "obs/trace.hpp"
 #include "obs/metrics.hpp"
 #include "serve/session.hpp"
 

@@ -132,14 +132,14 @@ std::unique_ptr<core::Policy> Experiment::make_policy(PolicyKind kind,
 
 SimResult Experiment::run_policy(core::Policy& policy,
                                  const data::Stream& stream, ModelSet set,
-                                 obs::TraceRecorder* trace) const {
+                                 obs::FlightLog* trace) const {
   data::StreamSlotSource source(stream);
   return run_policy(policy, source, set, trace);
 }
 
 SimResult Experiment::run_policy(core::Policy& policy,
                                  data::SlotSource& source, ModelSet set,
-                                 obs::TraceRecorder* trace) const {
+                                 obs::FlightLog* trace) const {
   auto models = set == ModelSet::Relaxed ? system_.relaxed_copy()
                                          : system_.bl2_copy();
   return run_policy(policy, models, source, trace);
@@ -148,7 +148,7 @@ SimResult Experiment::run_policy(core::Policy& policy,
 SimResult Experiment::run_policy(
     core::Policy& policy,
     std::array<nn::Sequential, data::kNumSensors>& models,
-    data::SlotSource& source, obs::TraceRecorder* trace) const {
+    data::SlotSource& source, obs::FlightLog* trace) const {
   SimulatorConfig config = sim_config_;
   config.trace = trace;
   Simulator simulator(system_.spec, &models, &trace_, &policy, config);

@@ -95,16 +95,16 @@ class Experiment {
   /// Runs `policy` over `stream` on harvested energy with the given model
   /// set (the default matches §IV-C: Origin deploys the BL-2 networks).
   /// `trace`, when given, records the slot-level event stream of the run
-  /// (see obs::TraceRecorder).
+  /// into that log, in slot order (see obs::FlightLog).
   SimResult run_policy(core::Policy& policy, const data::Stream& stream,
                        ModelSet set = ModelSet::BL2,
-                       obs::TraceRecorder* trace = nullptr) const;
+                       obs::FlightLog* trace = nullptr) const;
 
   /// Streaming variant: consumes any SlotSource (e.g. a cursor from
   /// make_cursor). Bit-identical to the Stream overload.
   SimResult run_policy(core::Policy& policy, data::SlotSource& source,
                        ModelSet set = ModelSet::BL2,
-                       obs::TraceRecorder* trace = nullptr) const;
+                       obs::FlightLog* trace = nullptr) const;
 
   /// Pooled variant: runs on caller-owned deployed networks instead of
   /// copying the system's per call. `models` must match the intended
@@ -113,7 +113,7 @@ class Experiment {
   SimResult run_policy(core::Policy& policy,
                        std::array<nn::Sequential, data::kNumSensors>& models,
                        data::SlotSource& source,
-                       obs::TraceRecorder* trace = nullptr) const;
+                       obs::FlightLog* trace = nullptr) const;
 
   /// Fully-powered baseline (steady supply, majority voting every slot).
   SimResult run_fully_powered(core::BaselineKind kind,

@@ -30,11 +30,12 @@ struct SimulatorConfig {
   /// Failure injection (reliability experiments, paper Discussion): node
   /// `i` dies permanently at `node_failure_at_s[i]` seconds into the run.
   std::array<std::optional<double>, data::kNumSensors> node_failure_at_s{};
-  /// Borrowed slot-trace recorder (null-object: nullptr disables tracing
-  /// and the slot loop allocates nothing for it). Captures schedule
-  /// decisions + fallback hops, per-node energy, attempt outcomes with
-  /// their failure cause, votes/weights and the fused output per slot.
-  obs::TraceRecorder* trace = nullptr;
+  /// Borrowed event log, the run's one owner (null-object: nullptr
+  /// disables tracing and the slot loop allocates nothing for it).
+  /// Captures schedule decisions + fallback hops, per-node energy, attempt
+  /// outcomes with their failure cause, votes/weights and the fused output
+  /// per slot.
+  obs::FlightLog* trace = nullptr;
 };
 
 class Simulator {

@@ -190,6 +190,68 @@ TEST_F(FleetRunnerTest, BaselinesMatchExperimentOracle) {
   }
 }
 
+TEST_F(FleetRunnerTest, TracedBatchIsInJobOrderAtAnyThreadCount) {
+  // Each shard records into its own log and the logs fold in shard order,
+  // so a traced batch reads job 0's slot trace, then one span per job in
+  // job order — identical at any thread count except the spans' wall
+  // clock.
+  PopulationConfig pop;
+  pop.users = 6;
+  pop.root_seed = 7;
+  pop.policy = sim::PolicyKind::Origin;
+  auto jobs = make_population(pop);
+  for (std::size_t j = 1; j < jobs.size(); j += 2) {
+    jobs[j].baseline = core::BaselineKind::BL2;
+  }
+  for (const std::size_t shard_size : {std::size_t{1}, std::size_t{2}}) {
+    const auto traced = [&](unsigned threads) {
+      obs::FlightRecorder ring(1 << 16);
+      FleetRunnerConfig cfg;
+      cfg.threads = threads;
+      cfg.shard_size = shard_size;
+      cfg.trace = &ring;
+      FleetRunner(*experiment_, cfg).run(jobs);
+      EXPECT_EQ(ring.dropped(), 0u);
+      return ring.events();
+    };
+    SCOPED_TRACE(::testing::Message() << "shard_size " << shard_size);
+    const auto reference = traced(1);
+    if (!obs::kTraceEnabled) {
+      EXPECT_TRUE(reference.empty());
+      continue;
+    }
+    ASSERT_GT(reference.size(), jobs.size());
+    const std::size_t slot_events = reference.size() - jobs.size();
+    for (std::size_t i = 0; i < slot_events; ++i) {
+      ASSERT_NE(reference[i].kind, obs::EventKind::Job) << "event " << i;
+      if (i > 0) {
+        ASSERT_GE(reference[i].slot, reference[i - 1].slot);
+      }
+    }
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const obs::TraceEvent& e = reference[slot_events + j];
+      ASSERT_EQ(e.kind, obs::EventKind::Job);
+      EXPECT_EQ(e.slot, static_cast<std::int64_t>(j));
+      EXPECT_EQ(e.track, static_cast<int>(j / shard_size));
+      EXPECT_STREQ(obs::label_text(e.cls),
+                   jobs[j].baseline ? "Baseline-2" : "origin");
+    }
+    for (const unsigned threads : {2u, 8u}) {
+      const auto events = traced(threads);
+      ASSERT_EQ(events.size(), reference.size()) << "threads " << threads;
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        obs::TraceEvent got = events[i];
+        obs::TraceEvent want = reference[i];
+        if (want.kind == obs::EventKind::Job) {
+          got.t0_s = want.t0_s = 0.0;
+          got.dur_s = want.dur_s = 0.0;
+        }
+        ASSERT_EQ(got, want) << "event " << i << " at threads " << threads;
+      }
+    }
+  }
+}
+
 TEST(FleetPopulation, DeterministicDistinctUsersAndSeeds) {
   PopulationConfig pop;
   pop.users = 8;

@@ -5,14 +5,17 @@
 // stays meaningful under -DORIGIN_TRACE=OFF: unit cases always run (the
 // classes stay functional), end-to-end cases flip to asserting that
 // recording is compiled out.
-#include "obs/flight_recorder.hpp"
+#include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "obs/prometheus.hpp"
@@ -186,27 +189,139 @@ TEST(FlightRecorder, ZeroCapacityClampsToOne) {
   EXPECT_EQ(rec.events().front().session, 1);
 }
 
-static_assert(std::is_trivially_copyable_v<obs::FlightRecord>);
-static_assert(sizeof(obs::FlightRecord) <= 64);
+static_assert(std::is_trivially_copyable_v<obs::TraceEvent>);
+static_assert(sizeof(obs::TraceEvent) <= 64);
 
-/// Appends one random event of a random flight kind to `log` and the
-/// TraceEvent it must read back as to `expected`, filled field by field
-/// as the recorder's deque-of-TraceEvent ring used to store it.
+/// What the oracle expects back for one event: the event with its label
+/// code fields (`sensors`, a Job's `cls`) at their defaults, and the label
+/// text those codes must read back as.
+struct Expected {
+  obs::TraceEvent event;
+  std::string label;
+};
+
+/// `got` with its label codes cleared, and the text they stand for.
+Expected decoded(obs::TraceEvent got) {
+  Expected out;
+  if (got.kind == obs::EventKind::Schedule) {
+    out.label = obs::sensors_label(got.sensors);
+    got.sensors = 0;
+  } else if (got.kind == obs::EventKind::Job) {
+    out.label = obs::label_text(got.cls);
+    got.cls = -1;
+  }
+  out.event = got;
+  return out;
+}
+
+::testing::AssertionResult same_events(const std::vector<obs::TraceEvent>& got,
+                                       const std::vector<Expected>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " events, expected " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Expected g = decoded(got[i]);
+    if (!(g.event == want[i].event) || g.label != want[i].label) {
+      return ::testing::AssertionFailure()
+             << "event " << i << " (" << obs::to_string(want[i].event.kind)
+             << ") differs; label '" << g.label << "' vs '" << want[i].label
+             << "'";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Appends one random event of a random kind to `log` and what it must
+/// read back as to `expected`, filled field by field as the deque of
+/// string-labelled TraceEvents the packed ring replaced stored it.
 void append_random_event(util::Rng& rng, obs::FlightLog& log,
-                         std::vector<obs::TraceEvent>& expected) {
-  obs::TraceEvent e;
-  e.session = rng.uniform_int(0, 7);
+                         std::vector<Expected>& expected) {
+  static constexpr const char* kJobLabels[] = {"origin", "rr", "aasr",
+                                               "Baseline-1", "Baseline-2"};
+  Expected x;
+  obs::TraceEvent& e = x.event;
   e.track = static_cast<int>(rng.uniform_int(0, 7));
   e.t0_s = rng.uniform(0.0, 1e4);
   e.slot = rng.uniform_int(0, 1 << 20);
-  switch (rng.uniform_int(0, 5)) {
-    case 0:
+  // The simulator and fleet kinds leave `session` at -1.
+  const std::int64_t session = rng.uniform_int(0, 7);
+  switch (rng.uniform_int(0, 12)) {
+    case 0: {
+      e.kind = obs::EventKind::Schedule;
+      std::vector<int> sensors = {0, 1, 2};
+      rng.shuffle(sensors);
+      sensors.resize(static_cast<std::size_t>(rng.uniform_int(0, 3)));
+      for (const int s : sensors) {
+        x.label += (x.label.empty() ? "s" : ",s") + std::to_string(s);
+      }
+      e.track = sensors.empty() ? 0 : sensors.front();
+      e.dur_s = rng.uniform(0.0, 1.0);
+      e.count = static_cast<int>(rng.uniform_int(0, 3));
+      log.schedule(e.slot, e.t0_s, e.dur_s, sensors, e.count);
+      break;
+    }
+    case 1:
+      e.kind = obs::EventKind::Energy;
+      e.value = rng.uniform(0.0, 0.5);
+      e.aux = rng.uniform(0.0, 0.1);
+      log.energy(e.slot, e.t0_s, e.track, e.value, e.aux);
+      break;
+    case 2:
+      e.kind = obs::EventKind::Attempt;
+      e.dur_s = rng.uniform(0.0, 1.0);
+      e.outcome = static_cast<std::uint8_t>(rng.uniform_int(0, 3));
+      e.cls = static_cast<int>(rng.uniform_int(-1, 11));
+      e.aux = rng.uniform(0.0, 1.0);
+      e.value = rng.uniform(0.0, 0.5);
+      log.attempt(e.slot, e.t0_s, e.dur_s, e.track,
+                  static_cast<obs::AttemptOutcome>(e.outcome), e.cls, e.aux,
+                  e.value);
+      break;
+    case 3:
+      e.kind = obs::EventKind::Vote;
+      e.cls = static_cast<int>(rng.uniform_int(0, 11));
+      e.value = rng.uniform(0.0, 1.0);
+      e.aux = rng.uniform(0.0, 30.0);
+      e.flag = rng.bernoulli(0.5);
+      log.vote(e.slot, e.t0_s, e.track, e.cls, e.value, e.aux, e.flag);
+      break;
+    case 4:
+      e.kind = obs::EventKind::Fusion;
+      e.track = 0;
+      e.cls = static_cast<int>(rng.uniform_int(-1, 11));
+      e.value = rng.uniform(0.0, 3.0);
+      e.aux = rng.uniform(0.0, 3.0);
+      e.count = static_cast<int>(rng.uniform_int(0, 3));
+      e.flag = rng.bernoulli(0.5);
+      log.fusion(e.slot, e.t0_s, e.cls, e.value, e.aux, e.count, e.flag);
+      break;
+    case 5:
+      e.kind = obs::EventKind::Output;
+      e.track = 0;
+      e.dur_s = rng.uniform(0.0, 1.0);
+      e.cls = static_cast<int>(rng.uniform_int(-1, 11));
+      e.count = static_cast<int>(rng.uniform_int(0, 11));
+      e.flag = e.cls == e.count;
+      log.output(e.slot, e.t0_s, e.dur_s, e.cls, e.count);
+      break;
+    case 6: {
+      e.kind = obs::EventKind::Job;
+      e.dur_s = rng.uniform(0.0, 1.0);
+      const char* label = kJobLabels[rng.below(std::size(kJobLabels))];
+      x.label = label;
+      log.job(e.slot, e.t0_s, e.dur_s, e.track, label);
+      break;
+    }
+    case 7:
       e.kind = obs::EventKind::Admit;
+      e.session = session;
       e.count = static_cast<int>(rng.uniform_int(1, 400));
       log.admit(e.session, e.track, e.t0_s, e.slot, e.count);
       break;
-    case 1:
+    case 8:
       e.kind = obs::EventKind::Step;
+      e.session = session;
       e.dur_s = rng.uniform(0.0, 1.0);
       e.cls = static_cast<int>(rng.uniform_int(0, 11));
       e.count = static_cast<int>(rng.uniform_int(0, 11));
@@ -216,25 +331,29 @@ void append_random_event(util::Rng& rng, obs::FlightLog& log,
       log.step(e.session, e.track, e.t0_s, e.dur_s, e.slot, e.cls, e.count,
                e.value, e.aux);
       break;
-    case 2:
+    case 9:
       e.kind = obs::EventKind::Hop;
+      e.session = session;
       e.count = static_cast<int>(rng.uniform_int(1, 3));
       log.hop(e.session, e.track, e.t0_s, e.slot, e.count);
       break;
-    case 3:
+    case 10:
       e.kind = obs::EventKind::NvpSave;
+      e.session = session;
       e.cls = static_cast<int>(rng.uniform_int(0, 2));
       e.count = static_cast<int>(rng.uniform_int(1, 4));
       log.nvp_save(e.session, e.track, e.t0_s, e.slot, e.cls, e.count);
       break;
-    case 4:
+    case 11:
       e.kind = obs::EventKind::NvpRestore;
+      e.session = session;
       e.cls = static_cast<int>(rng.uniform_int(0, 2));
       e.count = static_cast<int>(rng.uniform_int(1, 4));
       log.nvp_restore(e.session, e.track, e.t0_s, e.slot, e.cls, e.count);
       break;
     default:
       e.kind = obs::EventKind::SessionEnd;
+      e.session = session;
       e.count = static_cast<int>(rng.uniform_int(1, 400));
       e.value = rng.uniform(0.0, 1.0);
       e.aux = rng.uniform(0.0, 100.0);
@@ -243,13 +362,14 @@ void append_random_event(util::Rng& rng, obs::FlightLog& log,
                       e.aux, e.flag);
       break;
   }
-  expected.push_back(e);
+  expected.push_back(std::move(x));
 }
 
 TEST(FlightRecorder, PackedRingMatchesDequeOracle) {
-  // The packed ring against the std::deque<TraceEvent> ring it replaced,
-  // over seeded streams folded in rounds of random size: wrap-around,
-  // drop counts and all three queries agree after every fold.
+  // The packed ring against a std::deque of string-labelled events, over
+  // seeded streams of every kind folded in rounds of random size:
+  // wrap-around, drop counts, label codes and all three queries agree
+  // after every fold.
   for (const std::size_t capacity :
        {std::size_t{1}, std::size_t{3}, std::size_t{1} << 15}) {
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
@@ -257,14 +377,14 @@ TEST(FlightRecorder, PackedRingMatchesDequeOracle) {
                    << "capacity " << capacity << " seed " << seed);
       util::Rng rng(seed);
       obs::FlightRecorder rec(capacity);
-      std::deque<obs::TraceEvent> oracle;
+      std::deque<Expected> oracle;
       std::uint64_t oracle_dropped = 0;
       // About 1.3 times the capacity, so every ring wraps.
       const std::size_t total = capacity + capacity / 3 + 5;
       std::size_t appended = 0;
       while (appended < total) {
         obs::FlightLog log;
-        std::vector<obs::TraceEvent> expected;
+        std::vector<Expected> expected;
         const auto round = static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(capacity / 4 + 2)));
         for (std::size_t i = 0; i < round; ++i) {
@@ -273,32 +393,34 @@ TEST(FlightRecorder, PackedRingMatchesDequeOracle) {
         appended += round;
         rec.fold(log);
         EXPECT_EQ(log.size(), 0u);
-        for (const obs::TraceEvent& e : expected) {
+        for (Expected& e : expected) {
           if (oracle.size() == capacity) {
             oracle.pop_front();
             ++oracle_dropped;
           }
-          oracle.push_back(e);
+          oracle.push_back(std::move(e));
         }
 
         ASSERT_EQ(rec.size(), oracle.size());
         ASSERT_EQ(rec.dropped(), oracle_dropped);
-        const std::vector<obs::TraceEvent> all(oracle.begin(), oracle.end());
-        ASSERT_EQ(rec.events(), all);
+        const std::vector<Expected> all(oracle.begin(), oracle.end());
+        ASSERT_TRUE(same_events(rec.events(), all));
         for (const std::size_t n :
              {std::size_t{0}, std::size_t{1}, oracle.size() / 2, oracle.size(),
               oracle.size() + 7}) {
           const std::size_t take = std::min(n, oracle.size());
-          const std::vector<obs::TraceEvent> tail(
+          const std::vector<Expected> tail(
               oracle.end() - static_cast<std::ptrdiff_t>(take), oracle.end());
-          ASSERT_EQ(rec.recent(n), tail) << "n " << n;
+          ASSERT_TRUE(same_events(rec.recent(n), tail)) << "n " << n;
         }
         for (const std::uint64_t id : {0u, 5u, 99u}) {
-          std::vector<obs::TraceEvent> mine;
-          for (const obs::TraceEvent& e : oracle) {
-            if (e.session == static_cast<std::int64_t>(id)) mine.push_back(e);
+          std::vector<Expected> mine;
+          for (const Expected& e : oracle) {
+            if (e.event.session == static_cast<std::int64_t>(id)) {
+              mine.push_back(e);
+            }
           }
-          ASSERT_EQ(rec.session(id), mine) << "session " << id;
+          ASSERT_TRUE(same_events(rec.session(id), mine)) << "session " << id;
         }
       }
       EXPECT_GT(oracle_dropped, 0u);

@@ -1,9 +1,10 @@
 // Observability layer tests: metric shards merge deterministically (the
 // FleetAccumulator contract), histogram bucket edges follow the documented
-// v <= bound rule, the trace ring buffer wraps with an exact drop count,
-// the sinks emit the golden JSON shapes, and concurrent recording into one
-// recorder / many shards is race-free (this suite carries the fleet/obs
-// labels so it runs under the TSan gate: ctest -L obs).
+// v <= bound rule, the simulator and fleet helpers fill the packed event
+// record and its label codes, the sinks emit the golden JSON shapes, and
+// concurrent recording into per-thread logs and metric shards is race-free
+// (this suite carries the fleet/obs labels so it runs under the TSan gate:
+// ctest -L obs).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,15 +23,6 @@
 
 namespace origin::obs {
 namespace {
-
-/// `prefix` followed by `i`, built by appending: GCC 12 misreads the
-/// insert that `"m" + std::to_string(i)` compiles to as an overlapping
-/// copy (-Wrestrict).
-std::string numbered(const char* prefix, int i) {
-  std::string s = prefix;
-  s += std::to_string(i);
-  return s;
-}
 
 // ----------------------------------------------------------------- metrics
 
@@ -347,43 +339,60 @@ TEST(Prometheus, TextFormatIsStructurallyValid) {
 
 // ------------------------------------------------------------------- trace
 
-TEST(TraceRecorder, RingBufferWrapsWithDropCount) {
-  TraceRecorder rec(4);
-  for (int i = 0; i < 6; ++i) {
-    rec.mark(static_cast<double>(i), numbered("m", i));
-  }
-  EXPECT_EQ(rec.size(), 4u);
-  EXPECT_EQ(rec.capacity(), 4u);
-  EXPECT_EQ(rec.dropped(), 2u);
-  const auto events = rec.events();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest two were overwritten; survivors come back oldest-first.
-  EXPECT_EQ(events.front().label, "m2");
-  EXPECT_EQ(events.back().label, "m5");
-  rec.clear();
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.dropped(), 0u);
+/// The events `fill` records into a fresh log, folded into a ring.
+template <typename Fill>
+FlightRecorder folded(Fill fill) {
+  FlightRecorder ring;
+  FlightLog log;
+  fill(log);
+  ring.fold(log);
+  return ring;
 }
 
-TEST(TraceRecorder, TypedHelpersFillTheDocumentedFields) {
-  TraceRecorder rec;
-  rec.schedule(7, 3.5, 0.5, {2, 0}, 1);
-  rec.attempt(7, 3.5, 0.5, 2, AttemptOutcome::DiedMidway, -1, 0.0, 0.01);
-  rec.output(7, 3.5, 0.5, 4, 4);
-  const auto events = rec.events();
-  ASSERT_EQ(events.size(), 3u);
+TEST(FlightLog, SimHelpersFillTheDocumentedFields) {
+  FlightLog log;
+  log.schedule(7, 3.5, 0.5, {2, 0}, 1);
+  log.attempt(7, 3.5, 0.5, 2, AttemptOutcome::DiedMidway, -1, 0.0, 0.01);
+  log.output(7, 3.5, 0.5, 4, 4);
+  log.job(3, 0.25, 1.5, 1, "origin");
+  const auto& events = log.events();
+  ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0].kind, EventKind::Schedule);
-  EXPECT_EQ(events[0].label, "s2,s0");
+  EXPECT_EQ(sensors_label(events[0].sensors), "s2,s0");
+  EXPECT_EQ(events[0].track, 2);  // first planned sensor
   EXPECT_EQ(events[0].count, 1);  // fallback hops
   EXPECT_EQ(events[1].outcome,
             static_cast<std::uint8_t>(AttemptOutcome::DiedMidway));
   EXPECT_TRUE(events[2].flag);  // correct output
   EXPECT_EQ(events[2].cls, 4);
+  EXPECT_EQ(events[3].kind, EventKind::Job);
+  EXPECT_EQ(events[3].track, 1);  // shard
+  EXPECT_STREQ(label_text(events[3].cls), "origin");
+}
+
+TEST(FlightLog, LabelCodesRoundTrip) {
+  for (const std::vector<int>& sensors :
+       {std::vector<int>{}, {1}, {0, 2}, {2, 1, 0}, {3, 3, 3}}) {
+    std::string want;
+    for (const int s : sensors) want += (want.empty() ? "s" : ",s") +
+                                        std::to_string(s);
+    EXPECT_EQ(sensors_label(pack_sensors(sensors)), want);
+  }
+  EXPECT_THROW(pack_sensors({0, 1, 2, 0}), std::invalid_argument);
+  EXPECT_THROW(pack_sensors({4}), std::invalid_argument);
+  EXPECT_THROW(pack_sensors({-1}), std::invalid_argument);
+
+  // Equal strings share a code, whatever their address.
+  const std::string copy = "Baseline-2";
+  EXPECT_EQ(intern_label("Baseline-2"), intern_label(copy.c_str()));
+  EXPECT_NE(intern_label("Baseline-2"), intern_label("aasr"));
+  EXPECT_STREQ(label_text(intern_label("aasr")), "aasr");
+  EXPECT_STREQ(label_text(-1), "");
+  EXPECT_STREQ(label_text(1 << 20), "");
 }
 
 TEST(JsonlSink, GoldenOutput) {
-  TraceRecorder rec;
-  rec.output(0, 0.5, 0.5, 2, 2);
+  const auto rec = folded([](FlightLog& log) { log.output(0, 0.5, 0.5, 2, 2); });
   std::ostringstream os;
   JsonlSink{}.write(rec.events(), rec.dropped(), os);
   EXPECT_EQ(os.str(),
@@ -393,8 +402,7 @@ TEST(JsonlSink, GoldenOutput) {
 }
 
 TEST(ChromeTraceSink, GoldenOutput) {
-  TraceRecorder rec;
-  rec.output(0, 0.5, 0.5, 2, 2);
+  const auto rec = folded([](FlightLog& log) { log.output(0, 0.5, 0.5, 2, 2); });
   std::ostringstream os;
   ChromeTraceSink{}.write(rec.events(), rec.dropped(), os);
   EXPECT_EQ(
@@ -412,8 +420,8 @@ TEST(ChromeTraceSink, GoldenOutput) {
 }
 
 TEST(ChromeTraceSink, EnergyBecomesCounterSeries) {
-  TraceRecorder rec;
-  rec.energy(0, 0.0, 1, 0.25, 0.1);
+  const auto rec =
+      folded([](FlightLog& log) { log.energy(0, 0.0, 1, 0.25, 0.1); });
   std::ostringstream os;
   ChromeTraceSink{}.write(rec.events(), rec.dropped(), os);
   const std::string out = os.str();
@@ -421,17 +429,33 @@ TEST(ChromeTraceSink, EnergyBecomesCounterSeries) {
   EXPECT_NE(out.find("\"ph\":\"C\""), std::string::npos);
 }
 
+TEST(TraceSinks, LabelsPrintAsText) {
+  const auto rec = folded([](FlightLog& log) {
+    log.schedule(4, 2.0, 0.5, {1, 2}, 0);
+    log.job(9, 0.0, 0.25, 3, "Baseline-1");
+  });
+  std::ostringstream jsonl;
+  JsonlSink{}.write(rec.events(), rec.dropped(), jsonl);
+  EXPECT_NE(jsonl.str().find("\"sensors\":\"s1,s2\""), std::string::npos);
+  EXPECT_NE(jsonl.str().find("\"label\":\"Baseline-1\""), std::string::npos);
+  std::ostringstream chrome;
+  ChromeTraceSink{}.write(rec.events(), rec.dropped(), chrome);
+  EXPECT_NE(chrome.str().find("\"name\":\"Baseline-1\",\"ph\":\"X\""),
+            std::string::npos);
+  EXPECT_NE(chrome.str().find("\"sensors\":\"s1,s2\""), std::string::npos);
+}
+
 TEST(TraceMacro, NullRecorderIsANoOp) {
-  TraceRecorder* recorder = nullptr;
+  FlightLog* log = nullptr;
   // Must not crash; with ORIGIN_TRACE=OFF this is compiled out entirely.
-  ORIGIN_TRACE(recorder, mark(0.0, "never"));
-  TraceRecorder rec;
-  recorder = &rec;
-  ORIGIN_TRACE(recorder, mark(1.0, "once"));
+  ORIGIN_TRACE(log, output(0, 0.0, 0.5, 1, 1));
+  FlightLog mine;
+  log = &mine;
+  ORIGIN_TRACE(log, output(1, 0.5, 0.5, 1, 1));
   if (kTraceEnabled) {
-    EXPECT_EQ(rec.size(), 1u);
+    EXPECT_EQ(mine.size(), 1u);
   } else {
-    EXPECT_EQ(rec.size(), 0u);
+    EXPECT_EQ(mine.size(), 0u);
   }
 }
 
@@ -479,33 +503,50 @@ TEST(BuildInfo, GitDescribeMatchesTheCheckout) {
 
 // -------------------------------------------------------------- concurrency
 
-// Run under TSan via the obs/fleet ctest labels: many threads hammer one
-// recorder and private metric shards; totals must be exact.
+// Run under TSan via the obs/fleet ctest labels: many threads intern job
+// labels and record into their own logs and metric shards; the logs fold
+// in thread order, and totals and order must be exact.
 TEST(ObsConcurrency, ParallelRecordingIsExact) {
+  static constexpr const char* kLabels[] = {"job t0", "job t1", "job t2",
+                                            "job t3", "job t4", "job t5",
+                                            "job t6", "job t7"};
   constexpr int kThreads = 8;
   constexpr int kPerThread = 1000;
-  TraceRecorder rec(1024);  // forces wrap: drops must be counted exactly
   MetricsRegistry reg;
   const auto c = reg.add_counter("events");
   const auto h = reg.add_histogram("value", {250.0, 500.0, 750.0});
   std::vector<MetricsShard> shards;
   for (int t = 0; t < kThreads; ++t) shards.push_back(reg.make_shard());
+  std::vector<FlightLog> logs(kThreads);
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      const auto ti = static_cast<std::size_t>(t);
+      logs[ti].job(0, 0.0, 0.0, t, kLabels[ti]);
       for (int i = 0; i < kPerThread; ++i) {
-        rec.mark(static_cast<double>(i), numbered("t", t));
-        shards[static_cast<std::size_t>(t)].inc(c);
-        shards[static_cast<std::size_t>(t)].observe(
-            h, static_cast<double>(i));
+        logs[ti].output(i, static_cast<double>(i), 0.5, t, t);
+        shards[ti].inc(c);
+        shards[ti].observe(h, static_cast<double>(i));
       }
     });
   }
   for (auto& th : threads) th.join();
 
-  EXPECT_EQ(rec.size() + rec.dropped(),
-            static_cast<std::size_t>(kThreads * kPerThread));
+  for (std::size_t t = 0; t < logs.size(); ++t) {
+    EXPECT_STREQ(label_text(logs[t].events().front().cls), kLabels[t]);
+  }
+  FlightRecorder ring(1024);  // forces wrap: drops must be counted exactly
+  for (FlightLog& log : logs) ring.fold(log);
+  EXPECT_EQ(ring.size() + ring.dropped(),
+            static_cast<std::size_t>(kThreads * (kPerThread + 1)));
+  // The newest 1024 events are the last thread's job span and 1000
+  // outputs after the tail of the thread before it.
+  const auto events = ring.events();
+  EXPECT_EQ(events.front().cls, kThreads - 2);
+  EXPECT_EQ(events.front().slot, kPerThread - 23);
+  EXPECT_EQ(events.back().cls, kThreads - 1);
+  EXPECT_EQ(events.back().slot, kPerThread - 1);
   const auto merged = merge_in_order(shards);
   EXPECT_EQ(merged.counter(c),
             static_cast<std::uint64_t>(kThreads * kPerThread));
