@@ -125,10 +125,6 @@ struct TraceEvent {
 static_assert(std::is_trivially_copyable_v<TraceEvent>);
 static_assert(sizeof(TraceEvent) <= 64);
 
-/// The text a sink prints for `e`'s label: a Schedule's sensor list or a
-/// Job's label; "" for every other kind.
-std::string label_of(const TraceEvent& e);
-
 /// One owner's private event buffer until its next fold. Cheap to create,
 /// no interior locking.
 class FlightLog {
